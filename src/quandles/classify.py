@@ -2,28 +2,30 @@
 
 Pipeline: enumerate one automorphism per Aut-conjugacy class for every group
 of the order (conjugate automorphisms give isomorphic quandles), bucket the
-(group, class) pairs by their invariant profiles, run the full decider
-cascade inside each bucket, and merge with union-find.  Bucketing is sound
-because every profile field is a quandle isomorphism invariant.
+(group, class) pairs by their invariant profiles, and run the full decider
+cascade of each pair against the class representatives already found in its
+bucket; the pair joins the first one it is isomorphic to, or becomes a new
+representative.  Bucketing is sound because every profile field is a quandle
+isomorphism invariant.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 from .catalog import build, groups_of_order
 from .errors import CapacityError
 from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import InvariantProfile, descriptor_display
-from .iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
-                  METHOD_SEPARATION, IsoVerdict, cached_profile, decide,
-                  verify_quandle_witness)
+from .iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, UNDECIDED, cached_profile,
+                  decide, verify_quandle_witness)
 from .labels import labels_for_pair
 from .quandle import general_alexander
 
-ENGINE_VERSION = "1.0.0"
+ENGINE_VERSION = "1.1.0"
 CACHE_ENV_VAR = "QF_CACHE_DIR"
 
 
@@ -87,22 +89,6 @@ class ClassificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def _pair_objects(order: int, beyond_paper: bool):
@@ -169,44 +155,30 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
                     maps: list[tuple[FiniteGroup, GroupMap]],
                     brute_bound: int = DEFAULT_BRUTE_BOUND) -> ClassificationReport:
     profiles = [cached_profile(g, psi) for g, psi in maps]
-    uf = _UnionFind(len(pairs))
     verdict_log: list[dict] = []
     undecided = 0
 
-    buckets: dict[InvariantProfile, list[int]] = {}
+    # pairs are visited in index order, so each representative is the
+    # smallest index of its class and the classes come out sorted
+    bucket_reps: dict[InvariantProfile, list[int]] = {}
+    classes_by_rep: dict[int, list[int]] = {}
     for i, prof in enumerate(profiles):
-        buckets.setdefault(prof, []).append(i)
+        reps = bucket_reps.setdefault(prof, [])
+        for rep in reps:
+            verdict = decide(*maps[rep], *maps[i], brute_bound=brute_bound)
+            verdict_log.append({"left": rep, "right": i,
+                                "verdict": verdict.to_json_dict()})
+            if verdict.result == ISOMORPHIC:
+                classes_by_rep[rep].append(i)
+                break
+            if verdict.result == UNDECIDED:
+                undecided += 1
+        else:
+            reps.append(i)
+            classes_by_rep[i] = [i]
 
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            sep = profiles[i].separator_against(profiles[j])
-            if sep is not None:
-                verdict_log.append({
-                    "left": i, "right": j,
-                    "verdict": IsoVerdict(NOT_ISOMORPHIC, METHOD_SEPARATION,
-                                          separator=sep).to_json_dict()})
-
-    for bucket in buckets.values():
-        for ai in range(len(bucket)):
-            for bi in range(ai + 1, len(bucket)):
-                i, j = bucket[ai], bucket[bi]
-                g1, psi1 = maps[i]
-                g2, psi2 = maps[j]
-                verdict = decide(g1, psi1, g2, psi2, brute_bound=brute_bound)
-                verdict_log.append({"left": i, "right": j,
-                                    "verdict": verdict.to_json_dict()})
-                if verdict.result == ISOMORPHIC:
-                    uf.union(i, j)
-                elif verdict.result == UNDECIDED:
-                    undecided += 1
-
-    roots: dict[int, list[int]] = {}
-    for i in range(len(pairs)):
-        roots.setdefault(uf.find(i), []).append(i)
-    classes = sorted(roots.values(),
+    classes = sorted(classes_by_rep.values(),
                      key=lambda cls: _sort_key(profiles[cls[0]], pairs[cls[0]]))
-    for cls in classes:
-        cls.sort()
     notes = []
     if undecided:
         notes.append(f"incomplete: {undecided} pair(s) above capacity remain "
@@ -353,10 +325,17 @@ def _cache_path(order: int, beyond_paper: bool, cache_dir: str) -> str:
 
 
 def _store_cache(report: ClassificationReport, cache_dir: str) -> None:
+    """Write through a temp file in the same directory and rename it, so a
+    reader never sees a partly written cache file."""
     os.makedirs(cache_dir, exist_ok=True)
-    with open(_cache_path(report.order, report.beyond_paper, cache_dir), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+        os.replace(tmp, _cache_path(report.order, report.beyond_paper, cache_dir))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_cache(order: int, beyond_paper: bool,

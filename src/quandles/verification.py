@@ -463,6 +463,27 @@ def claim_boundary() -> ClaimResult:
 
 # --- 10: witness structure -------------------------------------------------------
 
+def _in_class_witnesses(report: ClassificationReport):
+    """(i, j, witness Q_i -> Q_j) for every in-class pair i < j.  The log
+    holds one isomorphic entry (rep, m) per non-representative member m; the
+    other pairs get the composition w_rj o w_ri^-1."""
+    from_rep = {}
+    for entry in report.verdict_log:
+        v = entry["verdict"]
+        if v["result"] == ISOMORPHIC:
+            from_rep[entry["right"]] = v["witness"]
+    for cls in report.classes:
+        for i, j in itertools.combinations(cls, 2):
+            w_rj = from_rep[j]
+            if i == cls[0]:
+                yield i, j, tuple(w_rj)
+                continue
+            inv_ri = [0] * len(w_rj)
+            for x, y in enumerate(from_rep[i]):
+                inv_ri[y] = x
+            yield i, j, tuple(w_rj[x] for x in inv_ri)
+
+
 @_claim("witness structure checks (i)-(iv) on every produced witness")
 def claim_witness_structure() -> ClaimResult:
     bad = []
@@ -470,19 +491,18 @@ def claim_witness_structure() -> ClaimResult:
     for order in range(1, 16):
         report = classify_order(order)
         _groups, _pairs, maps = _pair_objects(order, report.beyond_paper)
-        for entry in report.verdict_log:
-            v = entry["verdict"]
-            if v["result"] != ISOMORPHIC or "witness" not in v:
-                continue
-            g1, psi1 = maps[entry["left"]]
-            g2, psi2 = maps[entry["right"]]
+        for i, j, witness in _in_class_witnesses(report):
+            g1, psi1 = maps[i]
+            g2, psi2 = maps[j]
             q2 = general_alexander(g2, psi2)
-            w = normalize_witness(q2, v["witness"])
+            if not verify_quandle_witness(general_alexander(g1, psi1), q2, witness):
+                bad.append(f"order {order} pair {i}/{j}: composed witness fails")
+                continue
+            w = normalize_witness(q2, witness)
             rep = check_theorem39_properties(w, g1, psi1, g2, psi2)
             total += 1
             if not rep.ok:
-                bad.append(f"order {order} pair {entry['left']}/{entry['right']}: "
-                           f"{rep.clauses}")
+                bad.append(f"order {order} pair {i}/{j}: {rep.clauses}")
     br = boundary_report()
     g1 = build_named("C2xQ8")
     psi1 = named_automorphism(g1, "right:psi_4")

@@ -1,13 +1,17 @@
+import itertools
 import json
 
 import pytest
 
-from quandles.catalog import build_named, named_automorphism
+from quandles.catalog import build, build_named, groups_of_order, named_automorphism
 from quandles.classify import (ENGINE_VERSION, boundary_pair, boundary_report,
                                classify_group, classify_order,
                                closed_form_counts, emit_table)
 from quandles.errors import CapacityError
-from quandles.iso import ISOMORPHIC, verify_quandle_witness
+from quandles.groups import GroupMap
+from quandles.invariants import profile
+from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED, brute_force_iso,
+                          theorem13_iso, verify_quandle_witness)
 from quandles.labels import label_class_images
 from quandles.quandle import general_alexander
 
@@ -54,6 +58,49 @@ def test_report_is_deterministic_across_processes():
     assert runs.pop().strip() == classify_order(8).to_json()
 
 
+def _pair_maps(report):
+    # rebuilt from the report's images, without enumerating Aut classes again
+    groups = [build(spec) for spec in groups_of_order(report.order)]
+    return [(groups[p.group_index],
+             GroupMap(groups[p.group_index], groups[p.group_index], p.images))
+            for p in report.pairs]
+
+
+def _assert_log_covers_every_pair(report):
+    """Every pair (i, j) is separated by its recomputed profiles, or joined
+    inside one class by logged isomorphic entries whose witnesses verify, or
+    lies in two classes whose representatives have a logged not-isomorphic
+    decide.  Each non-representative member has exactly one isomorphic
+    entry, and its left side is the member's class representative."""
+    maps = _pair_maps(report)
+    quandles = [general_alexander(g, psi) for g, psi in maps]
+    profiles = [profile(g, psi) for g, psi in maps]
+    n = len(report.pairs)
+    cls_of = {i: ci for ci, cls in enumerate(report.classes) for i in cls}
+    rep_of = {i: report.classes[cls_of[i]][0] for i in range(n)}
+    joined = {i: i for i in range(n)}
+    not_iso = set()
+    members = []
+    for entry in report.verdict_log:
+        i, j, v = entry["left"], entry["right"], entry["verdict"]
+        assert v["method"] != "invariant-separation"
+        if v["result"] == ISOMORPHIC:
+            assert verify_quandle_witness(quandles[i], quandles[j], v["witness"])
+            assert i == rep_of[j] != j
+            members.append(j)
+            joined[j] = i
+        elif v["result"] == NOT_ISOMORPHIC:
+            not_iso.add(frozenset((i, j)))
+    assert sorted(members) == [i for i in range(n) if rep_of[i] != i]
+    for i, j in itertools.combinations(range(n), 2):
+        if profiles[i].separator_against(profiles[j]) is not None:
+            assert cls_of[i] != cls_of[j]
+        elif cls_of[i] == cls_of[j]:
+            assert joined[i] == joined[j]
+        else:
+            assert frozenset((rep_of[i], rep_of[j])) in not_iso
+
+
 def test_report_structure():
     report = classify_order(12)
     indices = sorted(i for cls in report.classes for i in cls)
@@ -61,19 +108,40 @@ def test_report_structure():
     # every class is profile-homogeneous
     for cls in report.classes:
         assert len({report.profiles[i] for i in cls}) == 1
-    # the log covers every unordered pair exactly once
-    seen = {(e["left"], e["right"]) for e in report.verdict_log}
-    n = len(report.pairs)
-    assert seen == {(i, j) for i in range(n) for j in range(i + 1, n)}
-    # cross-class entries are negative, in-class merges have witnesses
-    cls_of = {i: ci for ci, cls in enumerate(report.classes) for i in cls}
-    for entry in report.verdict_log:
-        v = entry["verdict"]
-        same = cls_of[entry["left"]] == cls_of[entry["right"]]
-        if v["result"] == ISOMORPHIC:
-            assert same and "witness" in v
-        else:
-            assert not same
+    _assert_log_covers_every_pair(report)
+
+
+@pytest.fixture(scope="module")
+def order16_report():
+    return classify_order(16, beyond_paper=True)
+
+
+def test_order16_report_structure(order16_report):
+    assert order16_report.class_count == 29
+    assert len(order16_report.verdict_log) == 140
+    _assert_log_covers_every_pair(order16_report)
+
+
+def test_order16_representatives_cross_checked(order16_report):
+    # the classification decides only within profile buckets; here the class
+    # representatives that share ord(psi) and |Fix| are decided again by the
+    # search, and the structural criterion must agree wherever it applies
+    maps = _pair_maps(order16_report)
+    reps = [cls[0] for cls in order16_report.classes]
+    checked = structural = 0
+    for a, b in itertools.combinations(reps, 2):
+        pa, pb = order16_report.profiles[a], order16_report.profiles[b]
+        if (pa.psi_order, pa.fix_size) != (pb.psi_order, pb.fix_size):
+            continue
+        checked += 1
+        bf = brute_force_iso(general_alexander(*maps[a]),
+                             general_alexander(*maps[b]))
+        assert bf.result == NOT_ISOMORPHIC
+        t13 = theorem13_iso(*maps[a], *maps[b])
+        if t13.result != UNDECIDED:
+            structural += 1
+            assert t13.result == bf.result
+    assert (checked, structural) == (18, 16)
 
 
 def test_merge_witnesses_verify():
@@ -200,6 +268,7 @@ def test_cache_round_trip(tmp_path):
     first = classify_order(6, cache_dir=cache)
     files = list(tmp_path.iterdir())
     assert len(files) == 1 and f"v{ENGINE_VERSION}" in files[0].name
+    assert not any(f.name.endswith(".tmp") for f in files)
     second = classify_order(6, cache_dir=cache)
     assert second.to_json() == first.to_json()
 
