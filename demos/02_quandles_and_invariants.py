@@ -6,10 +6,9 @@ generated by all point symmetries, which always coincides with the subgroup
 generated by the translations x psi(x)^-1.
 """
 
-from quandles import (build_named, check_p1, check_p2, compute_P, compute_P2,
-                      general_alexander, inn_structure, is_connected,
-                      named_automorphism, profile, profile_to_json,
-                      quandle_order, twisted_normalizer)
+from quandles import (build_named, compute_P, compute_P2, general_alexander,
+                      inn_structure, is_connected, named_automorphism, profile,
+                      profile_to_json, quandle_order, twisted_normalizer)
 
 g = build_named("D4")
 psi = named_automorphism(g, "phi:3,1")
@@ -26,8 +25,9 @@ p2 = compute_P2(g, psi)
 print("P  =", p.members, " (the rotation subgroup <sigma>)")
 print("P2 =", p2.members)
 print("twisted normalizer of P2:", twisted_normalizer(g, psi, p2).members)
-print("preconditions: normality of P2 in G:", check_p1(g, psi),
-      "; P2 equals the P-translation set:", check_p2(g, psi))
+prof = profile(g, psi)
+print("preconditions: normality of P2 in G:", prof.p1,
+      "; P2 equals the P-translation set:", prof.p2)
 
 rep = inn_structure(g, psi, verify_iso=True)
 print(f"\n|Inn(Q)| = {rep.inn_size} = |P| * ord(psi) = {rep.p_size} * {rep.psi_order}")
@@ -35,7 +35,7 @@ print("inner group is the expected twisted product:",
       rep.semidirect_witness is not None)
 
 print("\nfull invariant profile:")
-print(profile_to_json(profile(g, psi)))
+print(profile_to_json(prof))
 
 print("\nthe quaternion rotation case (precondition 2 fails):")
 q8 = build_named("Q8")

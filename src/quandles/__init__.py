@@ -18,13 +18,12 @@ from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
 from .errors import (CapacityError, ContractViolation, NameLookupError,
                      StructuralError, VerificationError)
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_conjugacy_classes,
-                     automorphism_group, center, element_order, fixed_subgroup,
+                     automorphism_group, center, fixed_subgroup,
                      generated_subgroup, group_from_json, group_to_json,
                      groups_isomorphic, identity_map, inner_automorphism,
-                     inverse, is_normal, is_simple, multiply)
-from .invariants import (InvariantProfile, check_p1, check_p2, compute_P,
-                         compute_P2, inn_structure, profile, profile_to_json,
-                         twisted_normalizer)
+                     is_normal, is_simple)
+from .invariants import (InvariantProfile, compute_P, compute_P2, inn_structure,
+                         profile, profile_to_json, twisted_normalizer)
 from .iso import (IsoVerdict, abelian_decider, brute_force_iso,
                   check_theorem39_properties, decide, normalize_witness,
                   simple_group_decider, theorem13_iso, verify_quandle_witness)

@@ -255,15 +255,14 @@ def sl23_element_index(mat) -> int:
     return mats.index(flat)
 
 
-def _semidirect_by_map(base: FiniteGroup, act: GroupMap, m: int,
-                       name: str, spec: GroupSpec | None) -> FiniteGroup:
-    """base x| C_m with C_m acting through powers of ``act``; index((x,i)) = i*|base|+x."""
+def semidirect_table(base: FiniteGroup, act: GroupMap, m: int) -> list[list[int]]:
+    """Cayley table of base x| C_m with C_m acting through powers of ``act``:
+    (x, i)(y, j) = (x * act^i(y), i + j), index((x, i)) = i*|base| + x."""
     powers = [tuple(range(base.order))]
     for _ in range(m - 1):
         powers.append(tuple(act.images[v] for v in powers[-1]))
     size = base.order * m
     table = [[0] * size for _ in range(size)]
-    # (x, i)(y, j) = (x * act^i(y), i + j)
     for i in range(m):
         pwi = powers[i]
         for x in range(base.order):
@@ -272,7 +271,7 @@ def _semidirect_by_map(base: FiniteGroup, act: GroupMap, m: int,
                 for y in range(base.order):
                     v = j * base.order + y
                     table[u][v] = ((i + j) % m) * base.order + base.table[x][pwi[y]]
-    return FiniteGroup(table, name=name, spec=spec, check=True)
+    return table
 
 
 def _semidirect_cyclic_group(n: int, m: int, act: int, spec: GroupSpec) -> FiniteGroup:
@@ -280,7 +279,8 @@ def _semidirect_cyclic_group(n: int, m: int, act: int, spec: GroupSpec) -> Finit
         raise CapacityError(f"invalid semidirect action {act} mod {n}")
     base = build(cyclic(n))
     act_map = GroupMap(base, base, tuple((act * i) % n for i in range(n)), check=False)
-    return _semidirect_by_map(base, act_map, m, spec.name(), spec)
+    return FiniteGroup(semidirect_table(base, act_map, m), name=spec.name(),
+                       spec=spec, check=True)
 
 
 _C4C2_TWISTS: dict[str, FiniteGroup] | None = None
@@ -303,7 +303,7 @@ def _c4c2_twist_group(variant: str, spec: GroupSpec) -> FiniteGroup:
         for amap in automorphism_group(base):
             if amap.map_order() != 2:
                 continue
-            g = _semidirect_by_map(base, amap, 2, "scan", None)
+            g = FiniteGroup(semidirect_table(base, amap, 2), name="scan", check=True)
             if any(groups_isomorphic(g, t) is not None for t in types):
                 continue
             types.append(g)

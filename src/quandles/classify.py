@@ -11,13 +11,14 @@ isomorphism invariant.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 from .catalog import build, groups_of_order
-from .errors import CapacityError
+from .errors import CapacityError, VerificationError
 from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import InvariantProfile, descriptor_display
 from .iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, UNDECIDED, cached_profile,
@@ -97,16 +98,20 @@ def _pair_objects(order: int, beyond_paper: bool):
             "order 16 is outside the classified range; pass beyond_paper=True")
     if order > 16:
         raise CapacityError("classification is capped at order 16")
-    specs = groups_of_order(order)
-    groups = [build(s) for s in specs]
+    groups = [build(s) for s in groups_of_order(order)]
+    return (groups, *_pair_list(groups))
+
+
+def _pair_list(groups: list[FiniteGroup]):
+    """One pair per (group, automorphism conjugacy class), with its maps."""
     pairs: list[PairEntry] = []
     maps: list[tuple[FiniteGroup, GroupMap]] = []
     for gi, g in enumerate(groups):
         for ci, (rep, _size) in enumerate(automorphism_conjugacy_classes(g, bound=128)):
-            refs = tuple(sorted(labels_for_pair(order, g.name, rep.images)))
+            refs = tuple(sorted(labels_for_pair(g.order, g.name, rep.images)))
             pairs.append(PairEntry(gi, g.name, ci, rep.images, refs))
             maps.append((g, rep))
-    return groups, pairs, maps
+    return pairs, maps
 
 
 def _sort_key(profile: InvariantProfile, pair: PairEntry):
@@ -139,14 +144,8 @@ def classify_order(order: int, beyond_paper: bool = False,
 def classify_group(g: FiniteGroup,
                    brute_bound: int = DEFAULT_BRUTE_BOUND) -> ClassificationReport:
     """Classification restricted to a single group's automorphism classes."""
-    pairs: list[PairEntry] = []
-    maps: list[tuple[FiniteGroup, GroupMap]] = []
-    order = g.order
-    for ci, (rep, _size) in enumerate(automorphism_conjugacy_classes(g, bound=128)):
-        refs = tuple(sorted(labels_for_pair(order, g.name, rep.images)))
-        pairs.append(PairEntry(0, g.name, ci, rep.images, refs))
-        maps.append((g, rep))
-    return _classify_pairs(order, order > 15, [g.name], pairs, maps,
+    pairs, maps = _pair_list([g])
+    return _classify_pairs(g.order, g.order > 15, [g.name], pairs, maps,
                            brute_bound=brute_bound)
 
 
@@ -156,12 +155,9 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
                     brute_bound: int = DEFAULT_BRUTE_BOUND) -> ClassificationReport:
     profiles = [cached_profile(g, psi) for g, psi in maps]
     verdict_log: list[dict] = []
-    undecided = 0
-
     # pairs are visited in index order, so each representative is the
-    # smallest index of its class and the classes come out sorted
+    # smallest index of its class
     bucket_reps: dict[InvariantProfile, list[int]] = {}
-    classes_by_rep: dict[int, list[int]] = {}
     for i, prof in enumerate(profiles):
         reps = bucket_reps.setdefault(prof, [])
         for rep in reps:
@@ -169,16 +165,14 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
             verdict_log.append({"left": rep, "right": i,
                                 "verdict": verdict.to_json_dict()})
             if verdict.result == ISOMORPHIC:
-                classes_by_rep[rep].append(i)
                 break
-            if verdict.result == UNDECIDED:
-                undecided += 1
         else:
             reps.append(i)
-            classes_by_rep[i] = [i]
 
-    classes = sorted(classes_by_rep.values(),
-                     key=lambda cls: _sort_key(profiles[cls[0]], pairs[cls[0]]))
+    classes = _partition(profiles, pairs, verdict_log)
+    if classes is None:
+        raise VerificationError("the verdict log does not prove the partition")
+    undecided = sum(e["verdict"]["result"] == UNDECIDED for e in verdict_log)
     notes = []
     if undecided:
         notes.append(f"incomplete: {undecided} pair(s) above capacity remain "
@@ -188,6 +182,42 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
         group_names=group_names, pairs=pairs, profiles=profiles,
         classes=classes, verdict_log=verdict_log, notes=notes,
         complete=undecided == 0)
+
+
+def _partition(profiles: list[InvariantProfile], pairs: list[PairEntry],
+               verdict_log: list[dict]) -> list[list[int]] | None:
+    """The classes a verdict log proves, or None when it proves none.
+
+    Each isomorphic (representative, member) entry puts the member in its
+    representative's class; every two classes with equal profiles need a
+    logged decide between them that is not isomorphic.  Witnesses are not
+    checked here."""
+    n = len(pairs)
+    if any(not (0 <= e["left"] < n and 0 <= e["right"] < n) for e in verdict_log):
+        return None
+    rep_of: dict[int, int] = {}
+    for e in verdict_log:
+        if e["verdict"]["result"] == ISOMORPHIC:
+            if e["right"] in rep_of:
+                return None
+            rep_of[e["right"]] = e["left"]
+    if any(rep in rep_of for rep in rep_of.values()):
+        return None
+    by_rep = {i: [i] for i in range(n) if i not in rep_of}
+    for member, rep in sorted(rep_of.items()):
+        by_rep[rep].append(member)
+    classes = sorted((sorted(cls) for cls in by_rep.values()),
+                     key=lambda cls: _sort_key(profiles[cls[0]], pairs[cls[0]]))
+    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
+    separated = {frozenset((class_of[e["left"]], class_of[e["right"]]))
+                 for e in verdict_log if e["verdict"]["result"] != ISOMORPHIC}
+    by_profile: dict[InvariantProfile, list[int]] = {}
+    for ci, cls in enumerate(classes):
+        by_profile.setdefault(profiles[cls[0]], []).append(ci)
+    if any(frozenset(pair) not in separated for cis in by_profile.values()
+           for pair in itertools.combinations(cis, 2)):
+        return None
+    return classes
 
 
 def closed_form_counts(n: int) -> int | None:
@@ -360,22 +390,22 @@ def _load_cache(order: int, beyond_paper: bool,
     for p, sp in zip(pairs, stored_pairs):
         if sp["group_name"] != p.group_name or tuple(sp["images"]) != p.images:
             return None
-    # re-verify every isomorphism witness before trusting the partition
+    verdict_log = data.get("verdict_log", [])
+    profiles = [cached_profile(g, psi) for g, psi in maps]
+    classes = _partition(profiles, pairs, verdict_log)
+    if classes is None:
+        return None
     quandles = [general_alexander(g, psi) for g, psi in maps]
-    for entry in data.get("verdict_log", []):
+    for entry in verdict_log:
         v = entry["verdict"]
         if v["result"] == ISOMORPHIC:
             witness = v.get("witness")
             if witness is None or not verify_quandle_witness(
                     quandles[entry["left"]], quandles[entry["right"]], witness):
                 return None
-    profiles = [cached_profile(g, psi) for g, psi in maps]
-    classes = [sorted(c) for c in data.get("classes", [])]
-    if sorted(i for c in classes for i in c) != list(range(len(pairs))):
-        return None
     return ClassificationReport(
         order=order, engine_version=ENGINE_VERSION, beyond_paper=beyond_paper,
         group_names=[g.name for g in groups], pairs=pairs, profiles=profiles,
-        classes=classes, verdict_log=data.get("verdict_log", []),
+        classes=classes, verdict_log=verdict_log,
         notes=list(data.get("notes", [])),
-        complete=bool(data.get("complete", True)))
+        complete=not any(e["verdict"]["result"] == UNDECIDED for e in verdict_log))

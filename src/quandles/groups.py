@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import CapacityError, ContractViolation, StructuralError
 
@@ -116,9 +115,6 @@ class FiniteGroup:
                                 for b in range(a + 1, self.order))
         return self._abelian
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -163,11 +159,6 @@ class Subgroup:
                  for a in self.members]
         label = name or f"{self.parent.name}|sub{len(self.members)}"
         return FiniteGroup(table, name=label, check=False), self.members
-
-    def coset_of(self, x: int) -> tuple[int, ...]:
-        """Left coset x*H, sorted."""
-        g = self.parent
-        return tuple(sorted(g.table[x][h] for h in self.members))
 
 
 @dataclass(frozen=True)
@@ -256,18 +247,6 @@ def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
     """Conjugation x -> a x a^-1."""
     g._check_index(a)
     return GroupMap(g, g, tuple(g.conj(a, x) for x in range(g.order)), check=False)
-
-
-def multiply(g: FiniteGroup, a: int, b: int) -> int:
-    return g.mul(a, b)
-
-
-def inverse(g: FiniteGroup, a: int) -> int:
-    return g.inv(a)
-
-
-def element_order(g: FiniteGroup, a: int) -> int:
-    return g.element_order(a)
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
@@ -539,13 +518,3 @@ def group_from_json(text: str) -> FiniteGroup:
     if g.order != int(data["order"]):
         raise StructuralError("declared order does not match table size")
     return g
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def units_mod(n: int) -> list[int]:
-    if n == 1:
-        return [0]
-    return [a for a in range(n) if gcd(a, n) == 1]

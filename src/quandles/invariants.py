@@ -15,10 +15,11 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import build, groups_of_order
+from .catalog import build, groups_of_order, semidirect_table
 from .errors import VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_group,
-                     center, generated_subgroup, groups_isomorphic, is_normal)
+                     center, generated_subgroup, groups_isomorphic,
+                     identity_map, is_normal)
 from .quandle import PermGroup, general_alexander, inner_group, orbit_of
 
 PROFILE_VERSION = "profile.v1"
@@ -68,20 +69,6 @@ def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
     return Subgroup(g, tuple(members))
 
 
-def check_p1(g: FiniteGroup, psi: GroupMap) -> bool:
-    """P^2 is normal in G."""
-    return is_normal(g, compute_P2(g, psi))
-
-
-def check_p2(g: FiniteGroup, psi: GroupMap) -> bool:
-    """P^2 equals the translation set {s_p(e) : p in P} (not just contains it)."""
-    p = compute_P(g, psi)
-    p2 = compute_P2(g, psi)
-    im = psi.images
-    translations = {g.table[x][g._inv[im[x]]] for x in p.members}
-    return translations == p2.member_set()
-
-
 @dataclass
 class InnStructureReport:
     perm_group: PermGroup
@@ -93,24 +80,6 @@ class InnStructureReport:
     centerless_p: bool
     psi_p_inner: bool
     direct_witness: GroupMap | None
-
-
-def semidirect_product_table(p_group: FiniteGroup, act: GroupMap, m: int) -> FiniteGroup:
-    """P x| C_m with (x, i)(y, j) = (x act^i(y), i + j); index((x, i)) = i|P| + x."""
-    powers = [tuple(range(p_group.order))]
-    for _ in range(m - 1):
-        powers.append(tuple(act.images[v] for v in powers[-1]))
-    size = p_group.order * m
-    table = [[0] * size for _ in range(size)]
-    for i in range(m):
-        pw = powers[i]
-        for x in range(p_group.order):
-            u = i * p_group.order + x
-            for j in range(m):
-                for y in range(p_group.order):
-                    table[u][j * p_group.order + y] = \
-                        ((i + j) % m) * p_group.order + p_group.table[x][pw[y]]
-    return FiniteGroup(table, name=f"{p_group.name}:C{m}", check=False)
 
 
 def psi_restricted_is_inner(grp: FiniteGroup, restricted: GroupMap) -> bool:
@@ -131,42 +100,23 @@ def inn_structure(g: FiniteGroup, psi: GroupMap, verify_iso: bool = True) -> Inn
 
     semidirect_witness = None
     direct_witness = None
-    if verify_iso:
-        inn_as_group, _ = inn.as_group(name="Inn")
-        sd = semidirect_product_table(grp, restricted, m)
-        semidirect_witness = groups_isomorphic(inn_as_group, sd)
-
     centerless = center(grp).order == 1
     inner_flag = psi_restricted_is_inner(grp, restricted)
-    if verify_iso and centerless:
-        from .catalog import cyclic, product
-        if grp.order == 1:
-            direct = build(cyclic(m)) if m > 1 else build(cyclic(1))
-        elif m == 1:
-            direct = grp
-        else:
-            direct = _direct_with_cyclic(grp, m)
+    if verify_iso:
         inn_as_group, _ = inn.as_group(name="Inn")
-        direct_witness = groups_isomorphic(inn_as_group, direct)
+        sd = FiniteGroup(semidirect_table(grp, restricted, m),
+                         name=f"{grp.name}:C{m}", check=False)
+        semidirect_witness = groups_isomorphic(inn_as_group, sd)
+        if centerless:
+            direct = FiniteGroup(semidirect_table(grp, identity_map(grp), m),
+                                 name=f"{grp.name}xC{m}", check=False)
+            direct_witness = groups_isomorphic(inn_as_group, direct)
 
     return InnStructureReport(
         perm_group=inn, inn_size=inn.order, p_size=grp.order, psi_order=m,
         product_holds=product_holds, semidirect_witness=semidirect_witness,
         centerless_p=centerless, psi_p_inner=inner_flag,
         direct_witness=direct_witness)
-
-
-def _direct_with_cyclic(grp: FiniteGroup, m: int) -> FiniteGroup:
-    size = grp.order * m
-    table = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for x in range(grp.order):
-            u = i * grp.order + x
-            for j in range(m):
-                for y in range(grp.order):
-                    table[u][j * grp.order + y] = \
-                        ((i + j) % m) * grp.order + grp.table[x][y]
-    return FiniteGroup(table, name=f"{grp.name}xC{m}", check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,6 @@ class Quandle:
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
             raise StructuralError("sym table shape mismatch")
 
-    def s(self, x: int, y: int) -> int:
-        return self.sym[x][y]
-
-    def op(self, x: int, y: int) -> int:
-        """The binary-operation view x * y = s_y(x)."""
-        return self.sym[y][x]
-
     def is_general_alexander(self) -> bool:
         return self.provenance is not None
 

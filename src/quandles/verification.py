@@ -24,8 +24,7 @@ from .groups import (GroupMap, automorphism_conjugacy_classes,
                      automorphism_group, fixed_subgroup, groups_isomorphic,
                      inner_automorphism, is_normal)
 from .invariants import (compute_P, compute_P2, inn_structure,
-                         restrict_to_P, transported_class, twisted_normalizer,
-                         _direct_with_cyclic)
+                         restrict_to_P, transported_class, twisted_normalizer)
 from .iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED, abelian_decider,
                   brute_force_iso, cached_profile, check_theorem39_properties,
                   decide, normalize_witness, theorem13_iso,
@@ -425,7 +424,7 @@ def claim_structure() -> ClaimResult:
             and r.psi_p_inner and not r.centerless_p):
         bad.append("counterexample preconditions fail")
     inn_group, _ = r.perm_group.as_group()
-    if groups_isomorphic(inn_group, _direct_with_cyclic(grp, 2)) is not None:
+    if groups_isomorphic(inn_group, build_named("Q8xC2")) is not None:
         bad.append("counterexample: Inn is a direct product after all")
     return ClaimResult(claim_structure.claim_name, not bad, "; ".join(bad[:5]))
 

@@ -4,8 +4,8 @@ import json
 import pytest
 
 from quandles.catalog import build, build_named, groups_of_order, named_automorphism
-from quandles.classify import (ENGINE_VERSION, boundary_pair, boundary_report,
-                               classify_group, classify_order,
+from quandles.classify import (ENGINE_VERSION, _partition, boundary_pair,
+                               boundary_report, classify_group, classify_order,
                                closed_form_counts, emit_table)
 from quandles.errors import CapacityError
 from quandles.groups import GroupMap
@@ -144,6 +144,24 @@ def test_order16_representatives_cross_checked(order16_report):
     assert (checked, structural) == (18, 16)
 
 
+def test_partition_needs_a_separating_decide(order16_report):
+    # no classification up to order 16 logs a non-isomorphic decide (its
+    # classes all differ in profile), so the rule is shown on the order-16
+    # classes made to share one profile
+    pairs, log = order16_report.pairs, order16_report.verdict_log
+    classes = order16_report.classes
+    assert _partition(order16_report.profiles, pairs, log) == classes
+    shared = [order16_report.profiles[0]] * len(pairs)
+    assert _partition(shared, pairs, log) is None
+    separating = [{"left": a, "right": b,
+                   "verdict": {"result": NOT_ISOMORPHIC, "method": "brute-force"}}
+                  for a, b in itertools.combinations([c[0] for c in classes], 2)]
+    assert sorted(_partition(shared, pairs, log + separating)) == sorted(classes)
+    for k in range(len(separating)):
+        dropped = separating[:k] + separating[k + 1:]
+        assert _partition(shared, pairs, log + dropped) is None
+
+
 def test_merge_witnesses_verify():
     from quandles.classify import _pair_objects
     report = classify_order(8)
@@ -254,7 +272,8 @@ def test_incomplete_report_is_flagged_and_bannered():
     maps = [(g1, psi1), (g2, reps[0])]
     report = _classify_pairs(16, True, [g1.name, g2.name], pairs, maps,
                              brute_bound=4)
-    assert not report.complete
+    assert not report.complete and report.class_count == 2
+    assert _partition(report.profiles, pairs, []) is None
     assert any("incomplete" in n for n in report.notes)
     assert "INCOMPLETE" in emit_table(report, "markdown")
     assert emit_table(report, "csv").startswith("# INCOMPLETE")
@@ -289,6 +308,29 @@ def test_cache_rejects_tampered_witness(tmp_path):
     # the rewritten cache is valid again
     third = classify_order(4, cache_dir=cache)
     assert third.to_json() == first.to_json()
+
+
+@pytest.mark.parametrize("tamper", ["singletons", "one-class-empty-log",
+                                    "isomorphic-entry-removed"])
+def test_cache_partition_is_proved_again(tmp_path, tamper):
+    cache = str(tmp_path)
+    first = classify_order(8, cache_dir=cache)
+    path = next(tmp_path.iterdir())
+    data = json.loads(path.read_text())
+    n = len(data["pairs"])
+    if tamper == "singletons":
+        data["classes"] = [[i] for i in range(n)]
+    elif tamper == "one-class-empty-log":
+        data["classes"] = [list(range(n))]
+        data["verdict_log"] = []
+    else:
+        log = data["verdict_log"]
+        del log[next(k for k, e in enumerate(log)
+                     if e["verdict"]["result"] == ISOMORPHIC)]
+    path.write_text(json.dumps(data))
+    again = classify_order(8, cache_dir=cache)
+    assert again.class_count == 9 and again.complete
+    assert again.to_json() == first.to_json()
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

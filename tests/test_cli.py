@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 from quandles.cli import main
+
+GOLDEN_VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
 
 
 def test_groups_list(capsys):
@@ -84,3 +87,4 @@ def test_verify_paper(capsys):
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)
     assert "10/10 claims verified" in out
+    assert out == GOLDEN_VERIFY_PAPER.read_text(encoding="utf-8")

@@ -3,17 +3,15 @@ import json
 import pytest
 
 from quandles.catalog import (build, build_named, cyclic, dihedral,
-                              groups_of_order, named_automorphism,
-                              sl23_element_index)
+                              groups_of_order, named_automorphism, product,
+                              semidirect_table, sl23_element_index)
 from quandles.groups import (Subgroup, automorphism_group, fixed_subgroup,
                              groups_isomorphic, identity_map,
                              inner_automorphism, is_normal)
-from quandles.invariants import (check_p1, check_p2,
-                                 compute_P, compute_P2, descriptor_display,
+from quandles.invariants import (compute_P, compute_P2, descriptor_display,
                                  group_descriptor, inn_structure, profile,
                                  profile_to_json, restrict_to_P,
-                                 transported_class, twisted_normalizer,
-                                 _direct_with_cyclic)
+                                 transported_class, twisted_normalizer)
 
 
 def test_compute_P_identity_map():
@@ -94,7 +92,8 @@ def test_twisted_normalizer_equals_PF_under_preconditions():
                       ("Dic3", "beta_tau"), ("C4xC2", "psi_sigma")):
         g = build_named(name)
         psi = named_automorphism(g, aut)
-        assert check_p1(g, psi) and check_p2(g, psi)
+        prof = profile(g, psi)
+        assert prof.p1 and prof.p2
         p = compute_P(g, psi)
         fix = fixed_subgroup(psi)
         pf = {g.table[a][b] for a in p.members for b in fix.members}
@@ -104,16 +103,17 @@ def test_twisted_normalizer_equals_PF_under_preconditions():
 
 def test_precondition_flags_table_cases():
     q8 = build_named("Q8")
-    psi4 = named_automorphism(q8, "psi_4")
-    assert check_p1(q8, psi4) and not check_p2(q8, psi4)
+    prof = profile(q8, named_automorphism(q8, "psi_4"))
+    assert prof.p1 and not prof.p2
     s33 = build_named("S3xS3")
-    swap = named_automorphism(s33, "swap")
-    assert not check_p1(s33, swap) and check_p2(s33, swap)
+    prof = profile(s33, named_automorphism(s33, "swap"))
+    assert not prof.p1 and prof.p2
     a4 = build_named("A4")
-    conj12 = named_automorphism(a4, "conj_perm:(1 2)")
-    assert check_p1(a4, conj12) and not check_p2(a4, conj12)
+    prof = profile(a4, named_automorphism(a4, "conj_perm:(1 2)"))
+    assert prof.p1 and not prof.p2
     g = build_named("C6xC2")
-    assert check_p1(g, identity_map(g)) and check_p2(g, identity_map(g))
+    prof = profile(g, identity_map(g))
+    assert prof.p1 and prof.p2
 
 
 def test_inn_structure_products():
@@ -153,7 +153,17 @@ def test_sl23_escapes_the_dichotomy():
     assert not r.centerless_p and r.psi_p_inner
     assert r.semidirect_witness is not None
     inn_group, _ = r.perm_group.as_group()
-    assert groups_isomorphic(inn_group, _direct_with_cyclic(grp, 2)) is None
+    assert groups_isomorphic(inn_group, build_named("Q8xC2")) is None
+
+
+@pytest.mark.parametrize("name", ["C3", "D4", "Q8"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_identity_action_semidirect_table_is_the_direct_product(name, m):
+    # index (x, i) = i*|G| + x is the catalog product's index with C_m first
+    g = build_named(name)
+    expected = build(product(cyclic(m), g.spec)).table
+    table = semidirect_table(g, identity_map(g), m)
+    assert tuple(map(tuple, table)) == expected
 
 
 def test_inn_size_law_over_catalog():

@@ -5,7 +5,9 @@ import pytest
 
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism)
-from quandles.errors import CapacityError, ContractViolation
+from quandles import iso
+from quandles.classify import _pair_objects, classify_order
+from quandles.errors import CapacityError, ContractViolation, VerificationError
 from quandles.groups import (automorphism_conjugacy_classes,
                              automorphism_group, identity_map)
 from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
@@ -88,6 +90,16 @@ def test_theorem13_verdict_matches_example_pair():
     assert v.result == NOT_ISOMORPHIC
 
 
+def test_theorem13_rejects_a_bad_constructed_witness(monkeypatch):
+    monkeypatch.setattr(iso, "_thm13_witness",
+                        lambda g1, *_args: (0,) * g1.order)
+    c10 = build(cyclic(10))
+    d5 = build(dihedral(5))
+    with pytest.raises(VerificationError):
+        theorem13_iso(c10, named_automorphism(c10, "mul:3"),
+                      d5, named_automorphism(d5, "phi:3,1"))
+
+
 def test_identical_inputs_isomorphic_with_identity():
     g, psi, q = _ga("D6", "phi:5,1")
     v = theorem13_iso(g, psi, g, psi)
@@ -122,6 +134,22 @@ def test_abelian_decider():
     with pytest.raises(ContractViolation):
         d4 = build_named("D4")
         abelian_decider(d4, identity_map(d4), d4, identity_map(d4))
+
+
+def test_abelian_decider_agrees_with_theorem13():
+    # on abelian groups the translation test of the shared P-isomorphism
+    # search always passes, so both routes find the same first h
+    compared = 0
+    for n in range(1, 13):
+        _, _, maps = _pair_objects(n, False)
+        reps = [maps[cls[0]] for cls in classify_order(n).classes
+                if maps[cls[0]][0].is_abelian]
+        for (g1, psi1), (g2, psi2) in itertools.product(reps, repeat=2):
+            a = abelian_decider(g1, psi1, g2, psi2)
+            t = theorem13_iso(g1, psi1, g2, psi2)
+            assert (a.result, a.witness) == (t.result, t.witness)
+            compared += a.result == ISOMORPHIC
+    assert compared > 0
 
 
 def test_conjugate_automorphisms_give_isomorphic_quandles():
