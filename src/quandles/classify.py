@@ -44,6 +44,11 @@ class PairEntry:
     def label(self) -> str:
         return f"{self.group_name}#{self.class_index}"
 
+    def to_json_dict(self) -> dict:
+        return {"group_index": self.group_index, "group_name": self.group_name,
+                "class_index": self.class_index, "images": list(self.images),
+                "ref_labels": list(self.ref_labels)}
+
 
 @dataclass
 class ClassificationReport:
@@ -62,24 +67,13 @@ class ClassificationReport:
     def class_count(self) -> int:
         return len(self.classes)
 
-    def class_profiles(self) -> list[InvariantProfile]:
-        return [self.profiles[cls[0]] for cls in self.classes]
-
-    def class_of_pair(self, pair_index: int) -> int:
-        for ci, cls in enumerate(self.classes):
-            if pair_index in cls:
-                return ci
-        raise KeyError(pair_index)
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
             "engine_version": self.engine_version,
             "beyond_paper": self.beyond_paper,
             "group_names": list(self.group_names),
-            "pairs": [{"group_index": p.group_index, "group_name": p.group_name,
-                       "class_index": p.class_index, "images": list(p.images),
-                       "ref_labels": list(p.ref_labels)} for p in self.pairs],
+            "pairs": [p.to_json_dict() for p in self.pairs],
             "profiles": [p.to_json_dict() for p in self.profiles],
             "classes": [list(c) for c in self.classes],
             "verdict_log": self.verdict_log,
@@ -126,16 +120,12 @@ def classify_order(order: int, beyond_paper: bool = False,
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR) or None
     if cache_dir:
-        cached = _load_cache(order, beyond_paper, cache_dir)
+        cached = _load_cache(order, beyond_paper, cache_dir, brute_bound)
         if cached is not None:
             return cached
     groups, pairs, maps = _pair_objects(order, beyond_paper)
     report = _classify_pairs(order, beyond_paper, [g.name for g in groups],
                              pairs, maps, brute_bound=brute_bound)
-    if order == 16 and beyond_paper:
-        report.notes.append(
-            "order 16 output is beyond the classified range; see the "
-            "boundary report for the undecidable-by-invariants pair")
     if cache_dir:
         _store_cache(report, cache_dir)
     return report
@@ -169,14 +159,28 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
         else:
             reps.append(i)
 
+    report = _report(order, beyond_paper, group_names, pairs, profiles, verdict_log)
+    if report is None:
+        raise VerificationError("the verdict log does not prove the partition")
+    return report
+
+
+def _report(order: int, beyond_paper: bool, group_names: list[str],
+            pairs: list[PairEntry], profiles: list[InvariantProfile],
+            verdict_log: list[dict]) -> ClassificationReport | None:
+    """The report a verdict log proves, or None when it proves no partition.
+    The classes, the notes and ``complete`` all follow from the log."""
     classes = _partition(profiles, pairs, verdict_log)
     if classes is None:
-        raise VerificationError("the verdict log does not prove the partition")
+        return None
     undecided = sum(e["verdict"]["result"] == UNDECIDED for e in verdict_log)
     notes = []
     if undecided:
         notes.append(f"incomplete: {undecided} pair(s) above capacity remain "
                      "undecided; the partition treats them as distinct")
+    if order == 16 and beyond_paper:
+        notes.append("order 16 output is beyond the classified range; see the "
+                     "boundary report for the undecidable-by-invariants pair")
     return ClassificationReport(
         order=order, engine_version=ENGINE_VERSION, beyond_paper=beyond_paper,
         group_names=group_names, pairs=pairs, profiles=profiles,
@@ -368,8 +372,24 @@ def _store_cache(report: ClassificationReport, cache_dir: str) -> None:
         raise
 
 
-def _load_cache(order: int, beyond_paper: bool,
-                cache_dir: str) -> ClassificationReport | None:
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _well_formed_log(log) -> bool:
+    """Every verdict-log entry has the JSON types the writer gives it."""
+    return isinstance(log, list) and all(
+        isinstance(e, dict) and type(e.get("left")) is int
+        and type(e.get("right")) is int and isinstance(e.get("verdict"), dict)
+        and isinstance(e["verdict"].get("result"), str)
+        and _is_int_list(e["verdict"].get("witness", [])) for e in log)
+
+
+def _load_cache(order: int, beyond_paper: bool, cache_dir: str,
+                brute_bound: int) -> ClassificationReport | None:
+    """The cached report once every logged verdict is proved again: each
+    isomorphic witness is verified and every other verdict is decided again
+    with ``brute_bound`` and must come out the same.  None rejects the file."""
     path = _cache_path(order, beyond_paper, cache_dir)
     if not os.path.exists(path):
         return None
@@ -378,34 +398,30 @@ def _load_cache(order: int, beyond_paper: bool,
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if data.get("engine_version") != ENGINE_VERSION or data.get("order") != order:
+    if (not isinstance(data, dict) or data.get("engine_version") != ENGINE_VERSION
+            or data.get("order") != order
+            or not _well_formed_log(data.get("verdict_log"))):
         return None
     try:
         groups, pairs, maps = _pair_objects(order, beyond_paper)
     except CapacityError:
         return None
-    stored_pairs = data.get("pairs", [])
-    if len(stored_pairs) != len(pairs):
+    if data.get("pairs") != [p.to_json_dict() for p in pairs]:
         return None
-    for p, sp in zip(pairs, stored_pairs):
-        if sp["group_name"] != p.group_name or tuple(sp["images"]) != p.images:
-            return None
-    verdict_log = data.get("verdict_log", [])
+    verdict_log = data["verdict_log"]
     profiles = [cached_profile(g, psi) for g, psi in maps]
-    classes = _partition(profiles, pairs, verdict_log)
-    if classes is None:
+    report = _report(order, beyond_paper, [g.name for g in groups], pairs,
+                     profiles, verdict_log)
+    if report is None:
         return None
     quandles = [general_alexander(g, psi) for g, psi in maps]
     for entry in verdict_log:
-        v = entry["verdict"]
+        left, right, v = entry["left"], entry["right"], entry["verdict"]
         if v["result"] == ISOMORPHIC:
-            witness = v.get("witness")
-            if witness is None or not verify_quandle_witness(
-                    quandles[entry["left"]], quandles[entry["right"]], witness):
+            if not verify_quandle_witness(quandles[left], quandles[right],
+                                          v.get("witness", ())):
                 return None
-    return ClassificationReport(
-        order=order, engine_version=ENGINE_VERSION, beyond_paper=beyond_paper,
-        group_names=[g.name for g in groups], pairs=pairs, profiles=profiles,
-        classes=classes, verdict_log=verdict_log,
-        notes=list(data.get("notes", [])),
-        complete=not any(e["verdict"]["result"] == UNDECIDED for e in verdict_log))
+        elif decide(*maps[left], *maps[right],
+                    brute_bound=brute_bound).to_json_dict() != v:
+            return None
+    return report

@@ -8,7 +8,9 @@ plain integer tables, which is adequate for the orders this package targets.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import CapacityError, ContractViolation, StructuralError
 
@@ -19,7 +21,7 @@ class FiniteGroup:
     """A finite group given by its multiplication table (table[a][b] = a*b)."""
 
     __slots__ = ("name", "order", "table", "spec", "_inv", "_elt_orders",
-                 "_abelian", "_center", "_gens")
+                 "_abelian", "_center", "_gens", "_aut_classes")
 
     def __init__(self, table, name: str = "G", spec=None, check: bool = True):
         self.table = tuple(tuple(int(v) for v in row) for row in table)
@@ -28,6 +30,7 @@ class FiniteGroup:
         self.spec = spec
         self._center = None
         self._gens = None
+        self._aut_classes = None
         if check:
             self._validate()
         self._inv = self._compute_inverses()
@@ -422,11 +425,7 @@ def all_group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
 
 def automorphism_group(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
     """Every automorphism exactly once, sorted by image array."""
-    if g.order > bound:
-        raise CapacityError(
-            f"automorphism enumeration capped at order {bound}, got {g.order}")
-    images = sorted(_iso_images(g, g, first_only=False))
-    return [GroupMap(g, g, im, check=False) for im in images]
+    return [GroupMap(g, g, im, check=False) for im in automorphism_classes(g, bound)]
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -466,32 +465,45 @@ def _generators_of_perm_list(perms: list[tuple[int, ...]]) -> list[tuple[int, ..
     return gens
 
 
+def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> MappingProxyType:
+    """Read-only map from each automorphism's image array, in sorted order,
+    to the lexicographically minimal member of its Aut(g)-conjugacy class.
+
+    Aut(g) is enumerated and split into classes (orbits under conjugation by
+    a generating set) once per group object; the capacity check runs on
+    every call."""
+    if g.order > bound:
+        raise CapacityError(
+            f"automorphism enumeration capped at order {bound}, got {g.order}")
+    if g._aut_classes is None:
+        perms = sorted(_iso_images(g, g, first_only=False))
+        gens = _generators_of_perm_list(perms)
+        gen_invs = [_perm_inverse(p) for p in gens]
+        rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for p in perms:
+            if p in rep_of:
+                continue
+            orbit = {p}
+            frontier = [p]
+            while frontier:
+                q = frontier.pop()
+                for t, tinv in zip(gens, gen_invs):
+                    r = _perm_compose(_perm_compose(t, q), tinv)
+                    if r not in orbit:
+                        orbit.add(r)
+                        frontier.append(r)
+            rep_of.update(dict.fromkeys(orbit, min(orbit)))
+        g._aut_classes = MappingProxyType({p: rep_of[p] for p in perms})
+    return g._aut_classes
+
+
 def automorphism_conjugacy_classes(
         g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND
 ) -> list[tuple[GroupMap, int]]:
     """Conjugacy classes of Aut(g): (lexicographically minimal representative, size)."""
-    auts = automorphism_group(g, bound=bound)
-    perms = [a.images for a in auts]
-    gens = _generators_of_perm_list(perms)
-    gen_invs = [_perm_inverse(p) for p in gens]
-    seen: set[tuple[int, ...]] = set()
-    classes: list[tuple[tuple[int, ...], int]] = []
-    for p in perms:
-        if p in seen:
-            continue
-        orbit = {p}
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for t, tinv in zip(gens, gen_invs):
-                r = _perm_compose(_perm_compose(t, q), tinv)
-                if r not in orbit:
-                    orbit.add(r)
-                    frontier.append(r)
-        seen |= orbit
-        classes.append((min(orbit), len(orbit)))
-    classes.sort()
-    return [(GroupMap(g, g, rep, check=False), size) for rep, size in classes]
+    sizes = Counter(automorphism_classes(g, bound).values())
+    return [(GroupMap(g, g, rep, check=False), size)
+            for rep, size in sorted(sizes.items())]
 
 
 def fixed_subgroup(psi: GroupMap) -> Subgroup:

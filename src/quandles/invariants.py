@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import build, groups_of_order, semidirect_table
+from .catalog import build, build_named, groups_of_order, semidirect_table
 from .errors import VerificationError
-from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_group,
+from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
                      center, generated_subgroup, groups_isomorphic,
                      identity_map, is_normal)
 from .quandle import PermGroup, general_alexander, inner_group, orbit_of
@@ -147,12 +147,6 @@ def descriptor_display(desc: tuple) -> str:
     return f"?ord{order}{'ab' if abelian else ''}"
 
 
-@lru_cache(maxsize=None)
-def _catalog_aut_images(name: str) -> tuple[tuple[int, ...], ...]:
-    from .catalog import build_named
-    return tuple(a.images for a in automorphism_group(build_named(name), bound=128))
-
-
 def transported_class(grp: FiniteGroup, auto: GroupMap) -> tuple:
     """Conjugacy class id of ``auto`` in Aut(grp), stated on the catalog copy.
 
@@ -165,22 +159,11 @@ def transported_class(grp: FiniteGroup, auto: GroupMap) -> tuple:
     if name is None:
         fixed = sum(1 for x in range(grp.order) if auto.images[x] == x)
         return ("fallback", auto.map_order(), fixed)
-    from .catalog import build_named
     k = build_named(name)
     h0 = groups_isomorphic(grp, k)
     assert h0 is not None
     transported = h0.compose(auto).compose(h0.inverse())
-    perms = _catalog_aut_images(name)
-    t = transported.images
-    best = min(_conj_images(tau, t) for tau in perms)
-    return ("class", name, best)
-
-
-def _conj_images(tau: tuple[int, ...], psi: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(tau)
-    for i, v in enumerate(tau):
-        inv[v] = i
-    return tuple(tau[psi[inv[i]]] for i in range(len(tau)))
+    return ("class", name, automorphism_classes(k)[transported.images])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +221,7 @@ def _desc_json(desc: tuple) -> dict:
             "abelian": abelian, "name": name}
 
 
-def profile(g: FiniteGroup, psi: GroupMap, verify_inn_iso: bool = False) -> InvariantProfile:
+def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
     """Assemble the full invariant profile of Q(G, psi)."""
     psi.require_automorphism()
     grp, restricted, embed = restrict_to_P(g, psi)
@@ -248,7 +231,7 @@ def profile(g: FiniteGroup, psi: GroupMap, verify_inn_iso: bool = False) -> Inva
     fix = [x for x in range(g.order) if psi.images[x] == x]
     p_members = set(embed)
     tn = twisted_normalizer(g, psi, p2_sub)
-    rep = inn_structure(g, psi, verify_iso=verify_inn_iso)
+    rep = inn_structure(g, psi, verify_iso=False)
     if not rep.product_holds:
         raise VerificationError(
             f"|Inn| = {rep.inn_size} differs from |P| * ord(psi) = "

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, VerificationError
 from .groups import (FiniteGroup, GroupMap, all_group_isomorphisms,
-                     automorphism_group, groups_isomorphic, is_simple)
+                     automorphism_classes, groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
                          translation_elements)
 from .quandle import Quandle, general_alexander
@@ -71,7 +71,7 @@ def verify_quandle_witness(q1: Quandle, q2: Quandle, images) -> bool:
     """f is a bijection with f(s_x(y)) = s'_{f(x)}(f(y)) for all x, y."""
     images = tuple(images)
     n = q1.size
-    if q2.size != n or len(images) != n or len(set(images)) != n:
+    if q2.size != n or len(images) != n or set(images) != set(range(n)):
         return False
     s1, s2 = q1.sym, q2.sym
     return all(images[s1[x][y]] == s2[images[x]][images[y]]
@@ -359,18 +359,17 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
 # specialized deciders
 # ---------------------------------------------------------------------------
 
-def simple_group_decider(g: FiniteGroup, psi1: GroupMap, psi2: GroupMap,
-                         aut_bound: int = 128) -> IsoVerdict:
+def simple_group_decider(g: FiniteGroup, psi1: GroupMap, psi2: GroupMap) -> IsoVerdict:
     """For simple G: Q(G, psi1) and Q(G, psi2) isomorphic iff the maps are
     conjugate in Aut(G); the conjugator itself is the witness."""
     if not is_simple(g):
         raise ContractViolation(f"{g.name} is not simple")
-    for tau in automorphism_group(g, bound=aut_bound):
-        if tau.compose(psi1).images == psi2.compose(tau).images:
+    for tau in automorphism_classes(g, bound=128):
+        if tuple(tau[v] for v in psi1.images) == tuple(psi2.images[v] for v in tau):
             q1 = general_alexander(g, psi1)
             q2 = general_alexander(g, psi2)
             return _checked(q1, q2, IsoVerdict(ISOMORPHIC, METHOD_SIMPLE,
-                                               witness=tau.images))
+                                               witness=tau))
     return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                       note="maps are not conjugate in the automorphism group")
 
@@ -430,8 +429,7 @@ _METHOD_PRIORITY = (METHOD_SEPARATION, METHOD_SIMPLE, METHOD_ABELIAN,
 
 
 def decide(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
-           method: str = "auto", brute_bound: int = DEFAULT_BRUTE_BOUND,
-           cross_check: bool | None = None) -> IsoVerdict:
+           method: str = "auto", brute_bound: int = DEFAULT_BRUTE_BOUND) -> IsoVerdict:
     """Cascade dispatch over every applicable decider.
 
     All applicable routes run (subject to capacity) and any two decisive
@@ -446,9 +444,7 @@ def decide(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
     if method != "auto":
         raise ContractViolation(f"unknown method {method!r}")
 
-    if cross_check is None:
-        cross_check = max(g1.order, g2.order) <= CROSS_CHECK_SIZE
-
+    cross_check = max(g1.order, g2.order) <= CROSS_CHECK_SIZE
     verdicts: list[IsoVerdict] = []
 
     prof1 = cached_profile(g1, psi1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .catalog import build_named, named_automorphism
-from .groups import automorphism_conjugacy_classes
+from .groups import automorphism_classes
 
 ORDER8_LABELS: dict[str, tuple[str, str]] = {
     "Q8_1": ("C4xC2", "id"),
@@ -119,26 +119,10 @@ def resolve_label(label: str):
     return g, named_automorphism(g, aut_name)
 
 
-@lru_cache(maxsize=None)
 def label_class_images(label: str) -> tuple[str, tuple[int, ...]]:
     """(group name, canonical conjugacy-class representative) for a label."""
     g, psi = resolve_label(label)
-    for rep, _size in automorphism_conjugacy_classes(g):
-        orbit_hit = _in_class(g, psi.images, rep.images)
-        if orbit_hit:
-            return ALL_LABELS[label][0], rep.images
-    raise AssertionError(f"label {label} did not match any conjugacy class")
-
-
-def _in_class(g, images, rep_images) -> bool:
-    from .groups import automorphism_group
-    for tau in automorphism_group(g):
-        ti = tau.images
-        tinv = tau.inverse().images
-        conj = tuple(ti[images[tinv[i]]] for i in range(g.order))
-        if conj == rep_images:
-            return True
-    return False
+    return ALL_LABELS[label][0], automorphism_classes(g)[psi.images]
 
 
 def labels_for_pair(order: int, group_name: str,

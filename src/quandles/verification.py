@@ -20,7 +20,7 @@ from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
                        dihedral_iso_decider, fix_size_dn, p_subgroups_dn)
 from .classify import (ClassificationReport, _pair_objects, boundary_report,
                        classify_order, closed_form_counts)
-from .groups import (GroupMap, automorphism_conjugacy_classes,
+from .groups import (GroupMap, automorphism_classes, automorphism_conjugacy_classes,
                      automorphism_group, fixed_subgroup, groups_isomorphic,
                      inner_automorphism, is_normal)
 from .invariants import (compute_P, compute_P2, inn_structure,
@@ -251,18 +251,8 @@ def claim_dihedral_formulas() -> ClaimResult:
                 if list(P2.members) != want_p2:
                     bad.append(f"P2 n={n},a={a},b={b}")
         if n >= 3:
-            auts = automorphism_group(g)
-            class_of = {}
-            seen = set()
-            idx = 0
-            for aut in auts:
-                if aut.images in seen:
-                    continue
-                orbit = {t.compose(aut).compose(t.inverse()).images for t in auts}
-                seen |= orbit
-                for im in orbit:
-                    class_of[im] = idx
-                idx += 1
+            class_of = automorphism_classes(g)
+            classes = set(class_of.values())
             all_dn = [DihedralAut(n, a, b) for a in units for b in range(n)]
             for x, y in itertools.combinations(all_dn, 2):
                 formula = are_conjugate_dn(x, y)
@@ -272,10 +262,10 @@ def claim_dihedral_formulas() -> ClaimResult:
                     bad.append(f"conj n={n} {x} {y}")
             reps = conjugacy_reps_aut_dn(n)
             rep_imgs = {r.as_group_map(g).images for r in reps}
-            if len(reps) != idx or len(rep_imgs) != idx:
+            if len(reps) != len(classes) or len(rep_imgs) != len(classes):
                 bad.append(f"reps n={n}")
             hit = {class_of[im] for im in rep_imgs}
-            if hit != set(range(idx)):
+            if hit != classes:
                 bad.append(f"rep coverage n={n}")
     return ClaimResult(claim_dihedral_formulas.claim_name, not bad,
                        "; ".join(bad[:5]))

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED, brute_force_iso
 from quandles.labels import label_class_images
 from quandles.quandle import general_alexander
 
+GOLDEN_TABLES = Path(__file__).parent / "data" / "tables.md"
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 3, 7: 6, 8: 9,
                    9: 11, 10: 5, 11: 10, 12: 11, 13: 12, 14: 7, 15: 8}
 
@@ -120,6 +122,11 @@ def test_order16_report_structure(order16_report):
     assert order16_report.class_count == 29
     assert len(order16_report.verdict_log) == 140
     _assert_log_covers_every_pair(order16_report)
+
+
+def test_tables_match_golden_file(order16_report):
+    reports = [classify_order(n) for n in range(1, 16)] + [order16_report]
+    assert "".join(map(emit_table, reports)) == GOLDEN_TABLES.read_text()
 
 
 def test_order16_representatives_cross_checked(order16_report):
@@ -310,27 +317,86 @@ def test_cache_rejects_tampered_witness(tmp_path):
     assert third.to_json() == first.to_json()
 
 
-@pytest.mark.parametrize("tamper", ["singletons", "one-class-empty-log",
-                                    "isomorphic-entry-removed"])
+@pytest.mark.parametrize("tamper", [
+    "singletons", "one-class-empty-log", "isomorphic-entry-removed",
+    "isomorphic-entry-made-not-isomorphic", "isomorphic-entry-made-undecided",
+    "left-index-a-string", "verdict-removed", "group-name-removed",
+    "top-level-list", "forged-notes"])
 def test_cache_partition_is_proved_again(tmp_path, tamper):
     cache = str(tmp_path)
     first = classify_order(8, cache_dir=cache)
     path = next(tmp_path.iterdir())
     data = json.loads(path.read_text())
     n = len(data["pairs"])
+    log = data["verdict_log"]
+    first_iso = next(k for k, e in enumerate(log)
+                     if e["verdict"]["result"] == ISOMORPHIC)
     if tamper == "singletons":
         data["classes"] = [[i] for i in range(n)]
     elif tamper == "one-class-empty-log":
         data["classes"] = [list(range(n))]
         data["verdict_log"] = []
+    elif tamper == "isomorphic-entry-removed":
+        del log[first_iso]
+    elif tamper == "isomorphic-entry-made-not-isomorphic":
+        log[first_iso]["verdict"] = {"result": NOT_ISOMORPHIC, "method": "brute-force"}
+    elif tamper == "isomorphic-entry-made-undecided":
+        log[first_iso]["verdict"] = {"result": UNDECIDED, "method": "brute-force"}
+    elif tamper == "left-index-a-string":
+        log[0]["left"] = str(log[0]["left"])
+    elif tamper == "verdict-removed":
+        del log[0]["verdict"]
+    elif tamper == "group-name-removed":
+        del data["pairs"][0]["group_name"]
+    elif tamper == "top-level-list":
+        data = [data]
     else:
-        log = data["verdict_log"]
-        del log[next(k for k, e in enumerate(log)
-                     if e["verdict"]["result"] == ISOMORPHIC)]
+        data["notes"] = ["forged"]
     path.write_text(json.dumps(data))
     again = classify_order(8, cache_dir=cache)
     assert again.class_count == 9 and again.complete
     assert again.to_json() == first.to_json()
+
+
+def test_cache_keeps_a_not_isomorphic_verdict_it_decides_again(tmp_path):
+    from quandles.classify import _pair_objects
+    from quandles.iso import decide
+    cache = str(tmp_path)
+    first = classify_order(8, cache_dir=cache)
+    path = next(tmp_path.iterdir())
+    data = json.loads(path.read_text())
+    a, b = first.classes[0][0], first.classes[1][0]
+    _groups, _pairs, maps = _pair_objects(8, False)
+    verdict = decide(*maps[a], *maps[b]).to_json_dict()
+    assert verdict["result"] == NOT_ISOMORPHIC
+    data["verdict_log"].append({"left": a, "right": b, "verdict": verdict})
+    path.write_text(json.dumps(data))
+    again = classify_order(8, cache_dir=cache)
+    assert again.verdict_log == data["verdict_log"]
+    assert again.classes == first.classes and again.complete
+
+
+def test_aut_enumerated_once_per_group(monkeypatch):
+    # classification, reference labels and profiles share one enumeration
+    # of Aut(G) per group object
+    from quandles import groups
+    from quandles.classify import _pair_objects
+    from quandles.labels import ALL_LABELS
+    enumerated = []
+    real = groups._iso_images
+
+    def recording(src, dst, first_only):
+        if src is dst:
+            enumerated.append(src)
+        return real(src, dst, first_only)
+
+    monkeypatch.setattr(groups, "_iso_images", recording)
+    classify_order(8)
+    for label in ALL_LABELS:
+        label_class_images(label)
+    for g, psi in _pair_objects(8, False)[2]:
+        profile(g, psi)
+    assert len({id(g) for g in enumerated}) == len(enumerated)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

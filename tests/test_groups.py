@@ -4,7 +4,8 @@ import pytest
 
 from quandles.catalog import build, build_named, cyclic, dihedral, groups_of_order
 from quandles.errors import CapacityError, ContractViolation, StructuralError
-from quandles.groups import (FiniteGroup, GroupMap, Subgroup, automorphism_conjugacy_classes,
+from quandles.groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
+                             automorphism_conjugacy_classes,
                              automorphism_group, center, fixed_subgroup,
                              generated_subgroup, group_from_json, group_to_json,
                              groups_isomorphic, identity_map, inner_automorphism,
@@ -182,9 +183,14 @@ def test_automorphisms_are_homomorphisms():
 
 
 def test_automorphism_capacity_bound():
+    a5 = build_named("A5")
     with pytest.raises(CapacityError):
-        automorphism_group(build_named("A5"), bound=50)
-    assert len(automorphism_group(build_named("A5"), bound=60)) == 120
+        automorphism_group(a5, bound=50)
+    assert len(automorphism_group(a5, bound=60)) == 120
+    # the enumeration is kept on the group, but the bound is checked again
+    for enumerate_aut in (automorphism_group, automorphism_conjugacy_classes):
+        with pytest.raises(CapacityError):
+            enumerate_aut(a5, bound=50)
 
 
 def test_conjugacy_classes_partition_and_closure():
@@ -204,6 +210,10 @@ def test_conjugacy_classes_partition_and_closure():
             for t in auts:
                 conj = t.compose(psi).compose(t.inverse()).images
                 assert lookup[conj] == lookup[psi.images]
+        rep_of = automorphism_classes(g)
+        assert list(rep_of) == sorted(rep_of) == [a.images for a in auts]
+        for im, idx in lookup.items():
+            assert rep_of[im] == classes[idx][0].images
 
 
 def test_conjugacy_classes_abelian_are_singletons():

@@ -201,6 +201,18 @@ def test_transported_class_well_defined_across_presentations():
     assert cls_a == transported_class(c6, named_automorphism(c6, "mul:5"))
 
 
+def test_transported_class_is_the_least_conjugate():
+    # reference: the least tau . psi . tau^-1 over all of Aut(G)
+    for order in range(1, 13):
+        for spec in groups_of_order(order):
+            g = build(spec)
+            auts = automorphism_group(g)
+            for psi in auts:
+                least = min(tau.compose(psi).compose(tau.inverse()).images
+                            for tau in auts)
+                assert transported_class(g, psi)[2] == least, (g.name, psi.images)
+
+
 def test_profile_fields():
     c8 = build_named("C2xC2xC2")
     m3 = named_automorphism(c8, "mat:0,0,1;1,0,0;0,1,0")

@@ -192,7 +192,7 @@ def test_decide_explicit_method_selection():
 def test_decide_undecided_above_capacity():
     s33 = build_named("S3xS3")
     swap = named_automorphism(s33, "swap")
-    v = decide(s33, swap, s33, swap, brute_bound=4, cross_check=False)
+    v = decide(s33, swap, s33, swap, brute_bound=4)
     assert v.result == UNDECIDED
     assert v.note is not None
 
@@ -264,12 +264,12 @@ def test_symmetric_group_classes_match_quandle_classes():
         g = build_named(name)
         classes = automorphism_conjugacy_classes(g, bound=128)
         for (r1, _), (r2, _) in itertools.combinations(classes, 2):
-            v = decide(g, r1, g, r2, cross_check=False)
+            v = decide(g, r1, g, r2)
             assert v.result == NOT_ISOMORPHIC, (name, r1.images, r2.images)
         for rep, _ in classes:
             tau = automorphism_group(g, bound=128)[3]
             conj = tau.compose(rep).compose(tau.inverse())
-            assert decide(g, rep, g, conj, cross_check=False).result == ISOMORPHIC
+            assert decide(g, rep, g, conj).result == ISOMORPHIC
 
 
 def test_alternating_5_simple_route():
@@ -278,10 +278,10 @@ def test_alternating_5_simple_route():
     assert len(classes) == 7
     nontrivial = [rep for rep, _ in classes if rep.map_order() > 1]
     r1, r2 = nontrivial[0], nontrivial[1]
-    assert decide(a5, r1, a5, r2, cross_check=False).result == NOT_ISOMORPHIC
+    assert decide(a5, r1, a5, r2).result == NOT_ISOMORPHIC
     tau = automorphism_group(a5, bound=128)[7]
     conj = tau.compose(r1).compose(tau.inverse())
-    v = decide(a5, r1, a5, conj, cross_check=False)
+    v = decide(a5, r1, a5, conj)
     assert v.result == ISOMORPHIC
     q1 = general_alexander(a5, r1)
     q2 = general_alexander(a5, conj)
