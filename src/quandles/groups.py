@@ -8,6 +8,7 @@ plain integer tables, which is adequate for the orders this package targets.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -223,12 +224,7 @@ class GroupMap:
     def map_order(self) -> int:
         """Order of the map under composition (finite since bijective)."""
         self.require_automorphism()
-        k, cur = 1, self.images
-        ident = tuple(range(self.source.order))
-        while cur != ident:
-            cur = tuple(self.images[v] for v in cur)
-            k += 1
-        return k
+        return _perm_order(self.images)
 
     def restrict(self, sub: Subgroup) -> tuple[GroupMap, FiniteGroup, tuple[int, ...]]:
         """Restriction to an invariant subgroup, as a map on the reindexed group."""
@@ -326,73 +322,63 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
     return g._gens
 
 
-def _extend_partial_hom(src: FiniteGroup, dst: FiniteGroup, mapping: dict[int, int],
-                        used: set[int], x: int, y: int) -> list[int] | None:
-    """Grow a partial injective homomorphism with x -> y.
+def _iso_images(src: FiniteGroup, dst: FiniteGroup):
+    """Yield image arrays of isomorphisms src -> dst, in lexicographic order
+    of the images of ``generating_set(src)``, which fix a homomorphism.
 
-    ``mapping`` must already be closed (its domain a subgroup, products
-    consistent).  Returns the list of newly mapped elements, or None on
-    conflict, in which case mapping/used are left unchanged.
-    """
-    added: list[int] = []
-    stack = [(x, y)]
-    ok = True
-    while stack:
-        a, b = stack.pop()
-        cur = mapping.get(a)
-        if cur is not None:
-            if cur != b:
-                ok = False
-                break
-            continue
-        if b in used:
-            ok = False
-            break
-        mapping[a] = b
-        used.add(b)
-        added.append(a)
-        st, dt = src.table, dst.table
-        for c, d in list(mapping.items()):
-            stack.append((st[a][c], dt[b][d]))
-            stack.append((st[c][a], dt[d][b]))
-    if not ok:
-        for a in added:
-            used.discard(mapping.pop(a))
-        return None
-    return added
-
-
-def _iso_images(src: FiniteGroup, dst: FiniteGroup, first_only: bool):
-    """Yield image arrays of isomorphisms src -> dst by generator backtracking."""
+    Level i of the subgroup chain <g_0> < <g_0, g_1> < ... tries each image
+    of g_i of matching element order, fills in the level's new elements
+    along a spanning tree (x = parent * g_k), rejects a repeated image and
+    checks im[x * g_k] = im[x] * im[g_k] on the level's other edges."""
     if src.order != dst.order:
         return
+    st, dt = src.table, dst.table
     gens = generating_set(src)
-    dst_orders = [dst.element_order(y) for y in range(dst.order)]
-    gen_orders = [src.element_order(x) for x in gens]
+    levels = []
+    members, seen = [0], {0}
+    for i, g in enumerate(gens):
+        tree, checks = [], []
+        start, pos = len(members), 0
+        # members grows as it is walked; earlier levels' members need only g_i
+        while pos < len(members):
+            x = members[pos]
+            for k in (range(i + 1) if pos >= start else (i,)):
+                z = st[x][gens[k]]
+                if z in seen:
+                    checks.append((x, k, z))
+                else:
+                    seen.add(z)
+                    members.append(z)
+                    tree.append((z, x, k))
+            pos += 1
+        want = src.element_order(g)
+        candidates = [y for y in range(dst.order) if dst.element_order(y) == want]
+        levels.append((candidates, tree, checks))
 
-    mapping = {0: 0}
-    used = {0}
-    found = [False]
+    im = [0] * src.order
+    used = [True] + [False] * (dst.order - 1)
+    gim = [0] * len(gens)
 
     def rec(i: int):
-        if i == len(gens):
-            images = tuple(mapping[a] for a in range(src.order))
-            found[0] = True
-            yield images
+        if i == len(levels):
+            yield tuple(im)
             return
-        x = gens[i]
-        want = gen_orders[i]
-        for y in range(dst.order):
-            if dst_orders[y] != want or y in used:
-                continue
-            added = _extend_partial_hom(src, dst, mapping, used, x, y)
-            if added is None:
-                continue
-            yield from rec(i + 1)
-            for a in added:
-                used.discard(mapping.pop(a))
-            if first_only and found[0]:
-                return
+        candidates, tree, checks = levels[i]
+        for y in candidates:
+            gim[i] = y
+            filled = 0
+            for x, parent, k in tree:
+                v = dt[im[parent]][gim[k]]
+                if used[v]:
+                    break
+                used[v] = True
+                im[x] = v
+                filled += 1
+            if filled == len(tree) and all(
+                    im[z] == dt[im[x]][gim[k]] for x, k, z in checks):
+                yield from rec(i + 1)
+            for x, _, _ in tree[:filled]:
+                used[im[x]] = False
 
     yield from rec(0)
 
@@ -410,7 +396,7 @@ def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
         return None
     if center(g1).order != center(g2).order:
         return None
-    for images in _iso_images(g1, g2, first_only=True):
+    for images in _iso_images(g1, g2):
         return GroupMap(g1, g2, images, check=False)
     return None
 
@@ -419,7 +405,7 @@ def all_group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     """All isomorphisms g1 -> g2 (possibly none), in deterministic order."""
     if g1.order != g2.order or g1.element_order_multiset() != g2.element_order_multiset():
         return
-    for images in _iso_images(g1, g2, first_only=False):
+    for images in _iso_images(g1, g2):
         yield GroupMap(g1, g2, images, check=False)
 
 
@@ -440,28 +426,39 @@ def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _perm_order(p: tuple[int, ...]) -> int:
+    """Order of a permutation under composition: the lcm of its cycle lengths."""
+    order, seen = 1, [False] * len(p)
+    for start in range(len(p)):
+        v, length = start, 0
+        while not seen[v]:
+            seen[v] = True
+            v = p[v]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 def _generators_of_perm_list(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """A small generating subset of a group given as a full permutation list."""
-    n = len(perms[0]) if perms else 0
-    ident = tuple(range(n))
-    have = {ident}
+    """A small generating subset of a group given as its full, sorted
+    permutation list: greedy, largest element order first, then by image
+    array (the sort is stable)."""
+    have = {tuple(range(len(perms[0])))}
     gens: list[tuple[int, ...]] = []
-    for p in perms:
+    for p in sorted(perms, key=_perm_order, reverse=True):
         if p in have:
             continue
         gens.append(p)
+        # closing under right multiplication alone suffices in a finite group
         frontier = list(have)
-        have.add(p)
-        frontier.append(p)
         while frontier:
             q = frontier.pop()
             for r in gens:
-                for s in (_perm_compose(q, r), _perm_compose(r, q)):
-                    if s not in have:
-                        have.add(s)
-                        frontier.append(s)
-        if len(have) == len(perms):
-            break
+                s = _perm_compose(q, r)
+                if s not in have:
+                    have.add(s)
+                    frontier.append(s)
     return gens
 
 
@@ -469,14 +466,16 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     """Read-only map from each automorphism's image array, in sorted order,
     to the lexicographically minimal member of its Aut(g)-conjugacy class.
 
-    Aut(g) is enumerated and split into classes (orbits under conjugation by
-    a generating set) once per group object; the capacity check runs on
-    every call."""
+    Aut(g) is enumerated from generator images (``_iso_images``) and split
+    into classes once per group object: orbits under conjugation by a few
+    generators of Aut(g), chosen greedily by largest order.  The
+    representative is the least member of its orbit, so it does not depend
+    on the generators chosen.  The capacity check runs on every call."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
     if g._aut_classes is None:
-        perms = sorted(_iso_images(g, g, first_only=False))
+        perms = sorted(_iso_images(g, g))
         gens = _generators_of_perm_list(perms)
         gen_invs = [_perm_inverse(p) for p in gens]
         rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -488,7 +487,7 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             while frontier:
                 q = frontier.pop()
                 for t, tinv in zip(gens, gen_invs):
-                    r = _perm_compose(_perm_compose(t, q), tinv)
+                    r = tuple(t[q[v]] for v in tinv)
                     if r not in orbit:
                         orbit.add(r)
                         frontier.append(r)

@@ -385,10 +385,10 @@ def test_aut_enumerated_once_per_group(monkeypatch):
     enumerated = []
     real = groups._iso_images
 
-    def recording(src, dst, first_only):
+    def recording(src, dst):
         if src is dst:
             enumerated.append(src)
-        return real(src, dst, first_only)
+        return real(src, dst)
 
     monkeypatch.setattr(groups, "_iso_images", recording)
     classify_order(8)

@@ -1,7 +1,11 @@
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quandles import groups
 from quandles.catalog import build, build_named, cyclic, dihedral, groups_of_order
 from quandles.errors import CapacityError, ContractViolation, StructuralError
 from quandles.groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
@@ -10,6 +14,8 @@ from quandles.groups import (FiniteGroup, GroupMap, Subgroup, automorphism_class
                              generated_subgroup, group_from_json, group_to_json,
                              groups_isomorphic, identity_map, inner_automorphism,
                              is_normal, is_simple)
+from quandles.iso import ISOMORPHIC, decide, verify_quandle_witness
+from quandles.quandle import general_alexander
 
 
 def test_identity_and_latin_square_enforced():
@@ -281,6 +287,16 @@ def test_group_json_round_trip():
         group_from_json('{"name": "x", "order": 2, "table": [[0, 1], [1, 1]]}')
 
 
+def _relabelled(g: FiniteGroup, perm) -> FiniteGroup:
+    """The copy of g whose element x is called perm[x] (perm fixes 0)."""
+    inv = [0] * g.order
+    for i, v in enumerate(perm):
+        inv[v] = i
+    table = [[perm[g.table[inv[i]][inv[j]]] for j in range(g.order)]
+             for i in range(g.order)]
+    return FiniteGroup(table, name=f"{g.name}-relabelled")
+
+
 def test_element_relabelling_does_not_change_isomorphism_type():
     # orderings are conventions: conjugating the table by any permutation
     # fixing 0 produces an isomorphic group with identical invariants
@@ -290,13 +306,106 @@ def test_element_relabelling_does_not_change_isomorphism_type():
         g = build_named(name)
         perm = list(range(1, g.order))
         rng.shuffle(perm)
-        perm = [0] + perm
-        inv = [0] * g.order
-        for i, v in enumerate(perm):
-            inv[v] = i
-        table = [[perm[g.table[inv[i]][inv[j]]] for j in range(g.order)]
-                 for i in range(g.order)]
-        shuffled = FiniteGroup(table, name=f"{name}-relabelled")
+        shuffled = _relabelled(g, [0] + perm)
         wit = groups_isomorphic(g, shuffled)
         assert wit is not None
         assert shuffled.element_order_multiset() == g.element_order_multiset()
+
+
+def _closure_search_images(src: FiniteGroup, dst: FiniteGroup):
+    """Reference: isomorphisms src -> dst by growing a partial injective
+    homomorphism by closure at every node, generator images tried in
+    increasing index order (the enumeration order ``_iso_images`` keeps)."""
+    if src.order != dst.order:
+        return
+    gens = groups.generating_set(src)
+    mapping, used = {0: 0}, {0}
+
+    def extend(x, y):
+        added, stack = [], [(x, y)]
+        while stack:
+            a, b = stack.pop()
+            cur = mapping.get(a)
+            if cur is not None:
+                if cur != b:
+                    break
+                continue
+            if b in used:
+                break
+            mapping[a] = b
+            used.add(b)
+            added.append(a)
+            for c, d in list(mapping.items()):
+                stack.append((src.table[a][c], dst.table[b][d]))
+                stack.append((src.table[c][a], dst.table[d][b]))
+        else:
+            return added
+        for a in added:
+            used.discard(mapping.pop(a))
+        return None
+
+    def rec(i):
+        if i == len(gens):
+            yield tuple(mapping[a] for a in range(src.order))
+            return
+        want = src.element_order(gens[i])
+        for y in range(dst.order):
+            if dst.element_order(y) != want or y in used:
+                continue
+            added = extend(gens[i], y)
+            if added is None:
+                continue
+            yield from rec(i + 1)
+            for a in added:
+                used.discard(mapping.pop(a))
+
+    yield from rec(0)
+
+
+def _enumeration_order_cases():
+    for n in range(1, 17):
+        grps = [build(spec) for spec in groups_of_order(n)]
+        yield from itertools.product(grps, repeat=2)
+    for name in ("A5", "S4", "S5", "SL23", "S3xS3"):
+        g = build_named(name)
+        yield g, g
+    for name in ("D4", "Q8", "C2xC2xC2xC2"):
+        g = build_named(name)
+        perm = [0] + list(range(g.order - 1, 0, -1))
+        h = _relabelled(g, perm)
+        yield from ((g, h), (h, g), (h, h))
+
+
+def test_iso_images_keep_the_closure_search_order():
+    # groups_isomorphic's first witness and all_group_isomorphisms' order
+    # (hence the theorem-1-3 and abelian-nelson witnesses) rest on this order
+    for a, b in _enumeration_order_cases():
+        assert list(groups._iso_images(a, b)) == list(_closure_search_images(a, b)), \
+            (a.name, b.name)
+
+
+_SMALL_CATALOG = [spec for n in range(1, 13) for spec in groups_of_order(n)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_relabelled_group_has_the_same_aut_and_quandles(data):
+    g = build(data.draw(st.sampled_from(_SMALL_CATALOG)))
+    perm = [0] + data.draw(st.permutations(range(1, g.order)))
+    h = group_from_json(group_to_json(_relabelled(g, perm)))
+    wit = groups_isomorphic(g, h)
+    assert wit is not None
+    GroupMap(g, h, wit.images, check=True)
+    classes_g, classes_h = automorphism_classes(g), automorphism_classes(h)
+    assert len(classes_g) == len(classes_h)
+    assert (sorted(Counter(classes_g.values()).values())
+            == sorted(Counter(classes_h.values()).values()))
+    psi = data.draw(st.sampled_from(automorphism_group(g)))
+    images = [0] * g.order
+    for x, y in enumerate(psi.images):
+        images[perm[x]] = perm[y]
+    psi_h = GroupMap(h, h, images)
+    v = decide(g, psi, h, psi_h)
+    assert v.result == ISOMORPHIC
+    assert verify_quandle_witness(general_alexander(g, psi),
+                                  general_alexander(h, psi_h), v.witness)
