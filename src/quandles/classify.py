@@ -21,8 +21,9 @@ from .catalog import build, groups_of_order
 from .errors import CapacityError, VerificationError
 from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import InvariantProfile, descriptor_display
-from .iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, UNDECIDED, cached_profile,
-                  decide, verify_quandle_witness)
+from .iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, UNDECIDED, IsoVerdict,
+                  cached_profile, decide, isomorphic_method,
+                  verify_quandle_witness)
 from .labels import labels_for_pair
 from .quandle import general_alexander
 
@@ -388,8 +389,9 @@ def _well_formed_log(log) -> bool:
 def _load_cache(order: int, beyond_paper: bool, cache_dir: str,
                 brute_bound: int) -> ClassificationReport | None:
     """The cached report once every logged verdict is proved again: each
-    isomorphic witness is verified and every other verdict is decided again
-    with ``brute_bound`` and must come out the same.  None rejects the file."""
+    isomorphic entry must carry a verified witness and the method ``decide``
+    would report, and every other verdict is decided again with
+    ``brute_bound`` and must come out the same.  None rejects the file."""
     path = _cache_path(order, beyond_paper, cache_dir)
     if not os.path.exists(path):
         return None
@@ -418,8 +420,12 @@ def _load_cache(order: int, beyond_paper: bool, cache_dir: str,
     for entry in verdict_log:
         left, right, v = entry["left"], entry["right"], entry["verdict"]
         if v["result"] == ISOMORPHIC:
-            if not verify_quandle_witness(quandles[left], quandles[right],
-                                          v.get("witness", ())):
+            method = isomorphic_method(*maps[left], *maps[right],
+                                       brute_bound=brute_bound)
+            witness = tuple(v.get("witness", ()))
+            if (v != IsoVerdict(ISOMORPHIC, method, witness=witness).to_json_dict()
+                    or not verify_quandle_witness(quandles[left], quandles[right],
+                                                  witness)):
                 return None
         elif decide(*maps[left], *maps[right],
                     brute_bound=brute_bound).to_json_dict() != v:

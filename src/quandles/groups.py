@@ -22,7 +22,7 @@ class FiniteGroup:
     """A finite group given by its multiplication table (table[a][b] = a*b)."""
 
     __slots__ = ("name", "order", "table", "spec", "_inv", "_elt_orders",
-                 "_abelian", "_center", "_gens", "_aut_classes")
+                 "_abelian", "_center", "_gens", "_aut_classes", "_simple")
 
     def __init__(self, table, name: str = "G", spec=None, check: bool = True):
         self.table = tuple(tuple(int(v) for v in row) for row in table)
@@ -32,6 +32,7 @@ class FiniteGroup:
         self._center = None
         self._gens = None
         self._aut_classes = None
+        self._simple = None
         if check:
             self._validate()
         self._inv = self._compute_inverses()
@@ -285,7 +286,14 @@ def center(g: FiniteGroup) -> Subgroup:
 
 
 def is_simple(g: FiniteGroup) -> bool:
-    """No proper nontrivial normal subgroup (normal closure scan)."""
+    """No proper nontrivial normal subgroup; scanned once per group object."""
+    if g._simple is None:
+        g._simple = _normal_closure_scan(g)
+    return g._simple
+
+
+def _normal_closure_scan(g: FiniteGroup) -> bool:
+    """True iff the normal closure of every x != e is all of G."""
     if g.order == 1:
         return False
     for x in range(1, g.order):

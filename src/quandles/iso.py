@@ -11,6 +11,7 @@ isomorphic verdict always carries an exhaustively verified witness.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -389,10 +390,11 @@ def abelian_decider(g1: FiniteGroup, psi1: GroupMap,
         "no intertwining isomorphism between the P subgroups")
 
 
-def _formula_verdict(g1, psi1, g2, psi2) -> IsoVerdict | None:
-    """The closed-form test for two maps on the same dihedral or cyclic
-    catalog group, or None when it does not apply.  An isomorphic result
-    takes its witness from the structural decider, which must agree."""
+def _formula_route(g1, psi1, g2, psi2) -> tuple[str, Callable] | None:
+    """(method, decider) of the closed-form test for two maps on the same
+    dihedral or cyclic catalog group, or None when it does not apply.  An
+    isomorphic result takes its witness from the structural decider, which
+    must agree."""
     spec = g1.spec
     if spec is None or spec != g2.spec:
         return None
@@ -411,13 +413,37 @@ def _formula_verdict(g1, psi1, g2, psi2) -> IsoVerdict | None:
                                     abelian_decider)
     else:
         return None
-    if not same:
-        return IsoVerdict(NOT_ISOMORPHIC, method)
-    inner = structural(g1, psi1, g2, psi2)
+
+    def run(_q1, _q2) -> IsoVerdict:
+        if not same:
+            return IsoVerdict(NOT_ISOMORPHIC, method)
+        inner = structural(g1, psi1, g2, psi2)
+        if inner.result != ISOMORPHIC:
+            raise VerificationError(
+                f"{method} says isomorphic but {inner.method} disagrees")
+        return IsoVerdict(ISOMORPHIC, method, witness=inner.witness)
+
+    return method, run
+
+
+def _simple_verdict(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
+                    psi2: GroupMap, q1: Quandle, q2: Quandle) -> IsoVerdict:
+    """Two simple groups: transport psi2 onto G along a group isomorphism
+    theta : G' -> G and test Aut-conjugacy there."""
+    theta = groups_isomorphic(g2, g1)
+    if theta is None:
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
+                          note="simple groups not isomorphic")
+    transported = theta.compose(psi2).compose(theta.inverse())
+    inner = simple_group_decider(g1, psi1, transported)
     if inner.result != ISOMORPHIC:
-        raise VerificationError(
-            f"{method} says isomorphic but {inner.method} disagrees")
-    return IsoVerdict(ISOMORPHIC, method, witness=inner.witness)
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE, note=inner.note)
+    # tau conjugates psi1 to the transported map, so
+    # theta^-1 . tau : Q(G,psi1) -> Q(G',psi2) intertwines
+    tau = inner.witness
+    theta_inv = theta.inverse()
+    witness = tuple(theta_inv.images[tau[x]] for x in range(g1.order))
+    return _checked(q1, q2, IsoVerdict(ISOMORPHIC, METHOD_SIMPLE, witness=witness))
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +454,65 @@ _METHOD_PRIORITY = (METHOD_SEPARATION, METHOD_SIMPLE, METHOD_ABELIAN,
                     METHOD_DIHEDRAL, METHOD_CYCLIC, METHOD_THM13, METHOD_BRUTE)
 
 
+def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
+            brute_bound: int) -> list[tuple[str, Callable]]:
+    """(method, decider) for every route ``decide`` runs on this pair, in run
+    order; a decider takes (q1, q2).  Each route is listed only where its
+    verdict is decisive: theorem 1.3 only under (P1)/(P2) on both sides,
+    brute force only up to ``brute_bound``.  The two run as cross-checks up
+    to CROSS_CHECK_SIZE, and above it only when no earlier route applies."""
+    prof1 = cached_profile(g1, psi1)
+    prof2 = cached_profile(g2, psi2)
+    routes: list[tuple[str, Callable]] = []
+    separator = prof1.separator_against(prof2)
+    if separator is not None:
+        routes.append((METHOD_SEPARATION, lambda _q1, _q2: IsoVerdict(
+            NOT_ISOMORPHIC, METHOD_SEPARATION, separator=separator)))
+    if psi1.map_order() == 1 and psi2.map_order() == 1:
+        # two trivial quandles: isomorphic iff equal size
+        if g1.order == g2.order:
+            routes.append((METHOD_BRUTE, lambda q1, q2: _checked(q1, q2, IsoVerdict(
+                ISOMORPHIC, METHOD_BRUTE, witness=tuple(range(g1.order))))))
+    elif is_simple(g1) and is_simple(g2):
+        routes.append((METHOD_SIMPLE, lambda q1, q2: _simple_verdict(
+            g1, psi1, g2, psi2, q1, q2)))
+    if g1.is_abelian and g2.is_abelian:
+        routes.append((METHOD_ABELIAN, lambda _q1, _q2: abelian_decider(
+            g1, psi1, g2, psi2)))
+    formula = _formula_route(g1, psi1, g2, psi2)
+    if formula is not None:
+        routes.append(formula)
+    cross_check = max(g1.order, g2.order) <= CROSS_CHECK_SIZE
+    if ((cross_check or not routes)
+            and prof1.p1 and prof1.p2 and prof2.p1 and prof2.p2):
+        routes.append((METHOD_THM13, lambda _q1, _q2: theorem13_iso(
+            g1, psi1, g2, psi2)))
+    if (cross_check or not routes) and max(g1.order, g2.order) <= brute_bound:
+        routes.append((METHOD_BRUTE, lambda q1, q2: brute_force_iso(
+            q1, q2, bound=brute_bound)))
+    return routes
+
+
+def _best_method(methods) -> str | None:
+    return min(methods, key=_METHOD_PRIORITY.index, default=None)
+
+
+def isomorphic_method(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
+                      psi2: GroupMap,
+                      brute_bound: int = DEFAULT_BRUTE_BOUND) -> str | None:
+    """The method ``decide`` reports when the pair is isomorphic: every route
+    it runs is then decisive and agrees, and the highest-priority one is
+    reported.  Found without running a decider."""
+    return _best_method(m for m, _ in _routes(g1, psi1, g2, psi2, brute_bound))
+
+
 def decide(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
            method: str = "auto", brute_bound: int = DEFAULT_BRUTE_BOUND) -> IsoVerdict:
     """Cascade dispatch over every applicable decider.
 
-    All applicable routes run (subject to capacity) and any two decisive
-    verdicts must agree; disagreement aborts the process.  The returned
-    verdict carries the highest-priority decisive method."""
+    All applicable routes run (subject to capacity) and any two verdicts
+    must agree; disagreement aborts the process.  The returned verdict
+    carries the highest-priority method."""
     q1 = general_alexander(g1, psi1)
     q2 = general_alexander(g2, psi2)
     if method == "brute":
@@ -444,71 +522,16 @@ def decide(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
     if method != "auto":
         raise ContractViolation(f"unknown method {method!r}")
 
-    cross_check = max(g1.order, g2.order) <= CROSS_CHECK_SIZE
-    verdicts: list[IsoVerdict] = []
-
-    prof1 = cached_profile(g1, psi1)
-    prof2 = cached_profile(g2, psi2)
-    separator = prof1.separator_against(prof2)
-    if separator is not None:
-        verdicts.append(IsoVerdict(NOT_ISOMORPHIC, METHOD_SEPARATION,
-                                   separator=separator))
-
-    if psi1.map_order() == 1 and psi2.map_order() == 1:
-        # two trivial quandles: isomorphic iff equal size
-        if g1.order == g2.order:
-            verdicts.append(_checked(q1, q2, IsoVerdict(
-                ISOMORPHIC, METHOD_BRUTE, witness=tuple(range(g1.order)))))
-    elif is_simple(g1) and is_simple(g2):
-        theta = groups_isomorphic(g2, g1)
-        if theta is None:
-            verdicts.append(IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
-                                       note="simple groups not isomorphic"))
-        else:
-            transported = theta.compose(psi2).compose(theta.inverse())
-            inner = simple_group_decider(g1, psi1, transported)
-            if inner.result == ISOMORPHIC:
-                # tau conjugates psi1 to the transported map, so
-                # theta^-1 . tau : Q(G,psi1) -> Q(G',psi2) intertwines
-                tau = inner.witness
-                theta_inv = theta.inverse()
-                witness = tuple(theta_inv.images[tau[x]] for x in range(g1.order))
-                verdicts.append(_checked(q1, q2, IsoVerdict(
-                    ISOMORPHIC, METHOD_SIMPLE, witness=witness)))
-            else:
-                verdicts.append(IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
-                                           note=inner.note))
-
-    if g1.is_abelian and g2.is_abelian:
-        verdicts.append(abelian_decider(g1, psi1, g2, psi2))
-
-    fv = _formula_verdict(g1, psi1, g2, psi2)
-    if fv is not None:
-        verdicts.append(fv)
-
-    need_more = not any(v.result != UNDECIDED for v in verdicts)
-    if cross_check or need_more:
-        verdicts.append(theorem13_iso(g1, psi1, g2, psi2))
-
-    need_more = not any(v.result != UNDECIDED for v in verdicts)
-    if (cross_check or need_more) and max(q1.size, q2.size) <= brute_bound:
-        verdicts.append(brute_force_iso(q1, q2, bound=brute_bound))
-
-    decisive = [v for v in verdicts if v.result != UNDECIDED]
-    if not decisive:
+    verdicts = [run(q1, q2) for _, run in _routes(g1, psi1, g2, psi2, brute_bound)]
+    if not verdicts:
         return IsoVerdict(UNDECIDED, METHOD_THM13,
                           note="all applicable methods exhausted or above capacity")
-    results = {v.result for v in decisive}
+    results = {v.result for v in verdicts}
     if len(results) > 1:
-        detail = ", ".join(f"{v.method}={v.result}" for v in decisive)
+        detail = ", ".join(f"{v.method}={v.result}" for v in verdicts)
         raise VerificationError(f"deciders disagree: {detail}")
-    decisive.sort(key=lambda v: _METHOD_PRIORITY.index(v.method))
-    best = decisive[0]
-    if best.result == ISOMORPHIC and best.witness is None:
-        with_witness = next(v for v in decisive if v.witness is not None)
-        best = IsoVerdict(best.result, best.method, witness=with_witness.witness,
-                          separator=best.separator, note=best.note)
-    return _checked(q1, q2, best)
+    best_method = _best_method(v.method for v in verdicts)
+    return _checked(q1, q2, next(v for v in verdicts if v.method == best_method))
 
 
 # ---------------------------------------------------------------------------

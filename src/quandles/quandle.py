@@ -16,6 +16,12 @@ from .groups import FiniteGroup, GroupMap
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
+# group table -> automorphism images of every Q(G, psi) on it whose axioms
+# passed check_axioms.  Only keys are kept: a repeat builds its table again
+# and skips the check, and a failing input is checked (and fails) every
+# time.  Keying by table first keeps one table object per distinct content.
+_AXIOMS_PASSED: dict[tuple, set[tuple[int, ...]]] = {}
+
 
 @dataclass(frozen=True)
 class Quandle:
@@ -78,14 +84,19 @@ def make_quandle(sym, provenance=None) -> Quandle:
 
 
 def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
-    """Q(G, psi) with s_x(y) = x psi(x^-1 y)."""
+    """Q(G, psi) with s_x(y) = x psi(x^-1 y); its axioms are checked once
+    per (table, images)."""
     psi.require_automorphism()
     if psi.source.table != g.table:
         raise ContractViolation("automorphism does not belong to this group")
     t, inv, im = g.table, g._inv, psi.images
     sym = tuple(tuple(t[x][im[t[inv[x]][y]]] for y in range(g.order))
                 for x in range(g.order))
-    return make_quandle(sym, provenance=(g, psi))
+    if im in _AXIOMS_PASSED.get(t, ()):
+        return Quandle(g.order, sym, (g, psi))
+    q = make_quandle(sym, provenance=(g, psi))
+    _AXIOMS_PASSED.setdefault(t, set()).add(im)
+    return q
 
 
 def trivial_quandle(n: int) -> Quandle:

@@ -11,8 +11,9 @@ from quandles.classify import (ENGINE_VERSION, _partition, boundary_pair,
 from quandles.errors import CapacityError
 from quandles.groups import GroupMap
 from quandles.invariants import profile
-from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED, brute_force_iso,
-                          theorem13_iso, verify_quandle_witness)
+from quandles.iso import (ISOMORPHIC, METHOD_BRUTE, METHOD_THM13, NOT_ISOMORPHIC,
+                          UNDECIDED, brute_force_iso, theorem13_iso,
+                          verify_quandle_witness)
 from quandles.labels import label_class_images
 from quandles.quandle import general_alexander
 
@@ -321,7 +322,8 @@ def test_cache_rejects_tampered_witness(tmp_path):
     "singletons", "one-class-empty-log", "isomorphic-entry-removed",
     "isomorphic-entry-made-not-isomorphic", "isomorphic-entry-made-undecided",
     "left-index-a-string", "verdict-removed", "group-name-removed",
-    "top-level-list", "forged-notes"])
+    "top-level-list", "forged-notes", "method-forged", "method-swapped",
+    "isomorphic-entry-given-a-note"])
 def test_cache_partition_is_proved_again(tmp_path, tamper):
     cache = str(tmp_path)
     first = classify_order(8, cache_dir=cache)
@@ -350,6 +352,15 @@ def test_cache_partition_is_proved_again(tmp_path, tamper):
         del data["pairs"][0]["group_name"]
     elif tamper == "top-level-list":
         data = [data]
+    elif tamper == "method-forged":
+        log[first_iso]["verdict"]["method"] = "forged"
+    elif tamper == "method-swapped":
+        # a route name decide uses, but not the one it reports for this pair
+        swapped = next(m for m in (METHOD_BRUTE, METHOD_THM13)
+                       if m != log[first_iso]["verdict"]["method"])
+        log[first_iso]["verdict"]["method"] = swapped
+    elif tamper == "isomorphic-entry-given-a-note":
+        log[first_iso]["verdict"]["note"] = "forged"
     else:
         data["notes"] = ["forged"]
     path.write_text(json.dumps(data))

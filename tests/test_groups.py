@@ -126,6 +126,29 @@ def test_is_simple():
     assert is_simple(build_named("A5"))
 
 
+def test_is_simple_is_the_closure_scan_computed_once(monkeypatch):
+    specs = [s for n in range(1, 17) for s in groups_of_order(n)]
+    extra = [build_named(name) for name in ("A5", "S4", "S5", "SL23")]
+    for g in [build(s) for s in specs] + extra:
+        assert is_simple(g) == groups._normal_closure_scan(g)
+    scanned = []
+    real_scan = groups._normal_closure_scan
+
+    def recording(g):
+        scanned.append(g)
+        return real_scan(g)
+
+    monkeypatch.setattr(groups, "_normal_closure_scan", recording)
+    a5, c6 = (FiniteGroup(build_named(name).table, name=name, check=False)
+              for name in ("A5", "C6"))
+    for _ in range(3):
+        assert is_simple(a5) and not is_simple(c6)
+    assert scanned == [a5, c6]
+    a5_again = FiniteGroup(a5.table, name="A5", check=False)
+    assert is_simple(a5_again)  # another group object is scanned again
+    assert scanned == [a5, c6, a5_again]
+
+
 def test_groups_isomorphic_basics():
     c4 = build(cyclic(4))
     c22 = build_named("C2xC2")

@@ -2,19 +2,22 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism)
 from quandles import iso
 from quandles.classify import _pair_objects, classify_order
 from quandles.errors import CapacityError, ContractViolation, VerificationError
-from quandles.groups import (automorphism_conjugacy_classes,
-                             automorphism_group, identity_map)
+from quandles.groups import (GroupMap, automorphism_classes,
+                             automorphism_conjugacy_classes, automorphism_group,
+                             identity_map)
 from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
                           abelian_decider, brute_force_iso, cached_profile,
-                          check_theorem39_properties, decide, normalize_witness,
-                          simple_group_decider, theorem13_iso, verdict_from_json,
-                          verify_quandle_witness)
+                          check_theorem39_properties, decide, isomorphic_method,
+                          normalize_witness, simple_group_decider, theorem13_iso,
+                          verdict_from_json, verify_quandle_witness)
 from quandles.quandle import general_alexander, trivial_quandle
 
 
@@ -299,3 +302,28 @@ def test_symmetric_5_conjugation_witnesses():
     q1 = general_alexander(s5, rep)
     q2 = general_alexander(s5, conj)
     assert verify_quandle_witness(q1, q2, tau.images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_decide_is_symmetric(data):
+    """Both directions give the same verdict and method; each isomorphic
+    witness holds in its own direction, under the method that
+    isomorphic_method names without deciding."""
+    order = data.draw(st.integers(1, 12))
+    sides = []
+    for _ in range(2):
+        g = build(data.draw(st.sampled_from(groups_of_order(order))))
+        psi = data.draw(st.sampled_from(sorted(automorphism_classes(g))))
+        sides.append((g, GroupMap(g, g, psi)))
+    (g1, psi1), (g2, psi2) = sides
+    forward = decide(g1, psi1, g2, psi2)
+    backward = decide(g2, psi2, g1, psi1)
+    assert (forward.result, forward.method) == (backward.result, backward.method)
+    if forward.result == ISOMORPHIC:
+        assert verify_quandle_witness(general_alexander(g1, psi1),
+                                      general_alexander(g2, psi2), forward.witness)
+        assert verify_quandle_witness(general_alexander(g2, psi2),
+                                      general_alexander(g1, psi1), backward.witness)
+        assert isomorphic_method(g1, psi1, g2, psi2) == forward.method
+        assert isomorphic_method(g2, psi2, g1, psi1) == forward.method

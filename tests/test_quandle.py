@@ -1,11 +1,15 @@
 import json
+import sys
 
 import pytest
 
+from quandles import iso, quandle
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism)
+from quandles.classify import classify_order
 from quandles.errors import ContractViolation, StructuralError
-from quandles.groups import automorphism_group, identity_map
+from quandles.groups import (GroupMap, automorphism_conjugacy_classes,
+                             automorphism_group, identity_map)
 from quandles.invariants import compute_P
 from quandles.quandle import (PermGroup, Quandle, check_axioms,
                               general_alexander, inner_group, is_connected,
@@ -226,3 +230,49 @@ def test_quandle_json_round_trip():
     mixed["sym"] = [list(r) for r in other.sym]
     with pytest.raises(StructuralError):
         quandle_from_json(json.dumps(mixed))
+
+
+def _record_axiom_checks(monkeypatch):
+    """Empty the memo of passed checks and record, from here on, every
+    check_axioms argument and every general_alexander (table, images) input."""
+    monkeypatch.setattr(quandle, "_AXIOMS_PASSED", {})
+    iso._cached_profile_key.cache_clear()
+    checked, inputs = [], []
+    real_check, real_ga = quandle.check_axioms, quandle.general_alexander
+
+    def recording_check(q):
+        checked.append(q)
+        return real_check(q)
+
+    def recording_ga(g, psi):
+        inputs.append((g.table, psi.images))
+        return real_ga(g, psi)
+
+    monkeypatch.setattr(quandle, "check_axioms", recording_check)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quandles" and \
+                getattr(module, "general_alexander", None) is real_ga:
+            monkeypatch.setattr(module, "general_alexander", recording_ga)
+    return checked, inputs
+
+
+def test_axioms_checked_once_per_input(monkeypatch):
+    checked, inputs = _record_axiom_checks(monkeypatch)
+    classify_order(8)
+    a5 = build_named("A5")
+    reps = [rep for rep, _ in automorphism_conjugacy_classes(a5, bound=128)]
+    iso.decide(a5, reps[1], a5, reps[2])
+    keys = [(q.provenance[0].table, q.provenance[1].images) for q in checked]
+    assert len(inputs) > len(set(inputs))  # the same inputs are built again
+    assert len(checked) == len(set(keys)) == len(set(inputs))
+    assert set(keys) == set(inputs)
+
+
+def test_failed_axiom_check_is_not_remembered(monkeypatch):
+    checked, _ = _record_axiom_checks(monkeypatch)
+    d4 = build_named("D4")
+    swap = GroupMap(d4, d4, (0, 2, 1, 3, 4, 5, 6, 7), check=False)
+    for _ in range(2):
+        with pytest.raises(StructuralError):
+            general_alexander(d4, swap)
+    assert len(checked) == 2
