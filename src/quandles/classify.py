@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .catalog import build, groups_of_order
-from .errors import CapacityError, VerificationError
+from .errors import CapacityError, ContractViolation, VerificationError
 from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import InvariantProfile, descriptor_display
 from .iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, UNDECIDED, IsoVerdict,
@@ -361,9 +361,13 @@ def _cache_path(order: int, beyond_paper: bool, cache_dir: str) -> str:
 
 def _store_cache(report: ClassificationReport, cache_dir: str) -> None:
     """Write through a temp file in the same directory and rename it, so a
-    reader never sees a partly written cache file."""
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    reader never sees a partly written cache file.  A path that cannot be
+    made a directory, such as a file, is the caller's error."""
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except OSError as exc:
+        raise ContractViolation(f"unusable cache directory {cache_dir!r}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())

@@ -106,14 +106,20 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _joint_refine(q1: Quandle, q2: Quandle) -> tuple[list[int], list[int]]:
-    """Iterated structural coloring computed jointly so colors are comparable."""
+def _joint_refine(q1: Quandle, q2: Quandle, k1=None,
+                  k2=None) -> tuple[list[int], list[int]]:
+    """Iterated structural coloring computed jointly so colors are comparable.
+
+    It starts from the cycle types of the symmetries unless initial keys
+    ``k1``/``k2`` are given; an isomorphism that preserves the initial keys
+    preserves the final colors."""
     def relabel(k1, k2):
         key_ids = {k: i for i, k in enumerate(sorted(set(k1) | set(k2)))}
         return [key_ids[k] for k in k1], [key_ids[k] for k in k2]
 
-    k1 = [( _cycle_type(q1.sym[x]),) for x in range(q1.size)]
-    k2 = [( _cycle_type(q2.sym[x]),) for x in range(q2.size)]
+    if k1 is None:
+        k1 = [(_cycle_type(q1.sym[x]),) for x in range(q1.size)]
+        k2 = [(_cycle_type(q2.sym[x]),) for x in range(q2.size)]
     c1, c2 = relabel(k1, k2)
     while True:
         def step(q, c):
@@ -134,7 +140,14 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
 
     When both inputs are generalized Alexander quandles the image of point 0
     is pinned to 0 (any isomorphism can be normalized to fix the identity by
-    composing with a left translation)."""
+    composing with a left translation).  Point 0 is then individualized and
+    both colorings are refined jointly once, as in the partition
+    backtracking of McKay (1981) and McKay and Piperno (2014).  This is
+    sound because every isomorphism reached under the pin fixes 0, so it
+    preserves the refined colors; pruning by them removes only subtrees
+    without an isomorphism.  Candidate lists come from the unrefined
+    colors, so the variable and value order, and hence the first witness
+    found, are those of the unpruned search."""
     if q1.size != q2.size:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE, note="sizes differ")
     n = q1.size
@@ -181,6 +194,10 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
         if not attempt(0, 0):
             return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE,
                               note="identity pinning fails")
+        c1, c2 = _joint_refine(q1, q2, [(c, x == 0) for x, c in enumerate(c1)],
+                               [(c, x == 0) for x, c in enumerate(c2)])
+        if sorted(c1) != sorted(c2):
+            return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
 
     def search() -> tuple[int, ...] | None:
         best_x, best_cands = -1, None

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from quandles.cli import main
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
@@ -78,6 +80,24 @@ def test_classify_cache(tmp_path, capsys):
     capsys.readouterr()
     assert any("order6" in f.name for f in tmp_path.iterdir())
     assert main(["classify", "6", "--cache", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("where", ["--cache", "QF_CACHE_DIR"])
+def test_classify_unusable_cache_path(where, tmp_path, capsys, monkeypatch):
+    # a file, or a path under one, is bad input (exit 3), not the
+    # verification mismatch of exit 1
+    path = tmp_path / "plain-file"
+    path.write_text("not a directory")
+    if where == "--cache":
+        cache, argv = path, ["classify", "4", "--cache", str(path)]
+    else:
+        cache, argv = path / "cache", ["classify", "4"]
+        monkeypatch.setenv(where, str(cache))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cache) in err
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "not a directory"
 
 
 def test_verify_paper(capsys):

@@ -327,3 +327,125 @@ def test_decide_is_symmetric(data):
                                       general_alexander(g1, psi1), backward.witness)
         assert isomorphic_method(g1, psi1, g2, psi2) == forward.method
         assert isomorphic_method(g2, psi2, g1, psi1) == forward.method
+
+
+def _unpruned_brute_force_iso(q1, q2, bound=iso.DEFAULT_BRUTE_BOUND):
+    """The search as it was before the pinned identity was individualized:
+    one coloring, computed before the pin, and no further pruning."""
+    if q1.size != q2.size:
+        return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE, note="sizes differ")
+    n = q1.size
+    if n > bound:
+        raise CapacityError(f"brute force capped at size {bound}, got {n}")
+    c1, c2 = iso._joint_refine(q1, q2)
+    if sorted(c1) != sorted(c2):
+        return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE,
+                              note="structural colorings differ")
+    cand = [sorted(y for y in range(n) if c2[y] == c1[x]) for x in range(n)]
+    s1, s2 = q1.sym, q2.sym
+    m = [-1] * n
+    minv = [-1] * n
+    trail = []
+
+    def attempt(a, b):
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            cur = m[x]
+            if cur >= 0:
+                if cur != y:
+                    return False
+                continue
+            if minv[y] >= 0 or c1[x] != c2[y]:
+                return False
+            m[x] = y
+            minv[y] = x
+            trail.append(x)
+            for z in range(n):
+                w = m[z]
+                if w >= 0:
+                    stack.append((s1[x][z], s2[y][w]))
+                    stack.append((s1[z][x], s2[w][y]))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            x = trail.pop()
+            minv[m[x]] = -1
+            m[x] = -1
+
+    if q1.is_general_alexander() and q2.is_general_alexander():
+        if not attempt(0, 0):
+            return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE,
+                                  note="identity pinning fails")
+
+    def search():
+        best_x, best_cands = -1, None
+        for x in range(n):
+            if m[x] >= 0:
+                continue
+            live = [y for y in cand[x] if minv[y] < 0]
+            if not live:
+                return None
+            if best_cands is None or len(live) < len(best_cands):
+                best_x, best_cands = x, live
+                if len(live) == 1:
+                    break
+        if best_cands is None:
+            return tuple(m)
+        for y in best_cands:
+            mark = len(trail)
+            if attempt(best_x, y):
+                res = search()
+                if res is not None:
+                    return res
+            undo(mark)
+        return None
+
+    witness = search()
+    if witness is None:
+        return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE)
+    return iso.IsoVerdict(ISOMORPHIC, iso.METHOD_BRUTE, witness=witness)
+
+
+def _pruned_search_inputs():
+    from quandles.classify import boundary_pair
+    from quandles.quandle import Quandle
+    for order in range(1, 13):
+        _groups, _pairs, maps = _pair_objects(order, False)
+        quandles = [general_alexander(g, psi) for g, psi in maps]
+        yield from itertools.product(quandles, repeat=2)
+    # the order-16 class representatives that share ord(psi) and |Fix|
+    report = classify_order(16, beyond_paper=True)
+    _groups, _pairs, maps = _pair_objects(16, True)
+    reps = [cls[0] for cls in report.classes]
+    for a, b in itertools.combinations(reps, 2):
+        pa, pb = report.profiles[a], report.profiles[b]
+        if (pa.psi_order, pa.fix_size) == (pb.psi_order, pb.fix_size):
+            yield general_alexander(*maps[a]), general_alexander(*maps[b])
+    g1, psi1, g2, reps = boundary_pair()
+    for rep in reps:
+        yield general_alexander(g1, psi1), general_alexander(g2, rep)
+    for name in ("S4", "SL23", "S3xS3"):
+        g = build_named(name)
+        tau = automorphism_group(g, bound=128)[3]
+        for rep, _ in automorphism_conjugacy_classes(g, bound=128):
+            conj = tau.compose(rep).compose(tau.inverse())
+            yield general_alexander(g, rep), general_alexander(g, conj)
+    # a bare table without provenance takes the unpinned path
+    _, _, q = _ga("Q8", "psi_4")
+    perm = [0, 3, 1, 2, 6, 4, 7, 5]
+    inv = [perm.index(i) for i in range(8)]
+    yield q, Quandle(8, tuple(tuple(perm[q.sym[inv[x]][inv[y]]] for y in range(8))
+                              for x in range(8)))
+
+
+def test_pruned_search_matches_the_unpruned_one():
+    # pruning by the refined coloring removes only subtrees without an
+    # isomorphism fixing 0, so result, note and first witness are unchanged
+    counts = {}
+    for q1, q2 in _pruned_search_inputs():
+        pruned = brute_force_iso(q1, q2).to_json_dict()
+        assert pruned == _unpruned_brute_force_iso(q1, q2).to_json_dict(), (q1, q2)
+        counts[pruned["result"]] = counts.get(pruned["result"], 0) + 1
+    assert counts[ISOMORPHIC] > 0 and counts[NOT_ISOMORPHIC] > 0
