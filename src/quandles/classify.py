@@ -124,6 +124,7 @@ def classify_order(order: int, beyond_paper: bool = False,
         cached = _load_cache(order, beyond_paper, cache_dir, brute_bound)
         if cached is not None:
             return cached
+        _make_cache_dir(cache_dir)  # fail at once, not after classifying
     groups, pairs, maps = _pair_objects(order, beyond_paper)
     report = _classify_pairs(order, beyond_paper, [g.name for g in groups],
                              pairs, maps, brute_bound=brute_bound)
@@ -359,15 +360,26 @@ def _cache_path(order: int, beyond_paper: bool, cache_dir: str) -> str:
                         f"classification-order{order}{suffix}-v{ENGINE_VERSION}.json")
 
 
-def _store_cache(report: ClassificationReport, cache_dir: str) -> None:
-    """Write through a temp file in the same directory and rename it, so a
-    reader never sees a partly written cache file.  A path that cannot be
-    made a directory, such as a file, is the caller's error."""
+def _unusable_cache_dir(cache_dir: str, exc: OSError) -> ContractViolation:
+    """A path that cannot be made a directory, such as a file, or one that
+    cannot be written is the caller's error."""
+    return ContractViolation(f"unusable cache directory {cache_dir!r}: {exc}")
+
+
+def _make_cache_dir(cache_dir: str) -> None:
     try:
         os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise _unusable_cache_dir(cache_dir, exc) from exc
+
+
+def _store_cache(report: ClassificationReport, cache_dir: str) -> None:
+    """Write through a temp file in the same directory and rename it, so a
+    reader never sees a partly written cache file."""
+    try:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     except OSError as exc:
-        raise ContractViolation(f"unusable cache directory {cache_dir!r}: {exc}") from exc
+        raise _unusable_cache_dir(cache_dir, exc) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())

@@ -422,11 +422,6 @@ def automorphism_group(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> list[G
     return [GroupMap(g, g, im, check=False) for im in automorphism_classes(g, bound)]
 
 
-def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """p after q."""
-    return tuple(p[v] for v in q)
-
-
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, v in enumerate(p):
@@ -448,26 +443,34 @@ def _perm_order(p: tuple[int, ...]) -> int:
     return order
 
 
-def _generators_of_perm_list(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """A small generating subset of a group given as its full, sorted
-    permutation list: greedy, largest element order first, then by image
-    array (the sort is stable)."""
-    have = {tuple(range(len(perms[0])))}
+def _greedy_closure(degree: int, perms, bound: int
+                    ) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """The closure of ``perms`` under composition, and the members of
+    ``perms`` that it took, in their order.  A member already in the closure
+    built so far is skipped; one that is not joins the generators, and the
+    closure grows again: the elements held so far times the new generator,
+    then each new element times every generator (closing under right
+    multiplication alone suffices in a finite group).  Raises CapacityError
+    rather than let the closure grow past ``bound`` elements."""
+    have = {tuple(range(degree))}
     gens: list[tuple[int, ...]] = []
-    for p in sorted(perms, key=_perm_order, reverse=True):
+    for p in perms:
         if p in have:
             continue
         gens.append(p)
-        # closing under right multiplication alone suffices in a finite group
-        frontier = list(have)
+        frontier, mults = list(have), (p,)
         while frontier:
-            q = frontier.pop()
-            for r in gens:
-                s = _perm_compose(q, r)
-                if s not in have:
-                    have.add(s)
-                    frontier.append(s)
-    return gens
+            grown = []
+            for q in frontier:
+                for r in mults:
+                    s = tuple(map(q.__getitem__, r))
+                    if s not in have:
+                        if len(have) >= bound:
+                            raise CapacityError(f"closure exceeded bound {bound}")
+                        have.add(s)
+                        grown.append(s)
+            frontier, mults = grown, gens
+    return gens, have
 
 
 def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> MappingProxyType:
@@ -484,7 +487,12 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             f"automorphism enumeration capped at order {bound}, got {g.order}")
     if g._aut_classes is None:
         perms = sorted(_iso_images(g, g))
-        gens = _generators_of_perm_list(perms)
+        # greedy, largest element order first, then by image array (the
+        # sort is stable); Aut(g) itself bounds the closure, and the closure
+        # is not kept, since holding it through the orbit search raises peak
+        # memory
+        gens = _greedy_closure(g.order, sorted(perms, key=_perm_order, reverse=True),
+                               bound=len(perms))[0]
         gen_invs = [_perm_inverse(p) for p in gens]
         rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
         for p in perms:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import CapacityError, ContractViolation, StructuralError
-from .groups import FiniteGroup, GroupMap
+from .errors import ContractViolation, StructuralError
+from .groups import FiniteGroup, GroupMap, _greedy_closure
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
@@ -30,7 +30,7 @@ class Quandle:
     provenance: tuple[FiniteGroup, GroupMap] | None = None
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.sym)
+        rows = tuple(tuple(map(int, row)) for row in self.sym)
         object.__setattr__(self, "sym", rows)
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
             raise StructuralError("sym table shape mismatch")
@@ -48,7 +48,17 @@ class Quandle:
 
 def check_axioms(q: Quandle) -> list[tuple]:
     """All violations of (Q1') idempotence, (Q2') row bijectivity and
-    (Q3') s_x . s_y = s_{s_x(y)} . s_x; empty list iff q is a quandle."""
+    (Q3') s_x . s_y = s_{s_x(y)} . s_x; empty list iff q is a quandle.
+
+    (Q3) is first checked only at the points S of ``_generating_points``,
+    n^2 |S| work instead of n^3.  That proves it at every point.  With
+    y |> z = s_y(z), (Q3) at x says s_x is an automorphism of |>, and
+    s_{s_x(y)} = s_x s_y s_x^-1 for every y.  So the set of y with s_y in
+    <s_S> contains S and is closed under <s_S> (s_x^-1 is a power of s_x):
+    it is the orbit of S under <s_S>, which is all of Q.  Every s_y is then
+    a product of automorphisms, an automorphism itself, and (Q3) holds at
+    y.  If the check fails at some x in S, every point is checked, so the
+    violations listed are the same as those of the full scan."""
     n, sym = q.size, q.sym
     bad: list[tuple] = []
     full = frozenset(range(n))
@@ -58,21 +68,43 @@ def check_axioms(q: Quandle) -> list[tuple]:
     for x in range(n):
         if frozenset(sym[x]) != full:
             bad.append(("Q2", x))
-    if bad:
+    if bad or all(_q3_violation(sym, x) is None for x in _generating_points(sym)):
         return bad
-    for x in range(n):
-        sx = sym[x]
-        for y in range(n):
-            sxy = sym[sx[y]]
-            sy = sym[y]
-            for z in range(n):
-                if sx[sy[z]] != sxy[sx[z]]:
-                    bad.append(("Q3", x, y, z))
-                    break
-            else:
-                continue
-            break
-    return bad
+    return [("Q3", x, *v) for x in range(n)
+            if (v := _q3_violation(sym, x)) is not None]
+
+
+def _q3_violation(sym, x: int) -> tuple[int, int] | None:
+    """The least (y, z) with s_x(s_y(z)) != s_{s_x(y)}(s_x(z)), least y
+    first, or None when (Q3) holds at x."""
+    sx = sym[x]
+    for y, sy in enumerate(sym):
+        sxy = sym[sx[y]]
+        if list(map(sx.__getitem__, sy)) != list(map(sxy.__getitem__, sx)):
+            return y, next(z for z in range(len(sx)) if sx[sy[z]] != sxy[sx[z]])
+    return None
+
+
+def _generating_points(sym) -> list[int]:
+    """Points S whose orbits under the group <s_S> cover Q, chosen
+    greedily: the least point not yet covered joins S, and the covered set
+    is closed again under every s_x, x in S."""
+    points: list[int] = []
+    covered: set[int] = set()
+    for x in range(len(sym)):
+        if x in covered:
+            continue
+        points.append(x)
+        covered.add(x)
+        frontier = list(covered)
+        while frontier:
+            y = frontier.pop()
+            for p in points:
+                z = sym[p][y]
+                if z not in covered:
+                    covered.add(z)
+                    frontier.append(z)
+    return points
 
 
 def make_quandle(sym, provenance=None) -> Quandle:
@@ -90,8 +122,7 @@ def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
     if psi.source.table != g.table:
         raise ContractViolation("automorphism does not belong to this group")
     t, inv, im = g.table, g._inv, psi.images
-    sym = tuple(tuple(t[x][im[t[inv[x]][y]]] for y in range(g.order))
-                for x in range(g.order))
+    sym = tuple(tuple([t[x][im[v]] for v in t[inv[x]]]) for x in range(g.order))
     if im in _AXIOMS_PASSED.get(t, ()):
         return Quandle(g.order, sym, (g, psi))
     q = make_quandle(sym, provenance=(g, psi))
@@ -112,22 +143,7 @@ class PermGroup:
         for p in self.generators:
             if sorted(p) != list(range(degree)):
                 raise StructuralError("generator is not a permutation")
-        self.elements = self._close(bound)
-
-    def _close(self, bound: int) -> frozenset[tuple[int, ...]]:
-        ident = tuple(range(self.degree))
-        have = {ident}
-        frontier = [ident]
-        while frontier:
-            p = frontier.pop()
-            for gen in self.generators:
-                q = tuple(gen[v] for v in p)
-                if q not in have:
-                    if len(have) >= bound:
-                        raise CapacityError(f"closure exceeded bound {bound}")
-                    have.add(q)
-                    frontier.append(q)
-        return frozenset(have)
+        self.elements = frozenset(_greedy_closure(degree, self.generators, bound)[1])
 
     @property
     def order(self) -> int:
@@ -150,7 +166,8 @@ class PermGroup:
 
 
 def inner_group(q: Quandle, bound: int = INNER_CLOSURE_BOUND) -> PermGroup:
-    """Closure of the point symmetries {s_x} under composition."""
+    """Closure of the point symmetries {s_x} under composition; a symmetry
+    already in the closure of those before it adds nothing and is skipped."""
     return PermGroup(q.size, sorted(set(q.sym)), bound=bound)
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from quandles import classify
 from quandles.cli import main
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
@@ -85,7 +86,10 @@ def test_classify_cache(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["--cache", "QF_CACHE_DIR"])
 def test_classify_unusable_cache_path(where, tmp_path, capsys, monkeypatch):
     # a file, or a path under one, is bad input (exit 3), not the
-    # verification mismatch of exit 1
+    # verification mismatch of exit 1, and it is reported before any pair
+    # is built
+    monkeypatch.setattr(classify, "_pair_objects",
+                        lambda *args: pytest.fail("a pair was built first"))
     path = tmp_path / "plain-file"
     path.write_text("not a directory")
     if where == "--cache":

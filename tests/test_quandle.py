@@ -2,6 +2,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles import iso, quandle
 from quandles.catalog import (build, build_named, cyclic, dihedral,
@@ -25,6 +27,62 @@ LOPSIDED = ((0, 2, 3, 4, 1), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4),
 # fails the distributivity axiom: s_0 and s_1 are incompatible transpositions
 BROKEN_Q3 = ((0, 2, 1, 3, 4), (2, 1, 0, 3, 4), (0, 1, 2, 3, 4),
              (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
+
+# (Q3) holds at 0 and 1 (s_0 = s_1 = id) but fails at 2 and 3, whose
+# transpositions (0 1) and (1 2) do not commute
+BROKEN_Q3_AWAY_FROM_0 = ((0, 1, 2, 3), (0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3))
+
+_SMALL_CATALOG = [spec for n in range(1, 13) for spec in groups_of_order(n)]
+
+
+def _full_check_axioms(q: Quandle) -> list[tuple]:
+    """Reference: check_axioms with (Q3) tested at every x, y, z."""
+    n, sym = q.size, q.sym
+    bad: list[tuple] = []
+    full = frozenset(range(n))
+    for x in range(n):
+        if sym[x][x] != x:
+            bad.append(("Q1", x))
+    for x in range(n):
+        if frozenset(sym[x]) != full:
+            bad.append(("Q2", x))
+    if bad:
+        return bad
+    for x in range(n):
+        sx = sym[x]
+        for y in range(n):
+            sxy = sym[sx[y]]
+            sy = sym[y]
+            for z in range(n):
+                if sx[sy[z]] != sxy[sx[z]]:
+                    bad.append(("Q3", x, y, z))
+                    break
+            else:
+                continue
+            break
+    return bad
+
+
+def _full_closure(q: Quandle) -> set[tuple[int, ...]]:
+    """Reference: closure of every distinct s_x under composition."""
+    gens = set(q.sym)
+    have = {tuple(range(q.size))}
+    frontier = list(have)
+    while frontier:
+        p = frontier.pop()
+        for gen in gens:
+            r = tuple(gen[v] for v in p)
+            if r not in have:
+                have.add(r)
+                frontier.append(r)
+    return have
+
+
+def _small_catalog_quandles():
+    for spec in _SMALL_CATALOG:
+        g = build(spec)
+        for psi in automorphism_group(g):
+            yield general_alexander(g, psi)
 
 
 def test_trivial_quandle():
@@ -62,11 +120,29 @@ def test_general_alexander_dihedral_translation_row():
 
 
 def test_axioms_pass_for_all_catalog_quandles_up_to_12():
-    for order in range(1, 13):
-        for spec in groups_of_order(order):
-            g = build(spec)
-            for psi in automorphism_group(g):
-                assert check_axioms(general_alexander(g, psi)) == []
+    for q in _small_catalog_quandles():
+        assert check_axioms(q) == _full_check_axioms(q) == []
+
+
+def test_axiom_check_lists_the_full_scan_violations():
+    for table in (BROKEN_Q3, BROKEN_Q3_AWAY_FROM_0):
+        q = Quandle(len(table), table)
+        assert check_axioms(q) == _full_check_axioms(q) != []
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_axiom_check_on_corrupted_quandles(data):
+    # swapping two off-diagonal entries of one row keeps (Q1) and (Q2)
+    g = build(data.draw(st.sampled_from(groups_of_order(data.draw(st.integers(3, 12))))))
+    q = general_alexander(g, data.draw(st.sampled_from(automorphism_group(g))))
+    x = data.draw(st.integers(0, q.size - 1))
+    y1, y2 = data.draw(st.lists(st.sampled_from([y for y in range(q.size) if y != x]),
+                                min_size=2, max_size=2, unique=True))
+    rows = [list(r) for r in q.sym]
+    rows[x][y1], rows[x][y2] = rows[x][y2], rows[x][y1]
+    corrupted = Quandle(q.size, tuple(map(tuple, rows)))
+    assert check_axioms(corrupted) == _full_check_axioms(corrupted)
 
 
 def test_axiom_violations_reported():
@@ -147,6 +223,18 @@ def test_inner_group_elements_are_quandle_automorphisms():
     for f in inner_group(q).elements:
         assert all(f[q.sym[x][y]] == q.sym[f[x]][f[y]]
                    for x in range(q.size) for y in range(q.size))
+
+
+def test_inner_group_is_the_closure_of_every_symmetry():
+    quandles = list(_small_catalog_quandles())
+    for name in ("A5", "S4"):
+        g = build_named(name)
+        quandles += [general_alexander(g, rep)
+                     for rep, _ in automorphism_conjugacy_classes(g, bound=128)]
+    for q in quandles:
+        inn = inner_group(q)
+        assert inn.generators == tuple(sorted(set(q.sym)))
+        assert inn.elements == _full_closure(q)
 
 
 def test_perm_group_closure_bound():
