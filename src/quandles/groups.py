@@ -25,7 +25,7 @@ class FiniteGroup:
                  "_abelian", "_center", "_gens", "_aut_classes", "_simple")
 
     def __init__(self, table, name: str = "G", spec=None, check: bool = True):
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         self.order = len(self.table)
         self.name = name
         self.spec = spec
@@ -180,6 +180,8 @@ class GroupMap:
         if len(self.images) != self.source.order:
             raise StructuralError("image array length mismatch")
         if self.check:
+            if any(not 0 <= v < self.target.order for v in self.images):
+                raise StructuralError("image index out of range")
             if self.images[0] != 0:
                 raise StructuralError("homomorphism must send identity to identity")
             s, t = self.source.table, self.target.table
@@ -226,17 +228,6 @@ class GroupMap:
         """Order of the map under composition (finite since bijective)."""
         self.require_automorphism()
         return _perm_order(self.images)
-
-    def restrict(self, sub: Subgroup) -> tuple[GroupMap, FiniteGroup, tuple[int, ...]]:
-        """Restriction to an invariant subgroup, as a map on the reindexed group."""
-        ms = sub.member_set()
-        for a in sub.members:
-            if self.images[a] not in ms:
-                raise ContractViolation("subgroup is not invariant under the map")
-        grp, embed = sub.as_group()
-        pos = {m: i for i, m in enumerate(embed)}
-        images = tuple(pos[self.images[m]] for m in embed)
-        return GroupMap(grp, grp, images, check=False), grp, embed
 
 
 def identity_map(g: FiniteGroup) -> GroupMap:
@@ -410,7 +401,20 @@ def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
 
 
 def all_group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
-    """All isomorphisms g1 -> g2 (possibly none), in deterministic order."""
+    """All isomorphisms g1 -> g2 (possibly none), in the order of ``_iso_images``.
+
+    Aut(g), for g1 is g2, is read from ``automorphism_classes``, so it is
+    enumerated once per group object; its keys come in sorted order, which
+    is that of ``_iso_images(g, g)``.  ``generating_set`` adds the least
+    index outside the closure, so every index below g_k lies in
+    <g_0..g_{k-1}>, whose images those of g_0..g_{k-1} fix, and position
+    g_k of an image array holds the image of g_k.  Two image arrays
+    therefore first differ at the first generator whose images differ, and
+    the lexicographic order of generator images is the sorted order."""
+    if g1 is g2:
+        for images in automorphism_classes(g1, bound=g1.order):
+            yield GroupMap(g1, g1, images, check=False)
+        return
     if g1.order != g2.order or g1.element_order_multiset() != g2.element_order_multiset():
         return
     for images in _iso_images(g1, g2):
@@ -534,14 +538,43 @@ def group_to_json(g: FiniteGroup) -> str:
 
 
 def group_from_json(text: str) -> FiniteGroup:
+    data = _json_object(text, ("name", "order", "table"))
+    order = _json_int(data["order"], "order")
+    g = FiniteGroup(_json_rows(data["table"], "table"), name=str(data["name"]))
+    if g.order != order:
+        raise StructuralError("declared order does not match table size")
+    return g
+
+
+def _json_object(text: str, fields) -> dict:
+    """The JSON object in ``text``, which must have every key in ``fields``."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"invalid JSON: {exc}") from exc
-    for key in ("name", "order", "table"):
+    if not isinstance(data, dict):
+        raise StructuralError("payload is not a JSON object")
+    for key in fields:
         if key not in data:
             raise StructuralError(f"missing field {key!r}")
-    g = FiniteGroup(data["table"], name=str(data["name"]))
-    if g.order != int(data["order"]):
-        raise StructuralError("declared order does not match table size")
-    return g
+    return data
+
+
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise StructuralError(f"field {field!r} is not an integer")
+    return value
+
+
+def _json_ints(value, field: str) -> list[int]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise StructuralError(f"field {field!r} is not a list of integers")
+    return value
+
+
+def _json_rows(value, field: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise StructuralError(f"field {field!r} is not a list of rows")
+    for row in value:
+        _json_ints(row, field)
+    return value

@@ -2,11 +2,11 @@
 
 The central object is P: the orbit of the identity under the inner group,
 which always equals the subgroup generated by {x psi(x)^-1}.  Both
-computations run on every call and must agree; a mismatch is an internal
-bug, not a warning.  On top of P sit P^2, Fix, the twisted normalizer,
-the two isomorphism-criterion preconditions, and the inner-group structure,
-all bundled into a hashable InvariantProfile used for pruning and as table
-rows.
+computations run on the first call for each (table, images) input and must
+agree; a mismatch is an internal bug, not a warning.  On top of P sit P^2,
+Fix, the twisted normalizer, the two isomorphism-criterion preconditions,
+and the inner-group structure, all bundled into a hashable InvariantProfile
+used for pruning and as table rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import build, build_named, groups_of_order, semidirect_table
-from .errors import VerificationError
+from .errors import ContractViolation, VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
                      center, generated_subgroup, groups_isomorphic,
                      identity_map, is_normal)
@@ -31,23 +31,55 @@ def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:
     return sorted({g.table[x][g._inv[im[x]]] for x in range(g.order)})
 
 
-def compute_P(g: FiniteGroup, psi: GroupMap) -> Subgroup:
-    """Orbit of e under the inner group; cross-checked against <{x psi(x)^-1}>."""
+# group table -> (psi images -> (P members, psi|P), P members -> P as a
+# group).  Records are made by _p_record; an input whose orbit and span
+# disagree is not stored, so it fails on every call.  One P group object
+# per (table, members) is shared by every input, so its element orders,
+# generating set and Aut are computed once.  Keying by table first keeps
+# one table object per distinct content.
+_P_DATA: dict[tuple, tuple[dict, dict]] = {}
+
+
+def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]:
+    """(P's members, which are also its embedding into G, and psi|_P on the
+    shared P group), built and cross-checked on the first call per
+    (table, images)."""
     psi.require_automorphism()
+    if psi.source is not g and psi.source.table != g.table:
+        raise ContractViolation("automorphism does not belong to this group")
+    t, im = g.table, psi.images
+    records, p_groups = _P_DATA.get(t) or ({}, {})
+    rec = records.get(im)
+    if rec is not None:
+        return rec
     orbit = orbit_of(general_alexander(g, psi), 0)
     span = generated_subgroup(g, translation_elements(g, psi))
     if orbit != span.member_set():
         raise VerificationError(
             f"P mismatch on {g.name}: orbit {sorted(orbit)} vs "
             f"generated subgroup {list(span.members)}")
-    return span
+    members = span.members
+    pos = {m: i for i, m in enumerate(members)}
+    if any(im[m] not in pos for m in members):
+        raise VerificationError(f"P is not invariant under psi on {g.name}")
+    grp = p_groups.get(members)
+    if grp is None:
+        grp = p_groups[members] = span.as_group()[0]
+    rec = members, GroupMap(grp, grp, tuple(pos[im[m]] for m in members), check=False)
+    records[im] = rec
+    _P_DATA.setdefault(t, (records, p_groups))
+    return rec
+
+
+def compute_P(g: FiniteGroup, psi: GroupMap) -> Subgroup:
+    """Orbit of e under the inner group; cross-checked against <{x psi(x)^-1}>."""
+    return Subgroup(g, _p_record(g, psi)[0])
 
 
 def restrict_to_P(g: FiniteGroup, psi: GroupMap) -> tuple[FiniteGroup, GroupMap, tuple[int, ...]]:
     """The subquandle data (P as a group, psi|_P, embedding into G)."""
-    p = compute_P(g, psi)
-    restricted, grp, embed = psi.restrict(p)
-    return grp, restricted, embed
+    members, restricted = _p_record(g, psi)
+    return restricted.source, restricted, members
 
 
 def compute_P2(g: FiniteGroup, psi: GroupMap) -> Subgroup:

@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractViolation, StructuralError
-from .groups import FiniteGroup, GroupMap, _greedy_closure
+from .groups import (FiniteGroup, GroupMap, _greedy_closure, _json_int,
+                     _json_ints, _json_object, _json_rows)
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
@@ -161,7 +162,7 @@ class PermGroup:
         ident = tuple(range(self.degree))
         order = [ident] + [p for p in elems if p != ident]
         pos = {p: i for i, p in enumerate(order)}
-        table = [[pos[tuple(p[v] for v in q)] for q in order] for p in order]
+        table = [[pos[tuple(map(p.__getitem__, q))] for q in order] for p in order]
         return FiniteGroup(table, name=name, check=False), order
 
 
@@ -230,27 +231,27 @@ def quandle_to_json(q: Quandle) -> str:
 
 
 def quandle_from_json(text: str) -> Quandle:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"invalid JSON: {exc}") from exc
-    for key in ("size", "sym"):
-        if key not in data:
-            raise StructuralError(f"missing field {key!r}")
+    data = _json_object(text, ("size", "sym"))
+    size = _json_int(data["size"], "size")
+    sym = _json_rows(data["sym"], "sym")
     provenance = None
     prov = data.get("provenance")
     if prov is not None:
+        if not isinstance(prov, dict):
+            raise StructuralError("field 'provenance' is not an object")
         from .catalog import build_named
         try:
             g = build_named(str(prov["group"]))
-            psi = GroupMap(g, g, tuple(prov["automorphism"]), check=True)
+            images = prov["automorphism"]
+        except KeyError:
+            pass  # a group outside the catalog, or no map: loaded without provenance
+        else:
+            psi = GroupMap(g, g, tuple(_json_ints(images, "automorphism")), check=True)
             if not psi.is_bijective:
                 raise StructuralError("provenance map is not bijective")
             provenance = (g, psi)
-        except KeyError:
-            provenance = None
-    q = make_quandle(data["sym"], provenance=provenance)
-    if q.size != int(data["size"]):
+    q = make_quandle(sym, provenance=provenance)
+    if q.size != size:
         raise StructuralError("declared size does not match table")
     if provenance is not None:
         g, psi = provenance

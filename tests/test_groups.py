@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from quandles import groups
 from quandles.catalog import build, build_named, cyclic, dihedral, groups_of_order
 from quandles.errors import CapacityError, ContractViolation, StructuralError
-from quandles.groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
-                             automorphism_conjugacy_classes,
+from quandles.groups import (FiniteGroup, GroupMap, Subgroup, all_group_isomorphisms,
+                             automorphism_classes, automorphism_conjugacy_classes,
                              automorphism_group, center, fixed_subgroup,
                              generated_subgroup, group_from_json, group_to_json,
                              groups_isomorphic, identity_map, inner_automorphism,
@@ -310,6 +311,22 @@ def test_group_json_round_trip():
         group_from_json('{"name": "x", "order": 2, "table": [[0, 1], [1, 1]]}')
 
 
+@pytest.mark.parametrize("field, value", [
+    ("table", 5), ("table", [[0, 1], 3]), ("table", [[0, 1], [1, "0"]]),
+    ("order", "x"), ("order", None), ("order", 2.5)])
+def test_group_from_json_rejects_malformed_fields(field, value):
+    data = json.loads(group_to_json(build_named("C2")))
+    data[field] = value
+    with pytest.raises(StructuralError):
+        group_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"name"'])
+def test_group_from_json_rejects_a_payload_that_is_not_an_object(text):
+    with pytest.raises(StructuralError):
+        group_from_json(text)
+
+
 def _relabelled(g: FiniteGroup, perm) -> FiniteGroup:
     """The copy of g whose element x is called perm[x] (perm fixes 0)."""
     inv = [0] * g.order
@@ -405,6 +422,17 @@ def test_iso_images_keep_the_closure_search_order():
     for a, b in _enumeration_order_cases():
         assert list(groups._iso_images(a, b)) == list(_closure_search_images(a, b)), \
             (a.name, b.name)
+
+
+def test_self_isomorphisms_come_in_sorted_enumeration_order():
+    # all_group_isomorphisms(g, g) reads Aut(g) from automorphism_classes;
+    # the first compatible h of the P-isomorphism search rests on this order
+    cases = [build(spec) for n in range(1, 17) for spec in groups_of_order(n)]
+    cases += [build_named(name) for name in ("A5", "S5", "SL23")]
+    for g in cases:
+        enumerated = list(groups._iso_images(g, g))
+        assert [h.images for h in all_group_isomorphisms(g, g)] == enumerated, g.name
+        assert enumerated == sorted(enumerated), g.name
 
 
 _SMALL_CATALOG = [spec for n in range(1, 13) for spec in groups_of_order(n)]

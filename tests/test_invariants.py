@@ -2,16 +2,22 @@ import json
 
 import pytest
 
+from quandles import invariants
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism, product,
                               semidirect_table, sl23_element_index)
-from quandles.groups import (Subgroup, automorphism_group, fixed_subgroup,
-                             groups_isomorphic, identity_map,
+from quandles.errors import ContractViolation, VerificationError
+from quandles.groups import (FiniteGroup, GroupMap, Subgroup,
+                             automorphism_group, fixed_subgroup,
+                             generated_subgroup, group_from_json,
+                             group_to_json, groups_isomorphic, identity_map,
                              inner_automorphism, is_normal)
 from quandles.invariants import (compute_P, compute_P2, descriptor_display,
                                  group_descriptor, inn_structure, profile,
                                  profile_to_json, restrict_to_P,
-                                 transported_class, twisted_normalizer)
+                                 transported_class, translation_elements,
+                                 twisted_normalizer)
+from quandles.quandle import general_alexander, orbit_of
 
 
 def test_compute_P_identity_map():
@@ -68,6 +74,126 @@ def test_P_normal_and_P2_normal_in_P():
                 assert is_normal(g, p)
                 grp, restricted, _ = restrict_to_P(g, psi)
                 assert is_normal(grp, compute_P(grp, restricted))
+
+
+def _uncached_P(g, psi):
+    """Reference: compute_P as it was before the per-input record, with the
+    orbit/span check run on every call."""
+    psi.require_automorphism()
+    orbit = orbit_of(general_alexander(g, psi), 0)
+    span = generated_subgroup(g, translation_elements(g, psi))
+    if orbit != span.member_set():
+        raise VerificationError("P mismatch")
+    return span
+
+
+def _uncached_restrict_to_P(g, psi):
+    p = _uncached_P(g, psi)
+    grp, embed = p.as_group()
+    pos = {m: i for i, m in enumerate(embed)}
+    images = tuple(pos[psi.images[m]] for m in embed)
+    return grp, GroupMap(grp, grp, images, check=False), embed
+
+
+def _uncached_P2(g, psi):
+    grp, restricted, embed = _uncached_restrict_to_P(g, psi)
+    return Subgroup(g, tuple(embed[i] for i in _uncached_P(grp, restricted).members))
+
+
+def _p_record_cases():
+    for order in range(1, 13):
+        for spec in groups_of_order(order):
+            g = build(spec)
+            yield from ((g, psi) for psi in automorphism_group(g))
+    # D4 with its elements 1..7 named in reverse, read back through JSON
+    d4 = build_named("D4")
+    perm = [0] + list(range(7, 0, -1))
+    table = [[0] * 8 for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            table[perm[a]][perm[b]] = perm[d4.table[a][b]]
+    h = group_from_json(group_to_json(FiniteGroup(table, name="D4r")))
+    yield from ((h, psi) for psi in automorphism_group(h))
+
+
+def test_p_record_matches_the_uncached_computation(monkeypatch):
+    monkeypatch.setattr(invariants, "_P_DATA", {})
+    for g, psi in _p_record_cases():
+        ref_p = _uncached_P(g, psi)
+        ref_grp, ref_restricted, ref_embed = _uncached_restrict_to_P(g, psi)
+        ref_p2 = _uncached_P2(g, psi)
+        for _ in range(2):  # the first call builds the record, the second reads it
+            p = compute_P(g, psi)
+            assert p.parent is g and p.members == ref_p.members
+            grp, restricted, embed = restrict_to_P(g, psi)
+            assert grp.table == ref_grp.table and embed == ref_embed
+            assert restricted.source is grp and restricted.target is grp
+            assert restricted.images == ref_restricted.images
+            p2 = compute_P2(g, psi)
+            assert p2.parent is g and p2.members == ref_p2.members
+
+
+def test_orbit_span_check_runs_once_per_input(monkeypatch):
+    monkeypatch.setattr(invariants, "_P_DATA", {})
+    checked = []
+    real = invariants.orbit_of
+
+    def recording(q, start):
+        g, psi = q.provenance
+        checked.append((g.table, psi.images))
+        return real(q, start)
+
+    monkeypatch.setattr(invariants, "orbit_of", recording)
+    inputs = set()
+    for name in ("D4", "Q8", "A4"):
+        g = build_named(name)
+        twin = FiniteGroup(g.table, name=f"{name}-twin")
+        for psi in automorphism_group(g):
+            psi_twin = GroupMap(twin, twin, psi.images)
+            for h, phi in ((g, psi), (twin, psi_twin), (g, psi)):
+                compute_P(h, phi)
+                grp, restricted, _ = restrict_to_P(h, phi)
+                compute_P2(h, phi)
+                profile(h, phi)
+                inputs.update({(g.table, psi.images), (grp.table, restricted.images)})
+    assert len(checked) == len(set(checked)) == len(inputs)
+    assert set(checked) == inputs
+
+
+def test_failed_orbit_span_check_fails_every_call(monkeypatch):
+    monkeypatch.setattr(invariants, "_P_DATA", {})
+    d4 = build_named("D4")
+    psi = named_automorphism(d4, "phi:3,1")
+    monkeypatch.setattr(invariants, "orbit_of", lambda q, start: frozenset({0}))
+    for call in (compute_P, restrict_to_P, compute_P2, compute_P):
+        with pytest.raises(VerificationError):
+            call(d4, psi)
+    assert invariants._P_DATA == {}
+    monkeypatch.setattr(invariants, "orbit_of", orbit_of)
+    assert compute_P(d4, psi).members == (0, 1, 2, 3)
+
+
+def test_equal_tables_share_the_p_group_but_not_the_parent():
+    g = build_named("Dic3")
+    twin = FiniteGroup(g.table, name="Dic3-twin")
+    psi = named_automorphism(g, "beta_tau")
+    psi_twin = GroupMap(twin, twin, psi.images)
+    p, p_twin = compute_P(g, psi), compute_P(twin, psi_twin)
+    assert p.parent is g and p_twin.parent is twin
+    assert p.members == p_twin.members and is_normal(twin, p_twin)
+    assert compute_P2(twin, psi_twin).parent is twin
+    assert restrict_to_P(g, psi)[0] is restrict_to_P(twin, psi_twin)[0]
+    with pytest.raises(ContractViolation):
+        is_normal(g, p_twin)
+
+
+def test_p_record_keeps_the_group_check():
+    # a map of another group of the same order is refused on a record hit too
+    c4, v4 = build_named("C4"), build_named("C2xC2")
+    compute_P(c4, identity_map(c4))
+    for call in (compute_P, restrict_to_P, compute_P2):
+        with pytest.raises(ContractViolation):
+            call(c4, identity_map(v4))
 
 
 def test_twisted_normalizer_basics():

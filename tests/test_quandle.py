@@ -11,7 +11,8 @@ from quandles.catalog import (build, build_named, cyclic, dihedral,
 from quandles.classify import classify_order
 from quandles.errors import ContractViolation, StructuralError
 from quandles.groups import (GroupMap, automorphism_conjugacy_classes,
-                             automorphism_group, identity_map)
+                             automorphism_group, group_from_json,
+                             group_to_json, identity_map)
 from quandles.invariants import compute_P
 from quandles.quandle import (PermGroup, Quandle, check_axioms,
                               general_alexander, inner_group, is_connected,
@@ -318,6 +319,86 @@ def test_quandle_json_round_trip():
     mixed["sym"] = [list(r) for r in other.sym]
     with pytest.raises(StructuralError):
         quandle_from_json(json.dumps(mixed))
+
+
+def _c2_payload(**fields) -> str:
+    """The JSON of Q(C2, id), with ``fields`` replaced (``automorphism``
+    inside the provenance)."""
+    c2 = build_named("C2")
+    data = json.loads(quandle_to_json(general_alexander(c2, identity_map(c2))))
+    for key, value in fields.items():
+        (data["provenance"] if key == "automorphism" else data)[key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("fields", [
+    {"provenance": [1, 2]}, {"provenance": "S3"}, {"provenance": 7},
+    {"automorphism": "ab"}, {"automorphism": [0, 5]}, {"automorphism": [0, -1]},
+    {"automorphism": None}, {"automorphism": [0, 1.0]},
+    {"sym": 5}, {"sym": [[0, 1], 5]}, {"sym": [[0, 1], [0, None]]},
+    {"size": "x"}, {"size": None}])
+def test_quandle_from_json_rejects_malformed_fields(fields):
+    with pytest.raises(StructuralError):
+        quandle_from_json(_c2_payload(**fields))
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"size"'])
+def test_quandle_from_json_rejects_a_payload_that_is_not_an_object(text):
+    with pytest.raises(StructuralError):
+        quandle_from_json(text)
+
+
+def test_quandle_from_json_drops_a_provenance_outside_the_catalog():
+    q = quandle_from_json(_c2_payload(provenance={"group": "Foo", "automorphism": [0, 1]}))
+    assert q.provenance is None and q.sym == ((0, 1), (0, 1))
+    assert quandle_from_json(_c2_payload(provenance={"group": "C2"})).provenance is None
+
+
+def _json_paths(value, path=()):
+    """Every position in a JSON value, as the keys and indices leading to it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _json_paths(item, (*path, key))
+
+
+def _json_payloads():
+    s3 = build_named("S3")
+    psi = automorphism_group(s3)[1]
+    return [(quandle_from_json, quandle_to_json(general_alexander(s3, psi))),
+            (quandle_from_json, quandle_to_json(trivial_quandle(3))),
+            (group_from_json, group_to_json(s3))]
+
+
+# no digits in the strings, so a group name can never ask for a large build
+_WRONG_TYPED = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(-2, 9),
+    st.text(alphabet="ab[]{} ", max_size=3),
+    st.lists(st.integers(-2, 9), max_size=4),
+    st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["group", "automorphism", "a"]),
+                    st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_json_loaders_load_or_raise_structural_error(data):
+    load, text = data.draw(st.sampled_from(_json_payloads()))
+    payload = json.loads(text)
+    path = data.draw(st.sampled_from(list(_json_paths(payload))))
+    value = data.draw(_WRONG_TYPED)
+    if path:
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        payload = value
+    try:
+        load(json.dumps(payload))
+    except StructuralError:
+        pass
 
 
 def _record_axiom_checks(monkeypatch):
