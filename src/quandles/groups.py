@@ -16,6 +16,10 @@ from types import MappingProxyType
 from .errors import CapacityError, ContractViolation, StructuralError
 
 DEFAULT_AUT_BOUND = 60
+# every group of order <= 16 has at most 20,160 automorphisms (those of
+# C2^4), so its Aut is small enough to hold; above it Aut can be huge
+# (|GL(5, 2)| is about 1.0e7 at order 32)
+HELD_AUT_ORDER = 16
 
 
 class FiniteGroup:
@@ -403,18 +407,24 @@ def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
 def all_group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     """All isomorphisms g1 -> g2 (possibly none), in the order of ``_iso_images``.
 
-    Aut(g), for g1 is g2, is read from ``automorphism_classes``, so it is
-    enumerated once per group object; its keys come in sorted order, which
-    is that of ``_iso_images(g, g)``.  ``generating_set`` adds the least
-    index outside the closure, so every index below g_k lies in
+    For g1 is g2, Aut(g) is read from ``automorphism_classes`` when that is
+    already built or g has order at most HELD_AUT_ORDER, so a group's Aut
+    is enumerated once however often it is asked for; any other Aut is
+    streamed, so a caller that stops at the first match never holds it.
+    Both come in the same order: the keys of ``automorphism_classes`` are
+    sorted, and so is ``_iso_images(g, g)``.  ``generating_set`` adds the
+    least index outside the closure, so every index below g_k lies in
     <g_0..g_{k-1}>, whose images those of g_0..g_{k-1} fix, and position
     g_k of an image array holds the image of g_k.  Two image arrays
     therefore first differ at the first generator whose images differ, and
     the lexicographic order of generator images is the sorted order."""
     if g1 is g2:
-        for images in automorphism_classes(g1, bound=g1.order):
-            yield GroupMap(g1, g1, images, check=False)
-        return
+        if g1._aut_classes is None and g1.order <= HELD_AUT_ORDER:
+            automorphism_classes(g1, bound=HELD_AUT_ORDER)
+        if g1._aut_classes is not None:
+            for images in g1._aut_classes:
+                yield GroupMap(g1, g1, images, check=False)
+            return
     if g1.order != g2.order or g1.element_order_multiset() != g2.element_order_multiset():
         return
     for images in _iso_images(g1, g2):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ContractViolation, StructuralError
+from .errors import CapacityError, ContractViolation, StructuralError
 from .groups import (FiniteGroup, GroupMap, _greedy_closure, _json_int,
                      _json_ints, _json_object, _json_rows)
 
@@ -245,6 +245,8 @@ def quandle_from_json(text: str) -> Quandle:
             images = prov["automorphism"]
         except KeyError:
             pass  # a group outside the catalog, or no map: loaded without provenance
+        except CapacityError as exc:  # such as C0, Dic1, or past the build cap
+            raise StructuralError(f"provenance group cannot be built: {exc}") from exc
         else:
             psi = GroupMap(g, g, tuple(_json_ints(images, "automorphism")), check=True)
             if not psi.is_bijective:

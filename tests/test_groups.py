@@ -321,12 +321,6 @@ def test_group_from_json_rejects_malformed_fields(field, value):
         group_from_json(json.dumps(data))
 
 
-@pytest.mark.parametrize("text", ["5", "null", "[]", '"name"'])
-def test_group_from_json_rejects_a_payload_that_is_not_an_object(text):
-    with pytest.raises(StructuralError):
-        group_from_json(text)
-
-
 def _relabelled(g: FiniteGroup, perm) -> FiniteGroup:
     """The copy of g whose element x is called perm[x] (perm fixes 0)."""
     inv = [0] * g.order

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism)
-from quandles import iso
+from quandles import groups, iso
 from quandles.classify import _pair_objects, classify_order
 from quandles.errors import CapacityError, ContractViolation, VerificationError
 from quandles.groups import (GroupMap, automorphism_classes,
@@ -18,6 +18,7 @@ from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
                           check_theorem39_properties, decide, isomorphic_method,
                           normalize_witness, simple_group_decider, theorem13_iso,
                           verdict_from_json, verify_quandle_witness)
+from quandles.invariants import restrict_to_P
 from quandles.quandle import general_alexander, trivial_quandle
 
 
@@ -137,6 +138,26 @@ def test_abelian_decider():
     with pytest.raises(ContractViolation):
         d4 = build_named("D4")
         abelian_decider(d4, identity_map(d4), d4, identity_map(d4))
+
+
+def test_abelian_decider_stops_at_the_first_intertwining_h(monkeypatch):
+    # psi is fixed-point free, so P is all of C2^5, whose Aut = GL(5, 2) has
+    # about 1.0e7 elements; h = id intertwines psi with itself and comes first
+    real = groups._iso_images
+
+    def capped(src, dst):
+        for count, images in enumerate(real(src, dst)):
+            assert count < 1000, "Aut(P) enumerated past the first match"
+            yield images
+
+    monkeypatch.setattr(groups, "_iso_images", capped)
+    g = build_named("C2xC2xC2xC2xC2")
+    # the companion matrix of x^5 + x^2 + 1, which has no root in F_2
+    psi = named_automorphism(g, "mat:0,0,0,0,1;1,0,0,0,0;0,1,0,0,1;0,0,1,0,0;0,0,0,1,0@2")
+    assert [x for x in range(g.order) if psi.images[x] == x] == [0]
+    v = decide(g, psi, g, psi)
+    assert (v.result, v.method) == (ISOMORPHIC, "abelian-nelson")
+    assert restrict_to_P(g, psi)[0]._aut_classes is None
 
 
 def test_abelian_decider_agrees_with_theorem13():

@@ -336,16 +336,20 @@ def _c2_payload(**fields) -> str:
     {"automorphism": "ab"}, {"automorphism": [0, 5]}, {"automorphism": [0, -1]},
     {"automorphism": None}, {"automorphism": [0, 1.0]},
     {"sym": 5}, {"sym": [[0, 1], 5]}, {"sym": [[0, 1], [0, None]]},
-    {"size": "x"}, {"size": None}])
+    {"size": "x"}, {"size": None},
+    {"provenance": {"group": "C0", "automorphism": [0, 1]}},
+    {"provenance": {"group": "Dic1", "automorphism": [0, 1]}},
+    {"provenance": {"group": "C200", "automorphism": [0, 1]}}])
 def test_quandle_from_json_rejects_malformed_fields(fields):
     with pytest.raises(StructuralError):
         quandle_from_json(_c2_payload(**fields))
 
 
+@pytest.mark.parametrize("load", [group_from_json, quandle_from_json])
 @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"size"'])
-def test_quandle_from_json_rejects_a_payload_that_is_not_an_object(text):
+def test_json_loaders_reject_a_payload_that_is_not_an_object(load, text):
     with pytest.raises(StructuralError):
-        quandle_from_json(text)
+        load(text)
 
 
 def test_quandle_from_json_drops_a_provenance_outside_the_catalog():
@@ -371,14 +375,18 @@ def _json_payloads():
             (group_from_json, group_to_json(s3))]
 
 
-# no digits in the strings, so a group name can never ask for a large build
+# group names with parameters that cannot be built (C0, Dic1) or that can;
+# S_n and A_n stop at n = 5, so no name asks for a large build
+_GROUP_NAMES = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["C", "D", "Dic"]), st.integers(0, 9)),
+    st.builds("{}{}".format, st.sampled_from(["S", "A"]), st.integers(0, 5)))
 _WRONG_TYPED = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 9), st.floats(-2, 9),
-    st.text(alphabet="ab[]{} ", max_size=3),
+    st.text(alphabet="ab[]{} ", max_size=3), _GROUP_NAMES,
     st.lists(st.integers(-2, 9), max_size=4),
     st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3),
     st.dictionaries(st.sampled_from(["group", "automorphism", "a"]),
-                    st.integers(0, 3), max_size=2))
+                    st.one_of(st.integers(0, 3), _GROUP_NAMES), max_size=2))
 
 
 @settings(max_examples=200, deadline=None)
