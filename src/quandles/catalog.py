@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd, prod
 
 from .errors import CapacityError, ContractViolation, NameLookupError, StructuralError
 from .groups import (FiniteGroup, GroupMap, automorphism_group,
@@ -110,11 +110,25 @@ def build(spec: GroupSpec) -> FiniteGroup:
     cached = _build_cache.get(spec)
     if cached is not None:
         return cached
+    if not 1 <= _spec_order(spec) <= MAX_BUILD_ORDER:
+        raise CapacityError(f"{spec.name()}: order outside 1..{MAX_BUILD_ORDER}")
     g = _build_uncached(spec)
-    if g.order > MAX_BUILD_ORDER:
-        raise CapacityError(f"group order {g.order} exceeds cap {MAX_BUILD_ORDER}")
     _build_cache[spec] = g
     return g
+
+
+def _spec_order(spec: GroupSpec) -> int:
+    """The order of the group a spec builds; S_n and A_n count n > 8 as 8."""
+    k, p = spec.kind, spec.params
+    if k == "product":
+        return prod(_spec_order(sub) for sub in p)
+    if k in ("symmetric", "alternating"):
+        n = factorial(min(max(p[0], 0), 8))
+        return n if k == "symmetric" else max(n // 2, 1)
+    if k == "semidirect_cyclic":
+        return p[0] * p[1]
+    scale = {"cyclic": 1, "dihedral": 2, "dicyclic": 4}
+    return scale[k] * p[0] if k in scale else {"sl2_3": 24, "c4c2_twist": 16}.get(k, 1)
 
 
 def _build_uncached(spec: GroupSpec) -> FiniteGroup:
@@ -142,15 +156,11 @@ def _build_uncached(spec: GroupSpec) -> FiniteGroup:
 
 
 def _cyclic_group(n: int, spec: GroupSpec) -> FiniteGroup:
-    if n < 1:
-        raise CapacityError("cyclic order must be positive")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=spec.name(), spec=spec, check=False)
 
 
 def _dihedral_group(n: int, spec: GroupSpec) -> FiniteGroup:
-    if n < 1:
-        raise CapacityError("dihedral parameter must be positive")
     size = 2 * n
 
     def mul(x, y):

@@ -180,7 +180,8 @@ class GroupMap:
     check: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(v) for v in self.images))
+        object.__setattr__(self, "images", tuple(int(v) for v in self.images)
+                           if self.check else tuple(self.images))
         if len(self.images) != self.source.order:
             raise StructuralError("image array length mismatch")
         if self.check:
@@ -288,10 +289,11 @@ def is_simple(g: FiniteGroup) -> bool:
 
 
 def _normal_closure_scan(g: FiniteGroup) -> bool:
-    """True iff the normal closure of every x != e is all of G."""
+    """True iff the normal closure of each x != e (one per class) is all of G."""
     if g.order == 1:
         return False
-    for x in range(1, g.order):
+    reps = {min(g.conj(a, x) for a in range(g.order)) for x in range(1, g.order)}
+    for x in sorted(reps):
         closure = {0, x}
         frontier = [x]
         while frontier:

@@ -112,24 +112,24 @@ def _joint_refine(q1: Quandle, q2: Quandle, k1=None,
 
     It starts from the cycle types of the symmetries unless initial keys
     ``k1``/``k2`` are given; an isomorphism that preserves the initial keys
-    preserves the final colors."""
+    preserves the final colors.  Triples of colors sort as base-k ints."""
     def relabel(k1, k2):
         key_ids = {k: i for i, k in enumerate(sorted(set(k1) | set(k2)))}
         return [key_ids[k] for k in k1], [key_ids[k] for k in k2]
+
+    def step(q, c, k):
+        return [(c[x], tuple(sorted([(cy * k + c[r]) * k + c[t]
+                                     for cy, r, t in zip(c, row, col)])))
+                for x, (row, col) in enumerate(zip(q.sym, zip(*q.sym)))]
 
     if k1 is None:
         k1 = [(_cycle_type(q1.sym[x]),) for x in range(q1.size)]
         k2 = [(_cycle_type(q2.sym[x]),) for x in range(q2.size)]
     c1, c2 = relabel(k1, k2)
     while True:
-        def step(q, c):
-            return [
-                (c[x], tuple(sorted((c[y], c[q.sym[x][y]], c[q.sym[y][x]])
-                                    for y in range(q.size))))
-                for x in range(q.size)
-            ]
-        n1, n2 = relabel(step(q1, c1), step(q2, c2))
-        if len(set(n1) | set(n2)) == len(set(c1) | set(c2)):
+        k = len(set(c1) | set(c2))
+        n1, n2 = relabel(step(q1, c1, k), step(q2, c2, k))
+        if len(set(n1) | set(n2)) == k:
             return n1, n2
         c1, c2 = n1, n2
 
@@ -138,12 +138,14 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
                     bound: int = DEFAULT_BRUTE_BOUND) -> IsoVerdict:
     """Complete decision by backtracking point-map search.
 
-    When both inputs are generalized Alexander quandles the image of point 0
-    is pinned to 0 (any isomorphism can be normalized to fix the identity by
-    composing with a left translation).  Point 0 is then individualized and
-    both colorings are refined jointly once, as in the partition
-    backtracking of McKay (1981) and McKay and Piperno (2014).  This is
-    sound because every isomorphism reached under the pin fixes 0, so it
+    For two generalized Alexander quandles the first coloring is skipped:
+    each s_x = L_x psi L_x^-1 has psi's cycle type and the left translations
+    are automorphisms, so it is constant on each side and separates the
+    inputs iff the cycle types of s_0 differ (provenance is proved on JSON
+    load).  The image of 0 is then pinned to 0 (an isomorphism composed with
+    a left translation fixes the identity), 0 is individualized and both
+    colorings are refined jointly once, as in McKay (1981) and McKay and
+    Piperno (2014).  Every isomorphism reached under the pin fixes 0, so it
     preserves the refined colors; pruning by them removes only subtrees
     without an isomorphism.  Candidate lists come from the unrefined
     colors, so the variable and value order, and hence the first witness
@@ -153,7 +155,11 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     n = q1.size
     if n > bound:
         raise CapacityError(f"brute force capped at size {bound}, got {n}")
-    c1, c2 = _joint_refine(q1, q2)
+    alexander = q1.is_general_alexander() and q2.is_general_alexander()
+    if alexander:  # side 2's one color differs iff the cycle types do
+        c1, c2 = [0] * n, [int(_cycle_type(q1.sym[0]) != _cycle_type(q2.sym[0]))] * n
+    else:
+        c1, c2 = _joint_refine(q1, q2)
     if sorted(c1) != sorted(c2):
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE,
                           note="structural colorings differ")
@@ -190,7 +196,7 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
             minv[m[x]] = -1
             m[x] = -1
 
-    if q1.is_general_alexander() and q2.is_general_alexander():
+    if alexander:
         if not attempt(0, 0):
             return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE,
                               note="identity pinning fails")

@@ -233,35 +233,32 @@ def claim_dihedral_formulas() -> ClaimResult:
     for n in range(1, 9):
         g = build(dihedral(n))
         units = [a for a in range(n) if gcd(a, n) == 1] if n > 1 else [0]
-        for a in units:
-            for b in range(n) if n > 1 else [0]:
-                x = DihedralAut(n, a, b)
-                psi = x.as_group_map(g)
-                if fix_size_dn(x) != fixed_subgroup(psi).order:
-                    bad.append(f"fix n={n},a={a},b={b}")
-                d, g2 = p_subgroups_dn(x)
-                P = compute_P(g, psi)
-                want_p = sorted({(d * j) % n for j in range(n // d)}) if n > 1 else [0]
-                if list(P.members) != want_p:
-                    bad.append(f"P n={n},a={a},b={b}")
-                P2 = compute_P2(g, psi)
-                step = d * g2
-                want_p2 = (sorted({(step * j) % n for j in range(max(1, n // step))})
-                           if n > 1 else [0])
-                if list(P2.members) != want_p2:
-                    bad.append(f"P2 n={n},a={a},b={b}")
+        auts = [DihedralAut(n, a, b) for a in units for b in range(n)]
+        maps = {x: x.as_group_map(g) for x in auts}
+        for x, psi in maps.items():
+            if fix_size_dn(x) != fixed_subgroup(psi).order:
+                bad.append(f"fix n={n},a={x.a},b={x.b}")
+            d, g2 = p_subgroups_dn(x)
+            P = compute_P(g, psi)
+            want_p = sorted({(d * j) % n for j in range(n // d)}) if n > 1 else [0]
+            if list(P.members) != want_p:
+                bad.append(f"P n={n},a={x.a},b={x.b}")
+            P2 = compute_P2(g, psi)
+            step = d * g2
+            want_p2 = (sorted({(step * j) % n for j in range(max(1, n // step))})
+                       if n > 1 else [0])
+            if list(P2.members) != want_p2:
+                bad.append(f"P2 n={n},a={x.a},b={x.b}")
         if n >= 3:
             class_of = automorphism_classes(g)
             classes = set(class_of.values())
-            all_dn = [DihedralAut(n, a, b) for a in units for b in range(n)]
-            for x, y in itertools.combinations(all_dn, 2):
+            for x, y in itertools.combinations(maps, 2):
                 formula = are_conjugate_dn(x, y)
-                brute = (class_of[x.as_group_map(g).images]
-                         == class_of[y.as_group_map(g).images])
+                brute = class_of[maps[x].images] == class_of[maps[y].images]
                 if formula != brute:
                     bad.append(f"conj n={n} {x} {y}")
             reps = conjugacy_reps_aut_dn(n)
-            rep_imgs = {r.as_group_map(g).images for r in reps}
+            rep_imgs = {maps[r].images for r in reps}
             if len(reps) != len(classes) or len(rep_imgs) != len(classes):
                 bad.append(f"reps n={n}")
             hit = {class_of[im] for im in rep_imgs}

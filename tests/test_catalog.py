@@ -1,12 +1,14 @@
 import itertools
+import json
 
 import pytest
 
-from quandles.catalog import (GROUP_COUNTS, GroupSpec, _build_uncached, build,
-                              build_named, cyclic, dicyclic, dihedral,
+from quandles.catalog import (GROUP_COUNTS, GroupSpec, _build_uncached, _spec_order,
+                              build, build_named, cyclic, dicyclic, dihedral,
                               groups_of_order, named_automorphism, product,
                               quaternion8, spec_from_name)
-from quandles.errors import CapacityError, ContractViolation, NameLookupError
+from quandles.errors import (CapacityError, ContractViolation, NameLookupError,
+                             StructuralError)
 from quandles.groups import (FiniteGroup, automorphism_group, center,
                              fixed_subgroup, groups_isomorphic)
 
@@ -39,6 +41,30 @@ def test_build_deterministic():
 def test_build_order_cap():
     with pytest.raises(CapacityError):
         build(cyclic(200))
+
+
+def test_spec_order_is_the_built_order():
+    specs = [s for n in range(1, 17) for s in groups_of_order(n)]
+    specs += [spec_from_name(name) for name in ("A5", "S5", "SL23", "S3xS3")]
+    for spec in specs:
+        assert _spec_order(spec) == build(spec).order, spec
+
+
+def test_over_capacity_spec_is_refused_before_building(monkeypatch):
+    from quandles import catalog
+    from quandles.quandle import quandle_from_json
+
+    def unbuildable(spec):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr(catalog, "_build_uncached", unbuildable)
+    for name in ("C1000", "S6", "S3xS3xS3"):
+        with pytest.raises(CapacityError):
+            build_named(name)
+    payload = {"size": 2, "sym": [[0, 1], [0, 1]],
+               "provenance": {"group": "C1000", "automorphism": [0, 1]}}
+    with pytest.raises(StructuralError, match="outside 1..128"):
+        quandle_from_json(json.dumps(payload))
 
 
 def test_dihedral_presentation():

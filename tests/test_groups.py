@@ -127,6 +127,41 @@ def test_is_simple():
     assert is_simple(build_named("A5"))
 
 
+def _per_element_closure_scan(g):
+    """is_simple by one normal closure per element x != e."""
+    if g.order == 1:
+        return False
+    for x in range(1, g.order):
+        closure = {0, x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for a in range(g.order):
+                c = g.conj(a, y)
+                if c not in closure:
+                    closure.add(c)
+                    frontier.append(c)
+            for z in tuple(closure):
+                for w in (g.table[y][z], g.table[z][y]):
+                    if w not in closure:
+                        closure.add(w)
+                        frontier.append(w)
+        if len(closure) < g.order:
+            return False
+    return True
+
+
+def test_closure_scan_per_class_matches_the_per_element_scan():
+    specs = [s for n in range(1, 17) for s in groups_of_order(n)]
+    extra = [build_named(name) for name in ("A5", "S4", "S5", "SL23", "S3xS3")]
+    simple = []
+    for g in [build(s) for s in specs] + extra:
+        assert groups._normal_closure_scan(g) == _per_element_closure_scan(g), g.name
+        if groups._normal_closure_scan(g):
+            simple.append(g.name)
+    assert simple == ["C2", "C3", "C5", "C7", "C11", "C13", "A5"]
+
+
 def test_is_simple_is_the_closure_scan_computed_once(monkeypatch):
     specs = [s for n in range(1, 17) for s in groups_of_order(n)]
     extra = [build_named(name) for name in ("A5", "S4", "S5", "SL23")]

@@ -350,15 +350,39 @@ def test_decide_is_symmetric(data):
         assert isomorphic_method(g2, psi2, g1, psi1) == forward.method
 
 
-def _unpruned_brute_force_iso(q1, q2, bound=iso.DEFAULT_BRUTE_BOUND):
-    """The search as it was before the pinned identity was individualized:
-    one coloring, computed before the pin, and no further pruning."""
+def _triple_joint_refine(q1, q2, k1=None, k2=None):
+    """The joint refinement that sorts (c[y], c[s_x(y)], c[s_y(x)]) triples."""
+    def relabel(k1, k2):
+        key_ids = {k: i for i, k in enumerate(sorted(set(k1) | set(k2)))}
+        return [key_ids[k] for k in k1], [key_ids[k] for k in k2]
+
+    if k1 is None:
+        k1 = [(iso._cycle_type(q1.sym[x]),) for x in range(q1.size)]
+        k2 = [(iso._cycle_type(q2.sym[x]),) for x in range(q2.size)]
+    c1, c2 = relabel(k1, k2)
+    while True:
+        def step(q, c):
+            return [
+                (c[x], tuple(sorted((c[y], c[q.sym[x][y]], c[q.sym[y][x]])
+                                    for y in range(q.size))))
+                for x in range(q.size)
+            ]
+        n1, n2 = relabel(step(q1, c1), step(q2, c2))
+        if len(set(n1) | set(n2)) == len(set(c1) | set(c2)):
+            return n1, n2
+        c1, c2 = n1, n2
+
+
+def _reference_brute_force_iso(q1, q2, individualize, bound=iso.DEFAULT_BRUTE_BOUND):
+    """The search with the full first refinement on every input; with
+    ``individualize`` the pinned identity also gets a color of its own and
+    the colorings are refined again, otherwise nothing more is pruned."""
     if q1.size != q2.size:
         return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE, note="sizes differ")
     n = q1.size
     if n > bound:
         raise CapacityError(f"brute force capped at size {bound}, got {n}")
-    c1, c2 = iso._joint_refine(q1, q2)
+    c1, c2 = _triple_joint_refine(q1, q2)
     if sorted(c1) != sorted(c2):
         return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE,
                               note="structural colorings differ")
@@ -399,6 +423,11 @@ def _unpruned_brute_force_iso(q1, q2, bound=iso.DEFAULT_BRUTE_BOUND):
         if not attempt(0, 0):
             return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE,
                                   note="identity pinning fails")
+        if individualize:
+            c1, c2 = _triple_joint_refine(q1, q2, [(c, x == 0) for x, c in enumerate(c1)],
+                                          [(c, x == 0) for x, c in enumerate(c2)])
+            if sorted(c1) != sorted(c2):
+                return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE)
 
     def search():
         best_x, best_cands = -1, None
@@ -467,6 +496,50 @@ def test_pruned_search_matches_the_unpruned_one():
     counts = {}
     for q1, q2 in _pruned_search_inputs():
         pruned = brute_force_iso(q1, q2).to_json_dict()
-        assert pruned == _unpruned_brute_force_iso(q1, q2).to_json_dict(), (q1, q2)
+        unpruned = _reference_brute_force_iso(q1, q2, individualize=False)
+        assert pruned == unpruned.to_json_dict(), (q1, q2)
         counts[pruned["result"]] = counts.get(pruned["result"], 0) + 1
     assert counts[ISOMORPHIC] > 0 and counts[NOT_ISOMORPHIC] > 0
+
+
+def test_brute_force_skips_only_a_uniform_first_refinement():
+    # for Q(G, psi) the first refinement is constant on each side, so
+    # skipping it and sorting one int per point pair change no verdict,
+    # note, witness or color; inputs without provenance keep the full
+    # refinement
+    from quandles.quandle import Quandle
+    seen = {}
+    for order in range(1, 13):
+        quandles = [general_alexander(g, rep)
+                    for spec in groups_of_order(order) for g in [build(spec)]
+                    for rep, _ in automorphism_conjugacy_classes(g)]
+        inputs = [quandles]
+        if order <= 8:
+            inputs.append([Quandle(q.size, q.sym) for q in quandles])
+        for qs in inputs:
+            for q1, q2 in itertools.product(qs, repeat=2):
+                got = brute_force_iso(q1, q2).to_json_dict()
+                want = _reference_brute_force_iso(q1, q2, individualize=True)
+                assert got == want.to_json_dict(), (q1, q2)
+                # the int keys give the same color numbers as the triples
+                pinned = [[(0, x == 0) for x in range(q.size)] for q in (q1, q2)]
+                for keys in ([None, None], pinned):
+                    assert (iso._joint_refine(q1, q2, *keys)
+                            == _triple_joint_refine(q1, q2, *keys))
+                seen[got.get("note")] = seen.get(got.get("note"), 0) + 1
+    assert seen[None] > 0 and seen["structural colorings differ"] > 0
+
+
+def test_dihedral_claim_builds_each_phi_once(monkeypatch):
+    from quandles import catalog
+    from quandles.verification import claim_dihedral_formulas
+    real, calls = catalog._map_from_formula, []
+
+    def counting(g, fn):
+        calls.append((g.order, tuple(fn(x) for x in range(g.order))))
+        return real(g, fn)
+
+    monkeypatch.setattr(catalog, "_map_from_formula", counting)
+    assert claim_dihedral_formulas().ok
+    # one phi_{a,b} per unit a and b mod n, for n = 1..8
+    assert len(calls) == len(set(calls)) == 123
