@@ -19,11 +19,13 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, gcd, prod
 
 from .errors import CapacityError, ContractViolation, NameLookupError, StructuralError
-from .groups import (FiniteGroup, GroupMap, automorphism_group,
-                     groups_isomorphic, identity_map, inner_automorphism)
+from .groups import (FiniteGroup, GroupMap, automorphism_conjugacy_classes,
+                     automorphism_group, groups_isomorphic, identity_map,
+                     inner_automorphism)
 
 MAX_BUILD_ORDER = 128
 
@@ -139,11 +141,8 @@ def _build_uncached(spec: GroupSpec) -> FiniteGroup:
         return _dihedral_group(p[0], spec)
     if k == "dicyclic":
         return _dicyclic_group(p[0], spec)
-    if k == "symmetric":
-        return _perm_group(list(itertools.permutations(range(p[0]))), spec)
-    if k == "alternating":
-        perms = [q for q in itertools.permutations(range(p[0])) if _parity(q) == 0]
-        return _perm_group(perms, spec)
+    if k in ("symmetric", "alternating"):
+        return _perm_group(_perm_elements(spec), spec)
     if k == "sl2_3":
         return _sl23_group(spec)
     if k == "product":
@@ -151,7 +150,8 @@ def _build_uncached(spec: GroupSpec) -> FiniteGroup:
     if k == "semidirect_cyclic":
         return _semidirect_cyclic_group(*p, spec=spec)
     if k == "c4c2_twist":
-        return _c4c2_twist_group(p[0], spec)
+        return FiniteGroup(_c4c2_twists()[p[0]].table, name=spec.name(), spec=spec,
+                           check=False)
     raise StructuralError(f"unknown spec kind {k!r}")
 
 
@@ -198,47 +198,40 @@ def _parity(perm: tuple[int, ...]) -> int:
     return inv % 2
 
 
-def _perm_group(perms: list[tuple[int, ...]], spec: GroupSpec) -> FiniteGroup:
-    perms = sorted(perms)
+@cache
+def _perm_elements(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """The elements of S_n or A_n in lexicographic order, as
+    ``itertools.permutations`` yields them."""
+    perms = itertools.permutations(range(spec.params[0]))
+    return tuple(q for q in perms if spec.kind == "symmetric" or _parity(q) == 0)
+
+
+def _perm_group(perms: tuple[tuple[int, ...], ...], spec: GroupSpec) -> FiniteGroup:
     pos = {q: i for i, q in enumerate(perms)}
-    table = [[pos[tuple(a[b[i]] for i in range(len(b)))] for b in perms]
-             for a in perms]
-    g = FiniteGroup(table, name=spec.name(), spec=spec, check=False)
-    return g
+    table = [[pos[tuple(map(a.__getitem__, b))] for b in perms] for a in perms]
+    return FiniteGroup(table, name=spec.name(), spec=spec, check=False)
 
 
 def _product_group(factors: list[FiniteGroup], spec: GroupSpec) -> FiniteGroup:
+    """A x B x ... as the semidirect product with the identity action."""
     if len(factors) < 2:
         raise CapacityError("product needs at least two factors")
     g = factors[0]
     for h in factors[1:]:
-        size = g.order * h.order
-        table = [[0] * size for _ in range(size)]
-        for a1 in range(g.order):
-            for b1 in range(h.order):
-                x = a1 * h.order + b1
-                for a2 in range(g.order):
-                    ga = g.table[a1][a2]
-                    for b2 in range(h.order):
-                        table[x][a2 * h.order + b2] = ga * h.order + h.table[b1][b2]
-        g = FiniteGroup(table, name="tmp", spec=None, check=False)
-    return FiniteGroup(g.table, name=spec.name(), spec=spec, check=False)
+        g = FiniteGroup(semidirect_table(h, g, [tuple(range(h.order))] * g.order),
+                        name=spec.name(), spec=spec, check=False)
+    return g
 
 
-_SL23_ELEMENTS: list[tuple[int, int, int, int]] | None = None
-
-
+@cache
 def _sl23_elements() -> list[tuple[int, int, int, int]]:
-    global _SL23_ELEMENTS
-    if _SL23_ELEMENTS is None:
-        mats = [(a, b, c, d)
-                for a in range(3) for b in range(3)
-                for c in range(3) for d in range(3)
-                if (a * d - b * c) % 3 == 1]
-        ident = (1, 0, 0, 1)
-        mats.remove(ident)
-        _SL23_ELEMENTS = [ident] + sorted(mats)
-    return _SL23_ELEMENTS
+    mats = [(a, b, c, d)
+            for a in range(3) for b in range(3)
+            for c in range(3) for d in range(3)
+            if (a * d - b * c) % 3 == 1]
+    ident = (1, 0, 0, 1)
+    mats.remove(ident)
+    return [ident] + sorted(mats)
 
 
 def _sl23_group(spec: GroupSpec) -> FiniteGroup:
@@ -257,46 +250,43 @@ def _sl23_group(spec: GroupSpec) -> FiniteGroup:
 
 def sl23_element_index(mat) -> int:
     """Index of a matrix ((a,b),(c,d)) mod 3 inside the SL23 ordering."""
-    a, b, c, d = (int(v) % 3 for v in (mat[0][0], mat[0][1], mat[1][0], mat[1][1]))
-    flat = (a, b, c, d)
+    flat = tuple(int(v) % 3 for v in (mat[0][0], mat[0][1], mat[1][0], mat[1][1]))
     mats = _sl23_elements()
     if flat not in mats:
         raise StructuralError(f"{flat} is not in SL(2,3)")
     return mats.index(flat)
 
 
-def semidirect_table(base: FiniteGroup, act: GroupMap, m: int) -> list[list[int]]:
-    """Cayley table of base x| C_m with C_m acting through powers of ``act``:
-    (x, i)(y, j) = (x * act^i(y), i + j), index((x, i)) = i*|base| + x."""
-    powers = [tuple(range(base.order))]
-    for _ in range(m - 1):
-        powers.append(tuple(act.images[v] for v in powers[-1]))
-    size = base.order * m
-    table = [[0] * size for _ in range(size)]
-    for i in range(m):
-        pwi = powers[i]
-        for x in range(base.order):
-            u = i * base.order + x
-            for j in range(m):
-                for y in range(base.order):
-                    v = j * base.order + y
-                    table[u][v] = ((i + j) % m) * base.order + base.table[x][pwi[y]]
+def semidirect_table(base: FiniteGroup, top: FiniteGroup, action) -> list[list[int]]:
+    """Cayley table of base x| top, ``action[t]`` the image array of the
+    automorphism of base that t acts by: (t, x)(u, y) = (tu, x * action[t](y)),
+    index((t, x)) = t*|base| + x.  The identity action gives top x base."""
+    n, table = base.order, []
+    for trow, act in zip(top.table, action):
+        for bx in base.table:
+            row = [bx[v] for v in act]
+            table.append([tu * n + w for tu in trow for w in row])
     return table
+
+
+def cyclic_action(images: tuple[int, ...], m: int) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+    """C_m acting through an automorphism: (C_m, image arrays of psi^0..psi^(m-1))."""
+    powers = [tuple(range(len(images)))]
+    for _ in range(m - 1):
+        powers.append(tuple(map(images.__getitem__, powers[-1])))
+    return _cyclic_group(m, cyclic(m)), powers
 
 
 def _semidirect_cyclic_group(n: int, m: int, act: int, spec: GroupSpec) -> FiniteGroup:
     if pow(act, m, n) != 1 % n or gcd(act, n) != 1:
         raise CapacityError(f"invalid semidirect action {act} mod {n}")
-    base = build(cyclic(n))
-    act_map = GroupMap(base, base, tuple((act * i) % n for i in range(n)), check=False)
-    return FiniteGroup(semidirect_table(base, act_map, m), name=spec.name(),
-                       spec=spec, check=True)
+    table = semidirect_table(build(cyclic(n)),
+                             *cyclic_action(tuple((act * i) % n for i in range(n)), m))
+    return FiniteGroup(table, name=spec.name(), spec=spec, check=True)
 
 
-_C4C2_TWISTS: dict[str, FiniteGroup] | None = None
-
-
-def _c4c2_twist_group(variant: str, spec: GroupSpec) -> FiniteGroup:
+@cache
+def _c4c2_twists() -> dict[str, FiniteGroup]:
     """The two non-product groups (C4xC2) x| C2.
 
     All involutive twisting actions are scanned; the resulting groups fall
@@ -305,33 +295,30 @@ def _c4c2_twist_group(variant: str, spec: GroupSpec) -> FiniteGroup:
     admits an automorphism of order 3; that one is exposed as SD16 and the
     other as TW16.  Uniqueness is asserted at build time.
     """
-    global _C4C2_TWISTS
-    if _C4C2_TWISTS is None:
-        base = build(product(cyclic(4), cyclic(2)))
-        d4c2 = build(product(dihedral(4), cyclic(2)))
-        types: list[FiniteGroup] = []
-        for amap in automorphism_group(base):
-            if amap.map_order() != 2:
-                continue
-            g = FiniteGroup(semidirect_table(base, amap, 2), name="scan", check=True)
-            if any(groups_isomorphic(g, t) is not None for t in types):
-                continue
-            types.append(g)
-        named: dict[str, FiniteGroup] = {}
-        for g in types:
-            if groups_isomorphic(g, d4c2) is not None:
-                continue
-            has3 = any(a.map_order() == 3 for a in automorphism_group(g))
-            key = "order3" if has3 else "plain"
-            if key in named:
-                raise StructuralError("twist scan: order-3 criterion is not "
-                                      "a unique selector")
-            named[key] = g
-        if set(named) != {"order3", "plain"}:
-            raise StructuralError("twist scan did not find both expected types")
-        _C4C2_TWISTS = named
-    g = _C4C2_TWISTS[variant]
-    return FiniteGroup(g.table, name=spec.name(), spec=spec, check=False)
+    base = build(product(cyclic(4), cyclic(2)))
+    d4c2 = build(product(dihedral(4), cyclic(2)))
+    types: list[FiniteGroup] = []
+    for amap in automorphism_group(base):
+        if amap.map_order() != 2:
+            continue
+        g = FiniteGroup(semidirect_table(base, *cyclic_action(amap.images, 2)),
+                        name="scan", check=True)
+        if any(groups_isomorphic(g, t) is not None for t in types):
+            continue
+        types.append(g)
+    named: dict[str, FiniteGroup] = {}
+    for g in types:
+        if groups_isomorphic(g, d4c2) is not None:
+            continue
+        has3 = any(a.map_order() == 3 for a in automorphism_group(g))
+        key = "order3" if has3 else "plain"
+        if key in named:
+            raise StructuralError("twist scan: order-3 criterion is not "
+                                  "a unique selector")
+        named[key] = g
+    if set(named) != {"order3", "plain"}:
+        raise StructuralError("twist scan did not find both expected types")
+    return named
 
 
 _ORDER16_SPECS = (
@@ -437,65 +424,17 @@ def _map_from_formula(g: FiniteGroup, fn) -> GroupMap:
     return m
 
 
-def _pair_index(g: FiniteGroup, second_order: int):
-    def enc(i, j):
-        return i * second_order + j
-
-    def dec(x):
-        return divmod(x, second_order)
-
-    return enc, dec
-
-
-def _c4c2_named(g: FiniteGroup, name: str) -> GroupMap:
-    enc, dec = _pair_index(g, 2)
-    if name == "psi_sigma":
-        def fn(x):
-            i, j = dec(x)
-            return enc((i + 2 * j) % 4, (i + j) % 2)
-    elif name == "psi_tau":
-        def fn(x):
-            i, j = dec(x)
-            return enc((-i) % 4, (i + j) % 2)
-    else:
-        raise NameLookupError(name)
-    return _map_from_formula(g, fn)
-
-
-def _c6c2_named(g: FiniteGroup, name: str) -> GroupMap:
-    enc, dec = _pair_index(g, 2)
-    if name == "alpha_sigma":
-        def fn(x):
-            i, j = dec(x)
-            return enc((2 * i + 3 * j) % 6, (i + j) % 2)
-    elif name == "alpha_tau":
-        def fn(x):
-            i, j = dec(x)
-            return enc((-i) % 6, (i + j) % 2)
-    else:
-        raise NameLookupError(name)
-    return _map_from_formula(g, fn)
-
-
-def _dic3_named(g: FiniteGroup, name: str) -> GroupMap:
-    def dec(x):
-        return divmod(x, 6)  # (eps, i) with index = eps*6 + i
-
-    def enc(eps, i):
-        return eps * 6 + i % 6
-
-    if name == "beta_sigma":
-        def fn(x):
-            eps, i = dec(x)
-            return enc(eps, i + eps)
-    elif name == "beta_tau":
-        def fn(x):
-            eps, i = dec(x)
-            return enc(eps, -i)
-    else:
-        raise NameLookupError(name)
-    return _map_from_formula(g, fn)
-
+# (spec name, atom) -> (k, f): the element x = u*k + v maps to f(u, v)
+_NAMED_FORMULAS = {
+    # C4xC2 and C6xC2: index (i, j) = i*2 + j
+    ("C4xC2", "psi_sigma"): (2, lambda i, j: (i + 2 * j) % 4 * 2 + (i + j) % 2),
+    ("C4xC2", "psi_tau"): (2, lambda i, j: -i % 4 * 2 + (i + j) % 2),
+    ("C6xC2", "alpha_sigma"): (2, lambda i, j: (2 * i + 3 * j) % 6 * 2 + (i + j) % 2),
+    ("C6xC2", "alpha_tau"): (2, lambda i, j: -i % 6 * 2 + (i + j) % 2),
+    # Dic3: index a^i b^eps = eps*6 + i
+    ("Dic3", "beta_sigma"): (6, lambda eps, i: eps * 6 + (i + eps) % 6),
+    ("Dic3", "beta_tau"): (6, lambda eps, i: eps * 6 + -i % 6),
+}
 
 _Q8_NAMED = {
     # ordering: 0:1 1:i 2:-1 3:-i 4:j 5:k 6:-j 7:-k
@@ -505,12 +444,6 @@ _Q8_NAMED = {
     "psi_4": (0, 4, 2, 6, 5, 1, 7, 3),
     "psi_5": (0, 4, 2, 6, 3, 5, 1, 7),
 }
-
-
-def _q8_named(g: FiniteGroup, name: str) -> GroupMap:
-    if name not in _Q8_NAMED:
-        raise NameLookupError(name)
-    return GroupMap(g, g, _Q8_NAMED[name], check=True)
 
 
 def dihedral_phi(g: FiniteGroup, a: int, b: int) -> GroupMap:
@@ -541,6 +474,8 @@ def cyclic_mul(g: FiniteGroup, a: int) -> GroupMap:
 def matrix_map(g: FiniteGroup, rows: list[list[int]], p: int) -> GroupMap:
     """v -> M v on an elementary abelian group (C_p)^k with lexicographic packing."""
     k = len(rows)
+    if any(len(row) != k for row in rows):
+        raise ContractViolation("matrix is not square")
     if g.order != p ** k:
         raise ContractViolation(f"group order {g.order} is not {p}^{k}")
 
@@ -580,28 +515,33 @@ def swap_map(g: FiniteGroup) -> GroupMap:
 
 def factor_lift(g: FiniteGroup, side: str, inner: GroupMap) -> GroupMap:
     """Lift an automorphism of one factor of a binary product, identity elsewhere."""
+    second = build(_binary_factors(g)[1]).order
+    if side not in ("left", "right"):
+        raise NameLookupError(side)
+
+    def fn(x):
+        i, j = divmod(x, second)
+        if side == "left":
+            return inner.images[i] * second + j
+        return i * second + inner.images[j]
+
+    return _map_from_formula(g, fn)
+
+
+def _binary_factors(g: FiniteGroup) -> tuple[GroupSpec, GroupSpec]:
     if g.spec is None or g.spec.kind != "product" or len(g.spec.params) != 2:
         raise ContractViolation("factor lifts need a binary product group")
-    second = build(g.spec.params[1]).order
-
-    if side == "left":
-        def fn(x):
-            i, j = divmod(x, second)
-            return inner.images[i] * second + j
-    elif side == "right":
-        def fn(x):
-            i, j = divmod(x, second)
-            return i * second + inner.images[j]
-    else:
-        raise NameLookupError(side)
-    return _map_from_formula(g, fn)
+    return g.spec.params
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Parse 1-based cycle notation like "(1 2)(3 4)" into a 0-based image tuple."""
     images = list(range(degree))
     for grp in re.findall(r"\(([^()]*)\)", text):
-        entries = [int(tok) - 1 for tok in re.split(r"[,\s]+", grp.strip()) if tok]
+        try:
+            entries = [int(tok) - 1 for tok in re.split(r"[,\s]+", grp.strip()) if tok]
+        except ValueError as exc:
+            raise StructuralError(f"cycle entry is not an integer in {text!r}") from exc
         if any(not 0 <= v < degree for v in entries):
             raise StructuralError(f"cycle entry out of range in {text!r}")
         if len(set(entries)) != len(entries):
@@ -622,10 +562,7 @@ def perm_conjugation(g: FiniteGroup, perm: tuple[int, ...]) -> GroupMap:
     deg = g.spec.params[0]
     if len(perm) != deg:
         raise ContractViolation("permutation degree mismatch")
-    elems = (sorted(itertools.permutations(range(deg)))
-             if g.spec.kind == "symmetric"
-             else sorted(q for q in itertools.permutations(range(deg))
-                         if _parity(q) == 0))
+    elems = _perm_elements(g.spec)
     pos = {q: i for i, q in enumerate(elems)}
     pinv = [0] * deg
     for i, v in enumerate(perm):
@@ -708,56 +645,62 @@ def _named_atom(g: FiniteGroup, name: str) -> GroupMap:
     return out
 
 
+def _atom_ints(atom: str, tokens, count: int | None = None) -> list[int]:
+    """The integers of an atom's argument; NameLookupError names the atom
+    when a token is not an integer or there are not ``count`` of them."""
+    try:
+        vals = [int(t) for t in tokens]
+    except ValueError:
+        vals = None
+    if vals is None or count not in (None, len(vals)):
+        raise NameLookupError(f"malformed automorphism name {atom!r}")
+    return vals
+
+
 def _named_base(g: FiniteGroup, name: str) -> GroupMap:
     if name == "id":
         return identity_map(g)
     m = _ATOM_RE.match(name)
-    head = m.group("head") if m else None
-    arg = m.group("arg") if m else None
-    kind = g.spec.kind if g.spec is not None else None
+    head, arg = m.group("head", "arg") if m else (None, None)
 
     if name.startswith("images:"):
         payload = name[len("images:"):].strip()
-        vals = [int(t) for t in re.split(r"[,\s]+", payload.strip("[]")) if t]
-        gm = GroupMap(g, g, tuple(vals), check=True)
+        tokens = [t for t in re.split(r"[,\s]+", payload.strip("[]")) if t]
+        gm = GroupMap(g, g, tuple(_atom_ints(name, tokens)), check=True)
         if not gm.is_bijective:
             raise ContractViolation("image array is not bijective")
         return gm
     if head == "conj" and arg is not None:
-        return inner_automorphism(g, int(arg))
+        return inner_automorphism(g, _atom_ints(name, [arg], 1)[0])
     if head == "conj_perm" and arg is not None:
         deg = g.spec.params[0] if g.spec and g.spec.kind in ("symmetric", "alternating") else 0
         if not deg:
             raise ContractViolation("conj_perm needs an S_n or A_n group")
         return perm_conjugation(g, parse_cycles(arg, deg))
     if head == "classrep" and arg is not None:
-        from .groups import automorphism_conjugacy_classes
         classes = automorphism_conjugacy_classes(g)
-        idx = int(arg)
+        idx = _atom_ints(name, [arg], 1)[0]
         if not 0 <= idx < len(classes):
             raise NameLookupError(f"classrep index {idx} out of range")
         return classes[idx][0]
     if head == "phi" and arg is not None:
-        a, b = (int(t) for t in arg.split(","))
-        return dihedral_phi(g, a, b)
+        return dihedral_phi(g, *_atom_ints(name, arg.split(","), 2))
     if head == "mul" and arg is not None:
-        return cyclic_mul(g, int(arg))
+        return cyclic_mul(g, _atom_ints(name, [arg], 1)[0])
     if head == "mat" and arg is not None:
         body, _, ptxt = arg.partition("@")
-        p = int(ptxt) if ptxt else 2
-        rows = [[int(t) for t in row.split(",")] for row in body.split(";")]
+        p = _atom_ints(name, [ptxt], 1)[0] if ptxt else 2
+        rows = [_atom_ints(name, row.split(",")) for row in body.split(";")]
         return matrix_map(g, rows, p)
     if name == "swap":
         return swap_map(g)
     if head in ("left", "right") and arg is not None:
-        factor = build(g.spec.params[0 if head == "left" else 1])
+        factor = build(_binary_factors(g)[0 if head == "left" else 1])
         return factor_lift(g, head, _named_atom(factor, arg))
-    if kind == "product" and g.spec.params == (cyclic(4), cyclic(2)):
-        return _c4c2_named(g, name)
-    if kind == "product" and g.spec.params == (cyclic(6), cyclic(2)):
-        return _c6c2_named(g, name)
-    if kind == "dicyclic" and g.spec.params == (3,):
-        return _dic3_named(g, name)
-    if kind == "dicyclic" and g.spec.params == (2,):
-        return _q8_named(g, name)
+    key = (g.spec.name() if g.spec is not None else None, name)
+    if key in _NAMED_FORMULAS:
+        k, fn = _NAMED_FORMULAS[key]
+        return _map_from_formula(g, lambda x: fn(*divmod(x, k)))
+    if key[0] == "Q8" and name in _Q8_NAMED:
+        return GroupMap(g, g, _Q8_NAMED[name], check=True)
     raise NameLookupError(f"automorphism {name!r} is not defined on {g.name}")

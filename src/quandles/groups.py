@@ -246,22 +246,19 @@ def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup containing ``gens``: closure under product (and hence inverse)."""
+    """Smallest subgroup containing ``gens``: {e} closed under right
+    multiplication by the generators, which in a finite group is closed
+    under inverse too."""
+    gens = tuple(set(gens))
     for a in gens:
         g._check_index(a)
-    members = {0}
-    frontier = [0]
-    for a in set(gens):
-        if a not in members:
-            members.add(a)
-            frontier.append(a)
+    members, frontier = {0}, [0]
     while frontier:
-        x = frontier.pop()
-        for y in tuple(members):
-            for z in (g.table[x][y], g.table[y][x]):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
+        row = g.table[frontier.pop()]
+        for a in gens:
+            if row[a] not in members:
+                members.add(row[a])
+                frontier.append(row[a])
     return Subgroup(g, tuple(members))
 
 
@@ -289,28 +286,10 @@ def is_simple(g: FiniteGroup) -> bool:
 
 
 def _normal_closure_scan(g: FiniteGroup) -> bool:
-    """True iff the normal closure of each x != e (one per class) is all of G."""
-    if g.order == 1:
-        return False
-    reps = {min(g.conj(a, x) for a in range(g.order)) for x in range(1, g.order)}
-    for x in sorted(reps):
-        closure = {0, x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for a in range(g.order):
-                c = g.conj(a, y)
-                if c not in closure:
-                    closure.add(c)
-                    frontier.append(c)
-            for z in tuple(closure):
-                for w in (g.table[y][z], g.table[z][y]):
-                    if w not in closure:
-                        closure.add(w)
-                        frontier.append(w)
-        if len(closure) < g.order:
-            return False
-    return True
+    """True iff each conjugacy class other than {e} generates all of G (the
+    normal closure of its elements); stops at the first class that does not."""
+    classes = {frozenset(g.conj(a, x) for a in range(g.order)) for x in range(1, g.order)}
+    return g.order > 1 and all(generated_subgroup(g, c).order == g.order for c in classes)
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:

@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import build, build_named, groups_of_order, semidirect_table
+from .catalog import (build, build_named, cyclic_action, groups_of_order,
+                      semidirect_table)
 from .errors import ContractViolation, VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
-                     center, generated_subgroup, groups_isomorphic,
-                     identity_map, is_normal)
+                     center, generated_subgroup, groups_isomorphic, is_normal)
 from .quandle import PermGroup, general_alexander, inner_group, orbit_of
 
 PROFILE_VERSION = "profile.v1"
@@ -136,11 +136,12 @@ def inn_structure(g: FiniteGroup, psi: GroupMap, verify_iso: bool = True) -> Inn
     inner_flag = psi_restricted_is_inner(grp, restricted)
     if verify_iso:
         inn_as_group, _ = inn.as_group(name="Inn")
-        sd = FiniteGroup(semidirect_table(grp, restricted, m),
+        cm, powers = cyclic_action(restricted.images, m)
+        sd = FiniteGroup(semidirect_table(grp, cm, powers),
                          name=f"{grp.name}:C{m}", check=False)
         semidirect_witness = groups_isomorphic(inn_as_group, sd)
         if centerless:
-            direct = FiniteGroup(semidirect_table(grp, identity_map(grp), m),
+            direct = FiniteGroup(semidirect_table(grp, cm, powers[:1] * m),
                                  name=f"{grp.name}xC{m}", check=False)
             direct_witness = groups_isomorphic(inn_as_group, direct)
 

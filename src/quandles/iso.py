@@ -311,36 +311,9 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     mul1, inv1 = g1.table, g1._inv
     mul2 = g2.table
     h_on_g = {embed1[i]: embed2[h.images[i]] for i in range(len(embed1))}
-    p_members1 = list(embed1)
-    p_members2 = list(embed2)
-    psq1 = compute_P2(g1, psi1).members
     psq2 = compute_P2(g2, psi2).members
-
-    def coset_rep1(x):
-        return min(mul1[x][p] for p in p_members1)
-
-    def coset_rep2(x):
-        return min(mul2[x][p] for p in p_members2)
-
-    rep1 = [coset_rep1(x) for x in range(g1.order)]
-    rep2 = [coset_rep2(x) for x in range(g2.order)]
-    reps1 = sorted(set(rep1))
-    reps2 = sorted(set(rep2))
-
-    def pi_value1(a):
-        u = _translation_of(g1, psi1, a)
-        return frozenset(mul1[u][q] for q in psq1)
-
-    def pi_value2(a):
-        u = _translation_of(g2, psi2, a)
-        return frozenset(mul2[u][q] for q in psq2)
-
-    fibers1: dict[frozenset, list[int]] = {}
-    for a in reps1:
-        fibers1.setdefault(pi_value1(a), []).append(a)
-    fibers2: dict[frozenset, list[int]] = {}
-    for a in reps2:
-        fibers2.setdefault(pi_value2(a), []).append(a)
+    rep1, fibers1 = _coset_fibers(g1, psi1, embed1, compute_P2(g1, psi1).members)
+    _, fibers2 = _coset_fibers(g2, psi2, embed2, psq2)
 
     k0: dict[int, int] = {}
     matched: set[frozenset] = set()
@@ -359,10 +332,10 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
         raise VerificationError("coset matching is not onto")
 
     k: dict[int, int] = {}
-    for a in reps1:
+    for a, a2 in k0.items():
         target = h_on_g[_translation_of(g1, psi1, a)]
-        for p in p_members2:
-            cand = mul2[k0[a]][p]
+        for p in embed2:
+            cand = mul2[a2][p]
             if _translation_of(g2, psi2, cand) == target:
                 k[a] = cand
                 break
@@ -377,6 +350,19 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
         core = mul1[mul1[a][p]][inv1[a]]
         images.append(mul2[h_on_g[core]][k[a]])
     return tuple(images)
+
+
+def _coset_fibers(g: FiniteGroup, psi: GroupMap, p_members, psq
+                  ) -> tuple[list[int], dict[frozenset, list[int]]]:
+    """(the least element of xP for each x, the coset representatives
+    grouped by the P^2-coset of their translation)."""
+    t = g.table
+    rep = [min(t[x][p] for p in p_members) for x in range(g.order)]
+    fibers: dict[frozenset, list[int]] = {}
+    for a in sorted(set(rep)):
+        u = _translation_of(g, psi, a)
+        fibers.setdefault(frozenset(t[u][q] for q in psq), []).append(a)
+    return rep, fibers
 
 
 # ---------------------------------------------------------------------------

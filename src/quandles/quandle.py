@@ -109,7 +109,7 @@ def _generating_points(sym) -> list[int]:
 
 
 def make_quandle(sym, provenance=None) -> Quandle:
-    q = Quandle(len(sym), tuple(tuple(r) for r in sym), provenance)
+    q = Quandle(len(sym), sym, provenance)
     violations = check_axioms(q)
     if violations:
         raise StructuralError(f"not a quandle: {violations[:3]}")

@@ -214,3 +214,175 @@ def test_center_of_twists():
     assert sd.element_order_multiset() == (1, 2, 4, 4)
     tw, _ = center(build_named("TW16")).as_group()
     assert tw.element_order_multiset() == (1, 2, 2, 2)
+
+
+# Reference copies of the per-group closures, the nested-loop direct product
+# and the cyclic-top semidirect product that the catalog used before its named
+# maps became one table and its products one builder.
+
+def _old_named_image(gname, atom, x):
+    if gname in ("C4xC2", "C6xC2"):
+        i, j = divmod(x, 2)
+        return {"psi_sigma": ((i + 2 * j) % 4) * 2 + (i + j) % 2,
+                "psi_tau": ((-i) % 4) * 2 + (i + j) % 2,
+                "alpha_sigma": ((2 * i + 3 * j) % 6) * 2 + (i + j) % 2,
+                "alpha_tau": ((-i) % 6) * 2 + (i + j) % 2}[atom]
+    if gname == "Dic3":
+        eps, i = divmod(x, 6)
+        return eps * 6 + ({"beta_sigma": i + eps, "beta_tau": -i}[atom]) % 6
+    return {"psi_1": (0, 1, 2, 3, 4, 5, 6, 7), "psi_2": (0, 1, 2, 3, 6, 7, 4, 5),
+            "psi_3": (0, 4, 2, 6, 1, 7, 3, 5), "psi_4": (0, 4, 2, 6, 5, 1, 7, 3),
+            "psi_5": (0, 4, 2, 6, 3, 5, 1, 7)}[atom][x]
+
+
+def _old_atom(g, gname, atom):
+    n = g.order
+    if atom == "id":
+        return tuple(range(n))
+    head, _, arg = atom.partition(":")
+    if head == "phi":
+        a, b = (int(t) for t in arg.split(","))
+        m = n // 2
+        return tuple((x // m) * m + (a * (x % m) + (x // m) * b) % m for x in range(n))
+    if head == "mat":
+        rows = [[int(t) for t in row.split(",")] for row in arg.split(";")]
+        k = len(rows)
+
+        def image(x):
+            vec = [(x >> (k - 1 - j)) & 1 for j in range(k)]
+            out = [sum(r * v for r, v in zip(row, vec)) % 2 for row in rows]
+            return sum(bit << (k - 1 - i) for i, bit in enumerate(out))
+        return tuple(image(x) for x in range(n))
+    if head == "conj_perm":
+        deg = g.spec.params[0]
+        perm = list(range(deg))
+        for cyc in arg.strip("()").split(")("):
+            entries = [int(t) - 1 for t in cyc.split()]
+            for idx, v in enumerate(entries):
+                perm[v] = entries[(idx + 1) % len(entries)]
+        elems = sorted(q for q in itertools.permutations(range(deg))
+                       if sum(q[i] > q[j] for i in range(deg) for j in range(i + 1, deg)) % 2 == 0)
+        pos = {q: i for i, q in enumerate(elems)}
+        pinv = [perm.index(i) for i in range(deg)]
+        return tuple(pos[tuple(perm[q[pinv[i]]] for i in range(deg))] for q in elems)
+    return tuple(_old_named_image(gname, atom, x) for x in range(n))
+
+
+def _old_named(g, gname, name):
+    """Composite names: ``*`` composes (leftmost applied last), ``^k`` iterates."""
+    out = tuple(range(g.order))
+    for part in reversed(name.split("*")):
+        atom, _, power = part.partition("^")
+        base = _old_atom(g, gname, atom)
+        if power.startswith("-"):
+            base = tuple(base.index(v) for v in range(g.order))
+        for _ in range(abs(int(power or 1))):
+            out = tuple(base[v] for v in out)
+    return out
+
+
+NAMED_ATOMS = {"C4xC2": ("psi_sigma", "psi_tau"), "C6xC2": ("alpha_sigma", "alpha_tau"),
+               "Dic3": ("beta_sigma", "beta_tau"),
+               "Q8": ("psi_1", "psi_2", "psi_3", "psi_4", "psi_5")}
+
+
+@pytest.mark.parametrize("gname", NAMED_ATOMS)
+def test_named_atoms_match_the_per_group_closures(gname):
+    g = build_named(gname)
+    for atom in NAMED_ATOMS[gname]:
+        for name in (atom, f"{atom}^2", f"{atom}^3", f"{atom}^-1"):
+            assert named_automorphism(g, name).images == _old_named(g, gname, name), name
+
+
+def test_label_composites_match_the_per_group_closures():
+    from quandles.labels import ALL_LABELS
+    for label, (gname, name) in ALL_LABELS.items():
+        g = build_named(gname)
+        assert named_automorphism(g, name).images == _old_named(g, gname, name), label
+
+
+def _old_product_table(factors):
+    g = factors[0].table
+    for h in factors[1:]:
+        na, nb = len(g), h.order
+        table = [[0] * (na * nb) for _ in range(na * nb)]
+        for a1 in range(na):
+            for b1 in range(nb):
+                for a2 in range(na):
+                    for b2 in range(nb):
+                        table[a1 * nb + b1][a2 * nb + b2] = g[a1][a2] * nb + h.table[b1][b2]
+        g = table
+    return tuple(map(tuple, g))
+
+
+def _old_semidirect_table(base, act_images, m):
+    powers = [tuple(range(base.order))]
+    for _ in range(m - 1):
+        powers.append(tuple(act_images[v] for v in powers[-1]))
+    n = base.order
+    table = [[0] * (n * m) for _ in range(n * m)]
+    for i in range(m):
+        for x in range(n):
+            for j in range(m):
+                for y in range(n):
+                    table[i * n + x][j * n + y] = ((i + j) % m) * n + base.table[x][powers[i][y]]
+    return tuple(map(tuple, table))
+
+
+def _old_twist_tables():
+    """The first table of each isomorphism type other than D4xC2, scanning
+    the involutions of Aut(C4xC2) in order."""
+    base = build(product(cyclic(4), cyclic(2)))
+    types = []
+    for a in automorphism_group(base):
+        if a.map_order() == 2:
+            g = FiniteGroup(_old_semidirect_table(base, a.images, 2))
+            if all(groups_isomorphic(g, t) is None for t in types):
+                types.append(g)
+    d4c2 = build(product(dihedral(4), cyclic(2)))
+    return {g.table for g in types if groups_isomorphic(g, d4c2) is None}
+
+
+def _old_catalog_table(spec):
+    k, p = spec.kind, spec.params
+    if k == "product":
+        return _old_product_table([FiniteGroup(_old_catalog_table(s), check=False) for s in p])
+    if k == "semidirect_cyclic":
+        n, m, act = p
+        return _old_semidirect_table(build(cyclic(n)), [act * i % n for i in range(n)], m)
+    if k in ("symmetric", "alternating"):
+        perms = sorted(q for q in itertools.permutations(range(p[0]))
+                       if k == "symmetric" or sum(
+                           q[i] > q[j] for i in range(p[0]) for j in range(i + 1, p[0])) % 2 == 0)
+        pos = {q: i for i, q in enumerate(perms)}
+        return tuple(tuple(pos[tuple(a[v] for v in b)] for b in perms) for a in perms)
+    if k == "sl2_3":
+        mats = sorted(m for m in itertools.product(range(3), repeat=4)
+                      if (m[0] * m[3] - m[1] * m[2]) % 3 == 1)
+        mats.remove((1, 0, 0, 1))
+        mats.insert(0, (1, 0, 0, 1))
+        pos = {m: i for i, m in enumerate(mats)}
+        return tuple(tuple(pos[((a * e + b * g) % 3, (a * f + b * h) % 3,
+                                (c * e + d * g) % 3, (c * f + d * h) % 3)]
+                           for e, f, g, h in mats) for a, b, c, d in mats)
+    return build(spec).table  # cyclic, dihedral, dicyclic: builders unchanged
+
+
+def test_catalog_tables_match_the_nested_loop_builders():
+    specs = [s for n in range(1, 17) for s in groups_of_order(n)]
+    specs += [spec_from_name(name) for name in ("S5", "A5", "SL23", "S3xS3", "C2xQ8")]
+    for spec in specs:
+        if spec.kind != "c4c2_twist":
+            assert build(spec).table == _old_catalog_table(spec), spec
+    assert {build_named("SD16").table, build_named("TW16").table} == _old_twist_tables()
+
+
+def test_cyclic_action_tables_match_the_cyclic_top_builder():
+    from quandles.catalog import cyclic_action, semidirect_table
+    for name in ("C3", "C4xC2", "D4", "Q8", "Dic3", "A4"):
+        g = build_named(name)
+        for psi in automorphism_group(g):
+            m = psi.map_order()
+            for k in (m, 2 * m):
+                table = semidirect_table(g, *cyclic_action(psi.images, k))
+                assert tuple(map(tuple, table)) == _old_semidirect_table(g, psi.images, k)

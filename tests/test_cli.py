@@ -55,6 +55,17 @@ def test_iso_modulus_mismatch(capsys):
     assert main(["iso", "C10", "mul:3@11", "D5", "phi:3,1@5"]) == 3
 
 
+@pytest.mark.parametrize("group,aut", [
+    ("C4", "mul:x"), ("C4", "conj:x"), ("S3", "classrep:x"), ("D3", "phi:1"),
+    ("C2xC2", "mat:1,x;0,1"), ("C4", "images:[0,a]"), ("S3", "conj_perm:(1_x)"),
+    ("C4", "left:id"), ("C4", "left:"),
+])
+def test_malformed_automorphism_name_is_bad_input(group, aut, capsys):
+    assert main(["invariants", group, aut]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_group_name(capsys):
     assert main(["iso", "NOPE", "id", "C4", "id"]) == 3
     assert main(["aut", "Zilch"]) == 3

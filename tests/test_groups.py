@@ -162,6 +162,30 @@ def test_closure_scan_per_class_matches_the_per_element_scan():
     assert simple == ["C2", "C3", "C5", "C7", "C11", "C13", "A5"]
 
 
+def _two_sided_closure(g, gens):
+    """The subgroup generated by ``gens``: each new element times every
+    member, on both sides."""
+    members, frontier = {0} | set(gens), [0, *set(gens)]
+    while frontier:
+        x = frontier.pop()
+        for y in tuple(members):
+            for z in (g.table[x][y], g.table[y][x]):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return tuple(sorted(members))
+
+
+@pytest.mark.parametrize("name", [s.name() for n in range(1, 17)
+                                  for s in groups_of_order(n)] + ["A4", "S4"])
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 6), max_size=4))
+def test_right_closure_is_the_two_sided_closure(name, draws):
+    g = build_named(name)
+    gens = [v % g.order for v in draws]
+    assert generated_subgroup(g, gens).members == _two_sided_closure(g, gens)
+
+
 def test_is_simple_is_the_closure_scan_computed_once(monkeypatch):
     specs = [s for n in range(1, 17) for s in groups_of_order(n)]
     extra = [build_named(name) for name in ("A5", "S4", "S5", "SL23")]

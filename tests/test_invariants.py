@@ -288,7 +288,7 @@ def test_identity_action_semidirect_table_is_the_direct_product(name, m):
     # index (x, i) = i*|G| + x is the catalog product's index with C_m first
     g = build_named(name)
     expected = build(product(cyclic(m), g.spec)).table
-    table = semidirect_table(g, identity_map(g), m)
+    table = semidirect_table(g, build(cyclic(m)), [identity_map(g).images] * m)
     assert tuple(map(tuple, table)) == expected
 
 
