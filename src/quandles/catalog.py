@@ -366,7 +366,7 @@ def groups_of_order(n: int) -> list[GroupSpec]:
     return out
 
 
-_CLI_NAME_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
+_CLI_NAME_RE = re.compile(r"^([A-Za-z]+)([0-9]*)$")
 
 
 def spec_from_name(name: str) -> GroupSpec:
@@ -539,7 +539,7 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     images = list(range(degree))
     for grp in re.findall(r"\(([^()]*)\)", text):
         try:
-            entries = [int(tok) - 1 for tok in re.split(r"[,\s]+", grp.strip()) if tok]
+            entries = [_int_token(tok) - 1 for tok in re.split(r"[,\s]+", grp.strip()) if tok]
         except ValueError as exc:
             raise StructuralError(f"cycle entry is not an integer in {text!r}") from exc
         if any(not 0 <= v < degree for v in entries):
@@ -630,26 +630,32 @@ def _named_atom(g: FiniteGroup, name: str) -> GroupMap:
     if "^" in name and not name.startswith("images"):
         name, _, exp = name.rpartition("^")
         try:
-            power = int(exp)
+            power = _int_token(exp)
         except ValueError as exc:
             raise NameLookupError(f"bad exponent in {name!r}^{exp!r}") from exc
     base = _named_base(g, name.strip())
     if power == 1:
         return base
-    if power < 0:
-        base = base.inverse()
-        power = -power
     out = identity_map(g)
-    for _ in range(power):
+    for _ in range(power % base.map_order()):
         out = base.compose(out)
     return out
+
+
+def _int_token(token: str) -> int:
+    """int(token) for ASCII digits with an optional sign and surrounding
+    whitespace; ValueError for anything else, including the digit
+    separators and non-ASCII digits that int() accepts."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _atom_ints(atom: str, tokens, count: int | None = None) -> list[int]:
     """The integers of an atom's argument; NameLookupError names the atom
     when a token is not an integer or there are not ``count`` of them."""
     try:
-        vals = [int(t) for t in tokens]
+        vals = [_int_token(t) for t in tokens]
     except ValueError:
         vals = None
     if vals is None or count not in (None, len(vals)):

@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 
-from .catalog import build, build_named, groups_of_order, named_automorphism
+from .catalog import (_int_token, build, build_named, groups_of_order,
+                      named_automorphism)
 from .classify import (CACHE_ENV_VAR, boundary_report, classify_order,
                        closed_form_counts, emit_table)
 from .errors import (CapacityError, ContractViolation, NameLookupError,
@@ -32,7 +33,7 @@ def _resolve_aut(g: FiniteGroup, name: str) -> GroupMap:
     if "@" in name:
         body, _, suffix = name.rpartition("@")
         try:
-            modulus = int(suffix)
+            modulus = _int_token(suffix)
         except ValueError as exc:
             raise NameLookupError(f"bad modulus suffix in {name!r}") from exc
         if g.spec is not None and g.spec.kind == "dihedral":

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .catalog import (build, build_named, cyclic_action, groups_of_order,
                       semidirect_table)
-from .errors import ContractViolation, VerificationError
+from .errors import VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
                      center, generated_subgroup, groups_isomorphic, is_normal)
-from .quandle import PermGroup, general_alexander, inner_group, orbit_of
+from .quandle import (PermGroup, _stored, general_alexander, inner_group,
+                      orbit_of)
 
 PROFILE_VERSION = "profile.v1"
 
@@ -31,25 +32,13 @@ def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:
     return sorted({g.table[x][g._inv[im[x]]] for x in range(g.order)})
 
 
-# group table -> (psi images -> (P members, psi|P), P members -> P as a
-# group).  Records are made by _p_record; an input whose orbit and span
-# disagree is not stored, so it fails on every call.  One P group object
-# per (table, members) is shared by every input, so its element orders,
-# generating set and Aut are computed once.  Keying by table first keeps
-# one table object per distinct content.
-_P_DATA: dict[tuple, tuple[dict, dict]] = {}
-
-
 def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]:
     """(P's members, which are also its embedding into G, and psi|_P on the
     shared P group), built and cross-checked on the first call per
-    (table, images)."""
-    psi.require_automorphism()
-    if psi.source is not g and psi.source.table != g.table:
-        raise ContractViolation("automorphism does not belong to this group")
-    t, im = g.table, psi.images
-    records, p_groups = _P_DATA.get(t) or ({}, {})
-    rec = records.get(im)
+    (table, images) and kept in the input's record."""
+    records, p_groups = _stored(g, psi)
+    im = psi.images
+    rec = records.get(im, {}).get("P")
     if rec is not None:
         return rec
     orbit = orbit_of(general_alexander(g, psi), 0)
@@ -65,9 +54,8 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
     grp = p_groups.get(members)
     if grp is None:
         grp = p_groups[members] = span.as_group()[0]
-    rec = members, GroupMap(grp, grp, tuple(pos[im[m]] for m in members), check=False)
-    records[im] = rec
-    _P_DATA.setdefault(t, (records, p_groups))
+    rec = records[im]["P"] = members, GroupMap(
+        grp, grp, tuple(pos[im[m]] for m in members), check=False)
     return rec
 
 
@@ -156,7 +144,7 @@ def inn_structure(g: FiniteGroup, psi: GroupMap, verify_iso: bool = True) -> Inn
 # canonical descriptors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@cache
 def _catalog_groups(order: int):
     if order > 16:
         return ()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, VerificationError
@@ -21,7 +20,7 @@ from .groups import (FiniteGroup, GroupMap, all_group_isomorphisms,
                      automorphism_classes, groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
                          translation_elements)
-from .quandle import Quandle, general_alexander
+from .quandle import Quandle, _stored, general_alexander
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not-isomorphic"
@@ -238,15 +237,13 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
 # the structural criterion and its constructive witness
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _cached_profile_key(table1, images1) -> InvariantProfile:
-    g = FiniteGroup(table1, check=False)
-    psi = GroupMap(g, g, images1, check=False)
-    return profile(g, psi)
-
-
 def cached_profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
-    return _cached_profile_key(g.table, psi.images)
+    """profile(g, psi), computed once per (table, images) and kept in its record."""
+    records = _stored(g, psi)[0]
+    prof = records.get(psi.images, {}).get("profile")
+    if prof is None:
+        prof = records[psi.images]["profile"] = profile(g, psi)
+    return prof
 
 
 def _translation_of(g: FiniteGroup, psi: GroupMap, x: int) -> int:

@@ -13,15 +13,26 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ContractViolation, StructuralError
 from .groups import (FiniteGroup, GroupMap, _greedy_closure, _json_int,
-                     _json_ints, _json_object, _json_rows)
+                     _json_ints, _json_object, _json_rows, _perm_order)
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
-# group table -> automorphism images of every Q(G, psi) on it whose axioms
-# passed check_axioms.  Only keys are kept: a repeat builds its table again
-# and skips the check, and a failing input is checked (and fails) every
-# time.  Keying by table first keeps one table object per distinct content.
-_AXIOMS_PASSED: dict[tuple, set[tuple[int, ...]]] = {}
+# What is derived once per Q(G, psi) input: group table -> (psi images ->
+# record, P members -> the P group that every input on the table shares).
+# general_alexander makes the record, a dict, when the axioms first pass;
+# invariants._p_record adds "P" and iso.cached_profile adds "profile".  A
+# failed check stores nothing, so it fails again on every call.  Keying by
+# table first lets twin groups share records and P groups.
+_STORE: dict[tuple, tuple[dict, dict]] = {}
+
+
+def _stored(g: FiniteGroup, psi: GroupMap) -> tuple[dict, dict]:
+    """The store's (records, P groups) for G's table, once psi is known to be
+    an automorphism of G, so a stored record never answers for another map."""
+    psi.require_automorphism()
+    if psi.source is not g and psi.source.table != g.table:
+        raise ContractViolation("automorphism does not belong to this group")
+    return _STORE.setdefault(g.table, ({}, {}))
 
 
 @dataclass(frozen=True)
@@ -118,16 +129,14 @@ def make_quandle(sym, provenance=None) -> Quandle:
 
 def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
     """Q(G, psi) with s_x(y) = x psi(x^-1 y); its axioms are checked once
-    per (table, images)."""
-    psi.require_automorphism()
-    if psi.source.table != g.table:
-        raise ContractViolation("automorphism does not belong to this group")
+    per (table, images), which then gets its record in the store."""
+    records = _stored(g, psi)[0]
     t, inv, im = g.table, g._inv, psi.images
     sym = tuple(tuple([t[x][im[v]] for v in t[inv[x]]]) for x in range(g.order))
-    if im in _AXIOMS_PASSED.get(t, ()):
+    if im in records:
         return Quandle(g.order, sym, (g, psi))
     q = make_quandle(sym, provenance=(g, psi))
-    _AXIOMS_PASSED.setdefault(t, set()).add(im)
+    records[im] = {}
     return q
 
 
@@ -174,14 +183,7 @@ def inner_group(q: Quandle, bound: int = INNER_CLOSURE_BOUND) -> PermGroup:
 
 def quandle_order(q: Quandle) -> int:
     """ord(s_x), constant over x for homogeneous quandles."""
-    orders = set()
-    ident = tuple(range(q.size))
-    for row in q.sym:
-        k, cur = 1, row
-        while cur != ident:
-            cur = tuple(row[v] for v in cur)
-            k += 1
-        orders.add(k)
+    orders = set(map(_perm_order, q.sym))
     if len(orders) != 1:
         raise ContractViolation(
             f"point symmetries have non-constant orders {sorted(orders)}; "

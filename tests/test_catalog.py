@@ -10,7 +10,7 @@ from quandles.catalog import (GROUP_COUNTS, GroupSpec, _build_uncached, _spec_or
 from quandles.errors import (CapacityError, ContractViolation, NameLookupError,
                              StructuralError)
 from quandles.groups import (FiniteGroup, automorphism_group, center,
-                             fixed_subgroup, groups_isomorphic)
+                             fixed_subgroup, groups_isomorphic, identity_map)
 
 
 @pytest.mark.parametrize("order", range(1, 17))
@@ -185,6 +185,47 @@ def test_composition_and_powers():
     assert sq.images == tuple(range(8))
     inv = named_automorphism(q8, "psi_4^-1")
     assert named_automorphism(q8, "psi_4").compose(inv).images == tuple(range(8))
+
+
+def _composed_power(base, k):
+    """base^k by square-and-multiply over plain compositions; a negative k
+    uses the inverse map."""
+    if k < 0:
+        base, k = base.inverse(), -k
+    out, square = identity_map(base.source), base
+    while k:
+        if k & 1:
+            out = square.compose(out)
+        square, k = square.compose(square), k >> 1
+    return out
+
+
+@pytest.mark.parametrize("gname,atom", [("Q8", "psi_4"), ("C4xC2", "psi_sigma"),
+                                        ("D4", "phi:3,1")])
+def test_powers_match_repeated_composition(gname, atom):
+    g = build_named(gname)
+    base = named_automorphism(g, atom)
+    for k in [*range(-7, 8), 10 ** 6]:
+        power = named_automorphism(g, f"{atom}^{k}")
+        assert power.images == _composed_power(base, k).images, k
+
+
+def test_integer_tokens_are_signed_ascii_digits():
+    c12, s3 = build_named("C12"), build_named("S3")
+    assert named_automorphism(c12, "mul: +5 ").images == \
+        named_automorphism(c12, "mul:5").images
+    assert named_automorphism(c12, "mul:5^ -1").images == \
+        named_automorphism(c12, "mul:5").images
+    assert named_automorphism(s3, "conj_perm:( 1, 2 )").images == \
+        named_automorphism(s3, "conj_perm:(1 2)").images
+    for name in ("mul:1_1", "mul:\u0661\u0661", "mul:5^1_0", "mul:5^\u0663"):
+        with pytest.raises(NameLookupError):
+            named_automorphism(c12, name)
+    with pytest.raises(StructuralError):
+        named_automorphism(s3, "conj_perm:(0_1 2)")
+    for name in ("C\u0663", "C1_2", "D\u0664"):
+        with pytest.raises(NameLookupError):
+            spec_from_name(name)
 
 
 def test_images_and_conj_and_classrep_atoms():

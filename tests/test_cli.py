@@ -66,6 +66,17 @@ def test_malformed_automorphism_name_is_bad_input(group, aut, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "C12", "mul:1_1"], ["invariants", "S3", "conj_perm:(0_1 2)"],
+    ["invariants", "Q8", "psi_4^1_0"], ["iso", "C12", "mul:5@1_2", "C12", "mul:5"],
+    ["aut", "C\u0663"], ["invariants", "C12", "mul:\u0665"],
+])
+def test_integers_outside_ascii_digits_are_bad_input(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_group_name(capsys):
     assert main(["iso", "NOPE", "id", "C4", "id"]) == 3
     assert main(["aut", "Zilch"]) == 3

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quandles import invariants
+from quandles import invariants, quandle
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism, product,
                               semidirect_table, sl23_element_index)
@@ -17,6 +17,7 @@ from quandles.invariants import (compute_P, compute_P2, descriptor_display,
                                  profile_to_json, restrict_to_P,
                                  transported_class, translation_elements,
                                  twisted_normalizer)
+from quandles.iso import cached_profile
 from quandles.quandle import general_alexander, orbit_of
 
 
@@ -116,8 +117,7 @@ def _p_record_cases():
     yield from ((h, psi) for psi in automorphism_group(h))
 
 
-def test_p_record_matches_the_uncached_computation(monkeypatch):
-    monkeypatch.setattr(invariants, "_P_DATA", {})
+def test_p_record_matches_the_uncached_computation(empty_store):
     for g, psi in _p_record_cases():
         ref_p = _uncached_P(g, psi)
         ref_grp, ref_restricted, ref_embed = _uncached_restrict_to_P(g, psi)
@@ -133,8 +133,7 @@ def test_p_record_matches_the_uncached_computation(monkeypatch):
             assert p2.parent is g and p2.members == ref_p2.members
 
 
-def test_orbit_span_check_runs_once_per_input(monkeypatch):
-    monkeypatch.setattr(invariants, "_P_DATA", {})
+def test_orbit_span_check_runs_once_per_input(monkeypatch, empty_store):
     checked = []
     real = invariants.orbit_of
 
@@ -160,15 +159,15 @@ def test_orbit_span_check_runs_once_per_input(monkeypatch):
     assert set(checked) == inputs
 
 
-def test_failed_orbit_span_check_fails_every_call(monkeypatch):
-    monkeypatch.setattr(invariants, "_P_DATA", {})
+def test_failed_orbit_span_check_fails_every_call(monkeypatch, empty_store):
     d4 = build_named("D4")
     psi = named_automorphism(d4, "phi:3,1")
     monkeypatch.setattr(invariants, "orbit_of", lambda q, start: frozenset({0}))
     for call in (compute_P, restrict_to_P, compute_P2, compute_P):
         with pytest.raises(VerificationError):
             call(d4, psi)
-    assert invariants._P_DATA == {}
+    for records, p_groups in quandle._STORE.values():
+        assert p_groups == {} and all(rec == {} for rec in records.values())
     monkeypatch.setattr(invariants, "orbit_of", orbit_of)
     assert compute_P(d4, psi).members == (0, 1, 2, 3)
 
@@ -190,8 +189,9 @@ def test_equal_tables_share_the_p_group_but_not_the_parent():
 def test_p_record_keeps_the_group_check():
     # a map of another group of the same order is refused on a record hit too
     c4, v4 = build_named("C4"), build_named("C2xC2")
-    compute_P(c4, identity_map(c4))
-    for call in (compute_P, restrict_to_P, compute_P2):
+    cached_profile(c4, identity_map(c4))
+    for call in (compute_P, restrict_to_P, compute_P2, cached_profile,
+                 general_alexander):
         with pytest.raises(ContractViolation):
             call(c4, identity_map(v4))
 

@@ -10,7 +10,8 @@ from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism)
 from quandles.classify import classify_order
 from quandles.errors import ContractViolation, StructuralError
-from quandles.groups import (GroupMap, automorphism_conjugacy_classes,
+from quandles.groups import (FiniteGroup, GroupMap,
+                             automorphism_conjugacy_classes,
                              automorphism_group, group_from_json,
                              group_to_json, identity_map)
 from quandles.invariants import compute_P
@@ -410,10 +411,8 @@ def test_json_loaders_load_or_raise_structural_error(data):
 
 
 def _record_axiom_checks(monkeypatch):
-    """Empty the memo of passed checks and record, from here on, every
-    check_axioms argument and every general_alexander (table, images) input."""
-    monkeypatch.setattr(quandle, "_AXIOMS_PASSED", {})
-    iso._cached_profile_key.cache_clear()
+    """Record, from here on, every check_axioms argument and every
+    general_alexander (table, images) input."""
     checked, inputs = [], []
     real_check, real_ga = quandle.check_axioms, quandle.general_alexander
 
@@ -433,6 +432,7 @@ def _record_axiom_checks(monkeypatch):
     return checked, inputs
 
 
+@pytest.mark.usefixtures("empty_store")
 def test_axioms_checked_once_per_input(monkeypatch):
     checked, inputs = _record_axiom_checks(monkeypatch)
     classify_order(8)
@@ -445,6 +445,7 @@ def test_axioms_checked_once_per_input(monkeypatch):
     assert set(keys) == set(inputs)
 
 
+@pytest.mark.usefixtures("empty_store")
 def test_failed_axiom_check_is_not_remembered(monkeypatch):
     checked, _ = _record_axiom_checks(monkeypatch)
     d4 = build_named("D4")
@@ -453,3 +454,40 @@ def test_failed_axiom_check_is_not_remembered(monkeypatch):
         with pytest.raises(StructuralError):
             general_alexander(d4, swap)
     assert len(checked) == 2
+
+
+@pytest.mark.usefixtures("empty_store")
+def test_store_holds_one_record_per_input(monkeypatch):
+    checked, inputs = _record_axiom_checks(monkeypatch)
+    profiled = []
+    real_profile = iso.profile
+
+    def recording_profile(g, psi):
+        profiled.append((g.table, psi.images))
+        return real_profile(g, psi)
+
+    monkeypatch.setattr(iso, "profile", recording_profile)
+    classify_order(8)
+    a5 = build_named("A5")
+    reps = [rep for rep, _ in automorphism_conjugacy_classes(a5, bound=128)]
+    iso.decide(a5, reps[1], a5, reps[2])
+    stored = [(t, im) for t, (records, _) in quandle._STORE.items() for im in records]
+    assert len(stored) == len(set(inputs)) and set(stored) == set(inputs)
+
+    d4 = build_named("D4")
+    twin = FiniteGroup(d4.table, name="D4-twin")
+    assert quandle._stored(twin, identity_map(twin)) is quandle._stored(d4, identity_map(d4))
+    for psi in automorphism_group(d4):
+        psi_twin = GroupMap(twin, twin, psi.images)
+        assert iso.cached_profile(twin, psi_twin) is iso.cached_profile(d4, psi)
+        general_alexander(twin, psi_twin)
+
+    # the profile a record keeps is the one computed on an anonymous copy
+    for spec in _SMALL_CATALOG:
+        g = build(spec)
+        anon = FiniteGroup(g.table, check=False)
+        for psi in automorphism_group(g):
+            ref = real_profile(anon, GroupMap(anon, anon, psi.images, check=False))
+            assert iso.cached_profile(g, psi) == ref
+    keys = [(q.provenance[0].table, q.provenance[1].images) for q in checked]
+    assert len(keys) == len(set(keys)) and len(profiled) == len(set(profiled))
