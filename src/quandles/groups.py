@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 
 from .errors import CapacityError, ContractViolation, StructuralError
@@ -18,8 +20,18 @@ from .errors import CapacityError, ContractViolation, StructuralError
 DEFAULT_AUT_BOUND = 60
 # every group of order <= 16 has at most 20,160 automorphisms (those of
 # C2^4), so its Aut is small enough to hold; above it Aut can be huge
-# (|GL(5, 2)| is about 1.0e7 at order 32)
+# (|GL(5, 2)| is about 1.0e7 at order 32), so automorphism_classes holds
+# at most AUT_COUNT_BOUND of them, whatever the order bound
 HELD_AUT_ORDER = 16
+AUT_COUNT_BOUND = 10 ** 5
+
+
+def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as int tuples; a float or string entry is refused, not truncated or parsed."""
+    try:
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError as exc:
+        raise StructuralError(f"{what} has an entry that is not an integer: {exc}") from None
 
 
 class FiniteGroup:
@@ -29,7 +41,7 @@ class FiniteGroup:
                  "_abelian", "_center", "_gens", "_aut_classes", "_simple")
 
     def __init__(self, table, name: str = "G", spec=None, check: bool = True):
-        self.table = tuple(tuple(map(int, row)) for row in table)
+        self.table = _int_rows(table, "group table")
         self.order = len(self.table)
         self.name = name
         self.spec = spec
@@ -71,15 +83,10 @@ class FiniteGroup:
                             f"associativity fails at ({i},{j},{k})")
 
     def _compute_inverses(self):
-        inv = [-1] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise StructuralError(f"element {a} has no inverse")
-        return tuple(inv)
+        try:
+            return tuple(row.index(0) for row in self.table)
+        except ValueError:
+            raise StructuralError("an element has no inverse") from None
 
     def _check_index(self, a: int) -> None:
         if not 0 <= a < self.order:
@@ -180,7 +187,7 @@ class GroupMap:
     check: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(v) for v in self.images)
+        object.__setattr__(self, "images", _int_rows([self.images], "image array")[0]
                            if self.check else tuple(self.images))
         if len(self.images) != self.source.order:
             raise StructuralError("image array length mismatch")
@@ -213,10 +220,7 @@ class GroupMap:
     def inverse(self) -> GroupMap:
         if not self.is_bijective:
             raise ContractViolation("cannot invert a non-bijective map")
-        inv = [-1] * self.target.order
-        for a, b in enumerate(self.images):
-            inv[b] = a
-        return GroupMap(self.target, self.source, tuple(inv), check=False)
+        return GroupMap(self.target, self.source, _perm_inverse(self.images), check=False)
 
     def compose(self, other: GroupMap) -> GroupMap:
         """self after other (function composition self . other)."""
@@ -476,12 +480,15 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     into classes once per group object: orbits under conjugation by a few
     generators of Aut(g), chosen greedily by largest order.  The
     representative is the least member of its orbit, so it does not depend
-    on the generators chosen.  The capacity check runs on every call."""
+    on the generators chosen.  The order check runs on every call; the
+    enumeration stops with CapacityError past AUT_COUNT_BOUND members."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
     if g._aut_classes is None:
-        perms = sorted(_iso_images(g, g))
+        perms = sorted(islice(_iso_images(g, g), AUT_COUNT_BOUND + 1))
+        if len(perms) > AUT_COUNT_BOUND:
+            raise CapacityError(f"more than {AUT_COUNT_BOUND} automorphisms to enumerate")
         # greedy, largest element order first, then by image array (the
         # sort is stable); Aut(g) itself bounds the closure, and the closure
         # is not kept, since holding it through the orbit search raises peak

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapacityError, ContractViolation, StructuralError
-from .groups import (FiniteGroup, GroupMap, _greedy_closure, _json_int,
+from .groups import (FiniteGroup, GroupMap, _greedy_closure, _int_rows, _json_int,
                      _json_ints, _json_object, _json_rows, _perm_order)
 
 INNER_CLOSURE_BOUND = 10 ** 6
@@ -24,6 +24,12 @@ INNER_CLOSURE_BOUND = 10 ** 6
 # failed check stores nothing, so it fails again on every call.  Keying by
 # table first lets twin groups share records and P groups.
 _STORE: dict[tuple, tuple[dict, dict]] = {}
+# The records of the most recently used inputs also hold their "rows", up to
+# ROW_CELLS table cells in all (four S5 tables): _RECENT maps id(record) to
+# the record, least recent first, and eviction drops only "rows".
+ROW_CELLS = 1 << 16
+_RECENT: dict[int, dict] = {}
+_row_cells = 0
 
 
 def _stored(g: FiniteGroup, psi: GroupMap) -> tuple[dict, dict]:
@@ -42,19 +48,23 @@ class Quandle:
     provenance: tuple[FiniteGroup, GroupMap] | None = None
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.sym)
+        rows = _int_rows(self.sym, "sym table")
         object.__setattr__(self, "sym", rows)
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
             raise StructuralError("sym table shape mismatch")
+
+    @classmethod
+    def _trusted(cls, sym, provenance) -> Quandle:
+        """A Quandle on rows built as n tuples of n ints: no conversion or check."""
+        q = object.__new__(cls)
+        q.__dict__.update(size=len(sym), sym=sym, provenance=provenance)
+        return q
 
     def is_general_alexander(self) -> bool:
         return self.provenance is not None
 
     def __repr__(self) -> str:
-        tag = ""
-        if self.provenance is not None:
-            g, psi = self.provenance
-            tag = f", Q({g.name},psi)"
+        tag = "" if self.provenance is None else f", Q({self.provenance[0].name},psi)"
         return f"Quandle(size={self.size}{tag})"
 
 
@@ -120,7 +130,10 @@ def _generating_points(sym) -> list[int]:
 
 
 def make_quandle(sym, provenance=None) -> Quandle:
-    q = Quandle(len(sym), sym, provenance)
+    return _checked(Quandle(len(sym), sym, provenance))
+
+
+def _checked(q: Quandle) -> Quandle:
     violations = check_axioms(q)
     if violations:
         raise StructuralError(f"not a quandle: {violations[:3]}")
@@ -129,15 +142,24 @@ def make_quandle(sym, provenance=None) -> Quandle:
 
 def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
     """Q(G, psi) with s_x(y) = x psi(x^-1 y); its axioms are checked once
-    per (table, images), which then gets its record in the store."""
+    per (table, images), which then gets its record in the store.  A recent
+    input's rows are reused, under the caller's own (g, psi)."""
+    global _row_cells
     records = _stored(g, psi)[0]
-    t, inv, im = g.table, g._inv, psi.images
-    sym = tuple(tuple([t[x][im[v]] for v in t[inv[x]]]) for x in range(g.order))
-    if im in records:
-        return Quandle(g.order, sym, (g, psi))
-    q = make_quandle(sym, provenance=(g, psi))
-    records[im] = {}
-    return q
+    rec = records.get(psi.images)
+    sym = rec.get("rows") if rec else None
+    if sym is None:
+        t, inv, im = g.table, g._inv, psi.images
+        sym = tuple(tuple([t[x][im[v]] for v in t[inv[x]]]) for x in range(g.order))
+        if rec is None:
+            _checked(Quandle._trusted(sym, (g, psi)))
+            rec = records[im] = {}
+        rec["rows"] = sym
+        _row_cells += g.order ** 2
+    _RECENT[id(rec)] = _RECENT.pop(id(rec), rec)
+    while _row_cells > ROW_CELLS:
+        _row_cells -= len(_RECENT.pop(next(iter(_RECENT))).pop("rows")) ** 2
+    return Quandle._trusted(sym, (g, psi))
 
 
 def trivial_quandle(n: int) -> Quandle:
@@ -192,8 +214,7 @@ def quandle_order(q: Quandle) -> int:
 
 
 def orbit_of(q: Quandle, start: int) -> frozenset[int]:
-    seen = {start}
-    frontier = [start]
+    seen, frontier = {start}, [start]
     while frontier:
         y = frontier.pop()
         for row in q.sym:
@@ -212,22 +233,19 @@ def is_connected(q: Quandle) -> bool:
 def subquandle(q: Quandle, members) -> tuple[Quandle, tuple[int, ...]]:
     """Re-indexed quandle on a symmetry-closed subset; returns (quandle, embedding)."""
     mem = tuple(sorted(set(members)))
-    ms = set(mem)
+    pos = {m: i for i, m in enumerate(mem)}
     for x in mem:
         for y in mem:
-            if q.sym[x][y] not in ms:
+            if q.sym[x][y] not in pos:
                 raise ContractViolation(
                     f"subset not closed: s_{x}({y}) = {q.sym[x][y]} escapes")
-    pos = {m: i for i, m in enumerate(mem)}
     sym = tuple(tuple(pos[q.sym[x][y]] for y in mem) for x in mem)
     return make_quandle(sym), mem
 
 
 def quandle_to_json(q: Quandle) -> str:
-    prov = None
-    if q.provenance is not None:
-        g, psi = q.provenance
-        prov = {"group": g.name, "automorphism": list(psi.images)}
+    prov = q.provenance and {"group": q.provenance[0].name,
+                             "automorphism": list(q.provenance[1].images)}
     return json.dumps({"size": q.size, "sym": [list(r) for r in q.sym],
                        "provenance": prov}, sort_keys=True)
 

@@ -29,6 +29,15 @@ def test_aut_capacity(capsys):
     assert main(["aut", "A5", "--bound", "50"]) == 2
 
 
+def test_aut_is_capped_by_count(capsys):
+    # C2^5 passes the order bound of 128, but |GL(5, 2)| is about 1e7
+    assert main(["aut", "C2xC2xC2xC2xC2"]) == 2
+    assert capsys.readouterr().err.startswith("capacity:")
+    for group, count in (("C2xC2xC2xC2", 20160), ("S5", 120)):
+        assert main(["aut", group]) == 0
+        assert f"|Aut| = {count}," in capsys.readouterr().out
+
+
 def test_invariants(capsys):
     assert main(["invariants", "Q8", "psi_4"]) == 0
     data = json.loads(capsys.readouterr().out)

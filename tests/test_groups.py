@@ -26,6 +26,16 @@ def test_identity_and_latin_square_enforced():
         FiniteGroup([[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("table", [[[0, 1.9], [1.2, 0.3]], [[0, 1.0], [1, 0]],
+                                   [["0", "1"], ["1", "0"]], [[0, None], [None, 0]]])
+def test_non_integer_entries_are_refused(table):
+    with pytest.raises(StructuralError):
+        FiniteGroup(table)
+    c2 = FiniteGroup([[0, 1], [1, 0]])
+    with pytest.raises(StructuralError):
+        GroupMap(c2, c2, (0, table[0][1]))
+
+
 def test_associativity_enforced():
     # Latin square with identity row/column that is not a group (order 5
     # quasigroup): swap two entries of C_5 away from row/column 0
@@ -280,6 +290,15 @@ def test_automorphism_capacity_bound():
     for enumerate_aut in (automorphism_group, automorphism_conjugacy_classes):
         with pytest.raises(CapacityError):
             enumerate_aut(a5, bound=50)
+
+
+def test_automorphism_count_bound(monkeypatch):
+    c2_3 = build_named("C2xC2xC2")
+    monkeypatch.setattr(groups, "AUT_COUNT_BOUND", 167)
+    with pytest.raises(CapacityError):
+        automorphism_group(FiniteGroup(c2_3.table), bound=8)
+    monkeypatch.setattr(groups, "AUT_COUNT_BOUND", 168)
+    assert len(automorphism_group(FiniteGroup(c2_3.table), bound=8)) == 168
 
 
 def test_conjugacy_classes_partition_and_closure():

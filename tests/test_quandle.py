@@ -491,3 +491,57 @@ def test_store_holds_one_record_per_input(monkeypatch):
             assert iso.cached_profile(g, psi) == ref
     keys = [(q.provenance[0].table, q.provenance[1].images) for q in checked]
     assert len(keys) == len(set(keys)) and len(profiled) == len(set(profiled))
+
+
+@pytest.mark.parametrize("rows", [[[0.7, 1.2], [0.1, 1.9]], [[0, 1.0], [0, 1]],
+                                  [["0", "1"], ["0", "1"]], [[0, 1], [0, b"1"]]])
+def test_non_integer_entries_are_refused(rows):
+    with pytest.raises(StructuralError):
+        make_quandle(rows)
+    with pytest.raises(StructuralError):
+        Quandle(2, rows)
+
+
+def test_quandle_converts_and_checks_rows_from_outside():
+    q = Quandle(2, [[0, 1], [0, 1]])
+    assert q.sym == ((0, 1), (0, 1)) and all(type(r) is tuple for r in q.sym)
+    assert make_quandle([[0, 1], [0, 1]]) == q
+    for size, rows in ((3, [[0, 1], [0, 1]]), (2, [[0, 1], [0]])):
+        with pytest.raises(StructuralError):
+            Quandle(size, rows)
+
+
+@pytest.mark.usefixtures("empty_store")
+def test_recent_rows_are_kept_under_each_callers_group():
+    d4 = build_named("D4")
+    psi = named_automorphism(d4, "phi:3,1")
+    q = general_alexander(d4, psi)
+    assert general_alexander(d4, psi).sym is q.sym
+    twin = FiniteGroup(d4.table, name="D4-twin")
+    q_twin = general_alexander(twin, GroupMap(twin, twin, psi.images))
+    assert q_twin.sym is q.sym and q_twin.provenance[0] is twin
+    assert "D4-twin" in repr(q_twin) and "D4-twin" not in repr(q)
+    assert json.loads(quandle_to_json(q_twin))["provenance"]["group"] == "D4-twin"
+    assert json.loads(quandle_to_json(q))["provenance"]["group"] == "D4"
+
+
+@pytest.mark.usefixtures("empty_store")
+def test_evicted_rows_are_rebuilt_without_a_second_axiom_check(monkeypatch):
+    checked, _ = _record_axiom_checks(monkeypatch)
+    d4 = build_named("D4")
+    psi = named_automorphism(d4, "phi:3,1")
+    first = general_alexander(d4, psi)
+    a5, cells = build_named("A5"), 0
+    for other in automorphism_group(a5, bound=60):
+        if cells > quandle.ROW_CELLS:
+            break
+        general_alexander(a5, other)
+        cells += a5.order ** 2
+    assert cells > quandle.ROW_CELLS and len(checked) == 1 + cells // a5.order ** 2
+    kept = list(quandle._RECENT.values())
+    assert quandle._row_cells == sum(len(rec["rows"]) ** 2 for rec in kept)
+    assert quandle._row_cells <= quandle.ROW_CELLS
+    again = general_alexander(d4, psi)
+    assert again == first and again.sym is not first.sym
+    assert len(checked) == 1 + cells // a5.order ** 2
+    assert general_alexander(d4, psi).sym is again.sym
