@@ -38,7 +38,7 @@ class FiniteGroup:
     """A finite group given by its multiplication table (table[a][b] = a*b)."""
 
     __slots__ = ("name", "order", "table", "spec", "_inv", "_elt_orders",
-                 "_abelian", "_center", "_gens", "_aut_classes", "_simple")
+                 "_abelian", "_center", "_gens", "_aut_classes", "_simple", "_store")
 
     def __init__(self, table, name: str = "G", spec=None, check: bool = True):
         self.table = _int_rows(table, "group table")
@@ -49,6 +49,7 @@ class FiniteGroup:
         self._gens = None
         self._aut_classes = None
         self._simple = None
+        self._store = None  # (store, entry), kept by quandle._stored
         if check:
             self._validate()
         self._inv = self._compute_inverses()
@@ -428,10 +429,11 @@ def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _perm_order(p: tuple[int, ...]) -> int:
-    """Order of a permutation under composition: the lcm of its cycle lengths."""
+def _perm_order(p: tuple[int, ...], points=None) -> int:
+    """Order of a permutation under composition: the lcm of the lengths of its
+    cycles through ``points`` (by default all; for an automorphism, generators)."""
     order, seen = 1, [False] * len(p)
-    for start in range(len(p)):
+    for start in range(len(p)) if points is None else points:
         v, length = start, 0
         while not seen[v]:
             seen[v] = True
@@ -442,15 +444,13 @@ def _perm_order(p: tuple[int, ...]) -> int:
     return order
 
 
-def _greedy_closure(degree: int, perms, bound: int
-                    ) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """The closure of ``perms`` under composition, and the members of
-    ``perms`` that it took, in their order.  A member already in the closure
-    built so far is skipped; one that is not joins the generators, and the
-    closure grows again: the elements held so far times the new generator,
-    then each new element times every generator (closing under right
-    multiplication alone suffices in a finite group).  Raises CapacityError
-    rather than let the closure grow past ``bound`` elements."""
+def _greedy_closure(degree: int, perms, bound: int) -> set[tuple[int, ...]]:
+    """The closure of ``perms`` under composition.  A member already in the
+    closure built so far is skipped; one that is not joins the generators,
+    and the closure grows again: the elements held so far times the new
+    generator, then each new element times every generator (closing under
+    right multiplication alone suffices in a finite group).  Raises
+    CapacityError rather than let the closure grow past ``bound`` elements."""
     have = {tuple(range(degree))}
     gens: list[tuple[int, ...]] = []
     for p in perms:
@@ -469,19 +469,21 @@ def _greedy_closure(degree: int, perms, bound: int
                         have.add(s)
                         grown.append(s)
             frontier, mults = grown, gens
-    return gens, have
+    return have
 
 
 def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> MappingProxyType:
     """Read-only map from each automorphism's image array, in sorted order,
     to the lexicographically minimal member of its Aut(g)-conjugacy class.
 
-    Aut(g) is enumerated from generator images (``_iso_images``) and split
-    into classes once per group object: orbits under conjugation by a few
-    generators of Aut(g), chosen greedily by largest order.  The
-    representative is the least member of its orbit, so it does not depend
-    on the generators chosen.  The order check runs on every call; the
-    enumeration stops with CapacityError past AUT_COUNT_BOUND members."""
+    Aut(g) is enumerated once per group object (``_iso_images``) and split
+    on indices into the sorted list, which an automorphism's images of
+    ``generating_set(g)`` look up.  Generators of Aut(g), chosen greedily
+    by largest order, then by image array, act on the indices as arrays.
+    Right multiplication must close them to every index, else
+    ContractViolation; conjugation orbits are the classes, and an orbit's
+    least index is its least image array.  The order check runs on every call;
+    past AUT_COUNT_BOUND automorphisms the enumeration raises CapacityError."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
@@ -489,28 +491,41 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
         perms = sorted(islice(_iso_images(g, g), AUT_COUNT_BOUND + 1))
         if len(perms) > AUT_COUNT_BOUND:
             raise CapacityError(f"more than {AUT_COUNT_BOUND} automorphisms to enumerate")
-        # greedy, largest element order first, then by image array (the
-        # sort is stable); Aut(g) itself bounds the closure, and the closure
-        # is not kept, since holding it through the orbit search raises peak
-        # memory
-        gens = _greedy_closure(g.order, sorted(perms, key=_perm_order, reverse=True),
-                               bound=len(perms))[0]
-        gen_invs = [_perm_inverse(p) for p in gens]
-        rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for p in perms:
-            if p in rep_of:
+        n, gens = len(perms), generating_set(g)
+        # every automorphism fixes 0; taking it first gives itemgetter an
+        # argument on C1, and a tuple, not a scalar, on a cyclic group
+        key = operator.itemgetter(0, *gens)
+        index = {key(p): i for i, p in enumerate(perms)}
+        orders = [_perm_order(p, gens) for p in perms]
+        have, held, mults, conjs = [True] + [False] * (n - 1), [0], [], []
+        for i in sorted(range(n), key=orders.__getitem__, reverse=True):
+            if have[i]:
                 continue
-            orbit = {p}
-            frontier = [p]
-            while frontier:
-                q = frontier.pop()
-                for t, tinv in zip(gens, gen_invs):
-                    r = tuple(t[q[v]] for v in tinv)
-                    if r not in orbit:
-                        orbit.add(r)
-                        frontier.append(r)
-            rep_of.update(dict.fromkeys(orbit, min(orbit)))
-        g._aut_classes = MappingProxyType({p: rep_of[p] for p in perms})
+            t = perms[i]
+            right, conj = operator.itemgetter(*key(t)), operator.itemgetter(*key(_perm_inverse(t)))
+            try:
+                mults.append([index[right(p)] for p in perms])
+                conjs.append([index[tuple(map(t.__getitem__, conj(p)))] for p in perms])
+            except KeyError:
+                raise ContractViolation("the automorphisms enumerated are not closed") from None
+            have, held = [True] + [False] * (n - 1), [0]
+            for q in held:  # held grows as it is walked
+                for m in mults:
+                    if not have[s := m[q]]:
+                        have[s] = True
+                        held.append(s)
+        if len(held) != n:
+            raise ContractViolation(f"Aut's generators close to {len(held)} of {n} members")
+        rep = [-1] * n
+        for i in range(n):
+            if rep[i] < 0:
+                rep[i], orbit = i, [i]
+                for q in orbit:
+                    for c in conjs:
+                        if rep[r := c[q]] < 0:
+                            rep[r] = i
+                            orbit.append(r)
+        g._aut_classes = MappingProxyType({p: perms[r] for p, r in zip(perms, rep)})
     return g._aut_classes
 
 

@@ -34,11 +34,14 @@ _row_cells = 0
 
 def _stored(g: FiniteGroup, psi: GroupMap) -> tuple[dict, dict]:
     """The store's (records, P groups) for G's table, once psi is known to be
-    an automorphism of G, so a stored record never answers for another map."""
+    an automorphism of G, so a stored record never answers for another map.
+    G keeps the entry with its store, so the table is hashed once per store."""
     psi.require_automorphism()
     if psi.source is not g and psi.source.table != g.table:
         raise ContractViolation("automorphism does not belong to this group")
-    return _STORE.setdefault(g.table, ({}, {}))
+    if g._store is None or g._store[0] is not _STORE:
+        g._store = _STORE, _STORE.setdefault(g.table, ({}, {}))
+    return g._store[1]
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class PermGroup:
         for p in self.generators:
             if sorted(p) != list(range(degree)):
                 raise StructuralError("generator is not a permutation")
-        self.elements = frozenset(_greedy_closure(degree, self.generators, bound)[1])
+        self.elements = frozenset(_greedy_closure(degree, self.generators, bound))
 
     @property
     def order(self) -> int:

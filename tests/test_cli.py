@@ -7,6 +7,7 @@ from quandles import classify
 from quandles.cli import main
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
+GOLDEN_AUT_C2_4 = Path(__file__).parent / "data" / "aut_C2xC2xC2xC2.txt"
 
 
 def test_groups_list(capsys):
@@ -36,6 +37,17 @@ def test_aut_is_capped_by_count(capsys):
     for group, count in (("C2xC2xC2xC2", 20160), ("S5", 120)):
         assert main(["aut", group]) == 0
         assert f"|Aut| = {count}," in capsys.readouterr().out
+
+
+def test_aut_c2_4_matches_the_golden_file(capsys):
+    assert main(["aut", "C2xC2xC2xC2"]) == 0
+    out = capsys.readouterr().out
+    assert out == GOLDEN_AUT_C2_4.read_text()
+    # Aut(C2^4) = GL(4, 2) is isomorphic to A8, whose 14 conjugacy classes
+    # have these sizes: a check that does not come from this package
+    sizes = [int(line.split("size ")[1].split(",")[0]) for line in out.splitlines()[1:]]
+    assert sizes == [1, 105, 210, 1260, 1120, 2520, 3360, 2880, 2880,
+                     112, 1680, 1344, 1344, 1344]
 
 
 def test_invariants(capsys):

@@ -331,6 +331,79 @@ def test_conjugacy_classes_abelian_are_singletons():
     assert len(classes) == 8
 
 
+def _classes_on_tuples(g: FiniteGroup) -> dict:
+    """Reference: automorphism_classes on whole image tuples.  Aut sorted by
+    order over every point, generators chosen by a tuple closure (largest
+    order first, then by image array), conjugation orbits found by hashing
+    each conjugate."""
+    perms = sorted(groups._iso_images(g, g))
+    have, gens = {tuple(range(g.order))}, []
+    for p in sorted(perms, key=groups._perm_order, reverse=True):
+        if p in have:
+            continue
+        gens.append(p)
+        frontier, mults = list(have), (p,)
+        while frontier:
+            grown = []
+            for q in frontier:
+                for r in mults:
+                    s = tuple(q[v] for v in r)
+                    if s not in have:
+                        have.add(s)
+                        grown.append(s)
+            frontier, mults = grown, gens
+    assert have == set(perms)
+    rep_of = {}
+    for p in perms:
+        if p in rep_of:
+            continue
+        orbit, frontier = {p}, [p]
+        while frontier:
+            q = frontier.pop()
+            for t in gens:
+                r = tuple(t[q[v]] for v in groups._perm_inverse(t))
+                if r not in orbit:
+                    orbit.add(r)
+                    frontier.append(r)
+        rep_of.update(dict.fromkeys(orbit, min(orbit)))
+    return {p: rep_of[p] for p in perms}
+
+
+# every catalog group of order <= 16: C1 has no generators and a cyclic
+# group one, the edge cases of a key made from generator images
+@pytest.mark.parametrize("name", [
+    *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
+    "A5", "S5", "SL23", "S3xS3", "S4", "C2xC2xC2xC2-relabelled"])
+def test_automorphism_classes_match_the_tuple_reference(name):
+    if name.endswith("-relabelled"):
+        import random
+        perm = list(range(1, 16))
+        random.Random(16).shuffle(perm)
+        g = _relabelled(build_named("C2xC2xC2xC2"), [0] + perm)
+        g = group_from_json(group_to_json(g))
+    else:
+        g = build_named(name)
+    fresh = FiniteGroup(g.table, name=g.name, check=False)
+    got = automorphism_classes(fresh, bound=128)
+    assert list(got.items()) == list(_classes_on_tuples(g).items())
+
+
+@pytest.mark.parametrize("edit", ["drop the last", "repeat the last"])
+def test_automorphism_classes_prove_the_generators_close(monkeypatch, edit):
+    # a set that is not closed under composition (an automorphism missing),
+    # or whose generators close to fewer indices than it has (an
+    # automorphism listed twice), is refused instead of split into classes
+    real = groups._iso_images
+
+    def edited(src, dst):
+        perms = list(real(src, dst))
+        return perms[:-1] if edit == "drop the last" else perms + perms[-1:]
+
+    monkeypatch.setattr(groups, "_iso_images", edited)
+    with pytest.raises(ContractViolation):
+        automorphism_classes(FiniteGroup(build_named("D4").table))
+
+
 def test_aut_d4_classes_match_affine_reps():
     from quandles.catalog import dihedral_phi
     d4 = build(dihedral(4))

@@ -493,6 +493,37 @@ def test_store_holds_one_record_per_input(monkeypatch):
     assert len(keys) == len(set(keys)) and len(profiled) == len(set(profiled))
 
 
+def test_a_group_keeps_its_store_entry_per_store(monkeypatch):
+    # the table is hashed once per group object and store; twin groups still
+    # share an entry, and a store swapped in (as by the empty_store fixture)
+    # is not answered from an entry kept for another one
+    class CountingStore(dict):
+        lookups = 0
+
+        def setdefault(self, key, default):
+            CountingStore.lookups += 1
+            return super().setdefault(key, default)
+
+    d4 = build_named("D4")  # cached by the catalog across tests
+    psi = named_automorphism(d4, "phi:3,1")
+    general_alexander(d4, psi)
+    shared = quandle._stored(d4, psi)
+    assert psi.images in shared[0]
+    monkeypatch.setattr(quandle, "_STORE", CountingStore())
+    assert quandle._stored(d4, psi) == ({}, {})
+    twin = FiniteGroup(d4.table, name="D4-twin")
+    psi_twin = GroupMap(twin, twin, psi.images)
+    for _ in range(3):
+        general_alexander(d4, psi)
+        compute_P(twin, psi_twin)
+    assert CountingStore.lookups == 2
+    assert quandle._stored(twin, psi_twin) is quandle._stored(d4, psi)
+    records, p_groups = quandle._stored(d4, psi)
+    assert list(records) == [psi.images] and len(p_groups) == 1
+    monkeypatch.undo()
+    assert quandle._stored(d4, psi) is shared and quandle._stored(twin, psi_twin) is shared
+
+
 @pytest.mark.parametrize("rows", [[[0.7, 1.2], [0.1, 1.9]], [[0, 1.0], [0, 1]],
                                   [["0", "1"], ["0", "1"]], [[0, 1], [0, b"1"]]])
 def test_non_integer_entries_are_refused(rows):
