@@ -24,8 +24,7 @@ from math import factorial, gcd, prod
 
 from .errors import CapacityError, ContractViolation, NameLookupError, StructuralError
 from .groups import (FiniteGroup, GroupMap, automorphism_conjugacy_classes,
-                     automorphism_group, groups_isomorphic, identity_map,
-                     inner_automorphism)
+                     identity_map, inner_automorphism)
 
 MAX_BUILD_ORDER = 128
 
@@ -41,35 +40,31 @@ class GroupSpec:
     params: tuple = ()
 
     def name(self) -> str:
-        return _spec_name(self)
+        k, p = self.kind, self.params
+        if self in _SPEC_NAMES:
+            return _SPEC_NAMES[self]
+        if k in _PREFIXES:
+            return f"{_PREFIXES[k]}{p[0]}"
+        if k == "product":
+            return "x".join(sub.name() for sub in p)
+        if k == "semidirect_cyclic":
+            return f"C{p[0]}r{p[2]}C{p[1]}"
+        raise StructuralError(f"unknown spec kind {k!r}")
 
 
-def _spec_name(spec: GroupSpec) -> str:
-    k, p = spec.kind, spec.params
-    if k == "cyclic":
-        return f"C{p[0]}"
-    if k == "dihedral":
-        return f"D{p[0]}"
-    if k == "dicyclic":
-        return "Q8" if p[0] == 2 else f"Dic{p[0]}"
-    if k == "symmetric":
-        return f"S{p[0]}"
-    if k == "alternating":
-        return f"A{p[0]}"
-    if k == "sl2_3":
-        return "SL23"
-    if k == "product":
-        return "x".join(sub.name() for sub in p)
-    if k == "semidirect_cyclic":
-        n, m, act = p
-        if (n, m, act) == (8, 2, 3):
-            return "QD16"
-        if (n, m, act) == (8, 2, 5):
-            return "M16"
-        return f"C{n}r{act}C{m}"
-    if k == "c4c2_twist":
-        return "SD16" if p[0] == "order3" else "TW16"
-    raise StructuralError(f"unknown spec kind {k!r}")
+# the names that are not a kind's prefix followed by its parameter
+_NAMED_SPECS = {
+    "Q8": GroupSpec("dicyclic", (2,)),
+    "SL23": GroupSpec("sl2_3", ()),
+    "SD16": GroupSpec("c4c2_twist", ("order3",)),
+    "TW16": GroupSpec("c4c2_twist", ("plain",)),
+    "QD16": GroupSpec("semidirect_cyclic", (8, 2, 3)),
+    "M16": GroupSpec("semidirect_cyclic", (8, 2, 5)),
+}
+_SPEC_NAMES = {spec: name for name, spec in _NAMED_SPECS.items()}
+_PREFIXES = {"cyclic": "C", "dihedral": "D", "dicyclic": "Dic", "symmetric": "S",
+             "alternating": "A"}
+_KINDS = {prefix: kind for kind, prefix in _PREFIXES.items()}
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -150,8 +145,9 @@ def _build_uncached(spec: GroupSpec) -> FiniteGroup:
     if k == "semidirect_cyclic":
         return _semidirect_cyclic_group(*p, spec=spec)
     if k == "c4c2_twist":
-        return FiniteGroup(_c4c2_twists()[p[0]].table, name=spec.name(), spec=spec,
-                           check=False)
+        table = semidirect_table(build(product(cyclic(4), cyclic(2))),
+                                 *cyclic_action(_C4C2_TWISTS[p[0]], 2))
+        return FiniteGroup(table, name=spec.name(), spec=spec, check=True)
     raise StructuralError(f"unknown spec kind {k!r}")
 
 
@@ -285,40 +281,10 @@ def _semidirect_cyclic_group(n: int, m: int, act: int, spec: GroupSpec) -> Finit
     return FiniteGroup(table, name=spec.name(), spec=spec, check=True)
 
 
-@cache
-def _c4c2_twists() -> dict[str, FiniteGroup]:
-    """The two non-product groups (C4xC2) x| C2.
-
-    All involutive twisting actions are scanned; the resulting groups fall
-    into exactly three isomorphism types, one of which is D4xC2 (already
-    covered by the product constructor).  Exactly one of the remaining two
-    admits an automorphism of order 3; that one is exposed as SD16 and the
-    other as TW16.  Uniqueness is asserted at build time.
-    """
-    base = build(product(cyclic(4), cyclic(2)))
-    d4c2 = build(product(dihedral(4), cyclic(2)))
-    types: list[FiniteGroup] = []
-    for amap in automorphism_group(base):
-        if amap.map_order() != 2:
-            continue
-        g = FiniteGroup(semidirect_table(base, *cyclic_action(amap.images, 2)),
-                        name="scan", check=True)
-        if any(groups_isomorphic(g, t) is not None for t in types):
-            continue
-        types.append(g)
-    named: dict[str, FiniteGroup] = {}
-    for g in types:
-        if groups_isomorphic(g, d4c2) is not None:
-            continue
-        has3 = any(a.map_order() == 3 for a in automorphism_group(g))
-        key = "order3" if has3 else "plain"
-        if key in named:
-            raise StructuralError("twist scan: order-3 criterion is not "
-                                  "a unique selector")
-        named[key] = g
-    if set(named) != {"order3", "plain"}:
-        raise StructuralError("twist scan did not find both expected types")
-    return named
+# SD16 and TW16 as (C4xC2) x| C2, by the involution of C4xC2 that the C2
+# acts by; the product's third twist is D4xC2.  SD16 is the one of the two
+# with an automorphism of order 3.
+_C4C2_TWISTS = {"order3": (0, 5, 2, 7, 4, 1, 6, 3), "plain": (0, 1, 3, 2, 4, 5, 7, 6)}
 
 
 _ORDER16_SPECS = (
@@ -375,33 +341,13 @@ def spec_from_name(name: str) -> GroupSpec:
     if len(parts) > 1:
         return product(*(spec_from_name(part) for part in parts))
     token = parts[0]
-    if token == "Q8":
-        return quaternion8()
-    if token == "SL23":
-        return sl23()
-    if token == "SD16":
-        return GroupSpec("c4c2_twist", ("order3",))
-    if token == "TW16":
-        return GroupSpec("c4c2_twist", ("plain",))
-    if token == "QD16":
-        return GroupSpec("semidirect_cyclic", (8, 2, 3))
-    if token == "M16":
-        return GroupSpec("semidirect_cyclic", (8, 2, 5))
-    if token == "C4rC4" or token == "C4r3C4":
+    if token in _NAMED_SPECS:
+        return _NAMED_SPECS[token]
+    if token in ("C4rC4", "C4r3C4"):  # an alias, then the spec's own name
         return GroupSpec("semidirect_cyclic", (4, 4, 3))
     m = _CLI_NAME_RE.match(token)
-    if m and m.group(2):
-        kind, num = m.group(1), int(m.group(2))
-        if kind == "C":
-            return cyclic(num)
-        if kind == "D":
-            return dihedral(num)
-        if kind == "Dic":
-            return dicyclic(num)
-        if kind == "S":
-            return symmetric(num)
-        if kind == "A":
-            return alternating(num)
+    if m and m.group(2) and m.group(1) in _KINDS:
+        return GroupSpec(_KINDS[m.group(1)], (int(m.group(2)),))
     raise NameLookupError(f"unknown group name {name!r}")
 
 

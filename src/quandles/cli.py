@@ -29,9 +29,10 @@ EXIT_BAD_INPUT = 3
 
 def _resolve_aut(g: FiniteGroup, name: str) -> GroupMap:
     """Accept the plain atom syntax plus the moduli-suffixed forms
-    ``phi:a,b@n`` and ``mul:a@n`` (the suffix must match the group)."""
-    if "@" in name:
-        body, _, suffix = name.rpartition("@")
+    ``phi:a,b@n`` and ``mul:a@n`` (the suffix must match the group); the
+    ``@p`` of a ``mat:rows@p`` atom is its prime, read by the atom itself."""
+    body, _, suffix = name.rpartition("@")
+    if body.rpartition("*")[2].lstrip().startswith(("phi:", "mul:")):
         try:
             modulus = _int_token(suffix)
         except ValueError as exc:

@@ -231,7 +231,7 @@ class GroupMap:
                         tuple(self.images[v] for v in other.images), check=False)
 
     def conjugate_by(self, tau: GroupMap) -> GroupMap:
-        """tau . self . tau^-1 (all maps on the same group)."""
+        """tau . self . tau^-1; tau may carry the map onto another group."""
         return tau.compose(self).compose(tau.inverse())
 
     def map_order(self) -> int:

@@ -15,8 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .catalog import (build, build_named, cyclic_action, groups_of_order,
-                      semidirect_table)
+from .catalog import build, cyclic_action, groups_of_order, semidirect_table
 from .errors import VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
                      center, generated_subgroup, groups_isomorphic, is_normal)
@@ -151,14 +150,19 @@ def _catalog_groups(order: int):
     return tuple((spec.name(), build(spec)) for spec in groups_of_order(order))
 
 
+def _catalog_match(grp: FiniteGroup) -> tuple[str | None, GroupMap | None]:
+    """(name, isomorphism grp -> catalog copy) of the first catalog group of
+    grp's order that grp is isomorphic to, or (None, None)."""
+    for name, cand in _catalog_groups(grp.order):
+        h0 = groups_isomorphic(grp, cand)
+        if h0 is not None:
+            return name, h0
+    return None, None
+
+
 def group_descriptor(grp: FiniteGroup) -> tuple:
     """(order, element-order multiset, abelian flag, catalog name or None)."""
-    name = None
-    for cand_name, cand in _catalog_groups(grp.order):
-        if groups_isomorphic(grp, cand) is not None:
-            name = cand_name
-            break
-    return (grp.order, grp.element_order_multiset(), grp.is_abelian, name)
+    return (grp.order, grp.element_order_multiset(), grp.is_abelian, _catalog_match(grp)[0])
 
 
 def descriptor_display(desc: tuple) -> str:
@@ -175,16 +179,11 @@ def transported_class(grp: FiniteGroup, auto: GroupMap) -> tuple:
     resulting Aut-conjugacy class does not depend on the choice.  For groups
     outside the catalog the id degrades to (order of the map, fixed count).
     """
-    desc = group_descriptor(grp)
-    name = desc[3]
+    name, h0 = _catalog_match(grp)
     if name is None:
         fixed = sum(1 for x in range(grp.order) if auto.images[x] == x)
         return ("fallback", auto.map_order(), fixed)
-    k = build_named(name)
-    h0 = groups_isomorphic(grp, k)
-    assert h0 is not None
-    transported = h0.compose(auto).compose(h0.inverse())
-    return ("class", name, automorphism_classes(k)[transported.images])
+    return ("class", name, automorphism_classes(h0.target)[auto.conjugate_by(h0).images])
 
 
 # ---------------------------------------------------------------------------

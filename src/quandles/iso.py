@@ -3,7 +3,8 @@
 Two independent routes exist for every decision: a complete backtracking
 search over point maps (the oracle) and the structural criterion for
 generalized Alexander quandles satisfying the two preconditions (P1)/(P2),
-plus formula deciders for simple, abelian, cyclic and dihedral sources.
+plus formula deciders for simple or symmetric, abelian, cyclic and
+dihedral sources.
 ``decide`` runs every applicable route and aborts on disagreement; an
 isomorphic verdict always carries an exhaustively verified witness.
 """
@@ -14,6 +15,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, VerificationError
 from .groups import (FiniteGroup, GroupMap, all_group_isomorphisms,
@@ -366,17 +368,33 @@ def _coset_fibers(g: FiniteGroup, psi: GroupMap, p_members, psq
 # specialized deciders
 # ---------------------------------------------------------------------------
 
-def simple_group_decider(g: FiniteGroup, psi1: GroupMap, psi2: GroupMap) -> IsoVerdict:
-    """For simple G: Q(G, psi1) and Q(G, psi2) isomorphic iff the maps are
-    conjugate in Aut(G); the conjugator itself is the witness."""
-    if not is_simple(g):
-        raise ContractViolation(f"{g.name} is not simple")
-    for tau in automorphism_classes(g, bound=128):
-        if tuple(tau[v] for v in psi1.images) == tuple(psi2.images[v] for v in tau):
-            q1 = general_alexander(g, psi1)
-            q2 = general_alexander(g, psi2)
-            return _checked(q1, q2, IsoVerdict(ISOMORPHIC, METHOD_SIMPLE,
-                                               witness=tau))
+def _aut_conjugacy_decides(g: FiniteGroup) -> bool:
+    """G is simple, or G is isomorphic to S_n with 3 <= n <= 5, where Aut(S_n)
+    = Inn(S_n) (Hoelder); S_6, whose Aut is twice Inn, is never claimed."""
+    n = {6: 3, 24: 4, 120: 5}.get(g.order)
+    return is_simple(g) or (
+        n is not None and groups_isomorphic(g, build(symmetric(n))) is not None)
+
+
+def simple_group_decider(g1: FiniteGroup, psi1: GroupMap,
+                         g2: FiniteGroup, psi2: GroupMap) -> IsoVerdict:
+    """For G, G' simple or symmetric (see ``_aut_conjugacy_decides``): the
+    quandles are isomorphic iff some theta : G' -> G carries psi2 into the
+    Aut(G)-class of psi1.  A conjugator tau gives the witness theta^-1 . tau."""
+    if not (_aut_conjugacy_decides(g1) and _aut_conjugacy_decides(g2)):
+        raise ContractViolation(
+            f"{g1.name} or {g2.name} is neither simple nor S_n with n <= 5")
+    theta = groups_isomorphic(g2, g1)
+    if theta is None:
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
+                          note="simple groups not isomorphic")
+    target = psi2.conjugate_by(theta).images
+    for tau in automorphism_classes(g1, bound=128):
+        if tuple(tau[v] for v in psi1.images) == tuple(target[v] for v in tau):
+            theta_inv = theta.inverse().images
+            return _checked(general_alexander(g1, psi1), general_alexander(g2, psi2),
+                            IsoVerdict(ISOMORPHIC, METHOD_SIMPLE,
+                                       witness=tuple(theta_inv[v] for v in tau)))
     return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                       note="maps are not conjugate in the automorphism group")
 
@@ -420,7 +438,7 @@ def _formula_route(g1, psi1, g2, psi2) -> tuple[str, Callable] | None:
     else:
         return None
 
-    def run(_q1, _q2) -> IsoVerdict:
+    def run(*_) -> IsoVerdict:
         if not same:
             return IsoVerdict(NOT_ISOMORPHIC, method)
         inner = structural(g1, psi1, g2, psi2)
@@ -430,26 +448,6 @@ def _formula_route(g1, psi1, g2, psi2) -> tuple[str, Callable] | None:
         return IsoVerdict(ISOMORPHIC, method, witness=inner.witness)
 
     return method, run
-
-
-def _simple_verdict(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
-                    psi2: GroupMap, q1: Quandle, q2: Quandle) -> IsoVerdict:
-    """Two simple groups: transport psi2 onto G along a group isomorphism
-    theta : G' -> G and test Aut-conjugacy there."""
-    theta = groups_isomorphic(g2, g1)
-    if theta is None:
-        return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
-                          note="simple groups not isomorphic")
-    transported = theta.compose(psi2).compose(theta.inverse())
-    inner = simple_group_decider(g1, psi1, transported)
-    if inner.result != ISOMORPHIC:
-        return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE, note=inner.note)
-    # tau conjugates psi1 to the transported map, so
-    # theta^-1 . tau : Q(G,psi1) -> Q(G',psi2) intertwines
-    tau = inner.witness
-    theta_inv = theta.inverse()
-    witness = tuple(theta_inv.images[tau[x]] for x in range(g1.order))
-    return _checked(q1, q2, IsoVerdict(ISOMORPHIC, METHOD_SIMPLE, witness=witness))
 
 
 # ---------------------------------------------------------------------------
@@ -463,39 +461,39 @@ _METHOD_PRIORITY = (METHOD_SEPARATION, METHOD_SIMPLE, METHOD_ABELIAN,
 def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
             brute_bound: int) -> list[tuple[str, Callable]]:
     """(method, decider) for every route ``decide`` runs on this pair, in run
-    order; a decider takes (q1, q2).  Each route is listed only where its
-    verdict is decisive: theorem 1.3 only under (P1)/(P2) on both sides,
-    brute force only up to ``brute_bound``.  The two run as cross-checks up
-    to CROSS_CHECK_SIZE, and above it only when no earlier route applies."""
+    order; a decider takes (g1, psi1, g2, psi2).  Each route is listed only
+    where its verdict is decisive: theorem 1.3 only under (P1)/(P2) on both
+    sides, brute force only up to ``brute_bound``.  The two run as
+    cross-checks up to CROSS_CHECK_SIZE, and above it only when no earlier
+    route applies; Aut-conjugacy on S_n only when no other route applies."""
     prof1 = cached_profile(g1, psi1)
     prof2 = cached_profile(g2, psi2)
     routes: list[tuple[str, Callable]] = []
     separator = prof1.separator_against(prof2)
     if separator is not None:
-        routes.append((METHOD_SEPARATION, lambda _q1, _q2: IsoVerdict(
+        routes.append((METHOD_SEPARATION, lambda *_: IsoVerdict(
             NOT_ISOMORPHIC, METHOD_SEPARATION, separator=separator)))
     if psi1.map_order() == 1 and psi2.map_order() == 1:
         # two trivial quandles: isomorphic iff equal size
         if g1.order == g2.order:
-            routes.append((METHOD_BRUTE, lambda q1, q2: _checked(q1, q2, IsoVerdict(
-                ISOMORPHIC, METHOD_BRUTE, witness=tuple(range(g1.order))))))
+            routes.append((METHOD_BRUTE, lambda *_: IsoVerdict(
+                ISOMORPHIC, METHOD_BRUTE, witness=tuple(range(g1.order)))))
     elif is_simple(g1) and is_simple(g2):
-        routes.append((METHOD_SIMPLE, lambda q1, q2: _simple_verdict(
-            g1, psi1, g2, psi2, q1, q2)))
+        routes.append((METHOD_SIMPLE, simple_group_decider))
     if g1.is_abelian and g2.is_abelian:
-        routes.append((METHOD_ABELIAN, lambda _q1, _q2: abelian_decider(
-            g1, psi1, g2, psi2)))
+        routes.append((METHOD_ABELIAN, abelian_decider))
     formula = _formula_route(g1, psi1, g2, psi2)
     if formula is not None:
         routes.append(formula)
     cross_check = max(g1.order, g2.order) <= CROSS_CHECK_SIZE
     if ((cross_check or not routes)
             and prof1.p1 and prof1.p2 and prof2.p1 and prof2.p2):
-        routes.append((METHOD_THM13, lambda _q1, _q2: theorem13_iso(
-            g1, psi1, g2, psi2)))
+        routes.append((METHOD_THM13, theorem13_iso))
     if (cross_check or not routes) and max(g1.order, g2.order) <= brute_bound:
-        routes.append((METHOD_BRUTE, lambda q1, q2: brute_force_iso(
-            q1, q2, bound=brute_bound)))
+        routes.append((METHOD_BRUTE, lambda *_: brute_force_iso(
+            general_alexander(g1, psi1), general_alexander(g2, psi2), bound=brute_bound)))
+    if not routes and _aut_conjugacy_decides(g1) and _aut_conjugacy_decides(g2):
+        routes.append((METHOD_SIMPLE, simple_group_decider))
     return routes
 
 
@@ -528,7 +526,7 @@ def decide(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
     if method != "auto":
         raise ContractViolation(f"unknown method {method!r}")
 
-    verdicts = [run(q1, q2) for _, run in _routes(g1, psi1, g2, psi2, brute_bound)]
+    verdicts = [run(g1, psi1, g2, psi2) for _, run in _routes(g1, psi1, g2, psi2, brute_bound)]
     if not verdicts:
         return IsoVerdict(UNDECIDED, METHOD_THM13,
                           note="all applicable methods exhausted or above capacity")

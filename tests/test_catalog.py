@@ -4,9 +4,9 @@ import json
 import pytest
 
 from quandles.catalog import (GROUP_COUNTS, GroupSpec, _build_uncached, _spec_order,
-                              build, build_named, cyclic, dicyclic, dihedral,
-                              groups_of_order, named_automorphism, product,
-                              quaternion8, spec_from_name)
+                              alternating, build, build_named, cyclic, dicyclic,
+                              dihedral, groups_of_order, named_automorphism,
+                              product, quaternion8, sl23, spec_from_name, symmetric)
 from quandles.errors import (CapacityError, ContractViolation, NameLookupError,
                              StructuralError)
 from quandles.groups import (FiniteGroup, automorphism_group, center,
@@ -109,8 +109,17 @@ def test_spec_names_round_trip():
         g = build_named(name)
         assert g.name == name
         assert spec_from_name(name) == g.spec
-    with pytest.raises(NameLookupError):
-        spec_from_name("E8")
+    specs = [s for n in range(1, 17) for s in groups_of_order(n)]
+    specs += [symmetric(3), symmetric(4), symmetric(5), alternating(4), alternating(5),
+              sl23(), product(symmetric(3), symmetric(3))]
+    for spec in specs:
+        assert spec_from_name(spec.name()) == spec, spec
+    assert spec_from_name("C4rC4") == spec_from_name("C4r3C4") == GroupSpec(
+        "semidirect_cyclic", (4, 4, 3))
+    assert spec_from_name("C4rC4").name() == "C4r3C4"
+    for bad in ("E8", "C", "Dic", "Q", "C4r5C4", "SD", "c4", "Cx", "D4xE8", "x"):
+        with pytest.raises(NameLookupError):
+            spec_from_name(bad)
 
 
 def test_sd16_has_order_3_automorphism_and_tw16_does_not():
@@ -415,7 +424,13 @@ def test_catalog_tables_match_the_nested_loop_builders():
     for spec in specs:
         if spec.kind != "c4c2_twist":
             assert build(spec).table == _old_catalog_table(spec), spec
-    assert {build_named("SD16").table, build_named("TW16").table} == _old_twist_tables()
+    old = _old_twist_tables()
+    assert {build_named("SD16").table, build_named("TW16").table} == old
+    # SD16 is the scanned table with an automorphism of order 3, TW16 the other
+    has3 = {t: any(a.map_order() == 3 for a in automorphism_group(FiniteGroup(t)))
+            for t in old}
+    assert sorted(has3.values()) == [False, True]
+    assert has3[build_named("SD16").table] and not has3[build_named("TW16").table]
 
 
 def test_cyclic_action_tables_match_the_cyclic_top_builder():

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from quandles import classify
+from quandles.catalog import build_named, named_automorphism
 from quandles.cli import main
+from quandles.invariants import profile, profile_to_json
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
 GOLDEN_AUT_C2_4 = Path(__file__).parent / "data" / "aut_C2xC2xC2xC2.txt"
@@ -74,6 +76,18 @@ def test_iso_methods(capsys):
 
 def test_iso_modulus_mismatch(capsys):
     assert main(["iso", "C10", "mul:3@11", "D5", "phi:3,1@5"]) == 3
+
+
+@pytest.mark.parametrize("group,aut", [
+    ("C3xC3", "mat:0,1;1,1@3"), ("C2xC2", "mat:0,1;1,1@2"), ("D5", "phi:3,1@5"),
+    ("C10", "mul:3*mul:7@10"),
+])
+def test_invariants_read_a_prime_or_a_modulus_suffix(group, aut, capsys):
+    assert main(["invariants", group, aut]) == 0
+    g = build_named(group)
+    atom = aut if aut.startswith("mat:") else aut.rpartition("@")[0]
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        profile_to_json(profile(g, named_automorphism(g, atom))))
 
 
 @pytest.mark.parametrize("group,aut", [

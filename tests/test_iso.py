@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,10 @@ from quandles.catalog import (build, build_named, cyclic, dihedral,
 from quandles import groups, iso
 from quandles.classify import _pair_objects, classify_order
 from quandles.errors import CapacityError, ContractViolation, VerificationError
-from quandles.groups import (GroupMap, automorphism_classes,
+from quandles.groups import (FiniteGroup, GroupMap, automorphism_classes,
                              automorphism_conjugacy_classes, automorphism_group,
-                             identity_map)
+                             group_from_json, group_to_json, groups_isomorphic,
+                             identity_map, is_simple)
 from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
                           abelian_decider, brute_force_iso, cached_profile,
                           check_theorem39_properties, decide, isomorphic_method,
@@ -115,16 +117,151 @@ def test_simple_group_decider():
     c7 = build(cyclic(7))
     m2 = named_automorphism(c7, "mul:2")
     m3 = named_automorphism(c7, "mul:3")
-    assert simple_group_decider(c7, m2, m2).result == ISOMORPHIC
-    assert simple_group_decider(c7, m2, m3).result == NOT_ISOMORPHIC
+    assert simple_group_decider(c7, m2, c7, m2).result == ISOMORPHIC
+    assert simple_group_decider(c7, m2, c7, m3).result == NOT_ISOMORPHIC
     c5 = build(cyclic(5))
     a2 = named_automorphism(c5, "mul:2")
     a3 = named_automorphism(c5, "mul:3")
-    assert simple_group_decider(c5, a2, a3).result == \
+    assert simple_group_decider(c5, a2, c5, a3).result == \
         brute_force_iso(general_alexander(c5, a2), general_alexander(c5, a3)).result
     with pytest.raises(ContractViolation):
         simple_group_decider(build(cyclic(4)), identity_map(build(cyclic(4))),
-                             identity_map(build(cyclic(4))))
+                             build(cyclic(4)), identity_map(build(cyclic(4))))
+
+
+def _parent_simple_group_decider(g, psi1, psi2):
+    """The three-argument decider the four-argument one replaced."""
+    if not is_simple(g):
+        raise ContractViolation(f"{g.name} is not simple")
+    for tau in automorphism_classes(g, bound=128):
+        if tuple(tau[v] for v in psi1.images) == tuple(psi2.images[v] for v in tau):
+            q1 = general_alexander(g, psi1)
+            q2 = general_alexander(g, psi2)
+            return iso._checked(q1, q2, iso.IsoVerdict(ISOMORPHIC, iso.METHOD_SIMPLE,
+                                                       witness=tau))
+    return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_SIMPLE,
+                          note="maps are not conjugate in the automorphism group")
+
+
+def _parent_simple_verdict(g1, psi1, g2, psi2):
+    """The route ``decide`` ran on two simple groups before the fold."""
+    q1, q2 = general_alexander(g1, psi1), general_alexander(g2, psi2)
+    theta = groups_isomorphic(g2, g1)
+    if theta is None:
+        return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_SIMPLE,
+                              note="simple groups not isomorphic")
+    transported = theta.compose(psi2).compose(theta.inverse())
+    inner = _parent_simple_group_decider(g1, psi1, transported)
+    if inner.result != ISOMORPHIC:
+        return iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_SIMPLE, note=inner.note)
+    tau = inner.witness
+    theta_inv = theta.inverse()
+    witness = tuple(theta_inv.images[tau[x]] for x in range(g1.order))
+    return iso._checked(q1, q2, iso.IsoVerdict(ISOMORPHIC, iso.METHOD_SIMPLE,
+                                               witness=witness))
+
+
+def _relabelled(g, seed):
+    """g with its non-identity elements renamed at random, through JSON."""
+    perm = list(range(1, g.order))
+    random.Random(seed).shuffle(perm)
+    perm = [0] + perm
+    inv = [0] * g.order
+    for i, v in enumerate(perm):
+        inv[v] = i
+    table = [[perm[g.table[inv[i]][inv[j]]] for j in range(g.order)]
+             for i in range(g.order)]
+    h = group_from_json(group_to_json(FiniteGroup(table, name=f"{g.name}-relabelled")))
+    return h, perm
+
+
+def _carried(psi, h, perm):
+    """psi moved onto the relabelled copy h: perm[x] -> perm[psi(x)]."""
+    images = [0] * h.order
+    for x, v in enumerate(psi.images):
+        images[perm[x]] = perm[v]
+    return GroupMap(h, h, tuple(images), check=False)
+
+
+def test_folded_simple_decider_matches_the_parent_route():
+    pairs = []
+    for p in (2, 3, 5, 7, 11, 13):
+        g = build(cyclic(p))
+        units = automorphism_group(g)
+        pairs += [(g, a, g, b) for a in units for b in units]
+    c5, c7 = build(cyclic(5)), build(cyclic(7))
+    pairs.append((c5, identity_map(c5), c7, named_automorphism(c7, "mul:3")))
+    a5 = build_named("A5")
+    reps = [rep for rep, _ in automorphism_conjugacy_classes(a5, bound=128)]
+    pairs += [(a5, r1, a5, r2) for r1 in reps for r2 in reps]
+    auts = automorphism_group(a5, bound=128)
+    pairs += [(a5, rep, a5, rep.conjugate_by(tau)) for rep in reps for tau in auts[::23]]
+    b5, perm = _relabelled(a5, 5)
+    pairs += [(a5, rep, b5, _carried(rep.conjugate_by(tau), b5, perm))
+              for rep in reps for tau in auts[::41]]
+    pairs += [(b5, _carried(reps[2], b5, perm), a5, reps[3])]
+    for g1, p1, g2, p2 in pairs:
+        want = _parent_simple_verdict(g1, p1, g2, p2).to_json_dict()
+        assert simple_group_decider(g1, p1, g2, p2).to_json_dict() == want, (
+            g1.name, p1.images, g2.name, p2.images)
+
+
+def test_symmetric_decider_matches_the_search_oracle():
+    """Aut(S_n) = Inn(S_n) for n = 3, 4, 5: Aut-conjugacy decides."""
+    for name in ("S3", "S4", "S5"):
+        g = build_named(name)
+        reps = [rep for rep, _ in automorphism_conjugacy_classes(g, bound=128)]
+        for r1, r2 in itertools.combinations(reps, 2):
+            v = simple_group_decider(g, r1, g, r2)
+            oracle = brute_force_iso(general_alexander(g, r1), general_alexander(g, r2),
+                                     bound=120)
+            assert v.result == oracle.result == NOT_ISOMORPHIC, (name, r1.images, r2.images)
+        auts = automorphism_group(g, bound=128)
+        for rep in reps:
+            conj = rep.conjugate_by(auts[len(auts) // 2 + 1])
+            v = simple_group_decider(g, rep, g, conj)
+            assert v.result == ISOMORPHIC and v.method == "simple-group-conjugacy"
+            assert verify_quandle_witness(general_alexander(g, rep),
+                                          general_alexander(g, conj), v.witness)
+    d3 = build_named("D3")
+    for a1, a2, want in (("phi:1,1", "phi:1,2", ISOMORPHIC),
+                         ("phi:2,1", "phi:1,1", NOT_ISOMORPHIC)):
+        p1, p2 = named_automorphism(d3, a1), named_automorphism(d3, a2)
+        assert simple_group_decider(d3, p1, d3, p2).result == want == brute_force_iso(
+            general_alexander(d3, p1), general_alexander(d3, p2)).result
+    for name in ("SL23", "C6", "S3xS3"):  # orders of S_n, or not simple
+        g = build_named(name)
+        with pytest.raises(ContractViolation):
+            simple_group_decider(g, identity_map(g), g, identity_map(g))
+
+
+def test_relabelled_s5_conjugates_are_decided_isomorphic():
+    s5 = build_named("S5")
+    h, perm = _relabelled(s5, 120)
+    psi = _carried(named_automorphism(s5, "conj_perm:(1 2 3)(4 5)"), h, perm)
+    tau = _carried(named_automorphism(s5, "conj_perm:(1 4)(2 5 3)"), h, perm)
+    for g1, p1 in ((h, psi), (s5, named_automorphism(s5, "conj_perm:(1 2 3)(4 5)"))):
+        conj = psi.conjugate_by(tau)
+        v = decide(g1, p1, h, conj)
+        assert (v.result, v.method) == (ISOMORPHIC, "simple-group-conjugacy")
+        assert verify_quandle_witness(general_alexander(g1, p1),
+                                      general_alexander(h, conj), v.witness)
+
+
+def test_small_symmetric_pairs_keep_their_methods(monkeypatch):
+    """S3, D3 and S4 pairs always have another route, so the S_n row never
+    changes what ``decide`` reports on them."""
+    pairs = []
+    for name in ("S3", "D3", "S4"):
+        g = build_named(name)
+        reps = [rep for rep, _ in automorphism_conjugacy_classes(g, bound=128)]
+        tau = automorphism_group(g, bound=128)[-1]
+        pairs += [(g, r1, g, r2) for r1 in reps for r2 in reps]
+        pairs += [(g, rep, g, rep.conjugate_by(tau)) for rep in reps]
+    now = [decide(*pair).to_json() for pair in pairs]
+    assert all('"simple-group-conjugacy"' not in v for v in now)
+    monkeypatch.setattr(iso, "_aut_conjugacy_decides", is_simple)
+    assert now == [decide(*pair).to_json() for pair in pairs]
 
 
 def test_abelian_decider():
