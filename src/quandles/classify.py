@@ -21,9 +21,8 @@ from .catalog import build, groups_of_order
 from .errors import CapacityError, ContractViolation, VerificationError
 from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import InvariantProfile, descriptor_display
-from .iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, UNDECIDED, IsoVerdict,
-                  cached_profile, decide, isomorphic_method,
-                  verify_quandle_witness)
+from .iso import (ISOMORPHIC, UNDECIDED, IsoVerdict, cached_profile, decide,
+                  isomorphic_method, verify_quandle_witness)
 from .labels import labels_for_pair
 from .quandle import general_alexander
 
@@ -102,7 +101,7 @@ def _pair_list(groups: list[FiniteGroup]):
     pairs: list[PairEntry] = []
     maps: list[tuple[FiniteGroup, GroupMap]] = []
     for gi, g in enumerate(groups):
-        for ci, (rep, _size) in enumerate(automorphism_conjugacy_classes(g, bound=128)):
+        for ci, (rep, _size) in enumerate(automorphism_conjugacy_classes(g)):
             refs = tuple(sorted(labels_for_pair(g.order, g.name, rep.images)))
             pairs.append(PairEntry(gi, g.name, ci, rep.images, refs))
             maps.append((g, rep))
@@ -115,36 +114,32 @@ def _sort_key(profile: InvariantProfile, pair: PairEntry):
 
 
 def classify_order(order: int, beyond_paper: bool = False,
-                   cache_dir: str | None = None,
-                   brute_bound: int = DEFAULT_BRUTE_BOUND) -> ClassificationReport:
+                   cache_dir: str | None = None) -> ClassificationReport:
     """Classify every Q(G, psi) with |G| = order up to quandle isomorphism."""
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR) or None
     if cache_dir:
-        cached = _load_cache(order, beyond_paper, cache_dir, brute_bound)
+        cached = _load_cache(order, beyond_paper, cache_dir)
         if cached is not None:
             return cached
         _make_cache_dir(cache_dir)  # fail at once, not after classifying
     groups, pairs, maps = _pair_objects(order, beyond_paper)
     report = _classify_pairs(order, beyond_paper, [g.name for g in groups],
-                             pairs, maps, brute_bound=brute_bound)
+                             pairs, maps)
     if cache_dir:
         _store_cache(report, cache_dir)
     return report
 
 
-def classify_group(g: FiniteGroup,
-                   brute_bound: int = DEFAULT_BRUTE_BOUND) -> ClassificationReport:
+def classify_group(g: FiniteGroup) -> ClassificationReport:
     """Classification restricted to a single group's automorphism classes."""
     pairs, maps = _pair_list([g])
-    return _classify_pairs(g.order, g.order > 15, [g.name], pairs, maps,
-                           brute_bound=brute_bound)
+    return _classify_pairs(g.order, g.order > 15, [g.name], pairs, maps)
 
 
 def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
                     pairs: list[PairEntry],
-                    maps: list[tuple[FiniteGroup, GroupMap]],
-                    brute_bound: int = DEFAULT_BRUTE_BOUND) -> ClassificationReport:
+                    maps: list[tuple[FiniteGroup, GroupMap]]) -> ClassificationReport:
     profiles = [cached_profile(g, psi) for g, psi in maps]
     verdict_log: list[dict] = []
     # pairs are visited in index order, so each representative is the
@@ -153,7 +148,7 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
     for i, prof in enumerate(profiles):
         reps = bucket_reps.setdefault(prof, [])
         for rep in reps:
-            verdict = decide(*maps[rep], *maps[i], brute_bound=brute_bound)
+            verdict = decide(*maps[rep], *maps[i])
             verdict_log.append({"left": rep, "right": i,
                                 "verdict": verdict.to_json_dict()})
             if verdict.result == ISOMORPHIC:
@@ -327,7 +322,7 @@ def boundary_pair():
     g1 = build_named("C2xQ8")
     psi1 = named_automorphism(g1, "right:psi_4")
     g2 = build_named("SD16")
-    reps = [rep for rep, _ in automorphism_conjugacy_classes(g2, bound=128)
+    reps = [rep for rep, _ in automorphism_conjugacy_classes(g2)
             if rep.map_order() == 3]
     return g1, psi1, g2, reps
 
@@ -402,12 +397,12 @@ def _well_formed_log(log) -> bool:
         and _is_int_list(e["verdict"].get("witness", [])) for e in log)
 
 
-def _load_cache(order: int, beyond_paper: bool, cache_dir: str,
-                brute_bound: int) -> ClassificationReport | None:
+def _load_cache(order: int, beyond_paper: bool,
+                cache_dir: str) -> ClassificationReport | None:
     """The cached report once every logged verdict is proved again: each
     isomorphic entry must carry a verified witness and the method ``decide``
-    would report, and every other verdict is decided again with
-    ``brute_bound`` and must come out the same.  None rejects the file."""
+    would report, and every other verdict is decided again and must come
+    out the same.  None rejects the file."""
     path = _cache_path(order, beyond_paper, cache_dir)
     if not os.path.exists(path):
         return None
@@ -436,14 +431,12 @@ def _load_cache(order: int, beyond_paper: bool, cache_dir: str,
     for entry in verdict_log:
         left, right, v = entry["left"], entry["right"], entry["verdict"]
         if v["result"] == ISOMORPHIC:
-            method = isomorphic_method(*maps[left], *maps[right],
-                                       brute_bound=brute_bound)
+            method = isomorphic_method(*maps[left], *maps[right])
             witness = tuple(v.get("witness", ()))
             if (v != IsoVerdict(ISOMORPHIC, method, witness=witness).to_json_dict()
                     or not verify_quandle_witness(quandles[left], quandles[right],
                                                   witness)):
                 return None
-        elif decide(*maps[left], *maps[right],
-                    brute_bound=brute_bound).to_json_dict() != v:
+        elif decide(*maps[left], *maps[right]).to_json_dict() != v:
             return None
     return report

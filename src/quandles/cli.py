@@ -17,7 +17,7 @@ from .classify import (CACHE_ENV_VAR, boundary_report, classify_order,
                        closed_form_counts, emit_table)
 from .errors import (CapacityError, ContractViolation, NameLookupError,
                      StructuralError, VerificationError)
-from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes, automorphism_group
+from .groups import DEFAULT_AUT_BOUND, FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import profile, profile_to_json
 from .iso import decide
 
@@ -61,9 +61,8 @@ def _cmd_groups(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = build_named(args.group)
-    auts = automorphism_group(g, bound=args.bound)
     classes = automorphism_conjugacy_classes(g, bound=args.bound)
-    print(f"group {g.name}: |Aut| = {len(auts)}, "
+    print(f"group {g.name}: |Aut| = {sum(size for _, size in classes)}, "
           f"{len(classes)} conjugacy classes")
     for i, (rep, size) in enumerate(classes):
         print(f"  class {i}: size {size}, order {rep.map_order()}, "
@@ -133,7 +132,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group and conjugacy classes")
     p.add_argument("group")
-    p.add_argument("--bound", type=int, default=128)
+    p.add_argument("--bound", type=int, default=DEFAULT_AUT_BOUND)
     p.set_defaults(fn=_cmd_aut)
 
     p = sub.add_parser("invariants", help="full invariant profile of Q(G, psi)")

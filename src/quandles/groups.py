@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .errors import CapacityError, ContractViolation, StructuralError
 
-DEFAULT_AUT_BOUND = 60
+DEFAULT_AUT_BOUND = 128
 # every group of order <= 16 has at most 20,160 automorphisms (those of
 # C2^4), so its Aut is small enough to hold; above it Aut can be huge
 # (|GL(5, 2)| is about 1.0e7 at order 32), so automorphism_classes holds
@@ -406,7 +406,7 @@ def all_group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     the lexicographic order of generator images is the sorted order."""
     if g1 is g2:
         if g1._aut_classes is None and g1.order <= HELD_AUT_ORDER:
-            automorphism_classes(g1, bound=HELD_AUT_ORDER)
+            automorphism_classes(g1)
         if g1._aut_classes is not None:
             for images in g1._aut_classes:
                 yield GroupMap(g1, g1, images, check=False)

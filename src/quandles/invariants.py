@@ -72,8 +72,7 @@ def restrict_to_P(g: FiniteGroup, psi: GroupMap) -> tuple[FiniteGroup, GroupMap,
 def compute_P2(g: FiniteGroup, psi: GroupMap) -> Subgroup:
     """P applied to Q(P, psi|_P), returned as a subgroup of G."""
     grp, restricted, embed = restrict_to_P(g, psi)
-    inner_p2 = compute_P(grp, restricted)
-    return Subgroup(g, tuple(embed[i] for i in inner_p2.members))
+    return Subgroup(g, tuple(embed[i] for i in _p_record(grp, restricted)[0]))
 
 
 def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
@@ -245,9 +244,9 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
     """Assemble the full invariant profile of Q(G, psi)."""
     psi.require_automorphism()
     grp, restricted, embed = restrict_to_P(g, psi)
-    p_sub = Subgroup(g, embed)
+    # P's members are sorted, so P^2 as a group of P has the table it has in G
+    p2_grp = restrict_to_P(grp, restricted)[0]
     p2_sub = compute_P2(g, psi)
-    p2_grp, _ = p2_sub.as_group()
     fix = [x for x in range(g.order) if psi.images[x] == x]
     p_members = set(embed)
     tn = twisted_normalizer(g, psi, p2_sub)
@@ -257,7 +256,7 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
             f"|Inn| = {rep.inn_size} differs from |P| * ord(psi) = "
             f"{rep.p_size * rep.psi_order} on {g.name}")
     im = psi.images
-    translations_p = {g.table[x][g._inv[im[x]]] for x in p_sub.members}
+    translations_p = {g.table[x][g._inv[im[x]]] for x in embed}
     return InvariantProfile(
         group_order=g.order,
         psi_order=rep.psi_order,

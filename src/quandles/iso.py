@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
@@ -389,7 +389,7 @@ def simple_group_decider(g1: FiniteGroup, psi1: GroupMap,
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                           note="simple groups not isomorphic")
     target = psi2.conjugate_by(theta).images
-    for tau in automorphism_classes(g1, bound=128):
+    for tau in automorphism_classes(g1):
         if tuple(tau[v] for v in psi1.images) == tuple(target[v] for v in tau):
             theta_inv = theta.inverse().images
             return _checked(general_alexander(g1, psi1), general_alexander(g2, psi2),
@@ -416,9 +416,9 @@ def abelian_decider(g1: FiniteGroup, psi1: GroupMap,
 
 def _formula_route(g1, psi1, g2, psi2) -> tuple[str, Callable] | None:
     """(method, decider) of the closed-form test for two maps on the same
-    dihedral or cyclic catalog group, or None when it does not apply.  An
-    isomorphic result takes its witness from the structural decider, which
-    must agree."""
+    dihedral or cyclic catalog group, or None when it does not apply.  The
+    verdict is bare: ``decide`` takes an isomorphic one's witness from the
+    theorem 1.3 or abelian route listed beside it, which must agree."""
     spec = g1.spec
     if spec is None or spec != g2.spec:
         return None
@@ -427,45 +427,32 @@ def _formula_route(g1, psi1, g2, psi2) -> tuple[str, Callable] | None:
         y = dihedral_aut_from_map(g2, psi2)
         if x is None or y is None:
             return None
-        method, same, structural = (METHOD_DIHEDRAL, dihedral_iso_decider(x, y),
-                                    theorem13_iso)
+        method, same = METHOD_DIHEDRAL, dihedral_iso_decider(x, y)
     elif spec.kind == "cyclic":
         n = g1.order
         a1 = psi1.images[1] if n > 1 else 1
         a2 = psi2.images[1] if n > 1 else 1
-        method, same, structural = (METHOD_CYCLIC, cyclic_iso_decider(n, a1, a2),
-                                    abelian_decider)
+        method, same = METHOD_CYCLIC, cyclic_iso_decider(n, a1, a2)
     else:
         return None
-
-    def run(*_) -> IsoVerdict:
-        if not same:
-            return IsoVerdict(NOT_ISOMORPHIC, method)
-        inner = structural(g1, psi1, g2, psi2)
-        if inner.result != ISOMORPHIC:
-            raise VerificationError(
-                f"{method} says isomorphic but {inner.method} disagrees")
-        return IsoVerdict(ISOMORPHIC, method, witness=inner.witness)
-
-    return method, run
+    return method, lambda *_: IsoVerdict(ISOMORPHIC if same else NOT_ISOMORPHIC, method)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_METHOD_PRIORITY = (METHOD_SEPARATION, METHOD_SIMPLE, METHOD_ABELIAN,
-                    METHOD_DIHEDRAL, METHOD_CYCLIC, METHOD_THM13, METHOD_BRUTE)
-
-
-def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
-            brute_bound: int) -> list[tuple[str, Callable]]:
-    """(method, decider) for every route ``decide`` runs on this pair, in run
-    order; a decider takes (g1, psi1, g2, psi2).  Each route is listed only
-    where its verdict is decisive: theorem 1.3 only under (P1)/(P2) on both
-    sides, brute force only up to ``brute_bound``.  The two run as
-    cross-checks up to CROSS_CHECK_SIZE, and above it only when no earlier
-    route applies; Aut-conjugacy on S_n only when no other route applies."""
+def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
+            psi2: GroupMap) -> list[tuple[str, Callable]]:
+    """(method, decider) for every route ``decide`` runs on this pair, in the
+    order of the method it reports, so the first route names the verdict; a
+    decider takes (g1, psi1, g2, psi2).  Each route is listed only where its
+    verdict is decisive: theorem 1.3 only under (P1)/(P2) on both sides,
+    brute force only up to DEFAULT_BRUTE_BOUND, read at call time.  The two
+    run as cross-checks up to CROSS_CHECK_SIZE, and above it only when no
+    earlier route applies; theorem 1.3 also runs beside a formula route,
+    which takes its witness from it.  Aut-conjugacy on S_n runs only when
+    no other route applies."""
     prof1 = cached_profile(g1, psi1)
     prof2 = cached_profile(g2, psi2)
     routes: list[tuple[str, Callable]] = []
@@ -473,69 +460,65 @@ def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
     if separator is not None:
         routes.append((METHOD_SEPARATION, lambda *_: IsoVerdict(
             NOT_ISOMORPHIC, METHOD_SEPARATION, separator=separator)))
-    if psi1.map_order() == 1 and psi2.map_order() == 1:
-        # two trivial quandles: isomorphic iff equal size
-        if g1.order == g2.order:
-            routes.append((METHOD_BRUTE, lambda *_: IsoVerdict(
-                ISOMORPHIC, METHOD_BRUTE, witness=tuple(range(g1.order)))))
-    elif is_simple(g1) and is_simple(g2):
+    trivial = psi1.map_order() == 1 and psi2.map_order() == 1
+    if not trivial and is_simple(g1) and is_simple(g2):
         routes.append((METHOD_SIMPLE, simple_group_decider))
     if g1.is_abelian and g2.is_abelian:
         routes.append((METHOD_ABELIAN, abelian_decider))
     formula = _formula_route(g1, psi1, g2, psi2)
     if formula is not None:
         routes.append(formula)
+    # two trivial quandles: isomorphic iff equal size
+    same_trivial = trivial and g1.order == g2.order
     cross_check = max(g1.order, g2.order) <= CROSS_CHECK_SIZE
-    if ((cross_check or not routes)
+    if ((cross_check or formula or not (routes or same_trivial))
             and prof1.p1 and prof1.p2 and prof2.p1 and prof2.p2):
         routes.append((METHOD_THM13, theorem13_iso))
-    if (cross_check or not routes) and max(g1.order, g2.order) <= brute_bound:
+    if same_trivial:
+        routes.append((METHOD_BRUTE, lambda *_: IsoVerdict(
+            ISOMORPHIC, METHOD_BRUTE, witness=tuple(range(g1.order)))))
+    bound = DEFAULT_BRUTE_BOUND
+    if (cross_check or not routes) and max(g1.order, g2.order) <= bound:
         routes.append((METHOD_BRUTE, lambda *_: brute_force_iso(
-            general_alexander(g1, psi1), general_alexander(g2, psi2), bound=brute_bound)))
+            general_alexander(g1, psi1), general_alexander(g2, psi2), bound=bound)))
     if not routes and _aut_conjugacy_decides(g1) and _aut_conjugacy_decides(g2):
         routes.append((METHOD_SIMPLE, simple_group_decider))
     return routes
 
 
-def _best_method(methods) -> str | None:
-    return min(methods, key=_METHOD_PRIORITY.index, default=None)
-
-
 def isomorphic_method(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
-                      psi2: GroupMap,
-                      brute_bound: int = DEFAULT_BRUTE_BOUND) -> str | None:
+                      psi2: GroupMap) -> str | None:
     """The method ``decide`` reports when the pair is isomorphic: every route
-    it runs is then decisive and agrees, and the highest-priority one is
-    reported.  Found without running a decider."""
-    return _best_method(m for m, _ in _routes(g1, psi1, g2, psi2, brute_bound))
+    it runs is then decisive and agrees, and the first is reported.  Found
+    without running a decider."""
+    return next((m for m, _ in _routes(g1, psi1, g2, psi2)), None)
 
 
 def decide(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup, psi2: GroupMap,
-           method: str = "auto", brute_bound: int = DEFAULT_BRUTE_BOUND) -> IsoVerdict:
+           method: str = "auto") -> IsoVerdict:
     """Cascade dispatch over every applicable decider.
 
     All applicable routes run (subject to capacity) and any two verdicts
-    must agree; disagreement aborts the process.  The returned verdict
-    carries the highest-priority method."""
+    must agree; disagreement aborts the process.  The first route's verdict
+    is returned, carrying the first witness any route found."""
     q1 = general_alexander(g1, psi1)
     q2 = general_alexander(g2, psi2)
     if method == "brute":
-        return brute_force_iso(q1, q2, bound=brute_bound)
+        return brute_force_iso(q1, q2, bound=DEFAULT_BRUTE_BOUND)
     if method == "thm13":
         return theorem13_iso(g1, psi1, g2, psi2)
     if method != "auto":
         raise ContractViolation(f"unknown method {method!r}")
 
-    verdicts = [run(g1, psi1, g2, psi2) for _, run in _routes(g1, psi1, g2, psi2, brute_bound)]
+    verdicts = [run(g1, psi1, g2, psi2) for _, run in _routes(g1, psi1, g2, psi2)]
     if not verdicts:
         return IsoVerdict(UNDECIDED, METHOD_THM13,
                           note="all applicable methods exhausted or above capacity")
-    results = {v.result for v in verdicts}
-    if len(results) > 1:
+    if len({v.result for v in verdicts}) > 1:
         detail = ", ".join(f"{v.method}={v.result}" for v in verdicts)
         raise VerificationError(f"deciders disagree: {detail}")
-    best_method = _best_method(v.method for v in verdicts)
-    return _checked(q1, q2, next(v for v in verdicts if v.method == best_method))
+    witness = next((v.witness for v in verdicts if v.witness is not None), None)
+    return _checked(q1, q2, replace(verdicts[0], witness=witness))
 
 
 # ---------------------------------------------------------------------------

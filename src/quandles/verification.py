@@ -18,8 +18,8 @@ from .catalog import (build, build_named, cyclic, dihedral, groups_of_order,
 from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
                        cyclic_iso_decider, cyclic_to_dihedral,
                        dihedral_iso_decider, fix_size_dn, p_subgroups_dn)
-from .classify import (ClassificationReport, _pair_objects, boundary_report,
-                       classify_order, closed_form_counts)
+from .classify import (ClassificationReport, _pair_objects, boundary_pair,
+                       boundary_report, classify_order, closed_form_counts)
 from .groups import (GroupMap, automorphism_classes, automorphism_conjugacy_classes,
                      automorphism_group, fixed_subgroup, groups_isomorphic,
                      inner_automorphism, is_normal)
@@ -138,67 +138,52 @@ def _merge_edges_witnessed(report: ClassificationReport) -> bool:
 
 # --- 4: invariant tables ------------------------------------------------------
 
-def _psi_p_expectation(tag, arg):
-    """Expected transported class for a psi|_P table entry."""
-    if tag == "id":
-        g = build_named(arg)
-        return transported_class(g, named_automorphism(g, "id"))
-    if tag == "mul":
-        name, a = arg
-        g = build_named(name)
-        return transported_class(g, named_automorphism(g, f"mul:{a}"))
-    if tag == "mat":
-        name, rows = arg
-        g = build_named(name)
-        return transported_class(g, named_automorphism(g, f"mat:{rows}"))
-    raise ValueError(tag)
-
-
-# label -> (psi order, fix size, P catalog name, psi|_P spec or None, p1, p2)
+# label -> (psi order, fix size, P catalog name, name of psi|_P on that
+# catalog group or None, p1, p2)
 INVARIANT_TABLE_ROWS: dict[str, tuple] = {
-    "Q8_1": (1, 8, "C1", ("id", "C1"), None, None),
-    "Q8_2": (4, 2, "C2xC2", ("mat", ("C2xC2", "0,1;1,0")), None, None),
-    "Q8_3": (2, 4, "C2", ("id", "C2"), None, None),
-    "Q8_4": (2, 4, "C2", ("id", "C2"), None, None),
-    "Q8_5": (2, 4, "C2", ("id", "C2"), None, None),
-    "Q8_6": (1, 8, "C1", ("id", "C1"), None, None),
-    "Q8_7": (2, 4, "C2", ("id", "C2"), None, None),
-    "Q8_8": (3, 2, "C2xC2", ("mat", ("C2xC2", "0,1;1,1")), None, None),
-    "Q8_9": (4, 2, "C2xC2", ("mat", ("C2xC2", "0,1;1,0")), None, None),
+    "Q8_1": (1, 8, "C1", "id", None, None),
+    "Q8_2": (4, 2, "C2xC2", "mat:0,1;1,0", None, None),
+    "Q8_3": (2, 4, "C2", "id", None, None),
+    "Q8_4": (2, 4, "C2", "id", None, None),
+    "Q8_5": (2, 4, "C2", "id", None, None),
+    "Q8_6": (1, 8, "C1", "id", None, None),
+    "Q8_7": (2, 4, "C2", "id", None, None),
+    "Q8_8": (3, 2, "C2xC2", "mat:0,1;1,1", None, None),
+    "Q8_9": (4, 2, "C2xC2", "mat:0,1;1,0", None, None),
     "Q8_10": (7, 1, "C2xC2xC2", None, None, None),
     "Q8_11": (7, 1, "C2xC2xC2", None, None, None),
-    "Q8_12": (1, 8, "C1", ("id", "C1"), None, None),
-    "Q8_13": (2, 2, "C4", ("mul", ("C4", 3)), None, None),
-    "Q8_14": (2, 4, "C2", ("id", "C2"), None, None),
-    "Q8_14b": (2, 4, "C2", ("id", "C2"), None, None),
-    "Q8_15": (4, 4, "C4", ("id", "C4"), None, None),
-    "Q8_16": (1, 8, "C1", ("id", "C1"), True, True),
-    "Q8_17": (2, 4, "C2", ("id", "C2"), True, True),
-    "Q8_18": (2, 2, "C4", ("mul", ("C4", 3)), True, True),
+    "Q8_12": (1, 8, "C1", "id", None, None),
+    "Q8_13": (2, 2, "C4", "mul:3", None, None),
+    "Q8_14": (2, 4, "C2", "id", None, None),
+    "Q8_14b": (2, 4, "C2", "id", None, None),
+    "Q8_15": (4, 4, "C4", "id", None, None),
+    "Q8_16": (1, 8, "C1", "id", True, True),
+    "Q8_17": (2, 4, "C2", "id", True, True),
+    "Q8_18": (2, 2, "C4", "mul:3", True, True),
     "Q8_19": (3, 2, "Q8", None, True, False),
-    "Q8_20": (4, 4, "C4", ("id", "C4"), True, True),
-    "Q12_1": (1, 12, "C1", ("id", "C1"), None, None),
-    "Q12_2": (2, 2, "C6", ("mul", ("C6", 5)), None, None),
-    "Q12_3": (2, 4, "C3", ("mul", ("C3", 2)), None, None),
-    "Q12_4": (2, 6, "C2", ("id", "C2"), None, None),
-    "Q12_5": (3, 3, "C2xC2", ("mat", ("C2xC2", "0,1;1,1")), None, None),
+    "Q8_20": (4, 4, "C4", "id", True, True),
+    "Q12_1": (1, 12, "C1", "id", None, None),
+    "Q12_2": (2, 2, "C6", "mul:5", None, None),
+    "Q12_3": (2, 4, "C3", "mul:2", None, None),
+    "Q12_4": (2, 6, "C2", "id", None, None),
+    "Q12_5": (3, 3, "C2xC2", "mat:0,1;1,1", None, None),
     "Q12_6": (6, 1, "C6xC2", None, None, None),
-    "Q12_7": (1, 12, "C1", ("id", "C1"), None, None),
-    "Q12_8": (2, 2, "C6", ("mul", ("C6", 5)), None, None),
-    "Q12_9": (2, 4, "C3", ("mul", ("C3", 2)), None, None),
-    "Q12_10": (2, 6, "C2", ("id", "C2"), None, None),
-    "Q12_11": (3, 6, "C3", ("id", "C3"), None, None),
-    "Q12_12": (6, 6, "C6", ("id", "C6"), None, None),
-    "Q12_13": (1, 12, "C1", ("id", "C1"), True, True),
-    "Q12_14": (2, 2, "C6", ("mul", ("C6", 5)), True, True),
-    "Q12_15": (2, 4, "C3", ("mul", ("C3", 2)), True, True),
-    "Q12_16": (2, 6, "C2", ("id", "C2"), True, True),
-    "Q12_17": (3, 6, "C3", ("id", "C3"), True, True),
-    "Q12_18": (6, 6, "C6", ("id", "C6"), True, True),
-    "Q12_19": (1, 12, "C1", ("id", "C1"), True, True),
+    "Q12_7": (1, 12, "C1", "id", None, None),
+    "Q12_8": (2, 2, "C6", "mul:5", None, None),
+    "Q12_9": (2, 4, "C3", "mul:2", None, None),
+    "Q12_10": (2, 6, "C2", "id", None, None),
+    "Q12_11": (3, 6, "C3", "id", None, None),
+    "Q12_12": (6, 6, "C6", "id", None, None),
+    "Q12_13": (1, 12, "C1", "id", True, True),
+    "Q12_14": (2, 2, "C6", "mul:5", True, True),
+    "Q12_15": (2, 4, "C3", "mul:2", True, True),
+    "Q12_16": (2, 6, "C2", "id", True, True),
+    "Q12_17": (3, 6, "C3", "id", True, True),
+    "Q12_18": (6, 6, "C6", "id", True, True),
+    "Q12_19": (1, 12, "C1", "id", True, True),
     "Q12_20": (2, 2, "A4", None, True, False),
-    "Q12_21": (2, 4, "C2xC2", ("id", "C2xC2"), True, True),
-    "Q12_22": (3, 3, "C2xC2", ("mat", ("C2xC2", "0,1;1,1")), True, True),
+    "Q12_21": (2, 4, "C2xC2", "id", True, True),
+    "Q12_22": (3, 3, "C2xC2", "mat:0,1;1,1", True, True),
     "Q12_23": (4, 2, "A4", None, True, False),
 }
 
@@ -215,7 +200,9 @@ def claim_invariant_tables() -> ClaimResult:
         if prof.p_iso_type[3] != pname:
             bad.append(f"{label}: P type {prof.p_iso_type[3]} != {pname}")
             continue
-        if psip is not None and prof.psi_restricted_class != _psi_p_expectation(*psip):
+        p_grp = build_named(pname)
+        if psip is not None and prof.psi_restricted_class != transported_class(
+                p_grp, named_automorphism(p_grp, psip)):
             bad.append(f"{label}: restricted class differs")
             continue
         if p1 is not None and prof.p1 != p1:
@@ -270,24 +257,13 @@ def claim_dihedral_formulas() -> ClaimResult:
 
 # --- 6: decider cross-validation ----------------------------------------------
 
-def _conjugacy_reps_upto(max_order: int):
-    reps = []
-    for n in range(1, max_order + 1):
-        for spec in groups_of_order(n):
-            g = build(spec)
-            for rep, _size in automorphism_conjugacy_classes(g):
-                reps.append((n, g, rep))
-    return reps
-
-
 @_claim("structural criterion and formula deciders agree with brute force (<= 12)")
 def claim_decider_cross_validation() -> ClaimResult:
-    reps = _conjugacy_reps_upto(12)
+    pairs = (pair for n in range(1, 13)
+             for pair in itertools.combinations(_pair_objects(n, False)[2], 2))
     bad = []
     checked = t13_count = 0
-    for (n1, g1, p1), (n2, g2, p2) in itertools.combinations(reps, 2):
-        if n1 != n2:
-            continue
+    for (g1, p1), (g2, p2) in pairs:
         checked += 1
         bf = brute_force_iso(general_alexander(g1, p1), general_alexander(g2, p2))
         t13 = theorem13_iso(g1, p1, g2, p2)
@@ -489,11 +465,8 @@ def claim_witness_structure() -> ClaimResult:
             total += 1
             if not rep.ok:
                 bad.append(f"order {order} pair {i}/{j}: {rep.clauses}")
-    br = boundary_report()
-    g1 = build_named("C2xQ8")
-    psi1 = named_automorphism(g1, "right:psi_4")
-    g2 = build_named("SD16")
-    for entry in br["verdicts"]:
+    g1, psi1, g2, _ = boundary_pair()
+    for entry in boundary_report()["verdicts"]:
         if entry["verdict"]["result"] != ISOMORPHIC:
             continue
         psi2 = GroupMap(g2, g2, tuple(entry["right_class_images"]), check=False)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from quandles import iso
 from quandles.catalog import build, build_named, groups_of_order, named_automorphism
 from quandles.classify import (ENGINE_VERSION, _partition, boundary_pair,
                                boundary_report, classify_group, classify_order,
@@ -269,7 +270,7 @@ def test_classify_group():
     assert classify_group(c1).class_count == 1
 
 
-def test_incomplete_report_is_flagged_and_bannered():
+def test_incomplete_report_is_flagged_and_bannered(monkeypatch):
     # the boundary pair shares every invariant and has no formula route, so
     # starving the search of capacity must yield a flagged partial report
     from quandles.classify import PairEntry, _classify_pairs
@@ -278,14 +279,15 @@ def test_incomplete_report_is_flagged_and_bannered():
     pairs = [PairEntry(0, g1.name, 0, psi1.images),
              PairEntry(1, g2.name, 0, reps[0].images)]
     maps = [(g1, psi1), (g2, reps[0])]
-    report = _classify_pairs(16, True, [g1.name, g2.name], pairs, maps,
-                             brute_bound=4)
+    monkeypatch.setattr(iso, "DEFAULT_BRUTE_BOUND", 4)
+    report = _classify_pairs(16, True, [g1.name, g2.name], pairs, maps)
     assert not report.complete and report.class_count == 2
     assert _partition(report.profiles, pairs, []) is None
     assert any("incomplete" in n for n in report.notes)
     assert "INCOMPLETE" in emit_table(report, "markdown")
     assert emit_table(report, "csv").startswith("# INCOMPLETE")
     assert json.loads(emit_table(report, "json"))["complete"] is False
+    monkeypatch.undo()
     full = _classify_pairs(16, True, [g1.name, g2.name], pairs, maps)
     assert full.complete and full.class_count == 1
 

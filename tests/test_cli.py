@@ -6,6 +6,7 @@ import pytest
 from quandles import classify
 from quandles.catalog import build_named, named_automorphism
 from quandles.cli import main
+from quandles.groups import automorphism_conjugacy_classes
 from quandles.invariants import profile, profile_to_json
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
@@ -50,6 +51,14 @@ def test_aut_c2_4_matches_the_golden_file(capsys):
     sizes = [int(line.split("size ")[1].split(",")[0]) for line in out.splitlines()[1:]]
     assert sizes == [1, 105, 210, 1260, 1120, 2520, 3360, 2880, 2880,
                      112, 1680, 1344, 1344, 1344]
+
+
+def test_classrep_reaches_groups_above_order_60(capsys):
+    # the default Aut order bound admits every catalog group, as `aut` does
+    s5 = build_named("S5")
+    assert main(["invariants", "S5", "classrep:1"]) == 0
+    rep = automorphism_conjugacy_classes(s5)[1][0]
+    assert capsys.readouterr().out == profile_to_json(profile(s5, rep)) + "\n"
 
 
 def test_invariants(capsys):

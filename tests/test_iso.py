@@ -350,10 +350,11 @@ def test_decide_explicit_method_selection():
         decide(g1, p1, g2, p2, method="magic")
 
 
-def test_decide_undecided_above_capacity():
+def test_decide_undecided_above_capacity(monkeypatch):
+    monkeypatch.setattr(iso, "DEFAULT_BRUTE_BOUND", 4)
     s33 = build_named("S3xS3")
     swap = named_automorphism(s33, "swap")
-    v = decide(s33, swap, s33, swap, brute_bound=4)
+    v = decide(s33, swap, s33, swap)
     assert v.result == UNDECIDED
     assert v.note is not None
 
@@ -680,3 +681,163 @@ def test_dihedral_claim_builds_each_phi_once(monkeypatch):
     assert claim_dihedral_formulas().ok
     # one phi_{a,b} per unit a and b mod n, for n = 1..8
     assert len(calls) == len(set(calls)) == 123
+
+
+# the dispatch before routes were listed in report order: a priority tuple
+# picked the reported method, and each formula route ran its own structural
+# decider for the witness
+_REFERENCE_PRIORITY = (iso.METHOD_SEPARATION, iso.METHOD_SIMPLE, iso.METHOD_ABELIAN,
+                       iso.METHOD_DIHEDRAL, iso.METHOD_CYCLIC, iso.METHOD_THM13,
+                       iso.METHOD_BRUTE)
+
+
+def _reference_formula_route(g1, psi1, g2, psi2):
+    from quandles.dihedral import (cyclic_iso_decider, dihedral_aut_from_map,
+                                   dihedral_iso_decider)
+    spec = g1.spec
+    if spec is None or spec != g2.spec:
+        return None
+    if spec.kind == "dihedral":
+        x, y = dihedral_aut_from_map(g1, psi1), dihedral_aut_from_map(g2, psi2)
+        if x is None or y is None:
+            return None
+        method, same, structural = (iso.METHOD_DIHEDRAL, dihedral_iso_decider(x, y),
+                                    iso.theorem13_iso)
+    elif spec.kind == "cyclic":
+        n = g1.order
+        a1 = psi1.images[1] if n > 1 else 1
+        a2 = psi2.images[1] if n > 1 else 1
+        method, same, structural = (iso.METHOD_CYCLIC, cyclic_iso_decider(n, a1, a2),
+                                    iso.abelian_decider)
+    else:
+        return None
+
+    def run(*_):
+        if not same:
+            return iso.IsoVerdict(NOT_ISOMORPHIC, method)
+        inner = structural(g1, psi1, g2, psi2)
+        if inner.result != ISOMORPHIC:
+            raise VerificationError(f"{method} says isomorphic but {inner.method} disagrees")
+        return iso.IsoVerdict(ISOMORPHIC, method, witness=inner.witness)
+
+    return method, run
+
+
+def _reference_routes(g1, psi1, g2, psi2):
+    bound = iso.DEFAULT_BRUTE_BOUND
+    prof1, prof2 = cached_profile(g1, psi1), cached_profile(g2, psi2)
+    routes = []
+    separator = prof1.separator_against(prof2)
+    if separator is not None:
+        routes.append((iso.METHOD_SEPARATION, lambda *_: iso.IsoVerdict(
+            NOT_ISOMORPHIC, iso.METHOD_SEPARATION, separator=separator)))
+    if psi1.map_order() == 1 and psi2.map_order() == 1:
+        if g1.order == g2.order:
+            routes.append((iso.METHOD_BRUTE, lambda *_: iso.IsoVerdict(
+                ISOMORPHIC, iso.METHOD_BRUTE, witness=tuple(range(g1.order)))))
+    elif is_simple(g1) and is_simple(g2):
+        routes.append((iso.METHOD_SIMPLE, simple_group_decider))
+    if g1.is_abelian and g2.is_abelian:
+        routes.append((iso.METHOD_ABELIAN, abelian_decider))
+    formula = _reference_formula_route(g1, psi1, g2, psi2)
+    if formula is not None:
+        routes.append(formula)
+    cross_check = max(g1.order, g2.order) <= iso.CROSS_CHECK_SIZE
+    if (cross_check or not routes) and prof1.p1 and prof1.p2 and prof2.p1 and prof2.p2:
+        routes.append((iso.METHOD_THM13, theorem13_iso))
+    if (cross_check or not routes) and max(g1.order, g2.order) <= bound:
+        routes.append((iso.METHOD_BRUTE, lambda *_: brute_force_iso(
+            general_alexander(g1, psi1), general_alexander(g2, psi2), bound=bound)))
+    if (not routes and iso._aut_conjugacy_decides(g1)
+            and iso._aut_conjugacy_decides(g2)):
+        routes.append((iso.METHOD_SIMPLE, simple_group_decider))
+    return routes
+
+
+def _reference_best_method(methods):
+    return min(methods, key=_REFERENCE_PRIORITY.index, default=None)
+
+
+def _reference_decide(g1, psi1, g2, psi2):
+    verdicts = [run(g1, psi1, g2, psi2) for _, run in _reference_routes(g1, psi1, g2, psi2)]
+    if not verdicts:
+        return iso.IsoVerdict(UNDECIDED, iso.METHOD_THM13,
+                              note="all applicable methods exhausted or above capacity")
+    if len({v.result for v in verdicts}) > 1:
+        raise VerificationError("deciders disagree")
+    best = _reference_best_method(v.method for v in verdicts)
+    return next(v for v in verdicts if v.method == best)
+
+
+def _dispatch_pin_inputs():
+    for order in range(1, 13):
+        yield from itertools.product(_pair_objects(order, False)[2], repeat=2)
+    # above CROSS_CHECK_SIZE, where theorem 1.3 now runs beside a formula route
+    for name in ("D9", "D10", "C17", "C20"):
+        g = build_named(name)
+        reps = [(g, rep) for rep, _ in automorphism_conjugacy_classes(g)]
+        yield from itertools.product(reps, repeat=2)
+    # the large-groups pairs of seed 1: each non-identity class representative
+    # against a conjugate and against the next representative
+    rng = random.Random(1)
+    for name in ("A5", "S5", "SL23", "S3xS3", "S4"):
+        g = build_named(name)
+        auts = automorphism_group(g)
+        reps = [rep for rep, _ in automorphism_conjugacy_classes(g) if rep.map_order() != 1]
+        for i, rep in enumerate(reps):
+            order = list(auts)
+            rng.shuffle(order)
+            conj = next(c for c in (rep.conjugate_by(tau) for tau in order)
+                        if c.images != rep.images)
+            yield (g, rep), (g, conj)
+            yield (g, rep), (g, reps[(i + 1) % len(reps)])
+
+
+def test_dispatch_matches_the_priority_dispatch():
+    # routes listed in report order give the verdict, witness and method of
+    # the priority tuple over the old listing, with formula routes bare
+    decided = 0
+    for (g1, psi1), (g2, psi2) in _dispatch_pin_inputs():
+        want = _reference_decide(g1, psi1, g2, psi2)
+        assert decide(g1, psi1, g2, psi2).to_json_dict() == want.to_json_dict()
+        assert isomorphic_method(g1, psi1, g2, psi2) == _reference_best_method(
+            m for m, _ in _reference_routes(g1, psi1, g2, psi2))
+        decided += 1
+    assert decided == 1839 + 520 + 56
+
+
+def _count_structural_searches(monkeypatch):
+    calls = []
+    real = iso._p_isomorphism_verdict
+
+    def counting(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(iso, "_p_isomorphism_verdict", counting)
+    return calls
+
+
+def test_formula_routes_run_no_second_structural_search(monkeypatch):
+    calls = _count_structural_searches(monkeypatch)
+    g, psi1, _ = _ga("D6", "phi:5,1")
+    _, psi2, _ = _ga("D6", "phi:5,3")
+    v = decide(g, psi1, g, psi2)
+    assert (v.result, v.method, calls) == (ISOMORPHIC, iso.METHOD_DIHEDRAL,
+                                           [iso.METHOD_THM13])
+    assert v.witness == theorem13_iso(g, psi1, g, psi2).witness
+    calls.clear()
+    c9, a4, _ = _ga("C9", "mul:4")
+    _, a7, _ = _ga("C9", "mul:7")
+    v = decide(c9, a4, c9, a7)
+    assert (v.result, v.method) == (ISOMORPHIC, iso.METHOD_ABELIAN)
+    assert calls == [iso.METHOD_ABELIAN, iso.METHOD_THM13]
+
+
+def test_formula_disagreement_still_aborts(monkeypatch):
+    g, psi1, _ = _ga("D6", "phi:5,1")
+    _, psi2, _ = _ga("D6", "phi:5,3")
+    monkeypatch.setattr(iso, "theorem13_iso", lambda *_: iso.IsoVerdict(
+        NOT_ISOMORPHIC, iso.METHOD_THM13))
+    with pytest.raises(VerificationError, match="deciders disagree"):
+        decide(g, psi1, g, psi2)
