@@ -29,7 +29,7 @@ prof = profile(g, psi)
 print("preconditions: normality of P2 in G:", prof.p1,
       "; P2 equals the P-translation set:", prof.p2)
 
-rep = inn_structure(g, psi, verify_iso=True)
+rep = inn_structure(g, psi)
 print(f"\n|Inn(Q)| = {rep.inn_size} = |P| * ord(psi) = {rep.p_size} * {rep.psi_order}")
 print("inner group is the expected twisted product:",
       rep.semidirect_witness is not None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import factorial, gcd, prod
 
 from .errors import CapacityError, ContractViolation, NameLookupError, StructuralError
@@ -481,8 +481,11 @@ def _binary_factors(g: FiniteGroup) -> tuple[GroupSpec, GroupSpec]:
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
-    """Parse 1-based cycle notation like "(1 2)(3 4)" into a 0-based image tuple."""
-    images = list(range(degree))
+    """Parse 1-based disjoint cycles like "(1 2)(3 4)" into a 0-based image
+    tuple; anything but a sequence of balanced, disjoint cycles is refused."""
+    if re.fullmatch(r"\s*(\([^()]*\)\s*)*", text) is None:
+        raise StructuralError(f"not a sequence of cycles: {text!r}")
+    images, seen = list(range(degree)), set()
     for grp in re.findall(r"\(([^()]*)\)", text):
         try:
             entries = [_int_token(tok) - 1 for tok in re.split(r"[,\s]+", grp.strip()) if tok]
@@ -490,8 +493,9 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
             raise StructuralError(f"cycle entry is not an integer in {text!r}") from exc
         if any(not 0 <= v < degree for v in entries):
             raise StructuralError(f"cycle entry out of range in {text!r}")
-        if len(set(entries)) != len(entries):
-            raise StructuralError(f"repeated entry in cycle {grp!r}")
+        if len(set(entries)) != len(entries) or not seen.isdisjoint(entries):
+            raise StructuralError(f"repeated entry in cycles {text!r}")
+        seen.update(entries)
         for idx, v in enumerate(entries):
             images[v] = entries[(idx + 1) % len(entries)]
     return tuple(images)
@@ -527,16 +531,17 @@ def named_automorphism(g: FiniteGroup, name: str) -> GroupMap:
     """Resolve a named automorphism on a catalog group.
 
     Composite names combine atoms with ``*`` (composition, leftmost applied
-    last) and ``^k`` (iterated composition), e.g. ``psi_tau*psi_sigma^2``.
+    last) and ``^k`` (iterated composition, before or after an atom's ``@``
+    suffix), e.g. ``psi_tau*psi_sigma^2`` or ``phi:1,2@4^2*phi:3,0``.
     Atoms:
 
     * ``id``;
     * ``psi_sigma``/``psi_tau`` on C4xC2; ``alpha_sigma``/``alpha_tau`` on
       C6xC2; ``beta_sigma``/``beta_tau`` on Dic3; ``psi_1`` .. ``psi_5`` on Q8;
-    * ``phi:a,b`` on a dihedral group; ``mul:a`` on a cyclic group;
-    * ``mat:r11,r12;r21,r22@p`` on an elementary abelian (C_p)^k;
+    * ``phi:a,b@n`` on D_n and ``mul:a@n`` on C_n, the ``@n`` optional;
+    * ``mat:r11,r12;r21,r22@p`` on an elementary abelian (C_p)^k, p = 2 by default;
     * ``conj:i`` (conjugation by element index i) on any group;
-    * ``conj_perm:(1 2)(3 4)`` on S_n/A_n (p may be any permutation of S_n);
+    * ``conj_perm:(1 2)(3 4)`` on S_n/A_n: any permutation of S_n, in disjoint cycles;
     * ``swap`` on a square product A x A;
     * ``left:<atom>``/``right:<atom>`` lifting a factor automorphism of a
       binary product;
@@ -544,41 +549,22 @@ def named_automorphism(g: FiniteGroup, name: str) -> GroupMap:
       representative of Aut(G);
     * ``images:[...]`` with an explicit image array.
     """
-    maps = [_named_atom(g, part.strip()) for part in _split_composition(name)]
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.compose(m)
-    return out
-
-
-def _split_composition(name: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    cur = ""
-    for ch in name:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
-    if any(not p.strip() for p in parts):
+    parts = [part.strip() for part in name.split("*")]
+    if not all(parts):
         raise NameLookupError(f"malformed automorphism name {name!r}")
-    return parts
+    return reduce(GroupMap.compose, (_named_atom(g, part) for part in parts))
 
 
 def _named_atom(g: FiniteGroup, name: str) -> GroupMap:
     power = 1
     if "^" in name and not name.startswith("images"):
-        name, _, exp = name.rpartition("^")
+        head, _, exp = name.rpartition("^")
+        exp, at, suffix = exp.partition("@")
         try:
             power = _int_token(exp)
         except ValueError as exc:
-            raise NameLookupError(f"bad exponent in {name!r}^{exp!r}") from exc
+            raise NameLookupError(f"bad exponent in {name!r}") from exc
+        name = head + at + suffix
     base = _named_base(g, name.strip())
     if power == 1:
         return base
@@ -635,13 +621,17 @@ def _named_base(g: FiniteGroup, name: str) -> GroupMap:
         if not 0 <= idx < len(classes):
             raise NameLookupError(f"classrep index {idx} out of range")
         return classes[idx][0]
-    if head == "phi" and arg is not None:
-        return dihedral_phi(g, *_atom_ints(name, arg.split(","), 2))
-    if head == "mul" and arg is not None:
+    if head in ("phi", "mul") and arg is not None:
+        arg, at, suffix = arg.partition("@")
+        n = g.spec.params[0] if g.spec is not None and g.spec.kind == "dihedral" else g.order
+        if at and (modulus := _atom_ints(name, [suffix], 1)[0]) != n:
+            raise ContractViolation(f"modulus {modulus} does not match group {g.name}")
+        if head == "phi":
+            return dihedral_phi(g, *_atom_ints(name, arg.split(","), 2))
         return cyclic_mul(g, _atom_ints(name, [arg], 1)[0])
     if head == "mat" and arg is not None:
-        body, _, ptxt = arg.partition("@")
-        p = _atom_ints(name, [ptxt], 1)[0] if ptxt else 2
+        body, at, ptxt = arg.partition("@")
+        p = _atom_ints(name, [ptxt], 1)[0] if at else 2
         rows = [_atom_ints(name, row.split(",")) for row in body.split(";")]
         return matrix_map(g, rows, p)
     if name == "swap":

@@ -11,13 +11,12 @@ import argparse
 import json
 import sys
 
-from .catalog import (_int_token, build, build_named, groups_of_order,
-                      named_automorphism)
+from .catalog import build, build_named, groups_of_order, named_automorphism
 from .classify import (CACHE_ENV_VAR, boundary_report, classify_order,
                        closed_form_counts, emit_table)
 from .errors import (CapacityError, ContractViolation, NameLookupError,
                      StructuralError, VerificationError)
-from .groups import DEFAULT_AUT_BOUND, FiniteGroup, GroupMap, automorphism_conjugacy_classes
+from .groups import DEFAULT_AUT_BOUND, automorphism_conjugacy_classes
 from .invariants import profile, profile_to_json
 from .iso import decide
 
@@ -25,27 +24,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CAPACITY = 2
 EXIT_BAD_INPUT = 3
-
-
-def _resolve_aut(g: FiniteGroup, name: str) -> GroupMap:
-    """Accept the plain atom syntax plus the moduli-suffixed forms
-    ``phi:a,b@n`` and ``mul:a@n`` (the suffix must match the group); the
-    ``@p`` of a ``mat:rows@p`` atom is its prime, read by the atom itself."""
-    body, _, suffix = name.rpartition("@")
-    if body.rpartition("*")[2].lstrip().startswith(("phi:", "mul:")):
-        try:
-            modulus = _int_token(suffix)
-        except ValueError as exc:
-            raise NameLookupError(f"bad modulus suffix in {name!r}") from exc
-        if g.spec is not None and g.spec.kind == "dihedral":
-            expected = g.spec.params[0]
-        else:
-            expected = g.order
-        if modulus != expected:
-            raise ContractViolation(
-                f"modulus {modulus} does not match group {g.name}")
-        name = body
-    return named_automorphism(g, name)
 
 
 def _cmd_groups(args) -> int:
@@ -72,16 +50,16 @@ def _cmd_aut(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = build_named(args.group)
-    psi = _resolve_aut(g, args.automorphism)
+    psi = named_automorphism(g, args.automorphism)
     print(profile_to_json(profile(g, psi)))
     return EXIT_OK
 
 
 def _cmd_iso(args) -> int:
     g1 = build_named(args.group1)
-    psi1 = _resolve_aut(g1, args.aut1)
+    psi1 = named_automorphism(g1, args.aut1)
     g2 = build_named(args.group2)
-    psi2 = _resolve_aut(g2, args.aut2)
+    psi2 = named_automorphism(g2, args.aut2)
     verdict = decide(g1, psi1, g2, psi2, method=args.method)
     print(verdict.to_json())
     return EXIT_OK

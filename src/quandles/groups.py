@@ -11,7 +11,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
 
@@ -185,7 +185,7 @@ class GroupMap:
     source: FiniteGroup
     target: FiniteGroup
     images: tuple[int, ...]
-    check: bool = True
+    check: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "images", _int_rows([self.images], "image array")[0]

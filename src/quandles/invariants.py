@@ -105,7 +105,7 @@ def psi_restricted_is_inner(grp: FiniteGroup, restricted: GroupMap) -> bool:
                for a in range(grp.order))
 
 
-def inn_structure(g: FiniteGroup, psi: GroupMap, verify_iso: bool = True) -> InnStructureReport:
+def inn_structure(g: FiniteGroup, psi: GroupMap) -> InnStructureReport:
     """Inn(Q(G,psi)) with the size law |Inn| = |P| * ord(psi) and, when P is
     centerless, the direct-vs-semidirect dichotomy driven by whether psi|_P
     is inner."""
@@ -116,20 +116,18 @@ def inn_structure(g: FiniteGroup, psi: GroupMap, verify_iso: bool = True) -> Inn
     m = psi.map_order()
     product_holds = inn.order == grp.order * m
 
-    semidirect_witness = None
     direct_witness = None
     centerless = center(grp).order == 1
     inner_flag = psi_restricted_is_inner(grp, restricted)
-    if verify_iso:
-        inn_as_group, _ = inn.as_group(name="Inn")
-        cm, powers = cyclic_action(restricted.images, m)
-        sd = FiniteGroup(semidirect_table(grp, cm, powers),
-                         name=f"{grp.name}:C{m}", check=False)
-        semidirect_witness = groups_isomorphic(inn_as_group, sd)
-        if centerless:
-            direct = FiniteGroup(semidirect_table(grp, cm, powers[:1] * m),
-                                 name=f"{grp.name}xC{m}", check=False)
-            direct_witness = groups_isomorphic(inn_as_group, direct)
+    inn_as_group, _ = inn.as_group(name="Inn")
+    cm, powers = cyclic_action(restricted.images, m)
+    sd = FiniteGroup(semidirect_table(grp, cm, powers),
+                     name=f"{grp.name}:C{m}", check=False)
+    semidirect_witness = groups_isomorphic(inn_as_group, sd)
+    if centerless:
+        direct = FiniteGroup(semidirect_table(grp, cm, powers[:1] * m),
+                             name=f"{grp.name}xC{m}", check=False)
+        direct_witness = groups_isomorphic(inn_as_group, direct)
 
     return InnStructureReport(
         perm_group=inn, inn_size=inn.order, p_size=grp.order, psi_order=m,
@@ -250,16 +248,17 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
     fix = [x for x in range(g.order) if psi.images[x] == x]
     p_members = set(embed)
     tn = twisted_normalizer(g, psi, p2_sub)
-    rep = inn_structure(g, psi, verify_iso=False)
-    if not rep.product_holds:
+    m = psi.map_order()
+    inn_size = inner_group(general_alexander(g, psi)).order
+    if inn_size != grp.order * m:
         raise VerificationError(
-            f"|Inn| = {rep.inn_size} differs from |P| * ord(psi) = "
-            f"{rep.p_size * rep.psi_order} on {g.name}")
+            f"|Inn| = {inn_size} differs from |P| * ord(psi) = "
+            f"{grp.order * m} on {g.name}")
     im = psi.images
     translations_p = {g.table[x][g._inv[im[x]]] for x in embed}
     return InvariantProfile(
         group_order=g.order,
-        psi_order=rep.psi_order,
+        psi_order=m,
         fix_size=len(fix),
         p_iso_type=group_descriptor(grp),
         p2_iso_type=group_descriptor(p2_grp),
@@ -268,7 +267,7 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
         tn_size=tn.order,
         p1=is_normal(g, p2_sub),
         p2=translations_p == p2_sub.member_set(),
-        inn_size=rep.inn_size,
+        inn_size=inn_size,
     )
 
 

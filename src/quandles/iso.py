@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, VerificationError
-from .groups import (FiniteGroup, GroupMap, all_group_isomorphisms,
-                     automorphism_classes, groups_isomorphic, is_simple)
+from .groups import (FiniteGroup, GroupMap, _json_ints, _json_object,
+                     all_group_isomorphisms, automorphism_classes,
+                     groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
                          translation_elements)
 from .quandle import Quandle, _stored, general_alexander
@@ -63,9 +64,10 @@ class IsoVerdict:
 
 
 def verdict_from_json(text: str) -> IsoVerdict:
-    data = json.loads(text)
-    return IsoVerdict(result=data["result"], method=data["method"],
-                      witness=tuple(data["witness"]) if "witness" in data else None,
+    """Read back ``to_json``'s output; a malformed payload is a StructuralError."""
+    data = _json_object(text, ("result", "method"))
+    witness = tuple(_json_ints(data["witness"], "witness")) if "witness" in data else None
+    return IsoVerdict(result=data["result"], method=data["method"], witness=witness,
                       separator=data.get("separator"), note=data.get("note"))
 
 
@@ -414,11 +416,11 @@ def abelian_decider(g1: FiniteGroup, psi1: GroupMap,
         "no intertwining isomorphism between the P subgroups")
 
 
-def _formula_route(g1, psi1, g2, psi2) -> tuple[str, Callable] | None:
-    """(method, decider) of the closed-form test for two maps on the same
-    dihedral or cyclic catalog group, or None when it does not apply.  The
-    verdict is bare: ``decide`` takes an isomorphic one's witness from the
-    theorem 1.3 or abelian route listed beside it, which must agree."""
+def _formula_verdict(g1, psi1, g2, psi2) -> IsoVerdict | None:
+    """The closed-form test for two maps on the same dihedral or cyclic
+    catalog group, or None when it does not apply.  The verdict is bare:
+    ``decide`` takes an isomorphic one's witness from the abelian or
+    theorem 1.3 route listed beside it, which must agree."""
     spec = g1.spec
     if spec is None or spec != g2.spec:
         return None
@@ -435,7 +437,7 @@ def _formula_route(g1, psi1, g2, psi2) -> tuple[str, Callable] | None:
         method, same = METHOD_CYCLIC, cyclic_iso_decider(n, a1, a2)
     else:
         return None
-    return method, lambda *_: IsoVerdict(ISOMORPHIC if same else NOT_ISOMORPHIC, method)
+    return IsoVerdict(ISOMORPHIC if same else NOT_ISOMORPHIC, method)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +450,12 @@ def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     order of the method it reports, so the first route names the verdict; a
     decider takes (g1, psi1, g2, psi2).  Each route is listed only where its
     verdict is decisive: theorem 1.3 only under (P1)/(P2) on both sides,
-    brute force only up to DEFAULT_BRUTE_BOUND, read at call time.  The two
-    run as cross-checks up to CROSS_CHECK_SIZE, and above it only when no
-    earlier route applies; theorem 1.3 also runs beside a formula route,
-    which takes its witness from it.  Aut-conjugacy on S_n runs only when
+    brute force only up to DEFAULT_BRUTE_BOUND, read at call time.  Brute
+    force cross-checks every pair up to CROSS_CHECK_SIZE and runs above it
+    only when no earlier route applies.  Theorem 1.3 follows the same rule,
+    except that it never runs beside the abelian route, which makes the
+    same search, and beside a formula route runs only when the formula says
+    isomorphic, to supply the witness.  Aut-conjugacy on S_n runs only when
     no other route applies."""
     prof1 = cached_profile(g1, psi1)
     prof2 = cached_profile(g2, psi2)
@@ -463,15 +467,18 @@ def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     trivial = psi1.map_order() == 1 and psi2.map_order() == 1
     if not trivial and is_simple(g1) and is_simple(g2):
         routes.append((METHOD_SIMPLE, simple_group_decider))
-    if g1.is_abelian and g2.is_abelian:
+    abelian = g1.is_abelian and g2.is_abelian
+    if abelian:
         routes.append((METHOD_ABELIAN, abelian_decider))
-    formula = _formula_route(g1, psi1, g2, psi2)
+    formula = _formula_verdict(g1, psi1, g2, psi2)
     if formula is not None:
-        routes.append(formula)
+        routes.append((formula.method, lambda *_: formula))
     # two trivial quandles: isomorphic iff equal size
     same_trivial = trivial and g1.order == g2.order
     cross_check = max(g1.order, g2.order) <= CROSS_CHECK_SIZE
-    if ((cross_check or formula or not (routes or same_trivial))
+    structural = (formula.result == ISOMORPHIC if formula is not None
+                  else cross_check or not (routes or same_trivial))
+    if (structural and not abelian
             and prof1.p1 and prof1.p2 and prof2.p1 and prof2.p2):
         routes.append((METHOD_THM13, theorem13_iso))
     if same_trivial:

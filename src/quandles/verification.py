@@ -358,7 +358,7 @@ def claim_structure() -> ClaimResult:
         for spec in groups_of_order(n):
             g = build(spec)
             for rep, _ in automorphism_conjugacy_classes(g):
-                r = inn_structure(g, rep, verify_iso=True)
+                r = inn_structure(g, rep)
                 if not r.product_holds or r.semidirect_witness is None:
                     bad.append(f"inn structure fails on {g.name}")
                 if r.centerless_p:
@@ -370,7 +370,7 @@ def claim_structure() -> ClaimResult:
     three_cycle = next(i for i in range(s4.order)
                        if s4.element_order(i) == 3)
     psi = inner_automorphism(s4, three_cycle)
-    r = inn_structure(s4, psi, verify_iso=True)
+    r = inn_structure(s4, psi)
     if not (r.centerless_p and r.psi_p_inner and r.direct_witness is not None):
         bad.append("inner-branch case on S4 fails")
     # the centerless hypothesis is needed: SL(2,3) with conjugation by the
@@ -378,7 +378,7 @@ def claim_structure() -> ClaimResult:
     sl = build_named("SL23")
     A = sl23_element_index(((0, 2), (1, 0)))
     psiA = inner_automorphism(sl, A)
-    r = inn_structure(sl, psiA, verify_iso=True)
+    r = inn_structure(sl, psiA)
     grp, _, _ = restrict_to_P(sl, psiA)
     q8 = build_named("Q8")
     if groups_isomorphic(grp, q8) is None:

@@ -1,8 +1,12 @@
 import itertools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from quandles import catalog
 from quandles.catalog import (GROUP_COUNTS, GroupSpec, _build_uncached, _spec_order,
                               alternating, build, build_named, cyclic, dicyclic,
                               dihedral, groups_of_order, named_automorphism,
@@ -349,6 +353,138 @@ def test_label_composites_match_the_per_group_closures():
     for label, (gname, name) in ALL_LABELS.items():
         g = build_named(gname)
         assert named_automorphism(g, name).images == _old_named(g, gname, name), label
+
+
+# Reference copy of the name parsing before each atom read its own suffix:
+# the command line stripped one ``@n`` from a name whose last atom is phi or
+# mul, and the library split composites with a bracket-depth scanner.  The
+# atoms themselves come from the unchanged ``catalog._named_base``.
+
+def _reference_split(name):
+    parts, depth, cur = [], 0, ""
+    for ch in name:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == "*" and depth == 0:
+            parts.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    parts.append(cur)
+    assert all(p.strip() for p in parts), name
+    return parts
+
+
+def _reference_named(g, name):
+    body, _, suffix = name.rpartition("@")
+    if body.rpartition("*")[2].lstrip().startswith(("phi:", "mul:")):
+        expected = g.spec.params[0] if g.spec.kind == "dihedral" else g.order
+        assert int(suffix) == expected, name
+        name = body
+    maps = []
+    for part in _reference_split(name):
+        atom, power = part.strip(), 1
+        if "^" in atom and not atom.startswith("images"):
+            atom, _, exp = atom.rpartition("^")
+            power = int(exp)
+        base = out = catalog._named_base(g, atom.strip())
+        if power != 1:
+            out = identity_map(g)
+            for _ in range(power % base.map_order()):
+                out = base.compose(out)
+        maps.append(out)
+    out = maps[0]
+    for m in maps[1:]:
+        out = out.compose(m)
+    return out.images
+
+
+# names the parent refused: each must give its suffix-free spelling's map
+NEWLY_VALID = {"phi:1,2@4*phi:3,0", "phi:1,2@4^2", "mul:3@8*mul:5@8", "left:mul:3@4"}
+
+# the valid names the tests spell out in literals, f-strings and loops
+TEST_NAMES = (
+    ("Q8", "psi_3*psi_2"), ("Q8", "psi_4^3"), ("Q8", "psi_4^-1"), ("Q8", "psi_5"),
+    ("Q8", "psi_4^1000000"), ("D4", "phi:3,1^-3"), ("C4xC2", "psi_sigma^7"),
+    ("C12", "mul: +5 "), ("C12", "mul:5^ -1"), ("C12", "mul:5"),
+    ("S3", "conj_perm:( 1, 2 )"), ("S3", "conj_perm:(1 2)"),
+    ("S5", "conj_perm:(1 2 3)(4 5)"), ("S5", "conj_perm:(1 4)(2 5 3)"),
+    ("A4", "conj_perm:(1 2)(3 4)"), ("A4", "conj_perm:(1 2 3 4)"),
+    ("D4", "images:[0,1,2,3,5,6,7,4]"), ("D4", "conj:4"), ("D4", "classrep:0"),
+    ("S3xS3", "swap"), ("C2xQ8", "right:psi_4"), ("C2xQ8", "left:id"),
+    ("Dic3", "beta_tau*beta_sigma"), ("C6xC2", "alpha_sigma^2"), ("C6xC2", "alpha_tau"),
+    ("C4xC2", "psi_tau"), ("C15", "mul:2"), ("C9", "mul:4"), ("C9", "mul:7"),
+    ("C7", "mul:3"), ("D6", "phi:5,3"), ("D6", "phi:1,1"), ("D8", "phi:5,2"),
+    ("C2xC2xC2", "mat:0,0,1;1,0,0;0,1,1"), ("C2xC2xC2", "mat:0,0,1;1,0,1;0,1,0"),
+    ("C2xC2xC2xC2xC2", "mat:0,0,0,0,1;1,0,0,0,0;0,1,0,0,1;0,0,1,0,0;0,0,0,1,0@2"),
+    ("C3xC3", "mat:0,1;1,1@3"), ("C2xC2", "mat:0,1;1,1@2"), ("C10", "mul:3*mul:7@10"),
+    ("D4", "phi:1,2^2@4"), ("D5", "phi:3,1@5"), ("C10", "mul:3@10"),
+    ("D4", "phi:1,2@4*phi:3,0"), ("D4", "phi:1,2@4^2"), ("C8", "mul:3@8*mul:5@8"),
+    ("C4xC2", "left:mul:3@4"),
+)
+
+
+def _repo_names():
+    """(group, name) for every valid automorphism name in the package's
+    labels and invariant tables, the README's command lines, the demos and
+    the tests."""
+    from quandles.labels import ALL_LABELS
+    from quandles.verification import INVARIANT_TABLE_ROWS
+    yield from ALL_LABELS.values()
+    yield from ((row[2], row[3]) for row in INVARIANT_TABLE_ROWS.values() if row[3])
+    root = Path(__file__).parent.parent
+    readme = root.joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    for line in block.splitlines():
+        words = shlex.split(line.partition("#")[0])
+        if words[1:2] == ["invariants"]:
+            yield tuple(words[2:4])
+        elif words[1:2] == ["iso"]:
+            yield tuple(words[2:4])
+            yield tuple(words[4:6])
+    for demo in sorted(root.joinpath("demos").glob("*.py")):
+        text = demo.read_text(encoding="utf-8")
+        groups = dict(re.findall(r'(\w+) = build_named\("([^"]+)"\)', text))
+        for var, name in re.findall(r'named_automorphism\((\w+), "([^"]+)"\)', text):
+            yield groups[var], name
+    yield from TEST_NAMES
+
+
+def test_names_match_the_reference_parsing():
+    seen = set()
+    for gname, name in _repo_names():
+        g = build_named(gname)
+        old = re.sub(r"@[0-9]+", "", name) if name in NEWLY_VALID else name
+        assert named_automorphism(g, name).images == _reference_named(g, old), name
+        seen.add(name)
+    assert NEWLY_VALID <= seen and len(seen) > 60
+
+
+def test_cycles_are_balanced_and_disjoint():
+    s4 = build_named("S4")
+    assert catalog.parse_cycles(" (1 3)( 2 4 ) ", 4) == (2, 3, 0, 1)
+    assert catalog.parse_cycles("", 4) == catalog.parse_cycles("()", 4) == (0, 1, 2, 3)
+    for text in ("(1 (2))", "((1 2)", "(1 2)(2 3)", "(1 2)(3)(3 4)"):
+        with pytest.raises(StructuralError):
+            named_automorphism(s4, f"conj_perm:{text}")
+
+
+def test_each_atom_reads_its_own_suffix():
+    d4, c8 = build_named("D4"), build_named("C8")
+    phi = named_automorphism(d4, "phi:1,2").compose(named_automorphism(d4, "phi:3,0"))
+    assert named_automorphism(d4, "phi:1,2@4*phi:3,0@4") == phi
+    assert named_automorphism(d4, "phi:1,2@4^3") == named_automorphism(d4, "phi:1,2^3@4")
+    with pytest.raises(ContractViolation):
+        named_automorphism(d4, "phi:3,0*phi:1,2@8")
+    with pytest.raises(ContractViolation):
+        named_automorphism(c8, "mul:3@4")
+    for name in ("mul:3@", "mul:3@x", "mul:3@8@8", "mul:3^@8", "mul:3*", "*mul:3"):
+        with pytest.raises(NameLookupError):
+            named_automorphism(c8, name)
+    with pytest.raises(NameLookupError):
+        named_automorphism(build_named("C2xC2"), "mat:0,1;1,1@")
 
 
 def _old_product_table(factors):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -89,12 +90,14 @@ def test_iso_modulus_mismatch(capsys):
 
 @pytest.mark.parametrize("group,aut", [
     ("C3xC3", "mat:0,1;1,1@3"), ("C2xC2", "mat:0,1;1,1@2"), ("D5", "phi:3,1@5"),
-    ("C10", "mul:3*mul:7@10"),
+    ("C10", "mul:3*mul:7@10"), ("D4", "phi:1,2@4*phi:3,0"), ("D4", "phi:1,2@4^2"),
+    ("D4", "phi:1,2^2@4"), ("C8", "mul:3@8*mul:5@8"),
 ])
 def test_invariants_read_a_prime_or_a_modulus_suffix(group, aut, capsys):
+    # each atom reads its own suffix: the profile is the suffix-free name's
     assert main(["invariants", group, aut]) == 0
     g = build_named(group)
-    atom = aut if aut.startswith("mat:") else aut.rpartition("@")[0]
+    atom = aut if aut.startswith("mat:") else re.sub(r"@[0-9]+", "", aut)
     assert json.loads(capsys.readouterr().out) == json.loads(
         profile_to_json(profile(g, named_automorphism(g, atom))))
 
@@ -102,7 +105,10 @@ def test_invariants_read_a_prime_or_a_modulus_suffix(group, aut, capsys):
 @pytest.mark.parametrize("group,aut", [
     ("C4", "mul:x"), ("C4", "conj:x"), ("S3", "classrep:x"), ("D3", "phi:1"),
     ("C2xC2", "mat:1,x;0,1"), ("C4", "images:[0,a]"), ("S3", "conj_perm:(1_x)"),
-    ("C4", "left:id"), ("C4", "left:"),
+    ("C4", "left:id"), ("C4", "left:"), ("S3", "conj_perm:(1 2"),
+    ("S3", "conj_perm:garbage"), ("S4", "conj_perm:(1 2)x"), ("S4", "conj_perm:(1 2)(2 3)"),
+    ("C2xC2", "mat:0,1;1,1@"), ("C10", "mul:3@11"), ("D4", "phi:1,2@5*phi:3,0"),
+    ("D4", "phi:1,2@4@4"),
 ])
 def test_malformed_automorphism_name_is_bad_input(group, aut, capsys):
     assert main(["invariants", group, aut]) == 3

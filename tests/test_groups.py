@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles import groups
-from quandles.catalog import build, build_named, cyclic, dihedral, groups_of_order
+from quandles.catalog import (build, build_named, cyclic, dihedral, groups_of_order,
+                              named_automorphism)
 from quandles.errors import CapacityError, ContractViolation, StructuralError
 from quandles.groups import (FiniteGroup, GroupMap, Subgroup, all_group_isomorphisms,
                              automorphism_classes, automorphism_conjugacy_classes,
@@ -441,6 +442,16 @@ def test_group_map_validation():
     assert m.inverse().images == m.images
     with pytest.raises(ContractViolation):
         GroupMap(c4, c4, (0, 0, 0, 0), check=False).require_automorphism()
+
+
+def test_group_map_equality_ignores_check():
+    # ``check`` says how a map was built, not which map it is
+    d4 = build_named("D4")
+    checked = named_automorphism(d4, "phi:3,1")
+    unchecked = GroupMap(d4, d4, checked.images, check=False)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert repr(checked) == repr(unchecked)
+    assert checked != GroupMap(d4, d4, identity_map(d4).images, check=False)
 
 
 def test_inner_automorphism():

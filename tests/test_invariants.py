@@ -244,7 +244,7 @@ def test_precondition_flags_table_cases():
 
 def test_inn_structure_products():
     g = build_named("C6xC2")
-    r = inn_structure(g, named_automorphism(g, "alpha_sigma"), verify_iso=True)
+    r = inn_structure(g, named_automorphism(g, "alpha_sigma"))
     assert r.inn_size == 72 and r.p_size == 12 and r.psi_order == 6
     assert r.product_holds and r.semidirect_witness is not None
     r = inn_structure(g, identity_map(g))
@@ -256,7 +256,7 @@ def test_inn_structure_dichotomy_outer_branch():
     # centerless orbit subgroup, so the inner group stays a twisted product
     a4 = build_named("A4")
     psi = named_automorphism(a4, "conj_perm:(1 2)")
-    r = inn_structure(a4, psi, verify_iso=True)
+    r = inn_structure(a4, psi)
     assert r.centerless_p and not r.psi_p_inner
     assert r.semidirect_witness is not None and r.direct_witness is None
 
@@ -264,7 +264,7 @@ def test_inn_structure_dichotomy_outer_branch():
 def test_inn_structure_dichotomy_inner_branch():
     s4 = build_named("S4")
     three_cycle = next(i for i in range(24) if s4.element_order(i) == 3)
-    r = inn_structure(s4, inner_automorphism(s4, three_cycle), verify_iso=True)
+    r = inn_structure(s4, inner_automorphism(s4, three_cycle))
     assert r.centerless_p and r.psi_p_inner
     assert r.direct_witness is not None
 
@@ -273,7 +273,7 @@ def test_sl23_escapes_the_dichotomy():
     sl = build_named("SL23")
     psi = inner_automorphism(sl, sl23_element_index(((0, -1), (1, 0))))
     assert psi.map_order() == 2
-    r = inn_structure(sl, psi, verify_iso=True)
+    r = inn_structure(sl, psi)
     grp, _, _ = restrict_to_P(sl, psi)
     assert groups_isomorphic(grp, build_named("Q8")) is not None
     assert not r.centerless_p and r.psi_p_inner
@@ -298,7 +298,7 @@ def test_inn_size_law_over_catalog():
         for spec in groups_of_order(order):
             g = build(spec)
             for rep, _ in automorphism_conjugacy_classes(g):
-                r = inn_structure(g, rep, verify_iso=False)
+                r = inn_structure(g, rep)
                 assert r.inn_size == r.p_size * r.psi_order
 
 
