@@ -12,7 +12,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from types import MappingProxyType
 
 from .errors import CapacityError, ContractViolation, StructuralError
@@ -311,26 +310,16 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
     return g._gens
 
 
-def _iso_images(src: FiniteGroup, dst: FiniteGroup):
-    """Yield image arrays of isomorphisms src -> dst, in lexicographic order
-    of the images of ``generating_set(src)``, which fix a homomorphism.
-
-    Level i of the subgroup chain <g_0> < <g_0, g_1> < ... tries each image
-    of g_i of matching element order, fills in the level's new elements
-    along a spanning tree (x = parent * g_k), rejects a repeated image and
-    checks im[x * g_k] = im[x] * im[g_k] on the level's other edges."""
-    if src.order != dst.order:
-        return
-    st, dt = src.table, dst.table
-    gens = generating_set(src)
-    levels = []
-    members, seen = [0], {0}
+def _levels(src: FiniteGroup, dst: FiniteGroup) -> list:
+    """Level i of the chain <g_0> < <g_0, g_1> < ... of ``generating_set(src)``:
+    the candidate images of g_i in dst (its element order), the level's new
+    elements as a spanning tree (x = parent * g_k) and its other edges."""
+    st, gens = src.table, generating_set(src)
+    levels, members, seen = [], [0], {0}
     for i, g in enumerate(gens):
-        tree, checks = [], []
-        start, pos = len(members), 0
+        tree, checks, start = [], [], len(members)
         # members grows as it is walked; earlier levels' members need only g_i
-        while pos < len(members):
-            x = members[pos]
+        for pos, x in enumerate(members):
             for k in (range(i + 1) if pos >= start else (i,)):
                 z = st[x][gens[k]]
                 if z in seen:
@@ -339,37 +328,66 @@ def _iso_images(src: FiniteGroup, dst: FiniteGroup):
                     seen.add(z)
                     members.append(z)
                     tree.append((z, x, k))
-            pos += 1
         want = src.element_order(g)
-        candidates = [y for y in range(dst.order) if dst.element_order(y) == want]
-        levels.append((candidates, tree, checks))
+        levels.append(([y for y in range(dst.order) if dst.element_order(y) == want], tree, checks))
+    return levels
 
-    im = [0] * src.order
-    used = [True] + [False] * (dst.order - 1)
-    gim = [0] * len(gens)
 
-    def rec(i: int):
-        if i == len(levels):
-            yield tuple(im)
-            return
-        candidates, tree, checks = levels[i]
-        for y in candidates:
-            gim[i] = y
-            filled = 0
-            for x, parent, k in tree:
-                v = dt[im[parent]][gim[k]]
-                if used[v]:
-                    break
-                used[v] = True
-                im[x] = v
-                filled += 1
-            if filled == len(tree) and all(
-                    im[z] == dt[im[x]][gim[k]] for x, k, z in checks):
-                yield from rec(i + 1)
-            for x, _, _ in tree[:filled]:
-                used[im[x]] = False
+def _iso_images(src: FiniteGroup, dst: FiniteGroup, levels=None, fixed=()):
+    """Yield image arrays of isomorphisms src -> dst in lexicographic order of
+    the images of ``generating_set(src)``, which fix a homomorphism.  Level i
+    of ``levels`` (default ``_levels(src, dst)``) tries each candidate image
+    of g_i, or only ``fixed[i]`` for i < len(fixed), fills in its tree,
+    rejects a repeated image and checks im[x * g_k] = im[x] * im[g_k] on its
+    other edges."""
+    if src.order == dst.order:
+        n, levels = dst.order, _levels(src, dst) if levels is None else levels
+        yield from _descend(levels, dst.table, fixed, [0] * n,
+                            [True] + [False] * (n - 1), [0] * len(levels), 0)
 
-    yield from rec(0)
+
+def _descend(levels, dt, fixed, im, used, gim, i: int):
+    # module-level, not a closure on itself: an abandoned search leaves no cycle
+    if i == len(levels):
+        yield tuple(im)
+        return
+    candidates, tree, checks = levels[i]
+    for y in (fixed[i],) if i < len(fixed) else candidates:
+        gim[i] = y
+        filled = 0
+        for x, parent, k in tree:
+            v = dt[im[parent]][gim[k]]
+            if used[v]:
+                break
+            used[v] = True
+            im[x] = v
+            filled += 1
+        if filled == len(tree) and all(
+                im[z] == dt[im[x]][gim[k]] for x, k, z in checks):
+            yield from _descend(levels, dt, fixed, im, used, gim, i + 1)
+        for x, _, _ in tree[:filled]:
+            used[im[x]] = False
+
+
+def _stabilizer_chain(g: FiniteGroup) -> list[list[tuple[int, ...]]]:
+    """Transversals of Aut(g) on the base ``generating_set(g)``: level i holds
+    one automorphism fixing g_0..g_{i-1} per image of g_i.  From the last level
+    on, each candidate outside the orbit under the strong generators so far is
+    searched for: a hit is a strong generator, a miss proves it no image."""
+    levels, gens, strong, chain = _levels(g, g), generating_set(g), [], []
+    for i in reversed(range(len(levels))):
+        orbit = {gens[i]: tuple(range(g.order))}
+        for y in levels[i][0]:
+            if y in orbit or (s := next(_iso_images(g, g, levels, gens[:i] + (y,)), None)) is None:
+                continue
+            strong.append(s)
+            for p in (points := list(orbit)):  # points grows as it is walked
+                for t in strong:
+                    if (q := t[p]) not in orbit:
+                        orbit[q] = tuple(map(t.__getitem__, orbit[p]))
+                        points.append(q)
+        chain.append(list(orbit.values()))
+    return chain[::-1]
 
 
 def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
@@ -377,17 +395,15 @@ def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
     if g1.order != g2.order:
         return None
     if g1.table == g2.table:
-        return identity_map(g1) if g1 is g2 else GroupMap(
-            g1, g2, tuple(range(g1.order)), check=False)
+        return GroupMap(g1, g2, tuple(range(g1.order)), check=False)
     if g1.is_abelian != g2.is_abelian:
         return None
     if g1.element_order_multiset() != g2.element_order_multiset():
         return None
     if center(g1).order != center(g2).order:
         return None
-    for images in _iso_images(g1, g2):
-        return GroupMap(g1, g2, images, check=False)
-    return None
+    images = next(_iso_images(g1, g2), None)
+    return None if images is None else GroupMap(g1, g2, images, check=False)
 
 
 def all_group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
@@ -476,26 +492,32 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     """Read-only map from each automorphism's image array, in sorted order,
     to the lexicographically minimal member of its Aut(g)-conjugacy class.
 
-    Aut(g) is enumerated once per group object (``_iso_images``) and split
-    on indices into the sorted list, which an automorphism's images of
-    ``generating_set(g)`` look up.  Generators of Aut(g), chosen greedily
-    by largest order, then by image array, act on the indices as arrays.
-    Right multiplication must close them to every index, else
-    ContractViolation; conjugation orbits are the classes, and an orbit's
-    least index is its least image array.  The order check runs on every call;
-    past AUT_COUNT_BOUND automorphisms the enumeration raises CapacityError."""
+    Aut(g) is built once per group object: past AUT_COUNT_BOUND automorphisms
+    (the product of ``_stabilizer_chain(g)``'s level sizes) CapacityError,
+    else every product of one automorphism per level, sorted, whose images of
+    ``generating_set(g)`` must be distinct keys that look up their index.
+    Generators of Aut(g), chosen greedily by largest order, then by image
+    array, act on the indices as arrays and must close to every index under
+    right multiplication; conjugation orbits are the classes, an orbit's least
+    index its least image array.  The order check runs on every call."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
     if g._aut_classes is None:
-        perms = sorted(islice(_iso_images(g, g), AUT_COUNT_BOUND + 1))
-        if len(perms) > AUT_COUNT_BOUND:
-            raise CapacityError(f"more than {AUT_COUNT_BOUND} automorphisms to enumerate")
-        n, gens = len(perms), generating_set(g)
+        chain = _stabilizer_chain(g)
+        if (n := math.prod(map(len, chain))) > AUT_COUNT_BOUND:
+            raise CapacityError(f"{n} automorphisms, more than {AUT_COUNT_BOUND} to enumerate")
+        perms = [tuple(range(g.order))]
+        for level in reversed(chain):
+            perms = [q for p in perms for q in map(operator.itemgetter(*p), level)]
+        perms.sort()
+        gens = generating_set(g)
         # every automorphism fixes 0; taking it first gives itemgetter an
         # argument on C1, and a tuple, not a scalar, on a cyclic group
         key = operator.itemgetter(0, *gens)
         index = {key(p): i for i, p in enumerate(perms)}
+        if len(index) != n:
+            raise ContractViolation(f"the chain's {n} products have {len(index)} distinct keys")
         orders = [_perm_order(p, gens) for p in perms]
         have, held, mults, conjs = [True] + [False] * (n - 1), [0], [], []
         for i in sorted(range(n), key=orders.__getitem__, reverse=True):

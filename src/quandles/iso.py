@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
-from .errors import CapacityError, ContractViolation, VerificationError
+from .errors import CapacityError, ContractViolation, StructuralError, VerificationError
 from .groups import (FiniteGroup, GroupMap, _json_ints, _json_object,
                      all_group_isomorphisms, automorphism_classes,
                      groups_isomorphic, is_simple)
@@ -66,6 +66,9 @@ class IsoVerdict:
 def verdict_from_json(text: str) -> IsoVerdict:
     """Read back ``to_json``'s output; a malformed payload is a StructuralError."""
     data = _json_object(text, ("result", "method"))
+    if data["result"] not in (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED) or not all(
+            isinstance(data.get(k, ""), str) for k in ("method", "separator", "note")):
+        raise StructuralError("result is not a verdict, or method, separator or note not a string")
     witness = tuple(_json_ints(data["witness"], "witness")) if "witness" in data else None
     return IsoVerdict(result=data["result"], method=data["method"], witness=witness,
                       separator=data.get("separator"), note=data.get("note"))

@@ -389,27 +389,32 @@ def test_cache_keeps_a_not_isomorphic_verdict_it_decides_again(tmp_path):
     assert again.classes == first.classes and again.complete
 
 
-def test_aut_enumerated_once_per_group(monkeypatch):
-    # classification, reference labels and profiles share one enumeration
-    # of Aut(G) per group object
-    from quandles import groups
+def test_aut_enumerated_once_per_group(monkeypatch, empty_store):
+    # classification, reference labels and profiles share one stabilizer
+    # chain of Aut(G) per group object; the groups are built afresh, so
+    # their chains are built here and not by an earlier test
+    from functools import lru_cache
+
+    from quandles import catalog, groups, labels
     from quandles.classify import _pair_objects
-    from quandles.labels import ALL_LABELS
-    enumerated = []
-    real = groups._iso_images
+    monkeypatch.setattr(catalog, "_build_cache", {})
+    monkeypatch.setattr(labels, "resolve_label",
+                        lru_cache(maxsize=None)(labels.resolve_label.__wrapped__))
+    built = []
+    real = groups._stabilizer_chain
 
-    def recording(src, dst):
-        if src is dst:
-            enumerated.append(src)
-        return real(src, dst)
+    def recording(g):
+        built.append(g)
+        return real(g)
 
-    monkeypatch.setattr(groups, "_iso_images", recording)
+    monkeypatch.setattr(groups, "_stabilizer_chain", recording)
     classify_order(8)
-    for label in ALL_LABELS:
+    for label in labels.ALL_LABELS:
         label_class_images(label)
     for g, psi in _pair_objects(8, False)[2]:
         profile(g, psi)
-    assert len({id(g) for g in enumerated}) == len(enumerated)
+    assert len({id(g) for g in built}) == len(built)
+    assert {id(build(spec)) for spec in groups_of_order(8)} <= {id(g) for g in built}
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

@@ -391,18 +391,38 @@ def test_automorphism_classes_match_the_tuple_reference(name):
 
 @pytest.mark.parametrize("edit", ["drop the last", "repeat the last"])
 def test_automorphism_classes_prove_the_generators_close(monkeypatch, edit):
-    # a set that is not closed under composition (an automorphism missing),
-    # or whose generators close to fewer indices than it has (an
-    # automorphism listed twice), is refused instead of split into classes
-    real = groups._iso_images
+    # a transversal that misses its last point (an automorphism missing: the
+    # products are not closed under composition) or repeats it (an
+    # automorphism listed twice: fewer distinct keys than products) is
+    # refused instead of split into classes
+    real = groups._stabilizer_chain
 
-    def edited(src, dst):
-        perms = list(real(src, dst))
-        return perms[:-1] if edit == "drop the last" else perms + perms[-1:]
+    def edited(g):
+        chain = real(g)
+        level = max(chain, key=len)
+        level[-1:] = [] if edit == "drop the last" else level[-1:] * 2
+        return chain
 
-    monkeypatch.setattr(groups, "_iso_images", edited)
-    with pytest.raises(ContractViolation):
+    monkeypatch.setattr(groups, "_stabilizer_chain", edited)
+    match = "not closed|close to" if edit == "drop the last" else "distinct keys"
+    with pytest.raises(ContractViolation, match=match):
         automorphism_classes(FiniteGroup(build_named("D4").table))
+
+
+def test_over_capacity_aut_is_refused_before_it_is_built(monkeypatch):
+    # |GL(5, 2)| = 9,999,360 is the product of the chain's level sizes, so
+    # the refusal comes after a few dozen searches, not 100,001 automorphisms
+    real, leaves = groups._descend, []
+
+    def counting(levels, dt, fixed, im, used, gim, i):
+        if i == len(levels):
+            leaves.append(im)
+        return real(levels, dt, fixed, im, used, gim, i)
+
+    monkeypatch.setattr(groups, "_descend", counting)
+    with pytest.raises(CapacityError, match="9999360 automorphisms"):
+        automorphism_classes(FiniteGroup(build_named("C2xC2xC2xC2xC2").table))
+    assert 0 < len(leaves) < 100
 
 
 def test_aut_d4_classes_match_affine_reps():

@@ -425,6 +425,13 @@ def test_verdict_json_round_trip():
     '{"result": "isomorphic", "method": "brute-force", "witness": "ab"}',
     '{"result": "isomorphic", "method": "brute-force", "witness": [0, "1"]}',
     '{"result": "isomorphic", "method": "brute-force", "witness": null}',
+    '{"result": 5, "method": [], "note": {}}',
+    '{"result": "iso", "method": "brute-force"}',
+    '{"result": null, "method": "brute-force"}',
+    '{"result": "not-isomorphic", "method": 3}',
+    '{"result": "not-isomorphic", "method": null}',
+    '{"result": "not-isomorphic", "method": "brute-force", "separator": ["P"]}',
+    '{"result": "not-isomorphic", "method": "brute-force", "note": null}',
 ])
 def test_verdict_json_is_checked(text):
     with pytest.raises(StructuralError):
