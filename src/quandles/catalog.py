@@ -23,8 +23,8 @@ from functools import cache, reduce
 from math import factorial, gcd, prod
 
 from .errors import CapacityError, ContractViolation, NameLookupError, StructuralError
-from .groups import (FiniteGroup, GroupMap, automorphism_conjugacy_classes,
-                     identity_map, inner_automorphism)
+from .groups import (FiniteGroup, GroupMap, _cycle_type, _perm_inverse,
+                     automorphism_conjugacy_classes, identity_map, inner_automorphism)
 
 MAX_BUILD_ORDER = 128
 
@@ -189,9 +189,7 @@ def _dicyclic_group(m: int, spec: GroupSpec) -> FiniteGroup:
 
 
 def _parity(perm: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return inv % 2
+    return (len(perm) - len(_cycle_type(perm))) % 2  # n minus the number of cycles
 
 
 @cache
@@ -425,22 +423,11 @@ def matrix_map(g: FiniteGroup, rows: list[list[int]], p: int) -> GroupMap:
     if g.order != p ** k:
         raise ContractViolation(f"group order {g.order} is not {p}^{k}")
 
-    def dec(x):
-        digits = []
-        for _ in range(k):
-            digits.append(x % p)
-            x //= p
-        return list(reversed(digits))
-
-    def enc(vec):
-        x = 0
-        for v in vec:
-            x = x * p + (v % p)
-        return x
+    powers = [p ** (k - 1 - i) for i in range(k)]  # the place value of coordinate i
 
     def fn(x):
-        vec = dec(x)
-        return enc([sum(rows[i][j] * vec[j] for j in range(k)) % p for i in range(k)])
+        vec = [x // w % p for w in powers]
+        return sum(sum(map(int.__mul__, row, vec)) % p * w for row, w in zip(rows, powers))
 
     return _map_from_formula(g, fn)
 
@@ -514,14 +501,8 @@ def perm_conjugation(g: FiniteGroup, perm: tuple[int, ...]) -> GroupMap:
         raise ContractViolation("permutation degree mismatch")
     elems = _perm_elements(g.spec)
     pos = {q: i for i, q in enumerate(elems)}
-    pinv = [0] * deg
-    for i, v in enumerate(perm):
-        pinv[v] = i
-
-    def conj(q):
-        return tuple(perm[q[pinv[i]]] for i in range(deg))
-
-    return GroupMap(g, g, tuple(pos[conj(q)] for q in elems), check=False)
+    pinv = _perm_inverse(perm)
+    return GroupMap(g, g, tuple(pos[tuple(perm[q[v]] for v in pinv)] for q in elems), check=False)
 
 
 _ATOM_RE = re.compile(r"^(?P<head>[A-Za-z_0-9]+)(?::(?P<arg>.*))?$")

@@ -286,12 +286,7 @@ def emit_table(report: ClassificationReport, fmt: str = "markdown") -> str:
         lines = ["row,psi_order,fix_size,p_type,psi_on_p,p1,p2,members,refs"]
         if banner:
             lines.insert(0, f"# {banner}")
-        for r in rows:
-            lines.append(",".join([
-                str(r["row"]), str(r["psi_order"]), str(r["fix_size"]),
-                r["p_type"], r["psi_on_p"], "T" if r["p1"] else "F",
-                "T" if r["p2"] else "F", ";".join(r["members"]),
-                ";".join(r["refs"])]))
+        lines += [",".join(_cells(r, ";")) for r in rows]
         return "\n".join(lines) + "\n"
     if fmt in ("md", "markdown"):
         head = (f"| # | ord psi | Fix | P | psi|P | P1 | P2 | members | refs |\n"
@@ -300,14 +295,16 @@ def emit_table(report: ClassificationReport, fmt: str = "markdown") -> str:
                  f"{report.order}: {report.class_count} classes", "", head]
         if banner:
             lines.insert(1, f"**{banner}**")
-        for r in rows:
-            lines.append(
-                f"| {r['row']} | {r['psi_order']} | {r['fix_size']} | "
-                f"{r['p_type']} | {r['psi_on_p']} | "
-                f"{'T' if r['p1'] else 'F'} | {'T' if r['p2'] else 'F'} | "
-                f"{', '.join(r['members'])} | {', '.join(r['refs'])} |")
+        lines += ["| " + " | ".join(_cells(r, ", ")) + " |" for r in rows]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _cells(row: dict, sep: str) -> list[str]:
+    """A table row's cells as text, the flags as T/F, lists joined by ``sep``."""
+    return [*(str(row[k]) for k in ("row", "psi_order", "fix_size", "p_type", "psi_on_p")),
+            *("T" if row[k] else "F" for k in ("p1", "p2")),
+            *(sep.join(row[k]) for k in ("members", "refs"))]
 
 
 # ---------------------------------------------------------------------------

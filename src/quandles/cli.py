@@ -84,14 +84,9 @@ def _cmd_classify(args) -> int:
 def _cmd_verify_paper(_args) -> int:
     from .verification import run_all_claims
     results = run_all_claims()
-    failed = 0
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        line = f"{status}  {r.name}"
-        if r.detail:
-            line += f"  [{r.detail}]"
-        print(line)
-        failed += 0 if r.ok else 1
+        print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}" + (f"  [{r.detail}]" if r.detail else ""))
+    failed = sum(not r.ok for r in results)
     print(f"{len(results) - failed}/{len(results)} claims verified")
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION
 

@@ -390,6 +390,13 @@ def _stabilizer_chain(g: FiniteGroup) -> list[list[tuple[int, ...]]]:
     return chain[::-1]
 
 
+def _products(levels, perms) -> list[tuple[int, ...]]:
+    """u_0 ... u_{k-1} p for every p in ``perms`` and u_i in ``levels[i]``."""
+    for level in reversed(levels):
+        perms = [q for p in perms for q in map(operator.itemgetter(*p), level)]
+    return perms
+
+
 def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
     """A witness isomorphism if one exists, else None."""
     if g1.order != g2.order:
@@ -445,19 +452,69 @@ def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _perm_order(p: tuple[int, ...], points=None) -> int:
-    """Order of a permutation under composition: the lcm of the lengths of its
-    cycles through ``points`` (by default all; for an automorphism, generators)."""
-    order, seen = 1, [False] * len(p)
-    for start in range(len(p)) if points is None else points:
+def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted lengths of a permutation's cycles."""
+    seen, lengths = [False] * len(p), []
+    for start in range(len(p)):
         v, length = start, 0
         while not seen[v]:
             seen[v] = True
             v = p[v]
             length += 1
         if length:
-            order = math.lcm(order, length)
-    return order
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _perm_order(p: tuple[int, ...]) -> int:
+    """Order of a permutation under composition: the lcm of its cycle lengths."""
+    return math.lcm(*_cycle_type(p))
+
+
+def _group_order(degree: int, perms) -> int:
+    """|<perms>| on range(degree) by the deterministic Schreier-Sims algorithm
+    (Seress, Permutation Group Algorithms, 2003, ch. 4).  Level i holds base
+    point b_i, the strong generators fixing b_0..b_{i-1} and, per point c of
+    b_i's orbit under them, some u_c with u_c(b_i) = c and its inverse.  From
+    the last level up, every Schreier generator u_{s(c)}^-1 s u_c must sift
+    to the identity through the levels below; one that does not becomes a
+    strong generator (with a new base point if it fixes them all), and the
+    check resumes at the level where it stopped.  |<perms>| is then the
+    product of the orbit sizes."""
+    ident = tuple(range(degree))
+    strong = [p for p in dict.fromkeys(perms) if p != ident]
+    base = sorted({next(x for x in ident if p[x] != x) for p in strong})
+
+    def level(i):
+        gens = [s for s in strong if all(s[b] == b for b in base[:i])]
+        orbit = {base[i]: (ident, ident)}
+        for c in (points := [base[i]]):  # points grows as it is walked
+            for s in gens:
+                if (d := s[c]) not in orbit:
+                    orbit[d] = (u := tuple(map(s.__getitem__, orbit[c][0])), _perm_inverse(u))
+                    points.append(d)
+        return gens, orbit
+
+    def sift(p, i):
+        while i < len(base) and (u := levels[i][1].get(p[base[i]])):
+            p, i = tuple(map(u[1].__getitem__, p)), i + 1
+        return p, i
+
+    levels, i = [level(i) for i in range(len(base))], len(base) - 1
+    while i >= 0:
+        gens, orbit = levels[i]
+        # s u_c sifted from level i itself: its first step is the Schreier generator
+        h, j = next((hj for u, _ in orbit.values() for s in gens
+                     if (hj := sift(tuple(map(s.__getitem__, u)), i))[0] != ident), (ident, i))
+        if h == ident:
+            i -= 1
+            continue
+        strong.append(h)
+        if j == len(base):
+            base.append(next(x for x in ident if h[x] != x))
+        levels[i + 1:j + 1] = [level(k) for k in range(i + 1, j + 1)]
+        i = j
+    return math.prod(len(orbit) for _, orbit in levels)
 
 
 def _greedy_closure(degree: int, perms, bound: int) -> set[tuple[int, ...]]:
@@ -495,11 +552,13 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     Aut(g) is built once per group object: past AUT_COUNT_BOUND automorphisms
     (the product of ``_stabilizer_chain(g)``'s level sizes) CapacityError,
     else every product of one automorphism per level, sorted, whose images of
-    ``generating_set(g)`` must be distinct keys that look up their index.
-    Generators of Aut(g), chosen greedily by largest order, then by image
-    array, act on the indices as arrays and must close to every index under
-    right multiplication; conjugation orbits are the classes, an orbit's least
-    index its least image array.  The order check runs on every call."""
+    ``generating_set(g)`` must be distinct keys that look up their index.  A
+    scan from the largest index down keeps an automorphism as a conjugator
+    only if it enlarges the group the conjugators generate, whose order
+    ``_group_order`` (Schreier-Sims on g's points) proves, and must end at
+    |Aut(g)|.  Each conjugator acts on the indices as an array; conjugation
+    orbits are the classes, an orbit's least index its least image array.
+    The order check runs on every call."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
@@ -507,37 +566,30 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
         chain = _stabilizer_chain(g)
         if (n := math.prod(map(len, chain))) > AUT_COUNT_BOUND:
             raise CapacityError(f"{n} automorphisms, more than {AUT_COUNT_BOUND} to enumerate")
-        perms = [tuple(range(g.order))]
-        for level in reversed(chain):
-            perms = [q for p in perms for q in map(operator.itemgetter(*p), level)]
-        perms.sort()
+        # each half of the levels multiplied out, then the halves: on C2^4 306
+        # partial products held at once, not the 1,344 of all levels but one
+        half, ident = len(chain) // 2, [tuple(range(g.order))]
+        perms = sorted(_products(chain[:half] and [_products(chain[:half], ident)],
+                                 _products(chain[half:], ident)))
         gens = generating_set(g)
         # every automorphism fixes 0; taking it first gives itemgetter an
         # argument on C1, and a tuple, not a scalar, on a cyclic group
         key = operator.itemgetter(0, *gens)
-        index = {key(p): i for i, p in enumerate(perms)}
+        index = dict(zip(map(key, perms), range(n)))
         if len(index) != n:
             raise ContractViolation(f"the chain's {n} products have {len(index)} distinct keys")
-        orders = [_perm_order(p, gens) for p in perms]
-        have, held, mults, conjs = [True] + [False] * (n - 1), [0], [], []
-        for i in sorted(range(n), key=orders.__getitem__, reverse=True):
-            if have[i]:
-                continue
-            t = perms[i]
-            right, conj = operator.itemgetter(*key(t)), operator.itemgetter(*key(_perm_inverse(t)))
-            try:
-                mults.append([index[right(p)] for p in perms])
-                conjs.append([index[tuple(map(t.__getitem__, conj(p)))] for p in perms])
-            except KeyError:
-                raise ContractViolation("the automorphisms enumerated are not closed") from None
-            have, held = [True] + [False] * (n - 1), [0]
-            for q in held:  # held grows as it is walked
-                for m in mults:
-                    if not have[s := m[q]]:
-                        have[s] = True
-                        held.append(s)
-        if len(held) != n:
-            raise ContractViolation(f"Aut's generators close to {len(held)} of {n} members")
+        conjugators, size, scan = [], 1, reversed(perms)
+        while size < n and (t := next(scan, None)):
+            if (m := _group_order(g.order, conjugators + [t])) > size:
+                conjugators, size = conjugators + [t], m
+        if size != n:
+            raise ContractViolation(f"Aut's generators close to {size} of {n} members")
+        try:  # t p t^-1 for every p, read at 0 and the generators
+            conjs = [list(map(index.__getitem__, zip(*[map(t.__getitem__, map(
+                operator.itemgetter(inv[k]), perms)) for k in (0, *gens)])))
+                for t, inv in zip(conjugators, map(_perm_inverse, conjugators))]
+        except KeyError:
+            raise ContractViolation("the automorphisms enumerated are not closed") from None
         rep = [-1] * n
         for i in range(n):
             if rep[i] < 0:

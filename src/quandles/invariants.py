@@ -206,36 +206,17 @@ class InvariantProfile:
               "tn_size", "p1", "p2", "inn_size")
 
     def separator_against(self, other: InvariantProfile) -> str | None:
-        for field in self.FIELDS:
-            if getattr(self, field) != getattr(other, field):
-                return field
-        return None
+        return next((f for f in self.FIELDS if getattr(self, f) != getattr(other, f)), None)
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": PROFILE_VERSION,
-            "group_order": self.group_order,
-            "psi_order": self.psi_order,
-            "fix_size": self.fix_size,
-            "p_iso_type": _desc_json(self.p_iso_type),
-            "p2_iso_type": _desc_json(self.p2_iso_type),
-            "psi_restricted_class": list(map(_plain, self.psi_restricted_class)),
-            "p_fix_size": self.p_fix_size,
-            "tn_size": self.tn_size,
-            "p1": self.p1,
-            "p2": self.p2,
-            "inn_size": self.inn_size,
-        }
-
-
-def _plain(v):
-    return list(v) if isinstance(v, tuple) else v
-
-
-def _desc_json(desc: tuple) -> dict:
-    order, orders, abelian, name = desc
-    return {"order": order, "element_orders": list(orders),
-            "abelian": abelian, "name": name}
+        out = {"version": PROFILE_VERSION, **{f: getattr(self, f) for f in self.FIELDS}}
+        for f in ("p_iso_type", "p2_iso_type"):
+            order, orders, abelian, name = out[f]
+            out[f] = {"order": order, "element_orders": list(orders),
+                      "abelian": abelian, "name": name}
+        out["psi_restricted_class"] = [list(v) if isinstance(v, tuple) else v
+                                       for v in self.psi_restricted_class]
+        return out
 
 
 def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:

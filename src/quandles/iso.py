@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, StructuralError, VerificationError
-from .groups import (FiniteGroup, GroupMap, _json_ints, _json_object,
+from .groups import (FiniteGroup, GroupMap, _cycle_type, _json_ints, _json_object,
                      all_group_isomorphisms, automorphism_classes,
                      groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
@@ -96,21 +96,6 @@ def _checked(q1: Quandle, q2: Quandle, verdict: IsoVerdict) -> IsoVerdict:
 # ---------------------------------------------------------------------------
 # brute force
 # ---------------------------------------------------------------------------
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        lengths.append(ln)
-    return tuple(sorted(lengths))
-
 
 def _joint_refine(q1: Quandle, q2: Quandle, k1=None,
                   k2=None) -> tuple[list[int], list[int]]:

@@ -20,9 +20,9 @@ from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
                        dihedral_iso_decider, fix_size_dn, p_subgroups_dn)
 from .classify import (ClassificationReport, _pair_objects, boundary_pair,
                        boundary_report, classify_order, closed_form_counts)
-from .groups import (GroupMap, automorphism_classes, automorphism_conjugacy_classes,
-                     automorphism_group, fixed_subgroup, groups_isomorphic,
-                     inner_automorphism, is_normal)
+from .groups import (GroupMap, _perm_inverse, automorphism_classes,
+                     automorphism_conjugacy_classes, automorphism_group, fixed_subgroup,
+                     groups_isomorphic, inner_automorphism, is_normal)
 from .invariants import (compute_P, compute_P2, inn_structure,
                          restrict_to_P, transported_class, twisted_normalizer)
 from .iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED, abelian_decider,
@@ -44,6 +44,18 @@ class ClaimResult:
     detail: str = ""
 
 
+_reports: dict[int, ClassificationReport] | None = None  # set while run_all_claims runs
+
+
+def _classify(order: int) -> ClassificationReport:
+    """classify_order(order), made once per order within a run_all_claims call."""
+    if _reports is None:
+        return classify_order(order)
+    if order not in _reports:
+        _reports[order] = classify_order(order)
+    return _reports[order]
+
+
 def _claim(name):
     def wrap(fn):
         fn.claim_name = name
@@ -55,7 +67,7 @@ def _claim(name):
 
 @_claim("table-1 counts for orders 1..15")
 def claim_table1() -> ClaimResult:
-    got = tuple(classify_order(n).class_count for n in range(1, 16))
+    got = tuple(_classify(n).class_count for n in range(1, 16))
     ok = got == TABLE1_COUNTS
     return ClaimResult(claim_table1.claim_name, ok, f"counts {got}")
 
@@ -69,7 +81,7 @@ def claim_closed_forms() -> ClaimResult:
     bad = []
     for n, want in sorted(checks.items()):
         cf = closed_form_counts(n)
-        got = classify_order(n).class_count
+        got = _classify(n).class_count
         if cf != want or got != want:
             bad.append((n, cf, got, want))
     return ClaimResult(claim_closed_forms.claim_name, not bad, f"mismatches {bad}")
@@ -92,7 +104,7 @@ def claim_merge_lists() -> ClaimResult:
     for order, expected, displayed in (
             (8, EXPECTED_ORDER8_PARTITION, DISPLAYED_MERGES_ORDER8),
             (12, EXPECTED_ORDER12_PARTITION, DISPLAYED_MERGES_ORDER12)):
-        report = classify_order(order)
+        report = _classify(order)
         if _label_partition(report) != set(expected):
             problems.append(f"order {order} partition differs")
             continue
@@ -123,15 +135,10 @@ def _merge_edges_witnessed(report: ClassificationReport) -> bool:
         adjacency[i].add(j)
         adjacency[j].add(i)
     for cls in report.classes:
-        seen = {cls[0]}
-        frontier = [cls[0]]
-        while frontier:
-            x = frontier.pop()
-            for y in adjacency[x]:
-                if y in set(cls) and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if seen != set(cls):
+        seen = [cls[0]]
+        for x in seen:  # seen grows as it is walked
+            seen += [y for y in adjacency[x] if y in cls and y not in seen]
+        if set(seen) != set(cls):
             return False
     return True
 
@@ -440,10 +447,7 @@ def _in_class_witnesses(report: ClassificationReport):
             if i == cls[0]:
                 yield i, j, tuple(w_rj)
                 continue
-            inv_ri = [0] * len(w_rj)
-            for x, y in enumerate(from_rep[i]):
-                inv_ri[y] = x
-            yield i, j, tuple(w_rj[x] for x in inv_ri)
+            yield i, j, tuple(w_rj[x] for x in _perm_inverse(from_rep[i]))
 
 
 @_claim("witness structure checks (i)-(iv) on every produced witness")
@@ -451,7 +455,7 @@ def claim_witness_structure() -> ClaimResult:
     bad = []
     total = 0
     for order in range(1, 16):
-        report = classify_order(order)
+        report = _classify(order)
         _groups, _pairs, maps = _pair_objects(order, report.beyond_paper)
         for i, j, witness in _in_class_witnesses(report):
             g1, psi1 = maps[i]
@@ -496,4 +500,9 @@ ALL_CLAIMS = (
 
 
 def run_all_claims() -> list[ClaimResult]:
-    return [fn() for fn in ALL_CLAIMS]
+    global _reports
+    _reports = {}
+    try:
+        return [fn() for fn in ALL_CLAIMS]
+    finally:
+        _reports = None

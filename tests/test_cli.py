@@ -184,3 +184,24 @@ def test_verify_paper(capsys):
     assert all(l.startswith("PASS") for l in lines)
     assert "10/10 claims verified" in out
     assert out == GOLDEN_VERIFY_PAPER.read_text(encoding="utf-8")
+
+
+def test_verify_paper_classifies_each_order_once(monkeypatch, capsys):
+    # one run_all_claims shares one report per order among its claims; a
+    # claim called on its own classifies afresh on every call
+    from collections import Counter
+
+    from quandles import verification
+    calls, real = Counter(), verification.classify_order
+
+    def counting(order, *args, **kwargs):
+        calls[order] += 1
+        return real(order, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "classify_order", counting)
+    assert main(["verify-paper"]) == 0
+    assert capsys.readouterr().out == GOLDEN_VERIFY_PAPER.read_text(encoding="utf-8")
+    assert calls == Counter(range(1, 16))
+    calls.clear()
+    assert verification.claim_table1().ok and verification.claim_table1().ok
+    assert calls == Counter(2 * list(range(1, 16)))

@@ -17,7 +17,7 @@ from quandles.groups import (FiniteGroup, GroupMap, Subgroup, all_group_isomorph
                              groups_isomorphic, identity_map, inner_automorphism,
                              is_normal, is_simple)
 from quandles.iso import ISOMORPHIC, decide, verify_quandle_witness
-from quandles.quandle import general_alexander
+from quandles.quandle import general_alexander, inner_group
 
 
 def test_identity_and_latin_square_enforced():
@@ -407,6 +407,42 @@ def test_automorphism_classes_prove_the_generators_close(monkeypatch, edit):
     match = "not closed|close to" if edit == "drop the last" else "distinct keys"
     with pytest.raises(ContractViolation, match=match):
         automorphism_classes(FiniteGroup(build_named("D4").table))
+
+
+def test_automorphism_classes_refuse_conjugators_that_do_not_generate(monkeypatch):
+    # a Schreier-Sims that never counts past two conjugators leaves the scan
+    # short of Aut(Q8), which needs three
+    real = groups._group_order
+    monkeypatch.setattr(groups, "_group_order", lambda degree, perms: real(degree, perms[:2]))
+    with pytest.raises(ContractViolation, match="close to"):
+        automorphism_classes(FiniteGroup(build_named("Q8").table))
+
+
+def test_automorphism_classes_take_no_orders_and_no_closure(monkeypatch):
+    def refused(*_):
+        raise AssertionError("automorphism_classes needs no order and no closure")
+
+    monkeypatch.setattr(groups, "_perm_order", refused)
+    monkeypatch.setattr(groups, "_greedy_closure", refused)
+    got = automorphism_classes(FiniteGroup(build_named("C2xC2xC2xC2").table))
+    assert len(got) == 20160 and len(set(got.values())) == 14  # GL(4, 2) = A8
+
+
+@pytest.mark.parametrize("name", [
+    *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)), "A5", "S5", "SL23"])
+def test_schreier_sims_order_is_the_closure_size(name):
+    # on seeded random subsets of Aut(G), then on the point symmetries of
+    # each class-representative quandle, which generate its inner group
+    import random
+    g = build_named(name)
+    auts, rng = list(automorphism_classes(g)), random.Random(name)
+    for k in range(4):
+        gens = rng.sample(auts, min(k, len(auts)))
+        assert groups._group_order(g.order, gens) == len(
+            groups._greedy_closure(g.order, gens, len(auts)))
+    for rep, _ in automorphism_conjugacy_classes(g):
+        q = general_alexander(g, rep)
+        assert groups._group_order(q.size, q.sym) == inner_group(q).order
 
 
 def test_over_capacity_aut_is_refused_before_it_is_built(monkeypatch):
