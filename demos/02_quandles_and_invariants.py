@@ -9,6 +9,7 @@ generated by the translations x psi(x)^-1.
 from quandles import (build_named, compute_P, compute_P2, general_alexander,
                       inn_structure, is_connected, named_automorphism, profile,
                       profile_to_json, quandle_order, twisted_normalizer)
+from quandles.invariants import descriptor_display, group_descriptor
 
 g = build_named("D4")
 psi = named_automorphism(g, "phi:3,1")
@@ -31,8 +32,8 @@ print("preconditions: normality of P2 in G:", prof.p1,
 
 rep = inn_structure(g, psi)
 print(f"\n|Inn(Q)| = {rep.inn_size} = |P| * ord(psi) = {rep.p_size} * {rep.psi_order}")
-print("inner group is the expected twisted product:",
-      rep.semidirect_witness is not None)
+print(f"Inn(Q) = P x| C{rep.psi_order} = {descriptor_display(group_descriptor(rep.semidirect))},"
+      f" embedded as the {len(rep.embedding)} maps L_p psi^k on G's points")
 
 print("\nfull invariant profile:")
 print(profile_to_json(prof))

@@ -18,29 +18,40 @@ from functools import cache
 from .catalog import build, cyclic_action, groups_of_order, semidirect_table
 from .errors import VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
-                     center, generated_subgroup, groups_isomorphic, is_normal)
-from .quandle import (PermGroup, _stored, general_alexander, inner_group,
-                      orbit_of)
+                     center, generated_subgroup, generating_set,
+                     groups_isomorphic, is_normal)
+from .quandle import _stored, general_alexander, orbit_of
 
 PROFILE_VERSION = "profile.v1"
 
 
+def translation(g: FiniteGroup, psi: GroupMap, x: int) -> int:
+    """t_x = x psi(x)^-1 = s_x(e), so that s_x = L_{t_x} . psi."""
+    return g.table[x][g._inv[psi.images[x]]]
+
+
 def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:
     """The set {s_x(e)} = {x psi(x)^-1 : x in G}, with duplicates removed."""
-    im = psi.images
-    return sorted({g.table[x][g._inv[im[x]]] for x in range(g.order)})
+    return sorted({translation(g, psi, x) for x in range(g.order)})
 
 
 def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]:
     """(P's members, which are also its embedding into G, and psi|_P on the
     shared P group), built and cross-checked on the first call per
-    (table, images) and kept in the input's record."""
+    (table, images) and kept in the input's record.
+
+    The rows of Q prove Inn(Q) = {L_p psi^k : p in P, k < ord(psi)}: each
+    row s_x is checked to be L_t psi with t = s_x(e) in P, and psi(P) = P,
+    so those maps form a group that holds every s_x and has |P| ord(psi)
+    members (f(e) gives p, and then psi^k).  It lies in Inn, as s_e = psi,
+    L_t = s_x psi^-1, and the t generate the orbit of e, which is P."""
     records, p_groups = _stored(g, psi)
     im = psi.images
     rec = records.get(im, {}).get("P")
     if rec is not None:
         return rec
-    orbit = orbit_of(general_alexander(g, psi), 0)
+    q = general_alexander(g, psi)
+    orbit = orbit_of(q, 0)
     span = generated_subgroup(g, translation_elements(g, psi))
     if orbit != span.member_set():
         raise VerificationError(
@@ -50,6 +61,9 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
     pos = {m: i for i, m in enumerate(members)}
     if any(im[m] not in pos for m in members):
         raise VerificationError(f"P is not invariant under psi on {g.name}")
+    if any(row[0] not in pos or row != tuple(map(g.table[row[0]].__getitem__, im))
+           for row in q.sym):
+        raise VerificationError(f"a row of Q({g.name}, psi) is not L_t psi with t in P")
     grp = p_groups.get(members)
     if grp is None:
         grp = p_groups[members] = span.as_group()[0]
@@ -89,51 +103,50 @@ def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
 
 @dataclass
 class InnStructureReport:
-    perm_group: PermGroup
-    inn_size: int
     p_size: int
     psi_order: int
-    product_holds: bool
-    semidirect_witness: GroupMap | None
+    semidirect: FiniteGroup
+    embedding: tuple[tuple[int, ...], ...]
     centerless_p: bool
     psi_p_inner: bool
     direct_witness: GroupMap | None
 
-
-def psi_restricted_is_inner(grp: FiniteGroup, restricted: GroupMap) -> bool:
-    return any(all(grp.conj(a, x) == restricted.images[x] for x in range(grp.order))
-               for a in range(grp.order))
+    @property
+    def inn_size(self) -> int:
+        return len(self.embedding)
 
 
 def inn_structure(g: FiniteGroup, psi: GroupMap) -> InnStructureReport:
-    """Inn(Q(G,psi)) with the size law |Inn| = |P| * ord(psi) and, when P is
-    centerless, the direct-vs-semidirect dichotomy driven by whether psi|_P
-    is inner."""
-    psi.require_automorphism()
-    q = general_alexander(g, psi)
-    inn = inner_group(q)
-    grp, restricted, _ = restrict_to_P(g, psi)
-    m = psi.map_order()
-    product_holds = inn.order == grp.order * m
+    """Inn(Q(G,psi)) as P x| C_m, m = ord(psi), and, when P is centerless,
+    the direct-vs-semidirect dichotomy driven by whether psi|_P is inner.
 
-    direct_witness = None
-    centerless = center(grp).order == 1
-    inner_flag = psi_restricted_is_inner(grp, restricted)
-    inn_as_group, _ = inn.as_group(name="Inn")
+    The embedding iota sends index k*|P| + p of the semidirect product to
+    L_p psi^k on G's points.  It is checked to be an injective homomorphism
+    whose image holds every s_x; with the row proof of P, that image is
+    Inn, so |Inn| = |P| * m."""
+    grp, restricted, embed = restrict_to_P(g, psi)
+    m = psi.map_order()
     cm, powers = cyclic_action(restricted.images, m)
     sd = FiniteGroup(semidirect_table(grp, cm, powers),
                      name=f"{grp.name}:C{m}", check=False)
-    semidirect_witness = groups_isomorphic(inn_as_group, sd)
-    if centerless:
-        direct = FiniteGroup(semidirect_table(grp, cm, powers[:1] * m),
-                             name=f"{grp.name}xC{m}", check=False)
-        direct_witness = groups_isomorphic(inn_as_group, direct)
+    iota = tuple(tuple(map(g.table[p].__getitem__, pw))
+                 for pw in cyclic_action(psi.images, m)[1] for p in embed)
+    gens = generating_set(sd)
+    if (any(iota[row[s]] != tuple(map(iota[a].__getitem__, iota[s]))
+            for a, row in enumerate(sd.table) for s in gens)
+            or len(set(iota)) != len(iota)
+            or not set(general_alexander(g, psi).sym) <= set(iota)):
+        raise VerificationError(f"P x| C{m} does not embed onto Inn(Q({g.name}, psi))")
 
+    centerless = center(grp).order == 1
+    direct = FiniteGroup(semidirect_table(grp, cm, powers[:1] * m),
+                         name=f"{grp.name}xC{m}", check=False) if centerless else None
     return InnStructureReport(
-        perm_group=inn, inn_size=inn.order, p_size=grp.order, psi_order=m,
-        product_holds=product_holds, semidirect_witness=semidirect_witness,
-        centerless_p=centerless, psi_p_inner=inner_flag,
-        direct_witness=direct_witness)
+        p_size=grp.order, psi_order=m, semidirect=sd, embedding=iota,
+        centerless_p=centerless,
+        psi_p_inner=any(all(grp.conj(a, x) == restricted.images[x]
+                            for x in range(grp.order)) for a in range(grp.order)),
+        direct_witness=direct and groups_isomorphic(direct, sd))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +243,6 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
     p_members = set(embed)
     tn = twisted_normalizer(g, psi, p2_sub)
     m = psi.map_order()
-    inn_size = inner_group(general_alexander(g, psi)).order
-    if inn_size != grp.order * m:
-        raise VerificationError(
-            f"|Inn| = {inn_size} differs from |P| * ord(psi) = "
-            f"{grp.order * m} on {g.name}")
-    im = psi.images
-    translations_p = {g.table[x][g._inv[im[x]]] for x in embed}
     return InvariantProfile(
         group_order=g.order,
         psi_order=m,
@@ -247,8 +253,8 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
         p_fix_size=len(p_members.intersection(fix)),
         tn_size=tn.order,
         p1=is_normal(g, p2_sub),
-        p2=translations_p == p2_sub.member_set(),
-        inn_size=inn_size,
+        p2={translation(g, psi, x) for x in embed} == p2_sub.member_set(),
+        inn_size=grp.order * m,  # proved by _p_record's row check
     )
 
 

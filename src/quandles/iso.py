@@ -22,7 +22,7 @@ from .groups import (FiniteGroup, GroupMap, _cycle_type, _json_ints, _json_objec
                      all_group_isomorphisms, automorphism_classes,
                      groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
-                         translation_elements)
+                         translation, translation_elements)
 from .quandle import Quandle, _stored, general_alexander
 
 ISOMORPHIC = "isomorphic"
@@ -238,10 +238,6 @@ def cached_profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
     return prof
 
 
-def _translation_of(g: FiniteGroup, psi: GroupMap, x: int) -> int:
-    return g.table[x][g._inv[psi.images[x]]]
-
-
 def theorem13_iso(g1: FiniteGroup, psi1: GroupMap,
                   g2: FiniteGroup, psi2: GroupMap) -> IsoVerdict:
     """The structural criterion: under (P1) and (P2) on both sides,
@@ -307,7 +303,7 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     k0: dict[int, int] = {}
     matched: set[frozenset] = set()
     for value, block in sorted(fibers1.items(), key=lambda kv: sorted(kv[0])):
-        u = _translation_of(g1, psi1, block[0])
+        u = translation(g1, psi1, block[0])
         target_value = frozenset(mul2[h_on_g[u]][q] for q in psq2)
         if target_value not in fibers2:
             raise VerificationError("fiber image missing on the primed side")
@@ -322,10 +318,10 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
 
     k: dict[int, int] = {}
     for a, a2 in k0.items():
-        target = h_on_g[_translation_of(g1, psi1, a)]
+        target = h_on_g[translation(g1, psi1, a)]
         for p in embed2:
             cand = mul2[a2][p]
-            if _translation_of(g2, psi2, cand) == target:
+            if translation(g2, psi2, cand) == target:
                 k[a] = cand
                 break
         else:
@@ -349,7 +345,7 @@ def _coset_fibers(g: FiniteGroup, psi: GroupMap, p_members, psq
     rep = [min(t[x][p] for p in p_members) for x in range(g.order)]
     fibers: dict[frozenset, list[int]] = {}
     for a in sorted(set(rep)):
-        u = _translation_of(g, psi, a)
+        u = translation(g, psi, a)
         fibers.setdefault(frozenset(t[u][q] for q in psq), []).append(a)
     return rep, fibers
 

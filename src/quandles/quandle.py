@@ -187,18 +187,6 @@ class PermGroup:
     def __contains__(self, perm) -> bool:
         return tuple(perm) in self.elements
 
-    def sorted_elements(self) -> list[tuple[int, ...]]:
-        return sorted(self.elements)
-
-    def as_group(self, name: str = "perm") -> tuple[FiniteGroup, list[tuple[int, ...]]]:
-        """Cayley table of the closure under composition (p, q) -> p . q."""
-        elems = self.sorted_elements()
-        ident = tuple(range(self.degree))
-        order = [ident] + [p for p in elems if p != ident]
-        pos = {p: i for i, p in enumerate(order)}
-        table = [[pos[tuple(map(p.__getitem__, q))] for q in order] for p in order]
-        return FiniteGroup(table, name=name, check=False), order
-
 
 def inner_group(q: Quandle, bound: int = INNER_CLOSURE_BOUND) -> PermGroup:
     """Closure of the point symmetries {s_x} under composition; a symmetry

@@ -360,18 +360,15 @@ def claim_structure() -> ClaimResult:
                 if any(g.conj(a, x) not in pm
                        for a in tn.members for x in P.members):
                     bad.append(f"P not normal in TN for {g.name}")
-    # |Inn| = |P| * m with a group isomorphism witness, reps of order <= 12
+    # Inn = P x| C_m, reps of order <= 12: inn_structure raises unless its
+    # embedding of P x| C_m is onto Inn, so |Inn| = |P| * m
     for n in range(1, 13):
         for spec in groups_of_order(n):
             g = build(spec)
             for rep, _ in automorphism_conjugacy_classes(g):
                 r = inn_structure(g, rep)
-                if not r.product_holds or r.semidirect_witness is None:
-                    bad.append(f"inn structure fails on {g.name}")
-                if r.centerless_p:
-                    direct_ok = r.direct_witness is not None
-                    if r.psi_p_inner != direct_ok:
-                        bad.append(f"dichotomy fails on {g.name} {rep.images}")
+                if r.centerless_p and r.psi_p_inner != (r.direct_witness is not None):
+                    bad.append(f"dichotomy fails on {g.name} {rep.images}")
     # the inner branch with nontrivial centerless P: S4 conjugation by a 3-cycle
     s4 = build_named("S4")
     three_cycle = next(i for i in range(s4.order)
@@ -390,11 +387,9 @@ def claim_structure() -> ClaimResult:
     q8 = build_named("Q8")
     if groups_isomorphic(grp, q8) is None:
         bad.append("counterexample: P is not the quaternion group")
-    if not (r.product_holds and r.semidirect_witness is not None
-            and r.psi_p_inner and not r.centerless_p):
+    if not (r.psi_p_inner and not r.centerless_p):
         bad.append("counterexample preconditions fail")
-    inn_group, _ = r.perm_group.as_group()
-    if groups_isomorphic(inn_group, build_named("Q8xC2")) is not None:
+    if groups_isomorphic(r.semidirect, build_named("Q8xC2")) is not None:
         bad.append("counterexample: Inn is a direct product after all")
     return ClaimResult(claim_structure.claim_name, not bad, "; ".join(bad[:5]))
 

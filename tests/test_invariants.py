@@ -8,6 +8,7 @@ from quandles.catalog import (build, build_named, cyclic, dihedral,
                               semidirect_table, sl23_element_index)
 from quandles.errors import ContractViolation, VerificationError
 from quandles.groups import (FiniteGroup, GroupMap, Subgroup,
+                             automorphism_conjugacy_classes,
                              automorphism_group, fixed_subgroup,
                              generated_subgroup, group_from_json,
                              group_to_json, groups_isomorphic, identity_map,
@@ -18,7 +19,12 @@ from quandles.invariants import (compute_P, compute_P2, descriptor_display,
                                  transported_class, translation_elements,
                                  twisted_normalizer)
 from quandles.iso import cached_profile
-from quandles.quandle import general_alexander, orbit_of
+from quandles.quandle import Quandle, general_alexander, inner_group, orbit_of
+from quandles.verification import claim_structure
+
+# every catalog group of order 1..16, then A5, S5 and SL23
+SWEEP = [*(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
+         "A5", "S5", "SL23"]
 
 
 def test_compute_P_identity_map():
@@ -172,6 +178,29 @@ def test_failed_orbit_span_check_fails_every_call(monkeypatch, empty_store):
     assert compute_P(d4, psi).members == (0, 1, 2, 3)
 
 
+def test_failed_row_proof_fails_every_call(monkeypatch, empty_store):
+    # swapping s_1(4) and s_1(5) leaves the orbit of e, P = {0, 1, 2, 3},
+    # as it is, so only the row proof sees that s_1 is no longer L_t psi
+    d4 = build_named("D4")
+    psi = named_automorphism(d4, "phi:3,1")
+    real = invariants.general_alexander
+
+    def swapped(g, phi):
+        sym = [list(row) for row in real(g, phi).sym]
+        sym[1][4], sym[1][5] = sym[1][5], sym[1][4]
+        return Quandle._trusted(tuple(map(tuple, sym)), (g, phi))
+
+    assert orbit_of(swapped(d4, psi), 0) == frozenset(range(4))
+    monkeypatch.setattr(invariants, "general_alexander", swapped)
+    for call in (compute_P, profile, compute_P, profile):
+        with pytest.raises(VerificationError, match="not L_t psi with t in P"):
+            call(d4, psi)
+    for records, p_groups in quandle._STORE.values():
+        assert p_groups == {} and all("P" not in rec for rec in records.values())
+    monkeypatch.setattr(invariants, "general_alexander", real)
+    assert compute_P(d4, psi).members == (0, 1, 2, 3)
+
+
 def test_equal_tables_share_the_p_group_but_not_the_parent():
     g = build_named("Dic3")
     twin = FiniteGroup(g.table, name="Dic3-twin")
@@ -244,11 +273,14 @@ def test_precondition_flags_table_cases():
 
 def test_inn_structure_products():
     g = build_named("C6xC2")
-    r = inn_structure(g, named_automorphism(g, "alpha_sigma"))
+    psi = named_automorphism(g, "alpha_sigma")
+    r = inn_structure(g, psi)
     assert r.inn_size == 72 and r.p_size == 12 and r.psi_order == 6
-    assert r.product_holds and r.semidirect_witness is not None
+    assert r.semidirect.order == 72
+    assert set(r.embedding) == inner_group(general_alexander(g, psi)).elements
     r = inn_structure(g, identity_map(g))
     assert r.inn_size == 1 and r.psi_order == 1 and r.p_size == 1
+    assert r.embedding == (tuple(range(12)),)
 
 
 def test_inn_structure_dichotomy_outer_branch():
@@ -258,7 +290,8 @@ def test_inn_structure_dichotomy_outer_branch():
     psi = named_automorphism(a4, "conj_perm:(1 2)")
     r = inn_structure(a4, psi)
     assert r.centerless_p and not r.psi_p_inner
-    assert r.semidirect_witness is not None and r.direct_witness is None
+    assert set(r.embedding) == inner_group(general_alexander(a4, psi)).elements
+    assert r.direct_witness is None
 
 
 def test_inn_structure_dichotomy_inner_branch():
@@ -277,9 +310,9 @@ def test_sl23_escapes_the_dichotomy():
     grp, _, _ = restrict_to_P(sl, psi)
     assert groups_isomorphic(grp, build_named("Q8")) is not None
     assert not r.centerless_p and r.psi_p_inner
-    assert r.semidirect_witness is not None
-    inn_group, _ = r.perm_group.as_group()
-    assert groups_isomorphic(inn_group, build_named("Q8xC2")) is None
+    # the embedding is onto the closure, so the semidirect table is Inn's
+    assert set(r.embedding) == inner_group(general_alexander(sl, psi)).elements
+    assert groups_isomorphic(r.semidirect, build_named("Q8xC2")) is None
 
 
 @pytest.mark.parametrize("name", ["C3", "D4", "Q8"])
@@ -293,13 +326,33 @@ def test_identity_action_semidirect_table_is_the_direct_product(name, m):
 
 
 def test_inn_size_law_over_catalog():
-    from quandles.groups import automorphism_conjugacy_classes
-    for order in range(1, 13):
-        for spec in groups_of_order(order):
-            g = build(spec)
-            for rep, _ in automorphism_conjugacy_classes(g):
-                r = inn_structure(g, rep)
-                assert r.inn_size == r.p_size * r.psi_order
+    # the row proof and the embedding against the closure oracle
+    for name in SWEEP:
+        g = build_named(name)
+        for rep, _ in automorphism_conjugacy_classes(g):
+            inn = inner_group(general_alexander(g, rep))
+            r = inn_structure(g, rep)
+            assert set(r.embedding) == inn.elements, (name, rep.images)
+            assert r.inn_size == inn.order == r.p_size * r.psi_order
+            assert cached_profile(g, rep).inn_size == inn.order
+            if r.centerless_p:
+                assert r.psi_p_inner == (r.direct_witness is not None)
+
+
+def test_production_paths_close_no_group(monkeypatch, empty_store):
+    def refused(*_):
+        raise AssertionError("Inn is read off P and psi, not closed")
+
+    monkeypatch.setattr(quandle, "_greedy_closure", refused)
+    for name in ("A5", "S5", "SL23"):
+        g = build_named(name)
+        for rep, _ in automorphism_conjugacy_classes(g):
+            profile(g, rep)
+    for name in ("S4", "SL23"):
+        g = build_named(name)
+        for rep, _ in automorphism_conjugacy_classes(g):
+            inn_structure(g, rep)
+    assert claim_structure().ok
 
 
 def test_group_descriptor_catalog_resolution():
