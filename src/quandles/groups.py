@@ -33,6 +33,12 @@ def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
         raise StructuralError(f"{what} has an entry that is not an integer: {exc}") from None
 
 
+def _composer(p):
+    """q -> q . p = (q[p[0]], q[p[1]], ...), one C call for len(p) > 1 (for
+    one index, itemgetter returns a scalar, not a tuple)."""
+    return operator.itemgetter(*p) if len(p) > 1 else lambda q: tuple(q[i] for i in p)
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table (table[a][b] = a*b)."""
 
@@ -65,22 +71,18 @@ class FiniteGroup:
                 raise StructuralError(f"row {i} has length {len(row)}, expected {n}")
             if frozenset(row) != full:
                 raise StructuralError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            if frozenset(self.table[i][j] for i in range(n)) != full:
+        cols = tuple(zip(*self.table))
+        for j, col in enumerate(cols):
+            if frozenset(col) != full:
                 raise StructuralError(f"column {j} is not a permutation of 0..{n - 1}")
-        for i in range(n):
-            if self.table[0][i] != i or self.table[i][0] != i:
-                raise StructuralError("index 0 is not a two-sided identity")
-        t = self.table
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                tij = t[ti[j]]
-                tj = t[j]
-                for k in range(n):
-                    if tij[k] != ti[tj[k]]:
-                        raise StructuralError(
-                            f"associativity fails at ({i},{j},{k})")
+        if not self.table[0] == cols[0] == tuple(range(n)):
+            raise StructuralError("index 0 is not a two-sided identity")
+        t, after = self.table, list(map(_composer, self.table))
+        for i, ti in enumerate(t):  # (i j) k against i (j k), a row of k at a time
+            for j, tj in enumerate(t):
+                if t[ti[j]] != after[j](ti):
+                    k = next(k for k in range(n) if t[ti[j]][k] != ti[tj[k]])
+                    raise StructuralError(f"associativity fails at ({i},{j},{k})")
 
     def _compute_inverses(self):
         try:
@@ -124,11 +126,8 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self.table
-            self._abelian = all(t[a][b] == t[b][a]
-                                for a in range(self.order)
-                                for b in range(a + 1, self.order))
+        if self._abelian is None:  # the table equals its transpose
+            self._abelian = tuple(zip(*self.table)) == self.table
         return self._abelian
 
     def __repr__(self) -> str:
@@ -144,29 +143,30 @@ class Subgroup:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-        g = self.parent
-        ms = set(self.members)
+        g, members, ms = self.parent, self.members, frozenset(self.members)
+        object.__setattr__(self, "_member_set", ms)  # not a field: eq and hash ignore it
         if 0 not in ms:
             raise StructuralError("subgroup must contain the identity")
-        for a in self.members:
-            if not 0 <= a < g.order:
-                raise StructuralError(f"member {a} out of range")
+        if not 0 <= members[0] <= members[-1] < g.order:
+            a = members[0] if members[0] < 0 else members[-1]
+            raise StructuralError(f"member {a} out of range")
+        row_of = _composer(members)
+        for a in members:
             if g._inv[a] not in ms:
                 raise StructuralError(f"subgroup not closed under inverse at {a}")
-            for b in self.members:
-                if g.table[a][b] not in ms:
-                    raise StructuralError(
-                        f"subgroup not closed under product at ({a},{b})")
+            if not ms.issuperset(row_of(g.table[a])):
+                b = next(b for b in members if g.table[a][b] not in ms)
+                raise StructuralError(f"subgroup not closed under product at ({a},{b})")
 
     @property
     def order(self) -> int:
         return len(self.members)
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
+        return a in self._member_set
 
     def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+        return self._member_set
 
     def as_group(self, name: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Reindex onto 0..k-1; returns (group, embedding new-index -> parent-index)."""
@@ -196,13 +196,12 @@ class GroupMap:
                 raise StructuralError("image index out of range")
             if self.images[0] != 0:
                 raise StructuralError("homomorphism must send identity to identity")
-            s, t = self.source.table, self.target.table
-            im = self.images
-            for a in range(self.source.order):
-                for b in range(self.source.order):
-                    if im[s[a][b]] != t[im[a]][im[b]]:
-                        raise StructuralError(
-                            f"not a homomorphism at ({a},{b})")
+            s, t, im = self.source.table, self.target.table, self.images
+            im_of = _composer(im)
+            for a, row in enumerate(s):  # im . L_a against L_im(a) . im
+                if _composer(row)(im) != im_of(t[im[a]]):
+                    b = next(b for b in range(len(row)) if im[row[b]] != t[im[a]][im[b]])
+                    raise StructuralError(f"not a homomorphism at ({a},{b})")
 
     def __call__(self, a: int) -> int:
         return self.images[a]
@@ -250,35 +249,27 @@ def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup containing ``gens``: {e} closed under right
-    multiplication by the generators, which in a finite group is closed
-    under inverse too."""
-    gens = tuple(set(gens))
+    """Smallest subgroup containing ``gens``: their closure under right
+    multiplication (``_span``), which in a finite group is a subgroup."""
+    gens = tuple(gens)
     for a in gens:
         g._check_index(a)
-    members, frontier = {0}, [0]
-    while frontier:
-        row = g.table[frontier.pop()]
-        for a in gens:
-            if row[a] not in members:
-                members.add(row[a])
-                frontier.append(row[a])
-    return Subgroup(g, tuple(members))
+    return Subgroup(g, tuple(_span(g, gens)[1]))
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
+    """a h a^-1 in H for every generator a of G and h of H: a conjugate of
+    the finite H that lies in H is H, so G's generators, and G, normalize H."""
     if h.parent is not g:
         raise ContractViolation("subgroup belongs to a different group")
-    ms = h.member_set()
-    return all(g.conj(a, x) in ms for a in range(g.order) for x in h.members)
+    ms, hgens = h.member_set(), _span(g, h.members)[0]
+    return all(g.conj(a, x) in ms for a in generating_set(g) for x in hgens)
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    if g._center is None:
-        t = g.table
-        members = tuple(z for z in range(g.order)
-                        if all(t[x][z] == t[z][x] for x in range(g.order)))
-        g._center = Subgroup(g, members)
+    if g._center is None:  # z is central iff its row of the table equals its column
+        g._center = Subgroup(g, tuple(z for z, (row, col) in enumerate(
+            zip(g.table, zip(*g.table))) if row == col))
     return g._center
 
 
@@ -293,21 +284,36 @@ def _normal_closure_scan(g: FiniteGroup) -> bool:
     """True iff each conjugacy class other than {e} generates all of G (the
     normal closure of its elements); stops at the first class that does not."""
     classes = {frozenset(g.conj(a, x) for a in range(g.order)) for x in range(1, g.order)}
-    return g.order > 1 and all(generated_subgroup(g, c).order == g.order for c in classes)
+    return g.order > 1 and all(len(_span(g, c)[1]) == g.order for c in classes)
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the smallest index outside the closure."""
-    if g._gens is not None:
-        return g._gens
-    gens: list[int] = []
-    closure = {0}
-    while len(closure) < g.order:
-        nxt = min(x for x in range(g.order) if x not in closure)
-        gens.append(nxt)
-        closure = set(generated_subgroup(g, gens).members)
-    g._gens = tuple(gens)
+    if g._gens is None:
+        g._gens = _span(g, range(g.order))[0]
     return g._gens
+
+
+def _span(g: FiniteGroup, elements) -> tuple[tuple[int, ...], set[int]]:
+    """(generators, closure) of ``elements``, taken in order: one outside the
+    closure so far joins the generators, and the closure grows by right
+    multiplication (enough in a finite group), the elements held times the
+    new generator and then each new element times every generator."""
+    t, gens, have = g.table, [], {0}
+    for a in elements:
+        if a in have:
+            continue
+        gens.append(a)
+        frontier, mults = list(have), (a,)
+        while frontier:
+            grown = []
+            for row in map(t.__getitem__, frontier):
+                for b in mults:
+                    if (c := row[b]) not in have:
+                        have.add(c)
+                        grown.append(c)
+            frontier, mults = grown, gens
+    return tuple(gens), have
 
 
 def _levels(src: FiniteGroup, dst: FiniteGroup) -> list:
@@ -471,19 +477,20 @@ def _perm_order(p: tuple[int, ...]) -> int:
     return math.lcm(*_cycle_type(p))
 
 
-def _group_order(degree: int, perms) -> int:
-    """|<perms>| on range(degree) by the deterministic Schreier-Sims algorithm
+def _schreier_sims(degree: int):
+    """extend(p), which adds p to the generators of a group on range(degree)
+    and returns its order, by the deterministic Schreier-Sims algorithm
     (Seress, Permutation Group Algorithms, 2003, ch. 4).  Level i holds base
     point b_i, the strong generators fixing b_0..b_{i-1} and, per point c of
-    b_i's orbit under them, some u_c with u_c(b_i) = c and its inverse.  From
-    the last level up, every Schreier generator u_{s(c)}^-1 s u_c must sift
-    to the identity through the levels below; one that does not becomes a
-    strong generator (with a new base point if it fixes them all), and the
-    check resumes at the level where it stopped.  |<perms>| is then the
-    product of the orbit sizes."""
+    b_i's orbit under them, some u_c with u_c(b_i) = c and its inverse.  A p
+    in the group sifts to the identity through the levels.  Otherwise what
+    is left of it at level j, where its sift stops, joins the strong
+    generators (with a new base point if it fixes them all), and from level
+    j up every Schreier generator u_{s(c)}^-1 s u_c must sift to the
+    identity through the levels below; one that does not joins in the same
+    way.  The order is the product of the orbit sizes."""
     ident = tuple(range(degree))
-    strong = [p for p in dict.fromkeys(perms) if p != ident]
-    base = sorted({next(x for x in ident if p[x] != x) for p in strong})
+    strong, base, levels = [], [], []
 
     def level(i):
         gens = [s for s in strong if all(s[b] == b for b in base[:i])]
@@ -500,21 +507,26 @@ def _group_order(degree: int, perms) -> int:
             p, i = tuple(map(u[1].__getitem__, p)), i + 1
         return p, i
 
-    levels, i = [level(i) for i in range(len(base))], len(base) - 1
-    while i >= 0:
-        gens, orbit = levels[i]
-        # s u_c sifted from level i itself: its first step is the Schreier generator
-        h, j = next((hj for u, _ in orbit.values() for s in gens
-                     if (hj := sift(tuple(map(s.__getitem__, u)), i))[0] != ident), (ident, i))
-        if h == ident:
-            i -= 1
-            continue
+    def add(h, i, j):
+        """h, sifted down to level j, joins the strong generators; levels i..j are rebuilt."""
         strong.append(h)
         if j == len(base):
             base.append(next(x for x in ident if h[x] != x))
-        levels[i + 1:j + 1] = [level(k) for k in range(i + 1, j + 1)]
-        i = j
-    return math.prod(len(orbit) for _, orbit in levels)
+        levels[i:j + 1] = [level(k) for k in range(i, j + 1)]
+        return j
+
+    def extend(p):
+        h, j = sift(p, 0)
+        i = -1 if h == ident else add(h, 0, j)
+        while i >= 0:
+            gens, orbit = levels[i]
+            # s u_c sifted from level i itself: its first step is the Schreier generator
+            h, j = next((hj for u, _ in orbit.values() for s in gens
+                         if (hj := sift(tuple(map(s.__getitem__, u)), i))[0] != ident), (ident, i))
+            i = i - 1 if h == ident else add(h, i + 1, j)
+        return math.prod(len(orbit) for _, orbit in levels)
+
+    return extend
 
 
 def _greedy_closure(degree: int, perms, bound: int) -> set[tuple[int, ...]]:
@@ -554,8 +566,9 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     else every product of one automorphism per level, sorted, whose images of
     ``generating_set(g)`` must be distinct keys that look up their index.  A
     scan from the largest index down keeps an automorphism as a conjugator
-    only if it enlarges the group the conjugators generate, whose order
-    ``_group_order`` (Schreier-Sims on g's points) proves, and must end at
+    only if it enlarges the group the conjugators generate, whose order one
+    Schreier-Sims chain on g's points proves (``_schreier_sims``, which a
+    candidate already in that group only sifts through), and must end at
     |Aut(g)|.  Each conjugator acts on the indices as an array; conjugation
     orbits are the classes, an orbit's least index its least image array.
     The order check runs on every call."""
@@ -578,9 +591,9 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
         index = dict(zip(map(key, perms), range(n)))
         if len(index) != n:
             raise ContractViolation(f"the chain's {n} products have {len(index)} distinct keys")
-        conjugators, size, scan = [], 1, reversed(perms)
+        conjugators, size, scan, extend = [], 1, reversed(perms), _schreier_sims(g.order)
         while size < n and (t := next(scan, None)):
-            if (m := _group_order(g.order, conjugators + [t])) > size:
+            if (m := extend(t)) > size:
                 conjugators, size = conjugators + [t], m
         if size != n:
             raise ContractViolation(f"Aut's generators close to {size} of {n} members")

@@ -17,9 +17,9 @@ from functools import cache
 
 from .catalog import build, cyclic_action, groups_of_order, semidirect_table
 from .errors import VerificationError
-from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
-                     center, generated_subgroup, generating_set,
-                     groups_isomorphic, is_normal)
+from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
+                     automorphism_classes, center, generated_subgroup,
+                     generating_set, groups_isomorphic, is_normal)
 from .quandle import _stored, general_alexander, orbit_of
 
 PROFILE_VERSION = "profile.v1"
@@ -61,8 +61,8 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
     pos = {m: i for i, m in enumerate(members)}
     if any(im[m] not in pos for m in members):
         raise VerificationError(f"P is not invariant under psi on {g.name}")
-    if any(row[0] not in pos or row != tuple(map(g.table[row[0]].__getitem__, im))
-           for row in q.sym):
+    psi_of = _composer(im)
+    if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in q.sym):
         raise VerificationError(f"a row of Q({g.name}, psi) is not L_t psi with t in P")
     grp = p_groups.get(members)
     if grp is None:
@@ -90,15 +90,13 @@ def compute_P2(g: FiniteGroup, psi: GroupMap) -> Subgroup:
 
 
 def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
-    """{x : x H psi(x)^-1 = H}; always a subgroup."""
+    """{x : x H psi(x)^-1 = H}; always a subgroup.  x H psi(x)^-1 is
+    x H x^-1 . x psi(x)^-1, so it is H iff x normalizes H (tested on H's
+    generators) and x psi(x)^-1 lies in H."""
     psi.require_automorphism()
-    hs = h.member_set()
-    members = []
-    for x in range(g.order):
-        px = g._inv[psi.images[x]]
-        if all(g.table[g.table[x][y]][px] in hs for y in h.members):
-            members.append(x)
-    return Subgroup(g, tuple(members))
+    hs, hgens = h.member_set(), _span(g, h.members)[0]
+    return Subgroup(g, tuple(x for x in range(g.order) if translation(g, psi, x) in hs
+                             and all(g.conj(x, y) in hs for y in hgens)))
 
 
 @dataclass

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, StructuralError, VerificationError
-from .groups import (FiniteGroup, GroupMap, _cycle_type, _json_ints, _json_object,
-                     all_group_isomorphisms, automorphism_classes,
+from .groups import (FiniteGroup, GroupMap, _composer, _cycle_type, _json_ints,
+                     _json_object, all_group_isomorphisms, automorphism_classes,
                      groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
                          translation, translation_elements)
@@ -75,14 +75,14 @@ def verdict_from_json(text: str) -> IsoVerdict:
 
 
 def verify_quandle_witness(q1: Quandle, q2: Quandle, images) -> bool:
-    """f is a bijection with f(s_x(y)) = s'_{f(x)}(f(y)) for all x, y."""
+    """f is a bijection with f(s_x(y)) = s'_{f(x)}(f(y)) for all x, y,
+    compared a row at a time: f . s_x = s'_{f(x)} . f."""
     images = tuple(images)
     n = q1.size
     if q2.size != n or len(images) != n or set(images) != set(range(n)):
         return False
-    s1, s2 = q1.sym, q2.sym
-    return all(images[s1[x][y]] == s2[images[x]][images[y]]
-               for x in range(n) for y in range(n))
+    s1, s2, images_of = q1.sym, q2.sym, _composer(images)
+    return all(_composer(s1[x])(images) == images_of(s2[images[x]]) for x in range(n))
 
 
 def _checked(q1: Quandle, q2: Quandle, verdict: IsoVerdict) -> IsoVerdict:
@@ -374,9 +374,9 @@ def simple_group_decider(g1: FiniteGroup, psi1: GroupMap,
     if theta is None:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                           note="simple groups not isomorphic")
-    target = psi2.conjugate_by(theta).images
-    for tau in automorphism_classes(g1):
-        if tuple(tau[v] for v in psi1.images) == tuple(target[v] for v in tau):
+    target, after_psi1 = psi2.conjugate_by(theta).images, _composer(psi1.images)
+    for tau in automorphism_classes(g1):  # tau psi1 = target tau, a row at a time
+        if after_psi1(tau) == _composer(tau)(target):
             theta_inv = theta.inverse().images
             return _checked(general_alexander(g1, psi1), general_alexander(g2, psi2),
                             IsoVerdict(ISOMORPHIC, METHOD_SIMPLE,

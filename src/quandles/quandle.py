@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapacityError, ContractViolation, StructuralError
-from .groups import (FiniteGroup, GroupMap, _greedy_closure, _int_rows, _json_int,
-                     _json_ints, _json_object, _json_rows, _perm_order)
+from .groups import (FiniteGroup, GroupMap, _composer, _greedy_closure, _int_rows,
+                     _json_int, _json_ints, _json_object, _json_rows, _perm_order)
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
@@ -84,28 +84,24 @@ def check_axioms(q: Quandle) -> list[tuple]:
     a product of automorphisms, an automorphism itself, and (Q3) holds at
     y.  If the check fails at some x in S, every point is checked, so the
     violations listed are the same as those of the full scan."""
-    n, sym = q.size, q.sym
-    bad: list[tuple] = []
-    full = frozenset(range(n))
-    for x in range(n):
-        if sym[x][x] != x:
-            bad.append(("Q1", x))
-    for x in range(n):
-        if frozenset(sym[x]) != full:
-            bad.append(("Q2", x))
-    if bad or all(_q3_violation(sym, x) is None for x in _generating_points(sym)):
+    n, sym, full = q.size, q.sym, frozenset(range(q.size))
+    bad: list[tuple] = [("Q1", x) for x in range(n) if sym[x][x] != x]
+    bad += [("Q2", x) for x in range(n) if frozenset(sym[x]) != full]
+    rows = list(map(_composer, sym))
+    if bad or all(_q3_violation(sym, rows, x) is None for x in _generating_points(sym)):
         return bad
     return [("Q3", x, *v) for x in range(n)
-            if (v := _q3_violation(sym, x)) is not None]
+            if (v := _q3_violation(sym, rows, x)) is not None]
 
 
-def _q3_violation(sym, x: int) -> tuple[int, int] | None:
+def _q3_violation(sym, rows, x: int) -> tuple[int, int] | None:
     """The least (y, z) with s_x(s_y(z)) != s_{s_x(y)}(s_x(z)), least y
-    first, or None when (Q3) holds at x."""
-    sx = sym[x]
-    for y, sy in enumerate(sym):
-        sxy = sym[sx[y]]
-        if list(map(sx.__getitem__, sy)) != list(map(sxy.__getitem__, sx)):
+    first, or None when (Q3) holds at x.  ``rows[y]`` composes with s_y, so
+    each y compares s_x s_y with s_{s_x(y)} s_x a whole row at a time."""
+    sx, after_sx = sym[x], rows[x]
+    for y, after_sy in enumerate(rows):
+        if after_sy(sx) != after_sx(sym[sx[y]]):
+            sy, sxy = sym[y], sym[sx[y]]
             return y, next(z for z in range(len(sx)) if sx[sy[z]] != sxy[sx[z]])
     return None
 
@@ -117,18 +113,18 @@ def _generating_points(sym) -> list[int]:
     points: list[int] = []
     covered: set[int] = set()
     for x in range(len(sym)):
-        if x in covered:
-            continue
-        points.append(x)
-        covered.add(x)
-        frontier = list(covered)
-        while frontier:
-            y = frontier.pop()
-            for p in points:
-                z = sym[p][y]
-                if z not in covered:
-                    covered.add(z)
-                    frontier.append(z)
+        if x not in covered:
+            points.append(x)
+            covered = _closure([sym[p] for p in points], covered | {x})
+    return points
+
+
+def _closure(rows, points: set[int]) -> set[int]:
+    """``points`` closed under the maps ``rows``, each read at the whole frontier at once."""
+    frontier = points = set(points)
+    while frontier:
+        frontier = set().union(*map(_composer(frontier), rows)) - points
+        points |= frontier
     return points
 
 
@@ -153,7 +149,8 @@ def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
     sym = rec.get("rows") if rec else None
     if sym is None:
         t, inv, im = g.table, g._inv, psi.images
-        sym = tuple(tuple([t[x][im[v]] for v in t[inv[x]]]) for x in range(g.order))
+        psi_of = _composer(im)  # row x psi(v) over v, read at v = x^-1 y
+        sym = tuple(_composer(t[inv[x]])(psi_of(t[x])) for x in range(g.order))
         if rec is None:
             _checked(Quandle._trusted(sym, (g, psi)))
             rec = records[im] = {}
@@ -205,15 +202,7 @@ def quandle_order(q: Quandle) -> int:
 
 
 def orbit_of(q: Quandle, start: int) -> frozenset[int]:
-    seen, frontier = {start}, [start]
-    while frontier:
-        y = frontier.pop()
-        for row in q.sym:
-            z = row[y]
-            if z not in seen:
-                seen.add(z)
-                frontier.append(z)
-    return frozenset(seen)
+    return frozenset(_closure(q.sym, {start}))
 
 
 def is_connected(q: Quandle) -> bool:

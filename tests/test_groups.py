@@ -410,10 +410,20 @@ def test_automorphism_classes_prove_the_generators_close(monkeypatch, edit):
 
 
 def test_automorphism_classes_refuse_conjugators_that_do_not_generate(monkeypatch):
-    # a Schreier-Sims that never counts past two conjugators leaves the scan
+    # a Schreier-Sims that never grows past two conjugators leaves the scan
     # short of Aut(Q8), which needs three
-    real = groups._group_order
-    monkeypatch.setattr(groups, "_group_order", lambda degree, perms: real(degree, perms[:2]))
+    real = groups._schreier_sims
+
+    def capped(degree):
+        extend, orders = real(degree), [1]
+
+        def extend_twice(p):
+            if len(orders) < 3 and (m := extend(p)) > orders[-1]:
+                orders.append(m)
+            return orders[-1]
+        return extend_twice
+
+    monkeypatch.setattr(groups, "_schreier_sims", capped)
     with pytest.raises(ContractViolation, match="close to"):
         automorphism_classes(FiniteGroup(build_named("Q8").table))
 
@@ -431,18 +441,21 @@ def test_automorphism_classes_take_no_orders_and_no_closure(monkeypatch):
 @pytest.mark.parametrize("name", [
     *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)), "A5", "S5", "SL23"])
 def test_schreier_sims_order_is_the_closure_size(name):
-    # on seeded random subsets of Aut(G), then on the point symmetries of
-    # each class-representative quandle, which generate its inner group
+    # one chain extended by seeded random members of Aut(G), each order
+    # checked, and by a member of the group so far, which must sift through;
+    # then the point symmetries of each class-representative quandle, which
+    # generate its inner group
     import random
     g = build_named(name)
     auts, rng = list(automorphism_classes(g)), random.Random(name)
-    for k in range(4):
-        gens = rng.sample(auts, min(k, len(auts)))
-        assert groups._group_order(g.order, gens) == len(
-            groups._greedy_closure(g.order, gens, len(auts)))
+    gens, extend = rng.sample(auts, min(3, len(auts))), groups._schreier_sims(g.order)
+    for k in range(1, len(gens) + 1):
+        closure = groups._greedy_closure(g.order, gens[:k], len(auts))
+        assert extend(gens[k - 1]) == len(closure) == extend(max(closure))
     for rep, _ in automorphism_conjugacy_classes(g):
         q = general_alexander(g, rep)
-        assert groups._group_order(q.size, q.sym) == inner_group(q).order
+        extend = groups._schreier_sims(q.size)
+        assert [extend(s) for s in q.sym][-1] == inner_group(q).order
 
 
 def test_over_capacity_aut_is_refused_before_it_is_built(monkeypatch):

@@ -10,11 +10,15 @@ from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism)
 from quandles.classify import classify_order
 from quandles.errors import ContractViolation, StructuralError
-from quandles.groups import (FiniteGroup, GroupMap,
+from quandles.groups import (FiniteGroup, GroupMap, Subgroup, _composer,
+                             automorphism_classes,
                              automorphism_conjugacy_classes,
-                             automorphism_group, group_from_json,
-                             group_to_json, identity_map)
-from quandles.invariants import compute_P
+                             automorphism_group, generated_subgroup,
+                             generating_set, group_from_json, group_to_json,
+                             identity_map, is_normal)
+from quandles.invariants import (compute_P, compute_P2, restrict_to_P,
+                                 twisted_normalizer)
+from quandles.iso import verify_quandle_witness
 from quandles.quandle import (PermGroup, Quandle, check_axioms,
                               general_alexander, inner_group, is_connected,
                               make_quandle, orbit_of, quandle_from_json,
@@ -63,6 +67,65 @@ def _full_check_axioms(q: Quandle) -> list[tuple]:
                 continue
             break
     return bad
+
+
+def _cell_q3_violation(sym, x: int) -> tuple[int, int] | None:
+    """Reference: the least (y, z) breaking (Q3) at x, one y at a time."""
+    sx = sym[x]
+    for y, sy in enumerate(sym):
+        sxy = sym[sx[y]]
+        if list(map(sx.__getitem__, sy)) != list(map(sxy.__getitem__, sx)):
+            return y, next(z for z in range(len(sx)) if sx[sy[z]] != sxy[sx[z]])
+    return None
+
+
+def _cell_witness(q1: Quandle, q2: Quandle, images) -> bool:
+    """Reference: verify_quandle_witness one cell (x, y) at a time."""
+    images = tuple(images)
+    n = q1.size
+    if q2.size != n or len(images) != n or set(images) != set(range(n)):
+        return False
+    s1, s2 = q1.sym, q2.sym
+    return all(images[s1[x][y]] == s2[images[x]][images[y]]
+               for x in range(n) for y in range(n))
+
+
+def _cell_subgroup_error(g: FiniteGroup, members) -> str | None:
+    """Reference: the message of Subgroup's closure check, one product
+    (a, b) at a time, or None when the members form a subgroup."""
+    members = tuple(sorted(set(members)))
+    ms = set(members)
+    if 0 not in ms:
+        return "subgroup must contain the identity"
+    for a in members:
+        if not 0 <= a < g.order:
+            return f"member {a} out of range"
+        if g._inv[a] not in ms:
+            return f"subgroup not closed under inverse at {a}"
+        for b in members:
+            if g.table[a][b] not in ms:
+                return f"subgroup not closed under product at ({a},{b})"
+    return None
+
+
+def _cell_hom_error(g: FiniteGroup, images) -> str | None:
+    """Reference: the first (a, b) breaking images[ab] = images[a] images[b]."""
+    t = g.table
+    return next((f"not a homomorphism at ({a},{b})" for a in range(g.order)
+                 for b in range(g.order) if images[t[a][b]] != t[images[a]][images[b]]), None)
+
+
+def _cell_is_normal(g: FiniteGroup, h: Subgroup) -> bool:
+    """Reference: every member of h conjugated by every element of g."""
+    ms = set(h.members)
+    return all(g.conj(a, x) in ms for a in range(g.order) for x in h.members)
+
+
+def _cell_twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> tuple[int, ...]:
+    """Reference: the x with x y psi(x)^-1 in h for every member y of h."""
+    hs = set(h.members)
+    return tuple(x for x in range(g.order)
+                 if all(g.table[g.table[x][y]][g._inv[psi.images[x]]] in hs for y in h.members))
 
 
 def _full_closure(q: Quandle) -> set[tuple[int, ...]]:
@@ -158,6 +221,107 @@ def test_axiom_violations_reported():
     not_perm = [[0, 0, 0], [0, 1, 2], [0, 1, 2]]
     violations = check_axioms(Quandle(3, tuple(map(tuple, not_perm))))
     assert any(v[0] == "Q2" for v in violations)
+
+
+def _same_refusal(want: str | None, make, *args) -> None:
+    """make(*args) raises StructuralError with the message ``want``, or
+    succeeds when ``want`` is None."""
+    if want is None:
+        make(*args)
+    else:
+        with pytest.raises(StructuralError) as exc:
+            make(*args)
+        assert str(exc.value) == want
+
+
+def _same_kernel_verdicts(g: FiniteGroup, psi: GroupMap) -> None:
+    n, t, inv, im = g.order, g.table, g._inv, psi.images
+    q = general_alexander(g, psi)
+    assert q.sym == tuple(tuple(t[x][im[t[inv[x]][y]]] for y in range(n)) for x in range(n))
+    # (Q3) at every point of Q, of Q with its first and last rows swapped,
+    # and of Q with s_1(0) and s_1(2) swapped, which keeps (Q1) and (Q2)
+    tables = [q.sym]
+    if n > 2:
+        swapped = list(q.sym)
+        swapped[0], swapped[-1] = swapped[-1], swapped[0]
+        row = list(q.sym[1])
+        row[0], row[2] = row[2], row[0]
+        tables += [tuple(swapped), q.sym[:1] + (tuple(row),) + q.sym[2:]]
+    for sym in tables:
+        rows = list(map(_composer, sym))
+        assert ([quandle._q3_violation(sym, rows, x) for x in range(n)]
+                == [_cell_q3_violation(sym, x) for x in range(n)])
+        if sym is not q.sym:
+            corrupted = Quandle(n, sym)
+            assert check_axioms(corrupted) == _full_check_axioms(corrupted)
+    # tau is an isomorphism Q(G, psi) -> Q(G, tau psi tau^-1); then tau
+    # with two images swapped, and with one image repeated
+    tau = max(automorphism_classes(g))
+    q2 = general_alexander(g, psi.conjugate_by(GroupMap(g, g, tau, check=False)))
+    assert verify_quandle_witness(q, q2, tau) and _cell_witness(q, q2, tau)
+    if n > 2:
+        swapped_images = (0, tau[2], tau[1], *tau[3:])
+        for images in (swapped_images, (0, 0, *tau[2:])):
+            assert verify_quandle_witness(q, q2, images) == _cell_witness(q, q2, images)
+        _same_refusal(_cell_hom_error(g, swapped_images), GroupMap, g, g, swapped_images)
+    # P, P^2 and the cyclic subgroup of each generator of G; each without
+    # its largest member, and with the least element outside it
+    for h in (compute_P(g, psi), compute_P2(g, psi),
+              *(generated_subgroup(g, [a]) for a in generating_set(g))):
+        assert is_normal(g, h) == _cell_is_normal(g, h)
+        assert twisted_normalizer(g, psi, h).members == _cell_twisted_normalizer(g, psi, h)
+        outside = next((x for x in range(n) if x not in h), None)
+        for members in (h.members, h.members[:-1], (*h.members, outside)):
+            if None not in members:
+                _same_refusal(_cell_subgroup_error(g, members), Subgroup, g, members)
+
+
+@pytest.mark.parametrize("name", [
+    *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)), "A5", "S5", "SL23"])
+def test_row_kernels_match_the_cell_references(name):
+    # every Aut-class representative of G, and the map it restricts to on
+    # its P group and on that group's P group (P^2), each input once
+    g, seen = build_named(name), set()
+    for rep, _ in automorphism_conjugacy_classes(g):
+        p_grp, p_psi, _ = restrict_to_P(g, rep)
+        p2_grp, p2_psi, _ = restrict_to_P(p_grp, p_psi)
+        for grp, psi in ((g, rep), (p_grp, p_psi), (p2_grp, p2_psi)):
+            if (grp.table, psi.images) not in seen:
+                seen.add((grp.table, psi.images))
+                _same_kernel_verdicts(grp, psi)
+
+
+def test_row_kernels_on_size_one_inputs():
+    # itemgetter of a single index returns a scalar, not a tuple
+    c1 = build_named("C1")
+    q = general_alexander(c1, identity_map(c1))
+    assert q.sym == trivial_quandle(1).sym == ((0,),)
+    assert check_axioms(q) == check_axioms(trivial_quandle(1)) == []
+    assert quandle._q3_violation(q.sym, [_composer((0,))], 0) is None
+    assert _composer((0,))((7,)) == (7,) and _composer(())((7,)) == ()
+    assert verify_quandle_witness(q, trivial_quandle(1), (0,))
+    assert not verify_quandle_witness(q, q, (1,))
+    assert Subgroup(c1, (0,)).members == Subgroup(build_named("S3"), (0,)).members == (0,)
+    assert is_normal(c1, Subgroup(c1, (0,))) and FiniteGroup(((0,),)).order == 1
+    assert twisted_normalizer(c1, identity_map(c1), Subgroup(c1, (0,))).members == (0,)
+    assert GroupMap(c1, c1, (0,)).images == (0,)
+
+
+def test_out_of_range_members_are_refused_as_structural_errors():
+    # a member past the group was met first as an index into a table row
+    g = build_named("S3")
+    for members, bad in (((0, 1, 6), 6), ((-1, 0), -1), ((-2, 0, 9), -2)):
+        with pytest.raises(StructuralError, match=f"member {bad} out of range"):
+            Subgroup(g, members)
+
+
+def test_associativity_is_refused_at_the_first_triple():
+    # a loop of order 5 (1 * 1 = e, so not C5): the triple named is the
+    # first (i, j, k) of the cell-by-cell scan
+    t = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    i, j, k = next((i, j, k) for i in range(5) for j in range(5) for k in range(5)
+                   if t[t[i][j]][k] != t[i][t[j][k]])
+    _same_refusal(f"associativity fails at ({i},{j},{k})", FiniteGroup, t)
 
 
 def test_general_alexander_requires_automorphism():
