@@ -406,7 +406,7 @@ def _load_cache(order: int, beyond_paper: bool,
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
     if (not isinstance(data, dict) or data.get("engine_version") != ENGINE_VERSION
             or data.get("order") != order

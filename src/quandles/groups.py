@@ -17,11 +17,7 @@ from types import MappingProxyType
 from .errors import CapacityError, ContractViolation, StructuralError
 
 DEFAULT_AUT_BOUND = 128
-# every group of order <= 16 has at most 20,160 automorphisms (those of
-# C2^4), so its Aut is small enough to hold; above it Aut can be huge
-# (|GL(5, 2)| is about 1.0e7 at order 32), so automorphism_classes holds
-# at most AUT_COUNT_BOUND of them, whatever the order bound
-HELD_AUT_ORDER = 16
+# the most automorphisms automorphism_classes holds, whatever the order bound (C2^5 has ~1e7)
 AUT_COUNT_BOUND = 10 ** 5
 
 
@@ -282,9 +278,15 @@ def is_simple(g: FiniteGroup) -> bool:
 
 def _normal_closure_scan(g: FiniteGroup) -> bool:
     """True iff each conjugacy class other than {e} generates all of G (the
-    normal closure of its elements); stops at the first class that does not."""
-    classes = {frozenset(g.conj(a, x) for a in range(g.order)) for x in range(1, g.order)}
-    return g.order > 1 and all(len(_span(g, c)[1]) == g.order for c in classes)
+    normal closure of its elements); stops at the first class that does not.
+    Each class is walked once, as an orbit under conjugation by G's generators."""
+    conjs, seen = [inner_automorphism(g, a).images for a in generating_set(g)], {0}
+    for x in range(1, g.order):
+        if x not in seen:
+            seen |= (c := _closure(conjs, {x}))
+            if len(_span(g, c)[1]) < g.order:
+                return False
+    return g.order > 1
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
@@ -314,6 +316,29 @@ def _span(g: FiniteGroup, elements) -> tuple[tuple[int, ...], set[int]]:
                         grown.append(c)
             frontier, mults = grown, gens
     return tuple(gens), have
+
+
+def _closure(maps, points) -> set[int]:
+    """``points`` closed under the index arrays ``maps``: each point is sent once through each."""
+    points = set(points)
+    for c in (walk := list(points)):  # walk grows as it is walked
+        for m in maps:
+            if (d := m[c]) not in points:
+                points.add(d)
+                walk.append(d)
+    return points
+
+
+def _transversal(gens, orbit: dict) -> dict:
+    """``orbit``, {point c: u_c}, closed under ``gens``: s takes c to s(c) with
+    u_{s(c)} = s u_c, so from {b: identity} u_c carries b to c (a Schreier
+    vector's transversal; Seress, Permutation Group Algorithms, 2003, ch. 4)."""
+    for c in (points := list(orbit)):  # points grows as it is walked
+        for s in gens:
+            if (d := s[c]) not in orbit:
+                orbit[d] = tuple(map(s.__getitem__, orbit[c]))
+                points.append(d)
+    return orbit
 
 
 def _levels(src: FiniteGroup, dst: FiniteGroup) -> list:
@@ -384,14 +409,9 @@ def _stabilizer_chain(g: FiniteGroup) -> list[list[tuple[int, ...]]]:
     for i in reversed(range(len(levels))):
         orbit = {gens[i]: tuple(range(g.order))}
         for y in levels[i][0]:
-            if y in orbit or (s := next(_iso_images(g, g, levels, gens[:i] + (y,)), None)) is None:
-                continue
-            strong.append(s)
-            for p in (points := list(orbit)):  # points grows as it is walked
-                for t in strong:
-                    if (q := t[p]) not in orbit:
-                        orbit[q] = tuple(map(t.__getitem__, orbit[p]))
-                        points.append(q)
+            if y not in orbit and (s := next(_iso_images(g, g, levels, gens[:i] + (y,)), None)):
+                strong.append(s)
+                _transversal(strong, orbit)
         chain.append(list(orbit.values()))
     return chain[::-1]
 
@@ -420,26 +440,14 @@ def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
 
 
 def all_group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
-    """All isomorphisms g1 -> g2 (possibly none), in the order of ``_iso_images``.
-
-    For g1 is g2, Aut(g) is read from ``automorphism_classes`` when that is
-    already built or g has order at most HELD_AUT_ORDER, so a group's Aut
-    is enumerated once however often it is asked for; any other Aut is
-    streamed, so a caller that stops at the first match never holds it.
-    Both come in the same order: the keys of ``automorphism_classes`` are
-    sorted, and so is ``_iso_images(g, g)``.  ``generating_set`` adds the
-    least index outside the closure, so every index below g_k lies in
-    <g_0..g_{k-1}>, whose images those of g_0..g_{k-1} fix, and position
-    g_k of an image array holds the image of g_k.  Two image arrays
-    therefore first differ at the first generator whose images differ, and
-    the lexicographic order of generator images is the sorted order."""
-    if g1 is g2:
-        if g1._aut_classes is None and g1.order <= HELD_AUT_ORDER:
-            automorphism_classes(g1)
-        if g1._aut_classes is not None:
-            for images in g1._aut_classes:
-                yield GroupMap(g1, g1, images, check=False)
-            return
+    """All isomorphisms g1 -> g2 (possibly none), streamed, so a caller that
+    stops at the first match never holds them all.  They come sorted, as
+    ``_iso_images`` yields them: ``generating_set`` adds the least index
+    outside the closure, so every index below g_k lies in <g_0..g_{k-1}>,
+    whose images those of g_0..g_{k-1} fix, and position g_k of an image
+    array holds the image of g_k.  Two image arrays therefore first differ
+    at the first generator whose images differ, and the lexicographic order
+    of generator images is the sorted order."""
     if g1.order != g2.order or g1.element_order_multiset() != g2.element_order_multiset():
         return
     for images in _iso_images(g1, g2):
@@ -494,13 +502,8 @@ def _schreier_sims(degree: int):
 
     def level(i):
         gens = [s for s in strong if all(s[b] == b for b in base[:i])]
-        orbit = {base[i]: (ident, ident)}
-        for c in (points := [base[i]]):  # points grows as it is walked
-            for s in gens:
-                if (d := s[c]) not in orbit:
-                    orbit[d] = (u := tuple(map(s.__getitem__, orbit[c][0])), _perm_inverse(u))
-                    points.append(d)
-        return gens, orbit
+        orbit = _transversal(gens, {base[i]: ident})
+        return gens, {c: (u, _perm_inverse(u)) for c, u in orbit.items()}
 
     def sift(p, i):
         while i < len(base) and (u := levels[i][1].get(p[base[i]])):
@@ -579,11 +582,7 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
         chain = _stabilizer_chain(g)
         if (n := math.prod(map(len, chain))) > AUT_COUNT_BOUND:
             raise CapacityError(f"{n} automorphisms, more than {AUT_COUNT_BOUND} to enumerate")
-        # each half of the levels multiplied out, then the halves: on C2^4 306
-        # partial products held at once, not the 1,344 of all levels but one
-        half, ident = len(chain) // 2, [tuple(range(g.order))]
-        perms = sorted(_products(chain[:half] and [_products(chain[:half], ident)],
-                                 _products(chain[half:], ident)))
+        perms = sorted(_products(chain, [tuple(range(g.order))]))
         gens = generating_set(g)
         # every automorphism fixes 0; taking it first gives itemgetter an
         # argument on C1, and a tuple, not a scalar, on a cyclic group
@@ -606,12 +605,8 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
         rep = [-1] * n
         for i in range(n):
             if rep[i] < 0:
-                rep[i], orbit = i, [i]
-                for q in orbit:
-                    for c in conjs:
-                        if rep[r := c[q]] < 0:
-                            rep[r] = i
-                            orbit.append(r)
+                for r in _closure(conjs, {i}):
+                    rep[r] = i
         g._aut_classes = MappingProxyType({p: perms[r] for p, r in zip(perms, rep)})
     return g._aut_classes
 

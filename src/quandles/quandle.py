@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapacityError, ContractViolation, StructuralError
-from .groups import (FiniteGroup, GroupMap, _composer, _greedy_closure, _int_rows,
+from .groups import (FiniteGroup, GroupMap, _closure, _composer, _greedy_closure, _int_rows,
                      _json_int, _json_ints, _json_object, _json_rows, _perm_order)
 
 INNER_CLOSURE_BOUND = 10 ** 6
@@ -110,21 +110,11 @@ def _generating_points(sym) -> list[int]:
     """Points S whose orbits under the group <s_S> cover Q, chosen
     greedily: the least point not yet covered joins S, and the covered set
     is closed again under every s_x, x in S."""
-    points: list[int] = []
-    covered: set[int] = set()
+    points, covered = [], set()
     for x in range(len(sym)):
         if x not in covered:
             points.append(x)
             covered = _closure([sym[p] for p in points], covered | {x})
-    return points
-
-
-def _closure(rows, points: set[int]) -> set[int]:
-    """``points`` closed under the maps ``rows``, each read at the whole frontier at once."""
-    frontier = points = set(points)
-    while frontier:
-        frontier = set().union(*map(_composer(frontier), rows)) - points
-        points |= frontier
     return points
 
 

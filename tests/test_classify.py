@@ -325,7 +325,7 @@ def test_cache_rejects_tampered_witness(tmp_path):
     "isomorphic-entry-made-not-isomorphic", "isomorphic-entry-made-undecided",
     "left-index-a-string", "verdict-removed", "group-name-removed",
     "top-level-list", "forged-notes", "method-forged", "method-swapped",
-    "isomorphic-entry-given-a-note"])
+    "isomorphic-entry-given-a-note", "not-utf-8"])
 def test_cache_partition_is_proved_again(tmp_path, tamper):
     cache = str(tmp_path)
     first = classify_order(8, cache_dir=cache)
@@ -363,9 +363,12 @@ def test_cache_partition_is_proved_again(tmp_path, tamper):
         log[first_iso]["verdict"]["method"] = swapped
     elif tamper == "isomorphic-entry-given-a-note":
         log[first_iso]["verdict"]["note"] = "forged"
-    else:
+    elif tamper == "forged-notes":
         data["notes"] = ["forged"]
-    path.write_text(json.dumps(data))
+    if tamper == "not-utf-8":
+        path.write_bytes(b"\xff\xfe")
+    else:
+        path.write_text(json.dumps(data))
     again = classify_order(8, cache_dir=cache)
     assert again.class_count == 9 and again.complete
     assert again.to_json() == first.to_json()

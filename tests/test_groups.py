@@ -438,8 +438,11 @@ def test_automorphism_classes_take_no_orders_and_no_closure(monkeypatch):
     assert len(got) == 20160 and len(set(got.values())) == 14  # GL(4, 2) = A8
 
 
-@pytest.mark.parametrize("name", [
-    *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)), "A5", "S5", "SL23"])
+_SIFT_GROUPS = [*(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
+                "A5", "S5", "SL23"]
+
+
+@pytest.mark.parametrize("name", _SIFT_GROUPS)
 def test_schreier_sims_order_is_the_closure_size(name):
     # one chain extended by seeded random members of Aut(G), each order
     # checked, and by a member of the group so far, which must sift through;
@@ -456,6 +459,39 @@ def test_schreier_sims_order_is_the_closure_size(name):
         q = general_alexander(g, rep)
         extend = groups._schreier_sims(q.size)
         assert [extend(s) for s in q.sym][-1] == inner_group(q).order
+
+
+def _per_point_orbit_classes(conjs, n: int) -> list[int]:
+    """Reference for the class orbits: each index's least class member, from
+    orbits walked one point at a time under every conjugator."""
+    rep = [-1] * n
+    for i in range(n):
+        if rep[i] < 0:
+            rep[i], orbit = i, [i]
+            for q in orbit:
+                for c in conjs:
+                    if rep[r := c[q]] < 0:
+                        rep[r] = i
+                        orbit.append(r)
+    return rep
+
+
+@pytest.mark.parametrize("name", _SIFT_GROUPS)
+def test_class_orbits_match_the_per_point_walk(monkeypatch, name):
+    # the conjugators automorphism_classes hands to groups._closure, walked
+    # again by the reference
+    walked, real = [], groups._closure
+
+    def recording(maps, points):
+        walked.append(maps)
+        return real(maps, points)
+
+    monkeypatch.setattr(groups, "_closure", recording)
+    got = automorphism_classes(FiniteGroup(build_named(name).table, name=name, check=False))
+    perms = list(got)
+    assert walked and all(maps is walked[0] for maps in walked)
+    rep = _per_point_orbit_classes(walked[0], len(perms))
+    assert list(got.items()) == [(p, perms[r]) for p, r in zip(perms, rep)]
 
 
 def test_over_capacity_aut_is_refused_before_it_is_built(monkeypatch):
@@ -650,14 +686,18 @@ def test_iso_images_keep_the_closure_search_order():
 
 
 def test_self_isomorphisms_come_in_sorted_enumeration_order():
-    # all_group_isomorphisms(g, g) reads Aut(g) from automorphism_classes;
-    # the first compatible h of the P-isomorphism search rests on this order
+    # all_group_isomorphisms(g, g) streams Aut(g) from _iso_images and builds
+    # no automorphism_classes; the first compatible h of the P-isomorphism
+    # search rests on this order
     cases = [build(spec) for n in range(1, 17) for spec in groups_of_order(n)]
     cases += [build_named(name) for name in ("A5", "S5", "SL23")]
     for g in cases:
         enumerated = list(groups._iso_images(g, g))
         assert [h.images for h in all_group_isomorphisms(g, g)] == enumerated, g.name
         assert enumerated == sorted(enumerated), g.name
+    h = FiniteGroup(build_named("C2xC2xC2xC2").table, name="C2xC2xC2xC2", check=False)
+    assert sum(1 for _ in all_group_isomorphisms(h, h)) == 20160
+    assert h._aut_classes is None
 
 
 _SMALL_CATALOG = [spec for n in range(1, 13) for spec in groups_of_order(n)]
