@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial, gcd, prod
@@ -62,9 +63,6 @@ _NAMED_SPECS = {
     "M16": GroupSpec("semidirect_cyclic", (8, 2, 5)),
 }
 _SPEC_NAMES = {spec: name for name, spec in _NAMED_SPECS.items()}
-_PREFIXES = {"cyclic": "C", "dihedral": "D", "dicyclic": "Dic", "symmetric": "S",
-             "alternating": "A"}
-_KINDS = {prefix: kind for kind, prefix in _PREFIXES.items()}
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -104,72 +102,40 @@ _build_cache: dict[GroupSpec, FiniteGroup] = {}
 
 def build(spec: GroupSpec) -> FiniteGroup:
     """Expand a spec into a verified Cayley table (deterministic)."""
-    cached = _build_cache.get(spec)
-    if cached is not None:
-        return cached
-    if not 1 <= _spec_order(spec) <= MAX_BUILD_ORDER:
-        raise CapacityError(f"{spec.name()}: order outside 1..{MAX_BUILD_ORDER}")
-    g = _build_uncached(spec)
-    _build_cache[spec] = g
-    return g
+    if spec not in _build_cache:
+        if not 1 <= _spec_order(spec) <= MAX_BUILD_ORDER:
+            raise CapacityError(f"{spec.name()}: order outside 1..{MAX_BUILD_ORDER}")
+        _build_cache[spec] = _build_uncached(spec)
+    return _build_cache[spec]
 
 
 def _spec_order(spec: GroupSpec) -> int:
     """The order of the group a spec builds; S_n and A_n count n > 8 as 8."""
-    k, p = spec.kind, spec.params
-    if k == "product":
-        return prod(_spec_order(sub) for sub in p)
-    if k in ("symmetric", "alternating"):
-        n = factorial(min(max(p[0], 0), 8))
-        return n if k == "symmetric" else max(n // 2, 1)
-    if k == "semidirect_cyclic":
-        return p[0] * p[1]
-    scale = {"cyclic": 1, "dihedral": 2, "dicyclic": 4}
-    return scale[k] * p[0] if k in scale else {"sl2_3": 24, "c4c2_twist": 16}.get(k, 1)
+    if spec.kind not in _GROUP_KINDS:
+        raise StructuralError(f"unknown spec kind {spec.kind!r}")
+    return _GROUP_KINDS[spec.kind].order(*spec.params)
 
 
 def _build_uncached(spec: GroupSpec) -> FiniteGroup:
-    k, p = spec.kind, spec.params
-    if k == "cyclic":
-        return _cyclic_group(p[0], spec)
-    if k == "dihedral":
-        return _dihedral_group(p[0], spec)
-    if k == "dicyclic":
-        return _dicyclic_group(p[0], spec)
-    if k in ("symmetric", "alternating"):
-        return _perm_group(_perm_elements(spec), spec)
-    if k == "sl2_3":
-        return _sl23_group(spec)
-    if k == "product":
-        return _product_group([build(sub) for sub in p], spec)
-    if k == "semidirect_cyclic":
-        return _semidirect_cyclic_group(*p, spec=spec)
-    if k == "c4c2_twist":
-        table = semidirect_table(build(product(cyclic(4), cyclic(2))),
-                                 *cyclic_action(_C4C2_TWISTS[p[0]], 2))
-        return FiniteGroup(table, name=spec.name(), spec=spec, check=True)
-    raise StructuralError(f"unknown spec kind {k!r}")
+    kind = _GROUP_KINDS[spec.kind]
+    return FiniteGroup(kind.table(*spec.params), name=spec.name(), spec=spec, check=kind.check)
 
 
-def _cyclic_group(n: int, spec: GroupSpec) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=spec.name(), spec=spec, check=False)
+def _cyclic_table(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
-def _dihedral_group(n: int, spec: GroupSpec) -> FiniteGroup:
-    size = 2 * n
-
+def _dihedral_table(n: int) -> list[list[int]]:
     def mul(x, y):
         e1, i1 = divmod(x, n)
         e2, i2 = divmod(y, n)
         i = (i1 if e2 == 0 else -i1) + i2
         return ((e1 + e2) % 2) * n + i % n
 
-    table = [[mul(x, y) for y in range(size)] for x in range(size)]
-    return FiniteGroup(table, name=spec.name(), spec=spec, check=False)
+    return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
 
 
-def _dicyclic_group(m: int, spec: GroupSpec) -> FiniteGroup:
+def _dicyclic_table(m: int) -> list[list[int]]:
     if m < 2:
         raise CapacityError("dicyclic parameter must be >= 2")
     size, nn = 4 * m, 2 * m
@@ -184,8 +150,7 @@ def _dicyclic_group(m: int, spec: GroupSpec) -> FiniteGroup:
             return nn + (i1 - i2) % nn
         return (i1 - i2 + m) % nn
 
-    table = [[mul(x, y) for y in range(size)] for x in range(size)]
-    return FiniteGroup(table, name=spec.name(), spec=spec, check=True)
+    return [[mul(x, y) for y in range(size)] for x in range(size)]
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -193,42 +158,37 @@ def _parity(perm: tuple[int, ...]) -> int:
 
 
 @cache
-def _perm_elements(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """The elements of S_n or A_n in lexicographic order, as
+def _perm_positions(spec: GroupSpec) -> dict[tuple[int, ...], int]:
+    """The index of each element of S_n or A_n: lexicographic order, as
     ``itertools.permutations`` yields them."""
     perms = itertools.permutations(range(spec.params[0]))
-    return tuple(q for q in perms if spec.kind == "symmetric" or _parity(q) == 0)
+    members = (q for q in perms if spec.kind == "symmetric" or _parity(q) == 0)
+    return {q: i for i, q in enumerate(members)}
 
 
-def _perm_group(perms: tuple[tuple[int, ...], ...], spec: GroupSpec) -> FiniteGroup:
-    pos = {q: i for i, q in enumerate(perms)}
-    table = [[pos[tuple(map(a.__getitem__, b))] for b in perms] for a in perms]
-    return FiniteGroup(table, name=spec.name(), spec=spec, check=False)
+def _perm_table(spec: GroupSpec) -> list[list[int]]:
+    pos = _perm_positions(spec)
+    return [[pos[tuple(map(a.__getitem__, b))] for b in pos] for a in pos]
 
 
-def _product_group(factors: list[FiniteGroup], spec: GroupSpec) -> FiniteGroup:
+def _product_table(*factors: GroupSpec) -> list[list[int]]:
     """A x B x ... as the semidirect product with the identity action."""
     if len(factors) < 2:
         raise CapacityError("product needs at least two factors")
-    g = factors[0]
-    for h in factors[1:]:
-        g = FiniteGroup(semidirect_table(h, g, [tuple(range(h.order))] * g.order),
-                        name=spec.name(), spec=spec, check=False)
-    return g
+    top = build(product(*factors[:-1]) if len(factors) > 2 else factors[0])
+    base = build(factors[-1])
+    return semidirect_table(base, top, [tuple(range(base.order))] * top.order)
 
 
 @cache
 def _sl23_elements() -> list[tuple[int, int, int, int]]:
-    mats = [(a, b, c, d)
-            for a in range(3) for b in range(3)
-            for c in range(3) for d in range(3)
-            if (a * d - b * c) % 3 == 1]
     ident = (1, 0, 0, 1)
-    mats.remove(ident)
-    return [ident] + sorted(mats)
+    mats = [m for m in itertools.product(range(3), repeat=4)  # in sorted order
+            if m != ident and (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+    return [ident] + mats
 
 
-def _sl23_group(spec: GroupSpec) -> FiniteGroup:
+def _sl23_table() -> list[list[int]]:
     mats = _sl23_elements()
     pos = {m: i for i, m in enumerate(mats)}
 
@@ -238,8 +198,7 @@ def _sl23_group(spec: GroupSpec) -> FiniteGroup:
         return ((a * e + b * gg) % 3, (a * f + b * h) % 3,
                 (c * e + d * gg) % 3, (c * f + d * h) % 3)
 
-    table = [[pos[mul(x, y)] for y in mats] for x in mats]
-    return FiniteGroup(table, name=spec.name(), spec=spec, check=False)
+    return [[pos[mul(x, y)] for y in mats] for x in mats]
 
 
 def sl23_element_index(mat) -> int:
@@ -264,19 +223,19 @@ def semidirect_table(base: FiniteGroup, top: FiniteGroup, action) -> list[list[i
 
 
 def cyclic_action(images: tuple[int, ...], m: int) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
-    """C_m acting through an automorphism: (C_m, image arrays of psi^0..psi^(m-1))."""
+    """C_m acting through an automorphism: (C_m, image arrays of psi^0..psi^(m-1)).
+    C_m is made here, not by ``build``, so m is not held to MAX_BUILD_ORDER."""
     powers = [tuple(range(len(images)))]
     for _ in range(m - 1):
         powers.append(tuple(map(images.__getitem__, powers[-1])))
-    return _cyclic_group(m, cyclic(m)), powers
+    return FiniteGroup(_cyclic_table(m), name=f"C{m}", spec=cyclic(m), check=False), powers
 
 
-def _semidirect_cyclic_group(n: int, m: int, act: int, spec: GroupSpec) -> FiniteGroup:
+def _semidirect_cyclic_table(n: int, m: int, act: int) -> list[list[int]]:
     if pow(act, m, n) != 1 % n or gcd(act, n) != 1:
         raise CapacityError(f"invalid semidirect action {act} mod {n}")
-    table = semidirect_table(build(cyclic(n)),
-                             *cyclic_action(tuple((act * i) % n for i in range(n)), m))
-    return FiniteGroup(table, name=spec.name(), spec=spec, check=True)
+    return semidirect_table(build(cyclic(n)),
+                            *cyclic_action(tuple((act * i) % n for i in range(n)), m))
 
 
 # SD16 and TW16 as (C4xC2) x| C2, by the involution of C4xC2 that the C2
@@ -285,49 +244,51 @@ def _semidirect_cyclic_group(n: int, m: int, act: int, spec: GroupSpec) -> Finit
 _C4C2_TWISTS = {"order3": (0, 5, 2, 7, 4, 1, 6, 3), "plain": (0, 1, 3, 2, 4, 5, 7, 6)}
 
 
-_ORDER16_SPECS = (
-    cyclic(16),
-    product(cyclic(4), cyclic(4)),
-    GroupSpec("c4c2_twist", ("order3",)),         # SD16
-    GroupSpec("semidirect_cyclic", (4, 4, 3)),    # C4 x| C4
-    product(cyclic(8), cyclic(2)),
-    GroupSpec("semidirect_cyclic", (8, 2, 5)),    # M16 (modular)
-    dihedral(8),
-    GroupSpec("semidirect_cyclic", (8, 2, 3)),    # QD16 (semidihedral)
-    dicyclic(4),
-    product(cyclic(4), cyclic(2), cyclic(2)),
-    product(dihedral(4), cyclic(2)),
-    product(quaternion8(), cyclic(2)),
-    GroupSpec("c4c2_twist", ("plain",)),          # TW16
-    product(cyclic(2), cyclic(2), cyclic(2), cyclic(2)),
-)
+def _twist_table(twist: str) -> list[list[int]]:
+    return semidirect_table(build(product(cyclic(4), cyclic(2))),
+                            *cyclic_action(_C4C2_TWISTS[twist], 2))
+
+
+# kind -> name prefix (None if named another way), order and Cayley table as
+# functions of the spec's params, and whether FiniteGroup checks the table
+_Kind = namedtuple("_Kind", "prefix order table check")
+_GROUP_KINDS = {
+    "cyclic": _Kind("C", lambda n: n, _cyclic_table, False),
+    "dihedral": _Kind("D", lambda n: 2 * n, _dihedral_table, False),
+    "dicyclic": _Kind("Dic", lambda m: 4 * m, _dicyclic_table, True),
+    "symmetric": _Kind("S", lambda n: factorial(min(max(n, 0), 8)),
+                       lambda n: _perm_table(symmetric(n)), False),
+    "alternating": _Kind("A", lambda n: max(_spec_order(symmetric(n)) // 2, 1),
+                         lambda n: _perm_table(alternating(n)), False),
+    "sl2_3": _Kind(None, lambda: 24, _sl23_table, False),
+    "product": _Kind(None, lambda *factors: prod(map(_spec_order, factors)),
+                     _product_table, False),
+    "semidirect_cyclic": _Kind(None, lambda n, m, act: n * m, _semidirect_cyclic_table, True),
+    "c4c2_twist": _Kind(None, lambda twist: 16, _twist_table, True),
+}
+_PREFIXES = {kind: entry.prefix for kind, entry in _GROUP_KINDS.items() if entry.prefix}
+_KINDS = {prefix: kind for kind, prefix in _PREFIXES.items()}
+
+
+# the groups of each order after C_n, in the order pair indices follow
+_CATALOG_NAMES = {
+    4: ("C2xC2",),
+    6: ("D3",),
+    8: ("C4xC2", "C2xC2xC2", "D4", "Q8"),
+    9: ("C3xC3",),
+    10: ("D5",),
+    12: ("C6xC2", "D6", "Dic3", "A4"),
+    14: ("D7",),
+    16: ("C4xC4", "SD16", "C4r3C4", "C8xC2", "M16", "D8", "QD16", "Dic4", "C4xC2xC2",
+         "D4xC2", "Q8xC2", "TW16", "C2xC2xC2xC2"),
+}
 
 
 def groups_of_order(n: int) -> list[GroupSpec]:
     """One spec per isomorphism type of order n (n <= 16)."""
     if not 1 <= n <= 16:
         raise CapacityError(f"catalog covers orders 1..16, got {n}")
-    if n == 16:
-        return list(_ORDER16_SPECS)
-    out: list[GroupSpec] = [cyclic(n)]
-    if n == 4:
-        out.append(product(cyclic(2), cyclic(2)))
-    elif n == 6:
-        out.append(dihedral(3))
-    elif n == 8:
-        out += [product(cyclic(4), cyclic(2)),
-                product(cyclic(2), cyclic(2), cyclic(2)),
-                dihedral(4), quaternion8()]
-    elif n == 9:
-        out.append(product(cyclic(3), cyclic(3)))
-    elif n == 10:
-        out.append(dihedral(5))
-    elif n == 12:
-        out += [product(cyclic(6), cyclic(2)), dihedral(6), dicyclic(3),
-                alternating(4)]
-    elif n == 14:
-        out.append(dihedral(7))
-    return out
+    return [cyclic(n), *map(spec_from_name, _CATALOG_NAMES.get(n, ()))]
 
 
 _CLI_NAME_RE = re.compile(r"^([A-Za-z]+)([0-9]*)$")
@@ -499,10 +460,9 @@ def perm_conjugation(g: FiniteGroup, perm: tuple[int, ...]) -> GroupMap:
     deg = g.spec.params[0]
     if len(perm) != deg:
         raise ContractViolation("permutation degree mismatch")
-    elems = _perm_elements(g.spec)
-    pos = {q: i for i, q in enumerate(elems)}
+    pos = _perm_positions(g.spec)
     pinv = _perm_inverse(perm)
-    return GroupMap(g, g, tuple(pos[tuple(perm[q[v]] for v in pinv)] for q in elems), check=False)
+    return GroupMap(g, g, tuple(pos[tuple(perm[q[v]] for v in pinv)] for q in pos), check=False)
 
 
 _ATOM_RE = re.compile(r"^(?P<head>[A-Za-z_0-9]+)(?::(?P<arg>.*))?$")

@@ -12,7 +12,7 @@ used for pruning and as table rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 from .catalog import build, cyclic_action, groups_of_order, semidirect_table
@@ -212,10 +212,6 @@ class InvariantProfile:
     p2: bool
     inn_size: int
 
-    FIELDS = ("group_order", "psi_order", "fix_size", "p_iso_type",
-              "p2_iso_type", "psi_restricted_class", "p_fix_size",
-              "tn_size", "p1", "p2", "inn_size")
-
     def separator_against(self, other: InvariantProfile) -> str | None:
         return next((f for f in self.FIELDS if getattr(self, f) != getattr(other, f)), None)
 
@@ -228,6 +224,9 @@ class InvariantProfile:
         out["psi_restricted_class"] = [list(v) if isinstance(v, tuple) else v
                                        for v in self.psi_restricted_class]
         return out
+
+
+InvariantProfile.FIELDS = tuple(f.name for f in fields(InvariantProfile))
 
 
 def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:

@@ -331,8 +331,7 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     images = []
     for x in range(g1.order):
         a = rep1[x]
-        p = mul1[inv1[a]][x]
-        core = mul1[mul1[a][p]][inv1[a]]
+        core = mul1[x][inv1[a]]  # x a^-1 = a (a^-1 x) a^-1
         images.append(mul2[h_on_g[core]][k[a]])
     return tuple(images)
 

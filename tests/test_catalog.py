@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -52,6 +53,42 @@ def test_spec_order_is_the_built_order():
     specs += [spec_from_name(name) for name in ("A5", "S5", "SL23", "S3xS3")]
     for spec in specs:
         assert _spec_order(spec) == build(spec).order, spec
+
+
+# groups the package and its tests ask for by name, beside groups_of_order(1..16)
+PINNED_NAMES = ("A4", "A5", "S3", "S4", "S5", "SL23", "S3xS3", "C2xQ8", "Dic5", "D12",
+                "C17", "D16", "C4rC4")
+
+
+def _catalog_lines():
+    """One line per catalog group: how it is asked for, the built group's
+    name, its spec and the SHA-256 of its table."""
+    asks = [(f"order {n}", spec) for n in range(1, 17) for spec in groups_of_order(n)]
+    asks += [(name, spec_from_name(name)) for name in PINNED_NAMES]
+    for ask, spec in asks:
+        g = build(spec)
+        digest = hashlib.sha256(repr(g.table).encode()).hexdigest()
+        yield f"{ask}\t{g.name}\t{spec!r}\t{digest}"
+
+
+def test_catalog_names_specs_and_tables_are_pinned():
+    # any changed name, spec or table, or a reordered groups_of_order, fails
+    pinned = Path(__file__).parent.joinpath("data", "catalog.txt").read_text(encoding="utf-8")
+    assert list(_catalog_lines()) == pinned.splitlines()
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: build(GroupSpec("bogus")), StructuralError, "unknown spec kind 'bogus'"),
+    (lambda: GroupSpec("bogus").name(), StructuralError, "unknown spec kind 'bogus'"),
+    (lambda: build(product(cyclic(4))), CapacityError, "product needs at least two factors"),
+    (lambda: build(GroupSpec("semidirect_cyclic", (8, 2, 2))), CapacityError,
+     "invalid semidirect action 2 mod 8"),
+    (lambda: build(dicyclic(1)), CapacityError, "dicyclic parameter must be >= 2"),
+], ids=["build-bogus", "name-bogus", "one-factor", "bad-action", "dic1"])
+def test_build_errors_keep_their_type_and_message(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc
 
 
 def test_over_capacity_spec_is_refused_before_building(monkeypatch):

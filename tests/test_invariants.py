@@ -13,8 +13,9 @@ from quandles.groups import (FiniteGroup, GroupMap, Subgroup,
                              generated_subgroup, group_from_json,
                              group_to_json, groups_isomorphic, identity_map,
                              inner_automorphism, is_normal)
-from quandles.invariants import (compute_P, compute_P2, descriptor_display,
-                                 group_descriptor, inn_structure, profile,
+from quandles.invariants import (InvariantProfile, compute_P, compute_P2,
+                                 descriptor_display, group_descriptor,
+                                 inn_structure, profile,
                                  profile_to_json, restrict_to_P,
                                  transported_class, translation_elements,
                                  twisted_normalizer)
@@ -417,9 +418,11 @@ def test_profile_serialization():
     prof = profile(g, named_automorphism(g, "psi_4"))
     data = json.loads(profile_to_json(prof))
     assert data["version"] == "profile.v1"
-    for field in ("group_order", "psi_order", "fix_size", "p_iso_type",
-                  "p2_iso_type", "psi_restricted_class", "p_fix_size",
-                  "tn_size", "p1", "p2", "inn_size"):
+    fields = ("group_order", "psi_order", "fix_size", "p_iso_type",
+              "p2_iso_type", "psi_restricted_class", "p_fix_size",
+              "tn_size", "p1", "p2", "inn_size")
+    assert InvariantProfile.FIELDS == fields  # separator_against reads them in this order
+    for field in fields:
         assert field in data
     assert data["p1"] is True and data["p2"] is False
     assert data["p_iso_type"]["name"] == "Q8"
