@@ -395,10 +395,10 @@ def matrix_map(g: FiniteGroup, rows: list[list[int]], p: int) -> GroupMap:
 
 def swap_map(g: FiniteGroup) -> GroupMap:
     """(x, y) -> (y, x) on a square direct product A x A."""
-    if g.spec is None or g.spec.kind != "product" or len(g.spec.params) != 2 \
-            or g.spec.params[0] != g.spec.params[1]:
+    factor, other = _binary_factors(g)
+    if factor != other:
         raise ContractViolation("swap is defined on square products only")
-    half = build(g.spec.params[0]).order
+    half = build(factor).order
 
     def fn(x):
         i, j = divmod(x, half)
@@ -424,7 +424,7 @@ def factor_lift(g: FiniteGroup, side: str, inner: GroupMap) -> GroupMap:
 
 def _binary_factors(g: FiniteGroup) -> tuple[GroupSpec, GroupSpec]:
     if g.spec is None or g.spec.kind != "product" or len(g.spec.params) != 2:
-        raise ContractViolation("factor lifts need a binary product group")
+        raise ContractViolation(f"{g.name} is not a binary product group")
     return g.spec.params
 
 
@@ -455,14 +455,18 @@ def perm_conjugation(g: FiniteGroup, perm: tuple[int, ...]) -> GroupMap:
     For A_n this also covers the outer automorphisms induced by odd
     permutations of S_n.
     """
-    if g.spec is None or g.spec.kind not in ("symmetric", "alternating"):
-        raise ContractViolation("permutation conjugation needs an S_n or A_n group")
-    deg = g.spec.params[0]
-    if len(perm) != deg:
+    if len(perm) != _perm_degree(g):
         raise ContractViolation("permutation degree mismatch")
     pos = _perm_positions(g.spec)
     pinv = _perm_inverse(perm)
     return GroupMap(g, g, tuple(pos[tuple(perm[q[v]] for v in pinv)] for q in pos), check=False)
+
+
+def _perm_degree(g: FiniteGroup) -> int:
+    """The n of an S_n or A_n catalog group."""
+    if g.spec is None or g.spec.kind not in ("symmetric", "alternating"):
+        raise ContractViolation("permutation conjugation needs an S_n or A_n group")
+    return g.spec.params[0]
 
 
 _ATOM_RE = re.compile(r"^(?P<head>[A-Za-z_0-9]+)(?::(?P<arg>.*))?$")
@@ -552,10 +556,7 @@ def _named_base(g: FiniteGroup, name: str) -> GroupMap:
     if head == "conj" and arg is not None:
         return inner_automorphism(g, _atom_ints(name, [arg], 1)[0])
     if head == "conj_perm" and arg is not None:
-        deg = g.spec.params[0] if g.spec and g.spec.kind in ("symmetric", "alternating") else 0
-        if not deg:
-            raise ContractViolation("conj_perm needs an S_n or A_n group")
-        return perm_conjugation(g, parse_cycles(arg, deg))
+        return perm_conjugation(g, parse_cycles(arg, _perm_degree(g)))
     if head == "classrep" and arg is not None:
         classes = automorphism_conjugacy_classes(g)
         idx = _atom_ints(name, [arg], 1)[0]

@@ -11,14 +11,13 @@ isomorphism invariant.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 from .catalog import build, groups_of_order
-from .errors import CapacityError, ContractViolation, VerificationError
+from .errors import CapacityError, ContractViolation
 from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import InvariantProfile, descriptor_display
 from .iso import (ISOMORPHIC, UNDECIDED, IsoVerdict, cached_profile, decide,
@@ -137,39 +136,38 @@ def classify_group(g: FiniteGroup) -> ClassificationReport:
     return _classify_pairs(g.order, g.order > 15, [g.name], pairs, maps)
 
 
+def _entry(maps: list[tuple[FiniteGroup, GroupMap]], left: int, right: int,
+           verdict: IsoVerdict | None = None) -> dict:
+    """The verdict-log entry of pairs ``left`` and ``right``: ``verdict``, or
+    by default what ``decide`` gives."""
+    verdict = verdict or decide(*maps[left], *maps[right])
+    return {"left": left, "right": right, "verdict": verdict.to_json_dict()}
+
+
 def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
-                    pairs: list[PairEntry],
-                    maps: list[tuple[FiniteGroup, GroupMap]]) -> ClassificationReport:
+                    pairs: list[PairEntry], maps: list[tuple[FiniteGroup, GroupMap]],
+                    entry_of=_entry) -> ClassificationReport | None:
+    """Decide each pair against the representatives of its profile bucket,
+    taking each log entry from ``entry_of(maps, rep, i)``; None if it gives None."""
     profiles = [cached_profile(g, psi) for g, psi in maps]
     verdict_log: list[dict] = []
-    # pairs are visited in index order, so each representative is the
-    # smallest index of its class
-    bucket_reps: dict[InvariantProfile, list[int]] = {}
+    # pairs are visited in index order, so each class is sorted and its
+    # representative is its first member
+    buckets: dict[InvariantProfile, list[list[int]]] = {}
     for i, prof in enumerate(profiles):
-        reps = bucket_reps.setdefault(prof, [])
-        for rep in reps:
-            verdict = decide(*maps[rep], *maps[i])
-            verdict_log.append({"left": rep, "right": i,
-                                "verdict": verdict.to_json_dict()})
-            if verdict.result == ISOMORPHIC:
+        bucket = buckets.setdefault(prof, [])
+        for cls in bucket:
+            entry = entry_of(maps, cls[0], i)
+            if entry is None:
+                return None
+            verdict_log.append(entry)
+            if entry["verdict"]["result"] == ISOMORPHIC:
+                cls.append(i)
                 break
         else:
-            reps.append(i)
-
-    report = _report(order, beyond_paper, group_names, pairs, profiles, verdict_log)
-    if report is None:
-        raise VerificationError("the verdict log does not prove the partition")
-    return report
-
-
-def _report(order: int, beyond_paper: bool, group_names: list[str],
-            pairs: list[PairEntry], profiles: list[InvariantProfile],
-            verdict_log: list[dict]) -> ClassificationReport | None:
-    """The report a verdict log proves, or None when it proves no partition.
-    The classes, the notes and ``complete`` all follow from the log."""
-    classes = _partition(profiles, pairs, verdict_log)
-    if classes is None:
-        return None
+            bucket.append([i])
+    classes = sorted((cls for bucket in buckets.values() for cls in bucket),
+                     key=lambda cls: _sort_key(profiles[cls[0]], pairs[cls[0]]))
     undecided = sum(e["verdict"]["result"] == UNDECIDED for e in verdict_log)
     notes = []
     if undecided:
@@ -185,40 +183,28 @@ def _report(order: int, beyond_paper: bool, group_names: list[str],
         complete=undecided == 0)
 
 
-def _partition(profiles: list[InvariantProfile], pairs: list[PairEntry],
-               verdict_log: list[dict]) -> list[list[int]] | None:
-    """The classes a verdict log proves, or None when it proves none.
+def _replayer(log: list[dict]):
+    """An ``entry_of`` that gives ``log``'s next entry once it is proved again
+    for the pairs the loop decides: an isomorphic entry must carry a verified
+    witness, the method ``isomorphic_method`` gives and no note, and any other
+    entry is decided again and must come out the same."""
+    entries = iter(log)
 
-    Each isomorphic (representative, member) entry puts the member in its
-    representative's class; every two classes with equal profiles need a
-    logged decide between them that is not isomorphic.  Witnesses are not
-    checked here."""
-    n = len(pairs)
-    if any(not (0 <= e["left"] < n and 0 <= e["right"] < n) for e in verdict_log):
-        return None
-    rep_of: dict[int, int] = {}
-    for e in verdict_log:
-        if e["verdict"]["result"] == ISOMORPHIC:
-            if e["right"] in rep_of:
+    def replay(maps, left: int, right: int) -> dict | None:
+        entry = next(entries, None)
+        if entry is None:
+            return None
+        verdict = None
+        if entry["verdict"]["result"] == ISOMORPHIC:
+            witness = tuple(entry["verdict"].get("witness", ()))
+            verdict = IsoVerdict(ISOMORPHIC, isomorphic_method(*maps[left], *maps[right]),
+                                 witness=witness)
+            if not verify_quandle_witness(general_alexander(*maps[left]),
+                                          general_alexander(*maps[right]), witness):
                 return None
-            rep_of[e["right"]] = e["left"]
-    if any(rep in rep_of for rep in rep_of.values()):
-        return None
-    by_rep = {i: [i] for i in range(n) if i not in rep_of}
-    for member, rep in sorted(rep_of.items()):
-        by_rep[rep].append(member)
-    classes = sorted((sorted(cls) for cls in by_rep.values()),
-                     key=lambda cls: _sort_key(profiles[cls[0]], pairs[cls[0]]))
-    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
-    separated = {frozenset((class_of[e["left"]], class_of[e["right"]]))
-                 for e in verdict_log if e["verdict"]["result"] != ISOMORPHIC}
-    by_profile: dict[InvariantProfile, list[int]] = {}
-    for ci, cls in enumerate(classes):
-        by_profile.setdefault(profiles[cls[0]], []).append(ci)
-    if any(frozenset(pair) not in separated for cis in by_profile.values()
-           for pair in itertools.combinations(cis, 2)):
-        return None
-    return classes
+        return entry if entry == _entry(maps, left, right, verdict) else None
+
+    return replay
 
 
 def closed_form_counts(n: int) -> int | None:
@@ -396,10 +382,9 @@ def _well_formed_log(log) -> bool:
 
 def _load_cache(order: int, beyond_paper: bool,
                 cache_dir: str) -> ClassificationReport | None:
-    """The cached report once every logged verdict is proved again: each
-    isomorphic entry must carry a verified witness and the method ``decide``
-    would report, and every other verdict is decided again and must come
-    out the same.  None rejects the file."""
+    """The cached report once the classification loop has replayed the
+    file's whole verdict log, each entry its own next one (see
+    ``_replayer``).  None rejects the file."""
     path = _cache_path(order, beyond_paper, cache_dir)
     if not os.path.exists(path):
         return None
@@ -418,22 +403,7 @@ def _load_cache(order: int, beyond_paper: bool,
         return None
     if data.get("pairs") != [p.to_json_dict() for p in pairs]:
         return None
-    verdict_log = data["verdict_log"]
-    profiles = [cached_profile(g, psi) for g, psi in maps]
-    report = _report(order, beyond_paper, [g.name for g in groups], pairs,
-                     profiles, verdict_log)
-    if report is None:
-        return None
-    quandles = [general_alexander(g, psi) for g, psi in maps]
-    for entry in verdict_log:
-        left, right, v = entry["left"], entry["right"], entry["verdict"]
-        if v["result"] == ISOMORPHIC:
-            method = isomorphic_method(*maps[left], *maps[right])
-            witness = tuple(v.get("witness", ()))
-            if (v != IsoVerdict(ISOMORPHIC, method, witness=witness).to_json_dict()
-                    or not verify_quandle_witness(quandles[left], quandles[right],
-                                                  witness)):
-                return None
-        elif decide(*maps[left], *maps[right]).to_json_dict() != v:
-            return None
-    return report
+    log = data["verdict_log"]
+    report = _classify_pairs(order, beyond_paper, [g.name for g in groups], pairs,
+                             maps, _replayer(log))
+    return report if report and len(report.verdict_log) == len(log) else None

@@ -16,6 +16,8 @@ class CapacityError(RuntimeError):
 class NameLookupError(KeyError):
     """An automorphism or group name is not defined for the given object."""
 
+    __str__ = Exception.__str__  # the message as it is, not quoted as KeyError's
+
 
 class VerificationError(RuntimeError):
     """Two independent computations of the same quantity disagreed.

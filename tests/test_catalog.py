@@ -224,6 +224,10 @@ def test_named_automorphism_errors():
         named_automorphism(build_named("D4"), "phi:2,0")  # 2 not a unit mod 4
     with pytest.raises(ContractViolation):
         named_automorphism(build_named("C2xC2"), "mat:1,1;1,1")  # singular
+    with pytest.raises(ContractViolation):
+        named_automorphism(build_named("C4"), "conj_perm:(1 2)")
+    with pytest.raises(ContractViolation):
+        named_automorphism(g, "swap")  # not a square product
 
 
 def test_composition_and_powers():

@@ -6,9 +6,10 @@ import pytest
 
 from quandles import iso
 from quandles.catalog import build, build_named, groups_of_order, named_automorphism
-from quandles.classify import (ENGINE_VERSION, _partition, boundary_pair,
-                               boundary_report, classify_group, classify_order,
-                               closed_form_counts, emit_table)
+from quandles import classify
+from quandles.classify import (ENGINE_VERSION, _classify_pairs, _pair_objects, _replayer,
+                               boundary_pair, boundary_report, classify_group,
+                               classify_order, closed_form_counts, emit_table)
 from quandles.errors import CapacityError
 from quandles.groups import GroupMap
 from quandles.invariants import profile
@@ -153,26 +154,28 @@ def test_order16_representatives_cross_checked(order16_report):
     assert (checked, structural) == (18, 16)
 
 
-def test_partition_needs_a_separating_decide(order16_report):
+def test_partition_needs_a_separating_decide(monkeypatch):
     # no classification up to order 16 logs a non-isomorphic decide (its
-    # classes all differ in profile), so the rule is shown on the order-16
-    # classes made to share one profile
-    pairs, log = order16_report.pairs, order16_report.verdict_log
-    classes = order16_report.classes
-    assert _partition(order16_report.profiles, pairs, log) == classes
-    shared = [order16_report.profiles[0]] * len(pairs)
-    assert _partition(shared, pairs, log) is None
-    separating = [{"left": a, "right": b,
-                   "verdict": {"result": NOT_ISOMORPHIC, "method": "brute-force"}}
-                  for a, b in itertools.combinations([c[0] for c in classes], 2)]
-    assert sorted(_partition(shared, pairs, log + separating)) == sorted(classes)
-    for k in range(len(separating)):
-        dropped = separating[:k] + separating[k + 1:]
-        assert _partition(shared, pairs, log + dropped) is None
+    # classes all differ in profile), so the rule is shown on the order-8
+    # pairs made to share one profile: the log replays, and without any one
+    # of its not-isomorphic entries it is rejected
+    groups, pairs, maps = _pair_objects(8, False)
+    names = [g.name for g in groups]
+    shared = classify.cached_profile(*maps[0])
+    monkeypatch.setattr(classify, "cached_profile", lambda g, psi: shared)
+    report = _classify_pairs(8, False, names, pairs, maps)
+    assert sorted(report.classes) == sorted(classify_order(8).classes)
+    log = report.verdict_log
+    replayed = _classify_pairs(8, False, names, pairs, maps, _replayer(log))
+    assert replayed.to_json() == report.to_json()
+    separating = [k for k, e in enumerate(log) if e["verdict"]["result"] == NOT_ISOMORPHIC]
+    assert len(separating) == 63
+    for k in separating:
+        dropped = log[:k] + log[k + 1:]
+        assert _classify_pairs(8, False, names, pairs, maps, _replayer(dropped)) is None
 
 
 def test_merge_witnesses_verify():
-    from quandles.classify import _pair_objects
     report = classify_order(8)
     _groups, _pairs, maps = _pair_objects(8, False)
     quandles = [general_alexander(g, psi) for g, psi in maps]
@@ -273,7 +276,7 @@ def test_classify_group():
 def test_incomplete_report_is_flagged_and_bannered(monkeypatch):
     # the boundary pair shares every invariant and has no formula route, so
     # starving the search of capacity must yield a flagged partial report
-    from quandles.classify import PairEntry, _classify_pairs
+    from quandles.classify import PairEntry
 
     g1, psi1, g2, reps = boundary_pair()
     pairs = [PairEntry(0, g1.name, 0, psi1.images),
@@ -282,7 +285,7 @@ def test_incomplete_report_is_flagged_and_bannered(monkeypatch):
     monkeypatch.setattr(iso, "DEFAULT_BRUTE_BOUND", 4)
     report = _classify_pairs(16, True, [g1.name, g2.name], pairs, maps)
     assert not report.complete and report.class_count == 2
-    assert _partition(report.profiles, pairs, []) is None
+    assert _classify_pairs(16, True, [g1.name, g2.name], pairs, maps, _replayer([])) is None
     assert any("incomplete" in n for n in report.notes)
     assert "INCOMPLETE" in emit_table(report, "markdown")
     assert emit_table(report, "csv").startswith("# INCOMPLETE")
@@ -325,7 +328,8 @@ def test_cache_rejects_tampered_witness(tmp_path):
     "isomorphic-entry-made-not-isomorphic", "isomorphic-entry-made-undecided",
     "left-index-a-string", "verdict-removed", "group-name-removed",
     "top-level-list", "forged-notes", "method-forged", "method-swapped",
-    "isomorphic-entry-given-a-note", "not-utf-8"])
+    "isomorphic-entry-given-a-note", "not-utf-8", "entries-reordered",
+    "entry-appended"])
 def test_cache_partition_is_proved_again(tmp_path, tamper):
     cache = str(tmp_path)
     first = classify_order(8, cache_dir=cache)
@@ -365,6 +369,10 @@ def test_cache_partition_is_proved_again(tmp_path, tamper):
         log[first_iso]["verdict"]["note"] = "forged"
     elif tamper == "forged-notes":
         data["notes"] = ["forged"]
+    elif tamper == "entries-reordered":
+        log[0], log[1] = log[1], log[0]
+    elif tamper == "entry-appended":
+        log.append(_not_isomorphic_entry(first))
     if tamper == "not-utf-8":
         path.write_bytes(b"\xff\xfe")
     else:
@@ -372,24 +380,31 @@ def test_cache_partition_is_proved_again(tmp_path, tamper):
     again = classify_order(8, cache_dir=cache)
     assert again.class_count == 9 and again.complete
     assert again.to_json() == first.to_json()
+    if tamper in ("entries-reordered", "entry-appended"):
+        assert path.read_text() == first.to_json()
 
 
-def test_cache_keeps_a_not_isomorphic_verdict_it_decides_again(tmp_path):
-    from quandles.classify import _pair_objects
+def _not_isomorphic_entry(report):
+    """A correct not-isomorphic entry for the first two class
+    representatives of ``report``, which the classification never logs."""
     from quandles.iso import decide
+    a, b = report.classes[0][0], report.classes[1][0]
+    maps = _pair_objects(report.order, report.beyond_paper)[2]
+    verdict = decide(*maps[a], *maps[b]).to_json_dict()
+    assert verdict["result"] == NOT_ISOMORPHIC
+    return {"left": a, "right": b, "verdict": verdict}
+
+
+def test_cache_rejects_a_correct_verdict_the_loop_does_not_log(tmp_path):
     cache = str(tmp_path)
     first = classify_order(8, cache_dir=cache)
     path = next(tmp_path.iterdir())
     data = json.loads(path.read_text())
-    a, b = first.classes[0][0], first.classes[1][0]
-    _groups, _pairs, maps = _pair_objects(8, False)
-    verdict = decide(*maps[a], *maps[b]).to_json_dict()
-    assert verdict["result"] == NOT_ISOMORPHIC
-    data["verdict_log"].append({"left": a, "right": b, "verdict": verdict})
+    data["verdict_log"].append(_not_isomorphic_entry(first))
     path.write_text(json.dumps(data))
     again = classify_order(8, cache_dir=cache)
-    assert again.verdict_log == data["verdict_log"]
-    assert again.classes == first.classes and again.complete
+    assert again.to_json() == first.to_json()
+    assert json.loads(path.read_text())["verdict_log"] == first.verdict_log
 
 
 def test_aut_enumerated_once_per_group(monkeypatch, empty_store):
@@ -399,7 +414,6 @@ def test_aut_enumerated_once_per_group(monkeypatch, empty_store):
     from functools import lru_cache
 
     from quandles import catalog, groups, labels
-    from quandles.classify import _pair_objects
     monkeypatch.setattr(catalog, "_build_cache", {})
     monkeypatch.setattr(labels, "resolve_label",
                         lru_cache(maxsize=None)(labels.resolve_label.__wrapped__))

@@ -108,7 +108,7 @@ def test_invariants_read_a_prime_or_a_modulus_suffix(group, aut, capsys):
     ("C4", "left:id"), ("C4", "left:"), ("S3", "conj_perm:(1 2"),
     ("S3", "conj_perm:garbage"), ("S4", "conj_perm:(1 2)x"), ("S4", "conj_perm:(1 2)(2 3)"),
     ("C2xC2", "mat:0,1;1,1@"), ("C10", "mul:3@11"), ("D4", "phi:1,2@5*phi:3,0"),
-    ("D4", "phi:1,2@4@4"),
+    ("D4", "phi:1,2@4@4"), ("C4", "conj_perm:(1 2)"), ("C4xC2", "swap"),
 ])
 def test_malformed_automorphism_name_is_bad_input(group, aut, capsys):
     assert main(["invariants", group, aut]) == 3
@@ -131,6 +131,22 @@ def test_bad_group_name(capsys):
     assert main(["iso", "NOPE", "id", "C4", "id"]) == 3
     assert main(["aut", "Zilch"]) == 3
     assert main(["invariants", "D4", "phi:2,1"]) == 3
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["invariants", "Foo", "id"], "error: unknown group name 'Foo'\n"),
+    (["invariants", "D4", "bogus"], "error: automorphism 'bogus' is not defined on D4\n"),
+])
+def test_name_errors_print_their_message_unquoted(argv, err, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("group", ["S0", "A0"])
+def test_conj_perm_on_degree_zero_is_the_identity(group, capsys):
+    g = build_named(group)
+    assert named_automorphism(g, "conj_perm:()").images == (0,)
+    assert main(["invariants", group, "conj_perm:()"]) == 0
 
 
 def test_classify(capsys):
