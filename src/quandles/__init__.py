@@ -27,10 +27,9 @@ from .invariants import (InvariantProfile, compute_P, compute_P2, inn_structure,
 from .iso import (IsoVerdict, abelian_decider, brute_force_iso,
                   check_theorem39_properties, decide, normalize_witness,
                   simple_group_decider, theorem13_iso, verify_quandle_witness)
-from .quandle import (PermGroup, Quandle, check_axioms, general_alexander,
-                      inner_group, is_connected, quandle_from_json,
-                      quandle_order, quandle_to_json, subquandle,
-                      trivial_quandle)
+from .quandle import (Quandle, check_axioms, general_alexander, is_connected,
+                      quandle_from_json, quandle_order, quandle_to_json,
+                      subquandle, trivial_quandle)
 
 __version__ = "0.1.0"
 

@@ -29,9 +29,6 @@ from .groups import (FiniteGroup, GroupMap, _cycle_type, _perm_inverse,
 
 MAX_BUILD_ORDER = 128
 
-# isomorphism type counts for orders 1..16
-GROUP_COUNTS = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14)
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -77,20 +74,12 @@ def dicyclic(m: int) -> GroupSpec:
     return GroupSpec("dicyclic", (m,))
 
 
-def quaternion8() -> GroupSpec:
-    return GroupSpec("dicyclic", (2,))
-
-
 def symmetric(n: int) -> GroupSpec:
     return GroupSpec("symmetric", (n,))
 
 
 def alternating(n: int) -> GroupSpec:
     return GroupSpec("alternating", (n,))
-
-
-def sl23() -> GroupSpec:
-    return GroupSpec("sl2_3", ())
 
 
 def product(*specs: GroupSpec) -> GroupSpec:

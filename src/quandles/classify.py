@@ -85,12 +85,7 @@ class ClassificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _pair_objects(order: int, beyond_paper: bool):
-    if order == 16 and not beyond_paper:
-        raise CapacityError(
-            "order 16 is outside the classified range; pass beyond_paper=True")
-    if order > 16:
-        raise CapacityError("classification is capped at order 16")
+def _pair_objects(order: int):
     groups = [build(s) for s in groups_of_order(order)]
     return (groups, *_pair_list(groups))
 
@@ -114,7 +109,13 @@ def _sort_key(profile: InvariantProfile, pair: PairEntry):
 
 def classify_order(order: int, beyond_paper: bool = False,
                    cache_dir: str | None = None) -> ClassificationReport:
-    """Classify every Q(G, psi) with |G| = order up to quandle isomorphism."""
+    """Classify every Q(G, psi) with |G| = order up to quandle isomorphism.
+    The order is checked before the cache directory is read or made."""
+    if order == 16 and not beyond_paper:
+        raise CapacityError(
+            "order 16 is outside the classified range; pass beyond_paper=True")
+    if not 1 <= order <= 16:
+        raise CapacityError(f"classification covers orders 1..16, got {order}")
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR) or None
     if cache_dir:
@@ -122,7 +123,7 @@ def classify_order(order: int, beyond_paper: bool = False,
         if cached is not None:
             return cached
         _make_cache_dir(cache_dir)  # fail at once, not after classifying
-    groups, pairs, maps = _pair_objects(order, beyond_paper)
+    groups, pairs, maps = _pair_objects(order)
     report = _classify_pairs(order, beyond_paper, [g.name for g in groups],
                              pairs, maps)
     if cache_dir:
@@ -397,10 +398,7 @@ def _load_cache(order: int, beyond_paper: bool,
             or data.get("order") != order
             or not _well_formed_log(data.get("verdict_log"))):
         return None
-    try:
-        groups, pairs, maps = _pair_objects(order, beyond_paper)
-    except CapacityError:
-        return None
+    groups, pairs, maps = _pair_objects(order)
     if data.get("pairs") != [p.to_json_dict() for p in pairs]:
         return None
     log = data["verdict_log"]

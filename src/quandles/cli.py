@@ -27,8 +27,6 @@ EXIT_BAD_INPUT = 3
 
 
 def _cmd_groups(args) -> int:
-    if args.action != "list":
-        raise NameLookupError(f"unknown groups action {args.action!r}")
     specs = groups_of_order(args.order)
     for spec in specs:
         g = build(spec)
@@ -92,6 +90,12 @@ def _cmd_verify_paper(_args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    def order(text: str) -> int:
+        """An integer of at least 1; argparse names the function in its error."""
+        if (n := int(text)) < 1:
+            raise ValueError(text)
+        return n
+
     parser = argparse.ArgumentParser(
         prog="quandles",
         description="generalized Alexander quandles: invariants, isomorphism, "
@@ -100,7 +104,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groups", help="catalog queries")
     p.add_argument("action", choices=["list"])
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=order)
     p.set_defaults(fn=_cmd_groups)
 
     p = sub.add_parser("aut", help="automorphism group and conjugacy classes")
@@ -122,7 +126,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("classify", help="classify all quandles of one order")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=order)
     p.add_argument("--beyond-paper", action="store_true")
     p.add_argument("--format", choices=["md", "markdown", "csv", "json"],
                    default="md")
@@ -137,7 +141,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after its usage message
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (NameLookupError, StructuralError, ContractViolation) as exc:

@@ -35,14 +35,6 @@ def solve_congruence(c: int, d: int, n: int) -> tuple[int, int, int] | None:
     return (z0, ng, g)
 
 
-def congruence_solutions(c: int, d: int, n: int) -> list[int]:
-    sol = solve_congruence(c, d, n)
-    if sol is None:
-        return []
-    z0, step, count = sol
-    return sorted((z0 + step * i) % n for i in range(count))
-
-
 def unit_multiplier_to_gcd(c: int, m: int, n: int) -> int:
     """Some p with gcd(n, p) = 1 and p*c = gcd(m, c) (mod m), by bounded scan."""
     if m < 1 or n < 1:

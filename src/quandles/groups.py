@@ -532,34 +532,6 @@ def _schreier_sims(degree: int):
     return extend
 
 
-def _greedy_closure(degree: int, perms, bound: int) -> set[tuple[int, ...]]:
-    """The closure of ``perms`` under composition.  A member already in the
-    closure built so far is skipped; one that is not joins the generators,
-    and the closure grows again: the elements held so far times the new
-    generator, then each new element times every generator (closing under
-    right multiplication alone suffices in a finite group).  Raises
-    CapacityError rather than let the closure grow past ``bound`` elements."""
-    have = {tuple(range(degree))}
-    gens: list[tuple[int, ...]] = []
-    for p in perms:
-        if p in have:
-            continue
-        gens.append(p)
-        frontier, mults = list(have), (p,)
-        while frontier:
-            grown = []
-            for q in frontier:
-                for r in mults:
-                    s = tuple(map(q.__getitem__, r))
-                    if s not in have:
-                        if len(have) >= bound:
-                            raise CapacityError(f"closure exceeded bound {bound}")
-                        have.add(s)
-                        grown.append(s)
-            frontier, mults = grown, gens
-    return have
-
-
 def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> MappingProxyType:
     """Read-only map from each automorphism's image array, in sorted order,
     to the lexicographically minimal member of its Aut(g)-conjugacy class.

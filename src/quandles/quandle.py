@@ -12,10 +12,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapacityError, ContractViolation, StructuralError
-from .groups import (FiniteGroup, GroupMap, _closure, _composer, _greedy_closure, _int_rows,
-                     _json_int, _json_ints, _json_object, _json_rows, _perm_order)
-
-INNER_CLOSURE_BOUND = 10 ** 6
+from .groups import (FiniteGroup, GroupMap, _closure, _composer, _int_rows, _json_int,
+                     _json_ints, _json_object, _json_rows, _perm_order)
 
 # What is derived once per Q(G, psi) input: group table -> (psi images ->
 # record, P members -> the P group that every input on the table shares).
@@ -154,31 +152,6 @@ def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
 
 def trivial_quandle(n: int) -> Quandle:
     return make_quandle(tuple(tuple(range(n)) for _ in range(n)))
-
-
-class PermGroup:
-    """A permutation group given by generators, with its closure materialized."""
-
-    def __init__(self, degree: int, generators, bound: int = INNER_CLOSURE_BOUND):
-        self.degree = degree
-        self.generators = tuple(tuple(p) for p in generators)
-        for p in self.generators:
-            if sorted(p) != list(range(degree)):
-                raise StructuralError("generator is not a permutation")
-        self.elements = frozenset(_greedy_closure(degree, self.generators, bound))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, perm) -> bool:
-        return tuple(perm) in self.elements
-
-
-def inner_group(q: Quandle, bound: int = INNER_CLOSURE_BOUND) -> PermGroup:
-    """Closure of the point symmetries {s_x} under composition; a symmetry
-    already in the closure of those before it adds nothing and is skipped."""
-    return PermGroup(q.size, sorted(set(q.sym)), bound=bound)
 
 
 def quandle_order(q: Quandle) -> int:

@@ -122,7 +122,7 @@ def claim_merge_lists() -> ClaimResult:
 
 
 def _merge_edges_witnessed(report: ClassificationReport) -> bool:
-    _groups, _pairs, maps = _pair_objects(report.order, report.beyond_paper)
+    _groups, _pairs, maps = _pair_objects(report.order)
     quandles = [general_alexander(g, psi) for g, psi in maps]
     adjacency = {i: set() for i in range(len(report.pairs))}
     for entry in report.verdict_log:
@@ -267,7 +267,7 @@ def claim_dihedral_formulas() -> ClaimResult:
 @_claim("structural criterion and formula deciders agree with brute force (<= 12)")
 def claim_decider_cross_validation() -> ClaimResult:
     pairs = (pair for n in range(1, 13)
-             for pair in itertools.combinations(_pair_objects(n, False)[2], 2))
+             for pair in itertools.combinations(_pair_objects(n)[2], 2))
     bad = []
     checked = t13_count = 0
     for (g1, p1), (g2, p2) in pairs:
@@ -451,7 +451,7 @@ def claim_witness_structure() -> ClaimResult:
     total = 0
     for order in range(1, 16):
         report = _classify(order)
-        _groups, _pairs, maps = _pair_objects(order, report.beyond_paper)
+        _groups, _pairs, maps = _pair_objects(order)
         for i, j, witness in _in_class_witnesses(report):
             g1, psi1 = maps[i]
             g2, psi2 = maps[j]

@@ -46,6 +46,14 @@ def test_order16_requires_flag():
         classify_order(17, beyond_paper=True)
 
 
+@pytest.mark.parametrize("order,beyond_paper", [(16, False), (17, True), (0, False), (-1, True)])
+def test_order_is_refused_before_the_cache_directory_is_made(order, beyond_paper, tmp_path):
+    cache = tmp_path / "cache"
+    with pytest.raises(CapacityError):
+        classify_order(order, beyond_paper, cache_dir=str(cache))
+    assert not cache.exists()
+
+
 def test_report_is_deterministic():
     a = classify_order(8).to_json()
     b = classify_order(8).to_json()
@@ -159,7 +167,7 @@ def test_partition_needs_a_separating_decide(monkeypatch):
     # classes all differ in profile), so the rule is shown on the order-8
     # pairs made to share one profile: the log replays, and without any one
     # of its not-isomorphic entries it is rejected
-    groups, pairs, maps = _pair_objects(8, False)
+    groups, pairs, maps = _pair_objects(8)
     names = [g.name for g in groups]
     shared = classify.cached_profile(*maps[0])
     monkeypatch.setattr(classify, "cached_profile", lambda g, psi: shared)
@@ -177,7 +185,7 @@ def test_partition_needs_a_separating_decide(monkeypatch):
 
 def test_merge_witnesses_verify():
     report = classify_order(8)
-    _groups, _pairs, maps = _pair_objects(8, False)
+    _groups, _pairs, maps = _pair_objects(8)
     quandles = [general_alexander(g, psi) for g, psi in maps]
     merges = 0
     for entry in report.verdict_log:
@@ -389,7 +397,7 @@ def _not_isomorphic_entry(report):
     representatives of ``report``, which the classification never logs."""
     from quandles.iso import decide
     a, b = report.classes[0][0], report.classes[1][0]
-    maps = _pair_objects(report.order, report.beyond_paper)[2]
+    maps = _pair_objects(report.order)[2]
     verdict = decide(*maps[a], *maps[b]).to_json_dict()
     assert verdict["result"] == NOT_ISOMORPHIC
     return {"left": a, "right": b, "verdict": verdict}
@@ -428,7 +436,7 @@ def test_aut_enumerated_once_per_group(monkeypatch, empty_store):
     classify_order(8)
     for label in labels.ALL_LABELS:
         label_class_images(label)
-    for g, psi in _pair_objects(8, False)[2]:
+    for g, psi in _pair_objects(8)[2]:
         profile(g, psi)
     assert len({id(g) for g in built}) == len(built)
     assert {id(build(spec)) for spec in groups_of_order(8)} <= {id(g) for g in built}

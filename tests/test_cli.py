@@ -24,6 +24,24 @@ def test_groups_list_out_of_range(capsys):
     assert main(["groups", "list", "40"]) == 2
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["groups", "bogus", "4"], 3), (["classify", "abc"], 3), (["groups", "list", "0"], 3),
+    (["classify", "-1"], 3), (["groups", "list", "17"], 2), (["classify", "17"], 2),
+])
+def test_usage_errors_and_orders_below_1_are_bad_input(argv, code, capsys):
+    # exit 2 is left to capacity: argparse's own usage errors exit 3
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage: " if code == 3 else "capacity: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: quandles")
+
+
 def test_aut(capsys):
     assert main(["aut", "D4"]) == 0
     out = capsys.readouterr().out
@@ -162,6 +180,15 @@ def test_classify(capsys):
 
 def test_classify_order16_needs_flag(capsys):
     assert main(["classify", "16"]) == 2
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "17"], 2), (["classify", "0"], 3), (["classify", "16"], 2),
+])
+def test_classify_refuses_the_order_before_making_the_cache(argv, code, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main([*argv, "--cache", str(cache)]) == code
+    assert not cache.exists()
 
 
 def test_classify_cache(tmp_path, capsys):

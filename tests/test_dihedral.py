@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles.catalog import build, dihedral, named_automorphism
-from quandles.dihedral import (DihedralAut, are_conjugate_dn, congruence_solutions,
+from quandles.dihedral import (DihedralAut, are_conjugate_dn,
                                conjugacy_reps_aut_dn, cyclic_iso_decider,
                                cyclic_to_dihedral, dihedral_aut_from_map,
                                dihedral_iso_decider, fix_size_dn,
@@ -14,6 +14,16 @@ from quandles.dihedral import (DihedralAut, are_conjugate_dn, congruence_solutio
 from quandles.errors import ContractViolation
 from quandles.groups import fixed_subgroup
 from quandles.invariants import compute_P, compute_P2
+
+
+def congruence_solutions(c: int, d: int, n: int) -> list[int]:
+    """Every z in 0..n-1 with c z = d (mod n), from solve_congruence's
+    (z0, step, count), in increasing order."""
+    sol = solve_congruence(c, d, n)
+    if sol is None:
+        return []
+    z0, step, count = sol
+    return sorted((z0 + step * i) % n for i in range(count))
 
 
 def test_solve_congruence_examples():

@@ -17,7 +17,9 @@ from quandles.groups import (FiniteGroup, GroupMap, Subgroup, all_group_isomorph
                              groups_isomorphic, identity_map, inner_automorphism,
                              is_normal, is_simple)
 from quandles.iso import ISOMORPHIC, decide, verify_quandle_witness
-from quandles.quandle import general_alexander, inner_group
+from quandles.quandle import general_alexander
+
+from oracles import greedy_closure, inner_group, package_definitions
 
 
 def test_identity_and_latin_square_enforced():
@@ -432,8 +434,8 @@ def test_automorphism_classes_take_no_orders_and_no_closure(monkeypatch):
     def refused(*_):
         raise AssertionError("automorphism_classes needs no order and no closure")
 
+    assert package_definitions("_greedy_closure", "inner_group", "PermGroup") == []
     monkeypatch.setattr(groups, "_perm_order", refused)
-    monkeypatch.setattr(groups, "_greedy_closure", refused)
     got = automorphism_classes(FiniteGroup(build_named("C2xC2xC2xC2").table))
     assert len(got) == 20160 and len(set(got.values())) == 14  # GL(4, 2) = A8
 
@@ -453,7 +455,7 @@ def test_schreier_sims_order_is_the_closure_size(name):
     auts, rng = list(automorphism_classes(g)), random.Random(name)
     gens, extend = rng.sample(auts, min(3, len(auts))), groups._schreier_sims(g.order)
     for k in range(1, len(gens) + 1):
-        closure = groups._greedy_closure(g.order, gens[:k], len(auts))
+        closure = greedy_closure(g.order, gens[:k], len(auts))
         assert extend(gens[k - 1]) == len(closure) == extend(max(closure))
     for rep, _ in automorphism_conjugacy_classes(g):
         q = general_alexander(g, rep)

@@ -20,8 +20,10 @@ from quandles.invariants import (InvariantProfile, compute_P, compute_P2,
                                  transported_class, translation_elements,
                                  twisted_normalizer)
 from quandles.iso import cached_profile
-from quandles.quandle import Quandle, general_alexander, inner_group, orbit_of
+from quandles.quandle import Quandle, general_alexander, orbit_of
 from quandles.verification import claim_structure
+
+from oracles import inner_group, package_definitions
 
 # every catalog group of order 1..16, then A5, S5 and SL23
 SWEEP = [*(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
@@ -340,11 +342,9 @@ def test_inn_size_law_over_catalog():
                 assert r.psi_p_inner == (r.direct_witness is not None)
 
 
-def test_production_paths_close_no_group(monkeypatch, empty_store):
-    def refused(*_):
-        raise AssertionError("Inn is read off P and psi, not closed")
-
-    monkeypatch.setattr(quandle, "_greedy_closure", refused)
+def test_production_paths_close_no_group(empty_store):
+    # the package holds no closure of a permutation group to call
+    assert package_definitions("_greedy_closure", "inner_group", "PermGroup") == []
     for name in ("A5", "S5", "SL23"):
         g = build_named(name)
         for rep, _ in automorphism_conjugacy_classes(g):

@@ -303,7 +303,7 @@ def test_abelian_decider_agrees_with_theorem13():
     # search always passes, so both routes find the same first h
     compared = 0
     for n in range(1, 13):
-        _, _, maps = _pair_objects(n, False)
+        _, _, maps = _pair_objects(n)
         reps = [maps[cls[0]] for cls in classify_order(n).classes
                 if maps[cls[0]][0].is_abelian]
         for (g1, psi1), (g2, psi2) in itertools.product(reps, repeat=2):
@@ -469,6 +469,22 @@ def test_alternating_5_simple_route():
     assert verify_quandle_witness(q1, q2, v.witness)
 
 
+def test_a5_routes_match_brute_force_on_every_representative_pair():
+    # the search shares no step with the routes decide runs on A5, which is
+    # past the cross-check size; as the paper's first theorem says for a
+    # simple group, two representatives give isomorphic quandles exactly
+    # when they are the same one
+    a5 = build_named("A5")
+    reps = [rep for rep, _ in automorphism_conjugacy_classes(a5, bound=128)]
+    pairs = list(itertools.combinations_with_replacement(range(len(reps)), 2))
+    assert len(pairs) == 28
+    for i, j in pairs:
+        got = decide(a5, reps[i], a5, reps[j]).result
+        want = brute_force_iso(general_alexander(a5, reps[i]),
+                               general_alexander(a5, reps[j]), bound=64).result
+        assert got == want == (ISOMORPHIC if i == j else NOT_ISOMORPHIC), (i, j)
+
+
 def test_symmetric_5_conjugation_witnesses():
     s5 = build_named("S5")
     classes = automorphism_conjugacy_classes(s5, bound=128)
@@ -619,12 +635,12 @@ def _pruned_search_inputs():
     from quandles.classify import boundary_pair
     from quandles.quandle import Quandle
     for order in range(1, 13):
-        _groups, _pairs, maps = _pair_objects(order, False)
+        _groups, _pairs, maps = _pair_objects(order)
         quandles = [general_alexander(g, psi) for g, psi in maps]
         yield from itertools.product(quandles, repeat=2)
     # the order-16 class representatives that share ord(psi) and |Fix|
     report = classify_order(16, beyond_paper=True)
-    _groups, _pairs, maps = _pair_objects(16, True)
+    _groups, _pairs, maps = _pair_objects(16)
     reps = [cls[0] for cls in report.classes]
     for a, b in itertools.combinations(reps, 2):
         pa, pb = report.profiles[a], report.profiles[b]
@@ -790,7 +806,7 @@ def _reference_decide(g1, psi1, g2, psi2):
 
 def _dispatch_pin_inputs():
     for order in range(1, 13):
-        yield from itertools.product(_pair_objects(order, False)[2], repeat=2)
+        yield from itertools.product(_pair_objects(order)[2], repeat=2)
     # above CROSS_CHECK_SIZE, where theorem 1.3 now runs beside a formula route
     for name in ("D9", "D10", "C17", "C20"):
         g = build_named(name)

@@ -19,11 +19,12 @@ from quandles.groups import (FiniteGroup, GroupMap, Subgroup, _composer,
 from quandles.invariants import (compute_P, compute_P2, restrict_to_P,
                                  twisted_normalizer)
 from quandles.iso import verify_quandle_witness
-from quandles.quandle import (PermGroup, Quandle, check_axioms,
-                              general_alexander, inner_group, is_connected,
-                              make_quandle, orbit_of, quandle_from_json,
-                              quandle_order, quandle_to_json, subquandle,
-                              trivial_quandle)
+from quandles.quandle import (Quandle, check_axioms, general_alexander,
+                              is_connected, make_quandle, orbit_of,
+                              quandle_from_json, quandle_order,
+                              quandle_to_json, subquandle, trivial_quandle)
+
+from oracles import PermGroup, inner_group
 
 # a valid quandle whose point symmetries have non-constant orders:
 # s_0 is a 4-cycle on the other points, everything else is trivial
