@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .catalog import build, build_named, groups_of_order, named_automorphism
+from .catalog import _int_token, build, build_named, groups_of_order, named_automorphism
 from .classify import (CACHE_ENV_VAR, boundary_report, classify_order,
                        closed_form_counts, emit_table)
 from .errors import (CapacityError, ContractViolation, NameLookupError,
@@ -91,8 +91,8 @@ def _cmd_verify_paper(_args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     def order(text: str) -> int:
-        """An integer of at least 1; argparse names the function in its error."""
-        if (n := int(text)) < 1:
+        """An integer of at least 1 in ASCII digits; argparse names the function in its error."""
+        if (n := _int_token(text)) < 1:
             raise ValueError(text)
         return n
 

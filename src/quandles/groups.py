@@ -7,6 +7,8 @@ plain integer tables, which is adequate for the orders this package targets.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import operator
@@ -416,13 +418,6 @@ def _stabilizer_chain(g: FiniteGroup) -> list[list[tuple[int, ...]]]:
     return chain[::-1]
 
 
-def _products(levels, perms) -> list[tuple[int, ...]]:
-    """u_0 ... u_{k-1} p for every p in ``perms`` and u_i in ``levels[i]``."""
-    for level in reversed(levels):
-        perms = [q for p in perms for q in map(operator.itemgetter(*p), level)]
-    return perms
-
-
 def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
     """A witness isomorphism if one exists, else None."""
     if g1.order != g2.order:
@@ -538,15 +533,18 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
 
     Aut(g) is built once per group object: past AUT_COUNT_BOUND automorphisms
     (the product of ``_stabilizer_chain(g)``'s level sizes) CapacityError,
-    else every product of one automorphism per level, sorted, whose images of
-    ``generating_set(g)`` must be distinct keys that look up their index.  A
+    else every product of one automorphism per level, walked from level 0: a
+    prefix's products agree below g_i = ``generating_set(g)[i]`` (indices
+    below it lie in <g_0..g_{i-1}>) and differ at g_i, so sorting each
+    prefix's products sorts them all.  The integer keys sum_j p(g_j) |g|^j,
+    read off the columns g_j, must be distinct and look up their index.  A
     scan from the largest index down keeps an automorphism as a conjugator
     only if it enlarges the group the conjugators generate, whose order one
     Schreier-Sims chain on g's points proves (``_schreier_sims``, which a
     candidate already in that group only sifts through), and must end at
-    |Aut(g)|.  Each conjugator acts on the indices as an array; conjugation
-    orbits are the classes, an orbit's least index its least image array.
-    The order check runs on every call."""
+    |Aut(g)|.  Conjugation by t acts on the indices as the keys of t p t^-1,
+    read off the columns t^-1(g_j) through t; its orbits are the classes, an
+    orbit's least index its least image array.  The order check runs on every call."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
@@ -554,12 +552,16 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
         chain = _stabilizer_chain(g)
         if (n := math.prod(map(len, chain))) > AUT_COUNT_BOUND:
             raise CapacityError(f"{n} automorphisms, more than {AUT_COUNT_BOUND} to enumerate")
-        perms = sorted(_products(chain, [tuple(range(g.order))]))
-        gens = generating_set(g)
-        # every automorphism fixes 0; taking it first gives itemgetter an
-        # argument on C1, and a tuple, not a scalar, on a cyclic group
-        key = operator.itemgetter(0, *gens)
-        index = dict(zip(map(key, perms), range(n)))
+        perms = [ident := tuple(range(g.order))]
+        for level in chain:  # per prefix, a tuple of its products, sorted
+            perms = list(itertools.chain.from_iterable(map(sorted, zip(
+                *[map(u, perms) for u in map(_composer, level)]))))
+        gens, add = generating_set(g), functools.partial(map, operator.add)
+        def keys(t):  # the key of t p t^-1 for every p; C1 has one key, 0
+            inv = _perm_inverse(t)
+            return functools.reduce(add, [map([v * g.order ** j for v in t].__getitem__, map(
+                operator.itemgetter(inv[x]), perms)) for j, x in enumerate(gens)] or [[0]])
+        index = dict(zip(keys(ident), range(n)))
         if len(index) != n:
             raise ContractViolation(f"the chain's {n} products have {len(index)} distinct keys")
         conjugators, size, scan, extend = [], 1, reversed(perms), _schreier_sims(g.order)
@@ -568,10 +570,8 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
                 conjugators, size = conjugators + [t], m
         if size != n:
             raise ContractViolation(f"Aut's generators close to {size} of {n} members")
-        try:  # t p t^-1 for every p, read at 0 and the generators
-            conjs = [list(map(index.__getitem__, zip(*[map(t.__getitem__, map(
-                operator.itemgetter(inv[k]), perms)) for k in (0, *gens)])))
-                for t, inv in zip(conjugators, map(_perm_inverse, conjugators))]
+        try:
+            conjs = [list(map(index.__getitem__, keys(t))) for t in conjugators]
         except KeyError:
             raise ContractViolation("the automorphisms enumerated are not closed") from None
         rep = [-1] * n
@@ -579,7 +579,7 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             if rep[i] < 0:
                 for r in _closure(conjs, {i}):
                     rep[r] = i
-        g._aut_classes = MappingProxyType({p: perms[r] for p, r in zip(perms, rep)})
+        g._aut_classes = MappingProxyType(dict(zip(perms, map(perms.__getitem__, rep))))
     return g._aut_classes
 
 

@@ -27,6 +27,9 @@ def test_groups_list_out_of_range(capsys):
 @pytest.mark.parametrize("argv,code", [
     (["groups", "bogus", "4"], 3), (["classify", "abc"], 3), (["groups", "list", "0"], 3),
     (["classify", "-1"], 3), (["groups", "list", "17"], 2), (["classify", "17"], 2),
+    # int() reads digit separators and non-ASCII digits; an order is ASCII digits
+    (["groups", "list", "1_2"], 3), (["groups", "list", "\u0668"], 3),
+    (["classify", "\u0661\u0666"], 3),
 ])
 def test_usage_errors_and_orders_below_1_are_bad_input(argv, code, capsys):
     # exit 2 is left to capacity: argparse's own usage errors exit 3
@@ -34,6 +37,8 @@ def test_usage_errors_and_orders_below_1_are_bad_input(argv, code, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: " if code == 3 else "capacity: ")
     assert "Traceback" not in err
+    if code == 3 and argv[1] != "bogus":
+        assert "invalid order value" in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])

@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -372,20 +373,30 @@ def _classes_on_tuples(g: FiniteGroup) -> dict:
     return {p: rep_of[p] for p in perms}
 
 
+# the seed of each relabelled copy's shuffle
+_SHUFFLE_SEEDS = {"C2xC2xC2xC2": 16, "S4": 24, "Q8xC2": 8, "C4xC4": 4}
+
+
+def _named_or_shuffled(name: str) -> FiniteGroup:
+    """The catalog group ``name``, or for "X-relabelled" X under a seeded
+    shuffle of its indices 1..n-1, read back from JSON: other generating
+    sets than the catalog's."""
+    import random
+    if not name.endswith("-relabelled"):
+        return build_named(name)
+    g = build_named(name.removesuffix("-relabelled"))
+    perm = list(range(1, g.order))
+    random.Random(_SHUFFLE_SEEDS[g.name]).shuffle(perm)
+    return group_from_json(group_to_json(_relabelled(g, [0] + perm)))
+
+
 # every catalog group of order <= 16: C1 has no generators and a cyclic
 # group one, the edge cases of a key made from generator images
 @pytest.mark.parametrize("name", [
     *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
-    "A5", "S5", "SL23", "S3xS3", "S4", "C2xC2xC2xC2-relabelled"])
+    "A5", "S5", "SL23", "S3xS3", "S4", *(f"{name}-relabelled" for name in _SHUFFLE_SEEDS)])
 def test_automorphism_classes_match_the_tuple_reference(name):
-    if name.endswith("-relabelled"):
-        import random
-        perm = list(range(1, 16))
-        random.Random(16).shuffle(perm)
-        g = _relabelled(build_named("C2xC2xC2xC2"), [0] + perm)
-        g = group_from_json(group_to_json(g))
-    else:
-        g = build_named(name)
+    g = _named_or_shuffled(name)
     fresh = FiniteGroup(g.table, name=g.name, check=False)
     got = automorphism_classes(fresh, bound=128)
     assert list(got.items()) == list(_classes_on_tuples(g).items())
@@ -461,6 +472,27 @@ def test_schreier_sims_order_is_the_closure_size(name):
         q = general_alexander(g, rep)
         extend = groups._schreier_sims(q.size)
         assert [extend(s) for s in q.sym][-1] == inner_group(q).order
+
+
+GOLDEN_AUT_CLASSES = Path(__file__).parent / "data" / "aut_classes.txt"
+_PINNED_CLASS_MAPS = [*_SIFT_GROUPS, "C2xC2xC2xC2-relabelled", "C3xC3xC3"]
+
+
+def _class_map_digest(name: str) -> str:
+    """SHA-256 of the whole class map of a fresh copy of ``name``, in its order."""
+    import hashlib
+    g = _named_or_shuffled(name)
+    got = automorphism_classes(FiniteGroup(g.table, name=g.name, check=False))
+    return hashlib.sha256(repr(list(got.items())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", _PINNED_CLASS_MAPS)
+def test_automorphism_class_maps_are_pinned(name):
+    # every automorphism, its place in the map and its class representative
+    pinned = dict(line.split("\t") for line in
+                  GOLDEN_AUT_CLASSES.read_text(encoding="utf-8").splitlines())
+    assert list(pinned) == _PINNED_CLASS_MAPS
+    assert _class_map_digest(name) == pinned[name]
 
 
 def _per_point_orbit_classes(conjs, n: int) -> list[int]:
