@@ -109,7 +109,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group and conjugacy classes")
     p.add_argument("group")
-    p.add_argument("--bound", type=int, default=DEFAULT_AUT_BOUND)
+    p.add_argument("--bound", type=order, default=DEFAULT_AUT_BOUND)
     p.set_defaults(fn=_cmd_aut)
 
     p = sub.add_parser("invariants", help="full invariant profile of Q(G, psi)")

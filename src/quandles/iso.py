@@ -97,32 +97,34 @@ def _checked(q1: Quandle, q2: Quandle, verdict: IsoVerdict) -> IsoVerdict:
 # brute force
 # ---------------------------------------------------------------------------
 
-def _joint_refine(q1: Quandle, q2: Quandle, k1=None,
-                  k2=None) -> tuple[list[int], list[int]]:
-    """Iterated structural coloring computed jointly so colors are comparable.
+# The ids of color keys and signatures, shared by every refinement in the process.
+_COLOR_IDS: dict = {}
 
-    It starts from the cycle types of the symmetries unless initial keys
-    ``k1``/``k2`` are given; an isomorphism that preserves the initial keys
-    preserves the final colors.  Triples of colors sort as base-k ints."""
-    def relabel(k1, k2):
-        key_ids = {k: i for i, k in enumerate(sorted(set(k1) | set(k2)))}
-        return [key_ids[k] for k in k1], [key_ids[k] for k in k2]
 
-    def step(q, c, k):
-        return [(c[x], tuple(sorted([(cy * k + c[r]) * k + c[t]
-                                     for cy, r, t in zip(c, row, col)])))
-                for x, (row, col) in enumerate(zip(q.sym, zip(*q.sym)))]
+def _refine(q: Quandle, keys) -> list[int]:
+    """The stable coloring of q from ``keys``: a point's next color is the id
+    of its signature, its color and the sorted triples (c[y], c[s_x(y)],
+    c[s_y(x)]) over all y, each packed into one int of fields as wide as the
+    largest color, until a round splits no color.  Ids are shared and a
+    signature holds a color of the round before, so colorings refined apart
+    compare as joint ones do (McKay and Piperno, 2014)."""
+    ids, cols, c = _COLOR_IDS, list(zip(*q.sym)), None
+    new = [ids.setdefault(k, len(ids)) for k in keys]
+    while c is None or len(set(new)) != len(set(c)):
+        c, w = new, max(new, default=0).bit_length()
+        new = [ids.setdefault((c[x], w, tuple(sorted(
+            [(cy << w | c[r]) << w | c[t] for cy, r, t in zip(c, row, col)]))), len(ids))
+            for x, (row, col) in enumerate(zip(q.sym, cols))]
+    return new
 
-    if k1 is None:
-        k1 = [(_cycle_type(q1.sym[x]),) for x in range(q1.size)]
-        k2 = [(_cycle_type(q2.sym[x]),) for x in range(q2.size)]
-    c1, c2 = relabel(k1, k2)
-    while True:
-        k = len(set(c1) | set(c2))
-        n1, n2 = relabel(step(q1, c1, k), step(q2, c2, k))
-        if len(set(n1) | set(n2)) == k:
-            return n1, n2
-        c1, c2 = n1, n2
+
+def _pinned_colors(q: Quandle) -> list[int]:
+    """Q(G, psi)'s stable coloring with 0 individualized, kept in its record."""
+    g, psi = q.provenance
+    rec = _stored(g, psi)[0].get(psi.images, {})  # {}: q made under another store
+    if "colours" not in rec:
+        rec["colours"] = _refine(q, [x == 0 for x in range(q.size)])
+    return rec["colours"]
 
 
 def brute_force_iso(q1: Quandle, q2: Quandle,
@@ -132,15 +134,15 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     For two generalized Alexander quandles the first coloring is skipped:
     each s_x = L_x psi L_x^-1 has psi's cycle type and the left translations
     are automorphisms, so it is constant on each side and separates the
-    inputs iff the cycle types of s_0 differ (provenance is proved on JSON
-    load).  The image of 0 is then pinned to 0 (an isomorphism composed with
-    a left translation fixes the identity), 0 is individualized and both
-    colorings are refined jointly once, as in McKay (1981) and McKay and
-    Piperno (2014).  Every isomorphism reached under the pin fixes 0, so it
-    preserves the refined colors; pruning by them removes only subtrees
-    without an isomorphism.  Candidate lists come from the unrefined
-    colors, so the variable and value order, and hence the first witness
-    found, are those of the unpruned search."""
+    inputs iff the cycle types of s_0 differ (a Quandle's provenance is
+    proved when it is made).  The image of 0 is then pinned to 0 (an
+    isomorphism composed with a left translation fixes the identity), and
+    each side's coloring with 0 individualized is read from its record, as
+    in McKay (1981).  Every isomorphism reached under the pin preserves the
+    refined colors, so pruning by them removes only subtrees without an
+    isomorphism.  Candidate lists come from the unrefined colors, so the
+    variable and value order, and hence the first witness found, are those
+    of the unpruned search."""
     if q1.size != q2.size:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE, note="sizes differ")
     n = q1.size
@@ -150,7 +152,7 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     if alexander:  # side 2's one color differs iff the cycle types do
         c1, c2 = [0] * n, [int(_cycle_type(q1.sym[0]) != _cycle_type(q2.sym[0]))] * n
     else:
-        c1, c2 = _joint_refine(q1, q2)
+        c1, c2 = (_refine(q, map(_cycle_type, q.sym)) for q in (q1, q2))
     if sorted(c1) != sorted(c2):
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE,
                           note="structural colorings differ")
@@ -188,11 +190,8 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
             m[x] = -1
 
     if alexander:
-        if not attempt(0, 0):
-            return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE,
-                              note="identity pinning fails")
-        c1, c2 = _joint_refine(q1, q2, [(c, x == 0) for x, c in enumerate(c1)],
-                               [(c, x == 0) for x, c in enumerate(c2)])
+        attempt(0, 0)  # it holds: s_0(0) = 0 on both sides
+        c1, c2 = _pinned_colors(q1), _pinned_colors(q2)
         if sorted(c1) != sorted(c2):
             return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
 
@@ -265,7 +264,12 @@ def _p_isomorphism_verdict(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
                            psi2: GroupMap, method: str, note: str) -> IsoVerdict:
     """Search the group isomorphisms h : P -> P' for one that intertwines the
     restricted maps and carries the translation set into the primed one;
-    the first such h yields the witness, otherwise not-isomorphic."""
+    the first such h yields the witness, otherwise not-isomorphic.  None is
+    listed when the profiles' classes of psi|P and psi'|P' differ, as h
+    would conjugate one map into the other and keep its class."""
+    if (cached_profile(g1, psi1).psi_restricted_class
+            != cached_profile(g2, psi2).psi_restricted_class):
+        return IsoVerdict(NOT_ISOMORPHIC, method, note=note)
     pg1, r1, embed1 = restrict_to_P(g1, psi1)
     pg2, r2, embed2 = restrict_to_P(g2, psi2)
     pos1 = {m: i for i, m in enumerate(embed1)}
@@ -576,13 +580,9 @@ def check_theorem39_properties(images, g1: FiniteGroup, psi1: GroupMap,
     if bad:
         details["iii"] = f"multiplicativity on P fails at {bad[:3]}"
 
-    ok = True
-    for x in range(g1.order):
-        lhs = {images[g1.table[x][p]] for p in p1}
-        rhs = {g2.table[images[x]][p] for p in p2}
-        if lhs != rhs:
-            ok = False
-            details["iv"] = f"coset image fails at {x}"
-            break
-    clauses["iv"] = ok
+    bad = [x for x in range(g1.order) if {images[g1.table[x][p]] for p in p1}
+           != {g2.table[images[x]][p] for p in p2}]
+    clauses["iv"] = not bad
+    if bad:
+        details["iv"] = f"coset image fails at {bad[0]}"
     return Theorem39Report(clauses=clauses, details=details)

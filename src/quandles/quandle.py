@@ -18,9 +18,9 @@ from .groups import (FiniteGroup, GroupMap, _closure, _composer, _int_rows, _jso
 # What is derived once per Q(G, psi) input: group table -> (psi images ->
 # record, P members -> the P group that every input on the table shares).
 # general_alexander makes the record, a dict, when the axioms first pass;
-# invariants._p_record adds "P" and iso.cached_profile adds "profile".  A
-# failed check stores nothing, so it fails again on every call.  Keying by
-# table first lets twin groups share records and P groups.
+# invariants._p_record adds "P", iso.cached_profile "profile" and iso's search
+# "colours".  A failed check stores nothing, so it fails again on every call.
+# Keying by table first lets twin groups share records and P groups.
 _STORE: dict[tuple, tuple[dict, dict]] = {}
 # The records of the most recently used inputs also hold their "rows", up to
 # ROW_CELLS table cells in all (four S5 tables): _RECENT maps id(record) to
@@ -53,6 +53,8 @@ class Quandle:
         object.__setattr__(self, "sym", rows)
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
             raise StructuralError("sym table shape mismatch")
+        if self.provenance is not None and general_alexander(*self.provenance).sym != rows:
+            raise StructuralError("provenance does not reproduce the table")
 
     @classmethod
     def _trusted(cls, sym, provenance) -> Quandle:
@@ -218,8 +220,4 @@ def quandle_from_json(text: str) -> Quandle:
     q = make_quandle(sym, provenance=provenance)
     if q.size != size:
         raise StructuralError("declared size does not match table")
-    if provenance is not None:
-        g, psi = provenance
-        if general_alexander(g, psi).sym != q.sym:
-            raise StructuralError("provenance does not reproduce the table")
     return q

@@ -30,6 +30,9 @@ def test_groups_list_out_of_range(capsys):
     # int() reads digit separators and non-ASCII digits; an order is ASCII digits
     (["groups", "list", "1_2"], 3), (["groups", "list", "\u0668"], 3),
     (["classify", "\u0661\u0666"], 3),
+    # aut --bound is read the same way
+    (["aut", "D4", "--bound", "1_28"], 3), (["aut", "D4", "--bound", "\u0661\u0662\u0668"], 3),
+    (["aut", "D4", "--bound", "0"], 3), (["aut", "D4", "--bound", "-1"], 3),
 ])
 def test_usage_errors_and_orders_below_1_are_bad_input(argv, code, capsys):
     # exit 2 is left to capacity: argparse's own usage errors exit 3

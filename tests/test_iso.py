@@ -546,6 +546,11 @@ def _triple_joint_refine(q1, q2, k1=None, k2=None):
         c1, c2 = n1, n2
 
 
+def _partition(colors):
+    """The classes of a coloring, each as the first point of its class."""
+    return [colors.index(c) for c in colors]
+
+
 def _reference_brute_force_iso(q1, q2, individualize, bound=iso.DEFAULT_BRUTE_BOUND):
     """The search with the full first refinement on every input; with
     ``individualize`` the pinned identity also gets a color of its own and
@@ -694,13 +699,132 @@ def test_brute_force_skips_only_a_uniform_first_refinement():
                 got = brute_force_iso(q1, q2).to_json_dict()
                 want = _reference_brute_force_iso(q1, q2, individualize=True)
                 assert got == want.to_json_dict(), (q1, q2)
-                # the int keys give the same color numbers as the triples
+                # refined apart, each side gets the joint refinement's
+                # partition, and the color multisets agree exactly when the
+                # joint ones do
                 pinned = [[(0, x == 0) for x in range(q.size)] for q in (q1, q2)]
-                for keys in ([None, None], pinned):
-                    assert (iso._joint_refine(q1, q2, *keys)
-                            == _triple_joint_refine(q1, q2, *keys))
+                for keys, own in (([None, None], lambda q: map(iso._cycle_type, q.sym)),
+                                  (pinned, lambda q: [x == 0 for x in range(q.size)])):
+                    joint = _triple_joint_refine(q1, q2, *keys)
+                    apart = [iso._refine(q, own(q)) for q in (q1, q2)]
+                    assert list(map(_partition, apart)) == list(map(_partition, joint))
+                    assert ((sorted(apart[0]) == sorted(apart[1]))
+                            == (sorted(joint[0]) == sorted(joint[1])))
                 seen[got.get("note")] = seen.get(got.get("note"), 0) + 1
     assert seen[None] > 0 and seen["structural colorings differ"] > 0
+
+
+def test_cached_colorings_give_the_fresh_verdicts(monkeypatch):
+    # the colors kept in each input's record are ids shared by all inputs, so
+    # a store filled in another order, and ids first handed out on
+    # relabelled copies of the groups, change no verdict, note or witness
+    from quandles import quandle
+    inputs = list(_pruned_search_inputs())
+    monkeypatch.setattr(quandle, "_STORE", {})
+    monkeypatch.setattr(iso, "_COLOR_IDS", {})
+    fresh = [brute_force_iso(q1, q2).to_json_dict() for q1, q2 in inputs]
+    monkeypatch.setattr(quandle, "_STORE", {})
+    monkeypatch.setattr(iso, "_COLOR_IDS", {})
+    copies = {}
+
+    def relabelled(q):
+        if q.provenance is None:
+            return q
+        g, psi = q.provenance
+        if id(g) not in copies:
+            copies[id(g)] = _relabelled(g, g.order)
+        h, perm = copies[id(g)]
+        return general_alexander(h, _carried(psi, h, perm))
+
+    for q1, q2 in reversed(inputs):
+        r1, r2 = relabelled(q1), relabelled(q2)
+        assert brute_force_iso(r1, r2).result == brute_force_iso(q1, r2).result
+        brute_force_iso(q2, q1)
+    assert [brute_force_iso(q1, q2).to_json_dict() for q1, q2 in inputs] == fresh
+    records = [rec for recs, _ in quandle._STORE.values() for rec in recs.values()]
+    assert sum("colours" in rec for rec in records) > 100
+
+
+def test_forged_provenance_is_refused():
+    # a quandle table that is not Q(C3, mul:2) could carry that provenance,
+    # and the search, which trusts it, called it not isomorphic to its own
+    # relabelling by (0 2)
+    from quandles.quandle import Quandle, make_quandle
+    c3 = build_named("C3")
+    forged = ((0, 1, 2), (0, 1, 2), (1, 0, 2))
+    with pytest.raises(StructuralError, match="provenance does not reproduce the table"):
+        make_quandle(forged, provenance=(c3, named_automorphism(c3, "mul:2")))
+    a = make_quandle(forged)
+    swap = (2, 1, 0)
+    b = Quandle(3, tuple(tuple(swap[a.sym[swap[x]][swap[y]]] for y in range(3))
+                         for x in range(3)))
+    assert verify_quandle_witness(a, b, swap)
+    assert brute_force_iso(a, b).result == ISOMORPHIC
+
+
+def _reference_p_isomorphism_verdict(g1, psi1, g2, psi2, method, note):
+    """The search over Iso(P, P') with no Aut(P)-class test before it."""
+    from quandles.invariants import translation_elements
+    pg1, r1, embed1 = restrict_to_P(g1, psi1)
+    pg2, r2, embed2 = restrict_to_P(g2, psi2)
+    pos1 = {m: i for i, m in enumerate(embed1)}
+    pos2 = {m: i for i, m in enumerate(embed2)}
+    trans1_local = {pos1[t] for t in translation_elements(g1, psi1)}
+    trans2_local = {pos2[t] for t in translation_elements(g2, psi2)}
+    for h in groups.all_group_isomorphisms(pg1, pg2):
+        if any(h.images[r1.images[x]] != r2.images[h.images[x]]
+               for x in range(pg1.order)):
+            continue
+        if not {h.images[t] for t in trans1_local} <= trans2_local:
+            continue
+        witness = iso._thm13_witness(g1, psi1, g2, psi2, embed1, embed2, h)
+        return iso._checked(general_alexander(g1, psi1), general_alexander(g2, psi2),
+                            iso.IsoVerdict(ISOMORPHIC, method, witness=witness))
+    return iso.IsoVerdict(NOT_ISOMORPHIC, method, note=note)
+
+
+def _p_search_outcome(decider, *args):
+    try:
+        return decider(*args, iso.METHOD_THM13, "no compatible h").to_json()
+    except VerificationError as exc:  # a witness built without (P1)/(P2)
+        return repr(exc)
+
+
+def test_aut_p_class_test_keeps_every_p_isomorphism_verdict(monkeypatch):
+    # differing classes of the restricted maps end the search before
+    # Iso(P, P') is listed; every verdict, note and witness is unchanged.
+    # P outside the catalog, met in C17 and the groups after it, has the
+    # class of the map's order and fixed-point count
+    pairs = [pair for n in range(1, 13)
+             for pair in itertools.product(_pair_objects(n)[2], repeat=2)]
+    _, _, maps = _pair_objects(16)
+    reps16 = [maps[cls[0]] for cls in classify_order(16, beyond_paper=True).classes]
+    pairs += itertools.product(reps16, repeat=2)
+    for name in ("C2xC2xC2xC2", "D8", "C4xC4", "D16", "C17", "SL23", "S3xS3", "A5", "S4xC2"):
+        g = build_named(name)
+        reps = [(g, rep) for rep, _ in automorphism_conjugacy_classes(g, bound=128)]
+        pairs += itertools.product(reps, repeat=2)
+    # a pair of order-16 representatives of C2^4, D8 or C4xC4 may come again
+    # among that group's own pairs; each is compared once
+    pairs = list({(g1.name, psi1.images, g2.name, psi2.images): ((g1, psi1), (g2, psi2))
+                  for (g1, psi1), (g2, psi2) in pairs}.values())
+    listed = []
+    real = iso.all_group_isomorphisms
+    monkeypatch.setattr(iso, "all_group_isomorphisms",
+                        lambda *args: listed.append(args) or real(*args))
+    short = {}
+    for (g1, psi1), (g2, psi2) in pairs:
+        del listed[:]
+        got = _p_search_outcome(iso._p_isomorphism_verdict, g1, psi1, g2, psi2)
+        assert got == _p_search_outcome(_reference_p_isomorphism_verdict,
+                                        g1, psi1, g2, psi2), (g1, psi1, g2, psi2)
+        if not listed:
+            kind = cached_profile(g1, psi1).psi_restricted_class[0]
+            short[kind] = short.get(kind, 0) + 1
+    assert len(pairs) == (1839 + 29 ** 2 + 14 ** 2 + 11 ** 2 + 14 ** 2 + 23 ** 2 - 102
+                          + 16 ** 2 + 5 ** 2 + 9 ** 2 + 7 ** 2 + 10 ** 2)
+    assert short["class"] > 0 and short["fallback"] > 0
+    assert sum(short.values()) < len(pairs)
 
 
 def test_dihedral_claim_builds_each_phi_once(monkeypatch):
