@@ -27,8 +27,7 @@ EXIT_BAD_INPUT = 3
 
 
 def _cmd_groups(args) -> int:
-    specs = groups_of_order(args.order)
-    for spec in specs:
+    for spec in groups_of_order(args.order):
         g = build(spec)
         print(f"{spec.name()}\torder {g.order}\t"
               f"{'abelian' if g.is_abelian else 'nonabelian'}")
@@ -118,10 +117,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_invariants)
 
     p = sub.add_parser("iso", help="decide quandle isomorphism")
-    p.add_argument("group1")
-    p.add_argument("aut1")
-    p.add_argument("group2")
-    p.add_argument("aut2")
+    for name in ("group1", "aut1", "group2", "aut2"):
+        p.add_argument(name)
     p.add_argument("--method", choices=["auto", "brute", "thm13"], default="auto")
     p.set_defaults(fn=_cmd_iso)
 

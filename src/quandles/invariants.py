@@ -40,7 +40,7 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
     shared P group), built and cross-checked on the first call per
     (table, images) and kept in the input's record.
 
-    The rows of Q prove Inn(Q) = {L_p psi^k : p in P, k < ord(psi)}: each
+    Q's distinct rows prove Inn(Q) = {L_p psi^k : p in P, k < ord(psi)}: each
     row s_x is checked to be L_t psi with t = s_x(e) in P, and psi(P) = P,
     so those maps form a group that holds every s_x and has |P| ord(psi)
     members (f(e) gives p, and then psi^k).  It lies in Inn, as s_e = psi,
@@ -62,7 +62,7 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
     if any(im[m] not in pos for m in members):
         raise VerificationError(f"P is not invariant under psi on {g.name}")
     psi_of = _composer(im)
-    if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in q.sym):
+    if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in set(q.sym)):
         raise VerificationError(f"a row of Q({g.name}, psi) is not L_t psi with t in P")
     grp = p_groups.get(members)
     if grp is None:

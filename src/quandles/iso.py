@@ -245,8 +245,7 @@ def theorem13_iso(g1: FiniteGroup, psi1: GroupMap,
     set into the primed translation set.  Returns undecided when the
     preconditions fail; isomorphic verdicts carry a witness assembled from
     h by the coset construction."""
-    prof1 = cached_profile(g1, psi1)
-    prof2 = cached_profile(g2, psi2)
+    prof1, prof2 = cached_profile(g1, psi1), cached_profile(g2, psi2)
     if not (prof1.p1 and prof1.p2 and prof2.p1 and prof2.p2):
         return IsoVerdict(UNDECIDED, METHOD_THM13,
                           note="preconditions (P1)/(P2) not satisfied")
@@ -297,8 +296,7 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     coset maps, correct each matched representative inside its P'-coset so
     translations agree on the nose, then glue h on P-parts with the matched
     coset representatives."""
-    mul1, inv1 = g1.table, g1._inv
-    mul2 = g2.table
+    mul1, inv1, mul2 = g1.table, g1._inv, g2.table
     h_on_g = {embed1[i]: embed2[h.images[i]] for i in range(len(embed1))}
     psq2 = compute_P2(g2, psi2).members
     rep1, fibers1 = _coset_fibers(g1, psi1, embed1, compute_P2(g1, psi1).members)
@@ -412,8 +410,7 @@ def _formula_verdict(g1, psi1, g2, psi2) -> IsoVerdict | None:
     if spec is None or spec != g2.spec:
         return None
     if spec.kind == "dihedral":
-        x = dihedral_aut_from_map(g1, psi1)
-        y = dihedral_aut_from_map(g2, psi2)
+        x, y = dihedral_aut_from_map(g1, psi1), dihedral_aut_from_map(g2, psi2)
         if x is None or y is None:
             return None
         method, same = METHOD_DIHEDRAL, dihedral_iso_decider(x, y)
@@ -444,8 +441,7 @@ def _routes(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     same search, and beside a formula route runs only when the formula says
     isomorphic, to supply the witness.  Aut-conjugacy on S_n runs only when
     no other route applies."""
-    prof1 = cached_profile(g1, psi1)
-    prof2 = cached_profile(g2, psi2)
+    prof1, prof2 = cached_profile(g1, psi1), cached_profile(g2, psi2)
     routes: list[tuple[str, Callable]] = []
     separator = prof1.separator_against(prof2)
     if separator is not None:

@@ -75,21 +75,29 @@ def check_axioms(q: Quandle) -> list[tuple]:
     """All violations of (Q1') idempotence, (Q2') row bijectivity and
     (Q3') s_x . s_y = s_{s_x(y)} . s_x; empty list iff q is a quandle.
 
-    (Q3) is first checked only at the points S of ``_generating_points``,
-    n^2 |S| work instead of n^3.  That proves it at every point.  With
-    y |> z = s_y(z), (Q3) at x says s_x is an automorphism of |>, and
-    s_{s_x(y)} = s_x s_y s_x^-1 for every y.  So the set of y with s_y in
-    <s_S> contains S and is closed under <s_S> (s_x^-1 is a power of s_x):
-    it is the orbit of S under <s_S>, which is all of Q.  Every s_y is then
-    a product of automorphisms, an automorphism itself, and (Q3) holds at
-    y.  If the check fails at some x in S, every point is checked, so the
-    violations listed are the same as those of the full scan."""
+    (Q2) and each composition with a row run once per distinct row.  (Q3)
+    is first checked only at the points S of ``_generating_points``.  That
+    proves it at every point: with y |> z = s_y(z), (Q3) at x says s_x is
+    an automorphism of |>, and s_{s_x(y)} = s_x s_y s_x^-1 for every y.  So
+    the y with s_y in <s_S> contain S, are closed under <s_S> (s_x^-1 is a
+    power of s_x) and hold each point with the row of one of them: by the
+    choice of S, all of Q.  Each s_y is then a product of automorphisms,
+    and (Q3) holds at y.  If the check fails at some x in S, every point is
+    checked, so the violations listed are those of the full scan."""
     n, sym, full = q.size, q.sym, frozenset(range(q.size))
+    ids: dict[tuple, int] = {}
+    rid = [ids.setdefault(r, len(ids)) for r in sym]
+    broken = [frozenset(r) != full for r in ids]
     bad: list[tuple] = [("Q1", x) for x in range(n) if sym[x][x] != x]
-    bad += [("Q2", x) for x in range(n) if frozenset(sym[x]) != full]
-    rows = list(map(_composer, sym))
-    if bad or all(_q3_violation(sym, rows, x) is None for x in _generating_points(sym)):
+    bad += [("Q2", x) for x in range(n) if broken[rid[x]]]
+    # (Q3) at x: s_x r and r s_x once per distinct row r (after[i] composes
+    # with distinct[i]), and each y compares the pair of s_y and s_{s_x(y)}
+    distinct, after = list(ids), list(map(_composer, ids))
+    if bad or all(after[a](sym[x]) == after[rid[x]](distinct[b])
+                  for x in _generating_points(sym, rid)
+                  for a, b in set(zip(rid, after[rid[x]](rid)))):
         return bad
+    rows = list(map(_composer, sym))
     return [("Q3", x, *v) for x in range(n)
             if (v := _q3_violation(sym, rows, x)) is not None]
 
@@ -106,15 +114,15 @@ def _q3_violation(sym, rows, x: int) -> tuple[int, int] | None:
     return None
 
 
-def _generating_points(sym) -> list[int]:
-    """Points S whose orbits under the group <s_S> cover Q, chosen
-    greedily: the least point not yet covered joins S, and the covered set
-    is closed again under every s_x, x in S."""
-    points, covered = [], set()
-    for x in range(len(sym)):
-        if x not in covered:
+def _generating_points(sym, rid) -> list[int]:
+    """Points S whose orbits under the group <s_S> cover Q up to equal
+    rows (``rid[x]`` is the id of x's row), chosen greedily: the least point
+    whose row is not the row of a point of the orbits so far joins S."""
+    points, ids = [], set()
+    for x, i in enumerate(rid):
+        if i not in ids:
             points.append(x)
-            covered = _closure([sym[p] for p in points], covered | {x})
+            ids.update(map(rid.__getitem__, _closure([sym[p] for p in points], points)))
     return points
 
 
@@ -123,8 +131,7 @@ def make_quandle(sym, provenance=None) -> Quandle:
 
 
 def _checked(q: Quandle) -> Quandle:
-    violations = check_axioms(q)
-    if violations:
+    if violations := check_axioms(q):
         raise StructuralError(f"not a quandle: {violations[:3]}")
     return q
 
@@ -167,7 +174,7 @@ def quandle_order(q: Quandle) -> int:
 
 
 def orbit_of(q: Quandle, start: int) -> frozenset[int]:
-    return frozenset(_closure(q.sym, {start}))
+    return frozenset(_closure(set(q.sym), {start}))
 
 
 def is_connected(q: Quandle) -> bool:
@@ -199,8 +206,7 @@ def quandle_from_json(text: str) -> Quandle:
     data = _json_object(text, ("size", "sym"))
     size = _json_int(data["size"], "size")
     sym = _json_rows(data["sym"], "sym")
-    provenance = None
-    prov = data.get("provenance")
+    provenance, prov = None, data.get("provenance")
     if prov is not None:
         if not isinstance(prov, dict):
             raise StructuralError("field 'provenance' is not an object")
@@ -217,7 +223,8 @@ def quandle_from_json(text: str) -> Quandle:
             if not psi.is_bijective:
                 raise StructuralError("provenance map is not bijective")
             provenance = (g, psi)
-    q = make_quandle(sym, provenance=provenance)
+    # with provenance, Quandle rebuilds the table, whose axioms general_alexander checked
+    q = make_quandle(sym) if provenance is None else Quandle(len(sym), sym, provenance)
     if q.size != size:
         raise StructuralError("declared size does not match table")
     return q

@@ -352,8 +352,8 @@ def claim_structure() -> ClaimResult:
                 if not is_normal(grp, p2_local):
                     bad.append(f"P2 not normal in P for {g.name}")
                 tn = twisted_normalizer(g, psi, compute_P2(g, psi))
-                pf = {g.table[p][f] for p in P.members
-                      for f in fixed_subgroup(psi).members}
+                fix = fixed_subgroup(psi).members
+                pf = {g.table[p][f] for p in P.members for f in fix}
                 if not pf <= tn.member_set():
                     bad.append(f"PF not inside TN for {g.name}")
                 pm = P.member_set()

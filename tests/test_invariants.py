@@ -181,6 +181,26 @@ def test_failed_orbit_span_check_fails_every_call(monkeypatch, empty_store):
     assert compute_P(d4, psi).members == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("name", ["D4", "A4", "S3xS3"])
+def test_row_proof_reads_every_distinct_row(monkeypatch, empty_store, name):
+    # one copy of one row, at each point in turn, with two entries away
+    # from 0 swapped: it keeps s_x(e) but is no longer L_t psi, and it is
+    # refused whether the other copies of its old row are there or not
+    g = build_named(name)
+    real = invariants.general_alexander
+    for psi, _ in automorphism_conjugacy_classes(g):
+        sym = real(g, psi).sym
+        for x in range(g.order):
+            rows = [list(r) for r in sym]
+            y1, y2 = [y for y in range(g.order) if y not in (0, x)][:2]
+            rows[x][y1], rows[x][y2] = rows[x][y2], rows[x][y1]
+            corrupted = tuple(map(tuple, rows))
+            monkeypatch.setattr(invariants, "general_alexander",
+                                lambda h, phi: Quandle._trusted(corrupted, (h, phi)))
+            with pytest.raises(VerificationError):
+                compute_P(g, psi)
+
+
 def test_failed_row_proof_fails_every_call(monkeypatch, empty_store):
     # swapping s_1(4) and s_1(5) leaves the orbit of e, P = {0, 1, 2, 3},
     # as it is, so only the row proof sees that s_1 is no longer L_t psi

@@ -1,5 +1,7 @@
+import itertools
 import json
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism)
 from quandles.classify import classify_order
 from quandles.errors import ContractViolation, StructuralError
-from quandles.groups import (FiniteGroup, GroupMap, Subgroup, _composer,
+from quandles.groups import (FiniteGroup, GroupMap, Subgroup, _closure, _composer,
                              automorphism_classes,
                              automorphism_conjugacy_classes,
                              automorphism_group, generated_subgroup,
@@ -209,6 +211,92 @@ def test_axiom_check_on_corrupted_quandles(data):
     rows[x][y1], rows[x][y2] = rows[x][y2], rows[x][y1]
     corrupted = Quandle(q.size, tuple(map(tuple, rows)))
     assert check_axioms(corrupted) == _full_check_axioms(corrupted)
+
+
+def test_axiom_check_on_every_small_table():
+    # every table on 3 points, and every table on 4 points whose rows are
+    # permutations fixing their own point, many with repeated rows; the
+    # axiom check against the full scan, the orbit of 0 against a closure
+    # under every row
+    tables = itertools.product(itertools.product(range(3), repeat=3), repeat=3)
+    fixing = [[p for p in itertools.permutations(range(4)) if p[x] == x] for x in range(4)]
+    for sym in itertools.chain(tables, itertools.product(*fixing)):
+        q = Quandle(len(sym), sym)
+        assert check_axioms(q) == _full_check_axioms(q)
+        orbit, grown = set(), {0}
+        while grown != orbit:
+            orbit, grown = grown, grown | {row[c] for row in sym for c in grown}
+        assert orbit_of(q, 0) == orbit
+
+
+def _row_ids(sym) -> list[int]:
+    """For each point, the id of its row: distinct rows are numbered in the
+    order they first appear."""
+    ids: dict = {}
+    return [ids.setdefault(row, len(ids)) for row in sym]
+
+
+@cache
+def _repeated_row_inputs() -> dict[str, list[GroupMap]]:
+    """Group name -> the psi with 2 <= |Fix psi| < |G|: every row of
+    Q(G, psi) has |Fix psi| >= 2 copies, and at least two points are not
+    copies of it.  Every such psi for the groups of orders 3..12, and such
+    Aut-class representatives of S5, A5 and S3xS3."""
+    maps = {spec.name(): automorphism_group(build(spec))
+            for n in range(3, 13) for spec in groups_of_order(n)}
+    maps.update({name: [rep for rep, _ in automorphism_conjugacy_classes(build_named(name))]
+                 for name in ("S5", "A5", "S3xS3")})
+    out = {name: [psi for psi in group_maps if 2 <= sum(
+        v == x for x, v in enumerate(psi.images)) < len(psi.images)]
+        for name, group_maps in maps.items()}
+    return {name: group_maps for name, group_maps in out.items() if group_maps}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_axiom_check_on_corrupted_repeated_rows(data):
+    # Q(G, psi) has n / |Fix psi| distinct rows, each repeated |Fix psi|
+    # times; a corruption of every copy of a row, of one copy only, a row
+    # repeated over another point's, or a copied entry that breaks (Q2) at
+    # every copy must be reported as the full scan reports it (a swap may
+    # also leave a quandle: on Q(C4, -1) it turns y -> -y into the identity)
+    inputs = _repeated_row_inputs()
+    name = data.draw(st.sampled_from(sorted(inputs)))
+    q = general_alexander(build_named(name), data.draw(st.sampled_from(inputs[name])))
+    n, rows = q.size, [list(r) for r in q.sym]
+    x = data.draw(st.integers(0, n - 1))
+    copies = [c for c in range(n) if q.sym[c] == q.sym[x]]
+    assert len(copies) >= 2
+    y1, y2 = data.draw(st.lists(st.sampled_from([y for y in range(n) if y not in copies]),
+                                min_size=2, max_size=2, unique=True))
+    kind = data.draw(st.sampled_from(["every copy", "one copy", "repeated", "not a bijection"]))
+    if kind == "repeated":
+        rows[y1] = list(q.sym[x])
+    elif kind == "not a bijection":
+        for c in copies:
+            rows[c][y1] = rows[c][y2]
+    else:
+        for c in copies if kind == "every copy" else [x]:
+            rows[c][y1], rows[c][y2] = rows[c][y2], rows[c][y1]
+    corrupted = Quandle(n, tuple(map(tuple, rows)))
+    assert check_axioms(corrupted) == _full_check_axioms(corrupted)
+
+
+@pytest.mark.parametrize("name", ["S5", "A5", "S3xS3", "SL23", "S4",
+                                  *(spec.name() for spec in _SMALL_CATALOG)])
+def test_generating_points_reach_every_row(name):
+    # every row of Q is the row of a point in the orbits of S under <s_S>,
+    # which is what the (Q3) proof at S needs; Q(G, id), Q(S5, id) among
+    # them, needs S = [0]
+    g = build_named(name)
+    for psi, _ in automorphism_conjugacy_classes(g):
+        sym = general_alexander(g, psi).sym
+        points = quandle._generating_points(sym, _row_ids(sym))
+        reached = _closure([sym[p] for p in points], points)
+        assert {sym[c] for c in reached} == set(sym)
+        assert points == sorted(points) and len(set(map(sym.__getitem__, points))) == len(points)
+        if psi.images == tuple(range(g.order)):  # every row is the identity
+            assert points == [0]
 
 
 def test_axiom_violations_reported():
@@ -608,6 +696,26 @@ def test_axioms_checked_once_per_input(monkeypatch):
     assert len(inputs) > len(set(inputs))  # the same inputs are built again
     assert len(checked) == len(set(keys)) == len(set(inputs))
     assert set(keys) == set(inputs)
+
+
+@pytest.mark.usefixtures("empty_store")
+def test_reload_with_provenance_checks_no_axioms(monkeypatch):
+    # the provenance is proved by rebuilding the table from the store's
+    # record, whose axioms passed when it was made
+    d4 = build_named("D4")
+    q = general_alexander(d4, named_automorphism(d4, "phi:3,1"))
+    checked, _ = _record_axiom_checks(monkeypatch)
+    back = quandle_from_json(quandle_to_json(q))
+    assert back.sym == q.sym and back.provenance[1].images == q.provenance[1].images
+    assert checked == []
+    forged = json.loads(quandle_to_json(q))
+    forged["sym"] = [list(r) for r in trivial_quandle(8).sym]
+    with pytest.raises(StructuralError, match="provenance does not reproduce the table"):
+        quandle_from_json(json.dumps(forged))
+    broken = {"size": 5, "sym": [list(r) for r in BROKEN_Q3], "provenance": None}
+    with pytest.raises(StructuralError, match="not a quandle"):
+        quandle_from_json(json.dumps(broken))
+    assert len(checked) == 2  # trivial_quandle(8), then BROKEN_Q3
 
 
 @pytest.mark.usefixtures("empty_store")
