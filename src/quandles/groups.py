@@ -8,7 +8,6 @@ plain integer tables, which is adequate for the orders this package targets.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -21,6 +20,8 @@ from .errors import CapacityError, ContractViolation, StructuralError
 DEFAULT_AUT_BOUND = 128
 # the most automorphisms automorphism_classes holds, whatever the order bound (C2^5 has ~1e7)
 AUT_COUNT_BOUND = 10 ** 5
+# automorphism_classes holds image arrays as byte strings, one byte per point
+BYTE_POINTS = 256
 
 
 def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
@@ -204,7 +205,8 @@ class GroupMap:
     def __call__(self, a: int) -> int:
         return self.images[a]
 
-    @property
+    # the fixed facts are cached in the instance dict, not fields: eq, hash and repr ignore them
+    @functools.cached_property
     def is_bijective(self) -> bool:
         return len(set(self.images)) == self.source.order == self.target.order
 
@@ -233,6 +235,10 @@ class GroupMap:
     def map_order(self) -> int:
         """Order of the map under composition (finite since bijective)."""
         self.require_automorphism()
+        return self._order
+
+    @functools.cached_property
+    def _order(self) -> int:
         return _perm_order(self.images)
 
 
@@ -531,47 +537,57 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     """Read-only map from each automorphism's image array, in sorted order,
     to the lexicographically minimal member of its Aut(g)-conjugacy class.
 
+    Orders above ``bound`` or BYTE_POINTS raise CapacityError on every call.
     Aut(g) is built once per group object: past AUT_COUNT_BOUND automorphisms
     (the product of ``_stabilizer_chain(g)``'s level sizes) CapacityError,
-    else every product of one automorphism per level, walked from level 0: a
-    prefix's products agree below g_i = ``generating_set(g)[i]`` (indices
-    below it lie in <g_0..g_{i-1}>) and differ at g_i, so sorting each
-    prefix's products sorts them all.  The integer keys sum_j p(g_j) |g|^j,
-    read off the columns g_j, must be distinct and look up their index.  A
-    scan from the largest index down keeps an automorphism as a conjugator
-    only if it enlarges the group the conjugators generate, whose order one
-    Schreier-Sims chain on g's points proves (``_schreier_sims``, which a
-    candidate already in that group only sifts through), and must end at
-    |Aut(g)|.  Conjugation by t acts on the indices as the keys of t p t^-1,
-    read off the columns t^-1(g_j) through t; its orbits are the classes, an
-    orbit's least index its least image array.  The order check runs on every call."""
+    else every product of one automorphism per level, walked from level 0,
+    as one byte string of image arrays end to end: p . u is
+    ``u.translate(p + rest)``, one translate per prefix over the level's
+    members joined.  A prefix's products agree below g_i =
+    ``generating_set(g)[i]`` (indices below it lie in <g_0..g_{i-1}>) and
+    differ at g_i, so one sort of the level's d-byte slices keeps the
+    prefixes' order.  The key of p, its images of the g_j a byte each in 8
+    bytes read as an int (|gens| <= log2 |g| <= 8), must be distinct and looks
+    up its index.  A scan from the largest index down keeps an automorphism
+    as a conjugator only if it enlarges the group the conjugators generate,
+    whose order one Schreier-Sims chain on g's points proves
+    (``_schreier_sims``, which a candidate already in that group only sifts
+    through), and must end at |Aut(g)|.  Conjugation by t acts on the indices
+    as the keys of t p t^-1, the column slices at t^-1(g_j) translated
+    through t; its orbits are the classes, an orbit's least index its least
+    image array.  Only then are the image arrays read off as int tuples."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
+    if (d := g.order) > BYTE_POINTS:
+        raise CapacityError(f"byte-string automorphisms capped at {BYTE_POINTS} points, got {d}")
     if g._aut_classes is None:
         chain = _stabilizer_chain(g)
         if (n := math.prod(map(len, chain))) > AUT_COUNT_BOUND:
             raise CapacityError(f"{n} automorphisms, more than {AUT_COUNT_BOUND} to enumerate")
-        perms = [ident := tuple(range(g.order))]
-        for level in chain:  # per prefix, a tuple of its products, sorted
-            perms = list(itertools.chain.from_iterable(map(sorted, zip(
-                *[map(u, perms) for u in map(_composer, level)]))))
-        gens, add = generating_set(g), functools.partial(map, operator.add)
+        rest, buf = bytes(range(d, BYTE_POINTS)), bytes(range(d))
+        for level in chain:
+            us = b"".join(map(bytes, level))
+            buf = b"".join([us.translate(buf[i:i + d] + rest) for i in range(0, len(buf), d)])
+            buf = b"".join(sorted([buf[i:i + d] for i in range(0, len(buf), d)]))
+        gens = generating_set(g)
         def keys(t):  # the key of t p t^-1 for every p; C1 has one key, 0
-            inv = _perm_inverse(t)
-            return functools.reduce(add, [map([v * g.order ** j for v in t].__getitem__, map(
-                operator.itemgetter(inv[x]), perms)) for j, x in enumerate(gens)] or [[0]])
-        index = dict(zip(keys(ident), range(n)))
+            packed, inv, table = bytearray(8 * n), _perm_inverse(t), bytes(t) + rest
+            for j, x in enumerate(gens):
+                packed[j::8] = buf[inv[x]::d].translate(table)
+            return memoryview(packed).cast("Q").tolist()
+        index = dict(zip(keys(range(d)), range(n)))
         if len(index) != n:
             raise ContractViolation(f"the chain's {n} products have {len(index)} distinct keys")
-        conjugators, size, scan, extend = [], 1, reversed(perms), _schreier_sims(g.order)
+        conjugators, size, extend = [], 1, _schreier_sims(d)
+        scan = (tuple(buf[i:i + d]) for i in range(len(buf) - d, -1, -d))
         while size < n and (t := next(scan, None)):
             if (m := extend(t)) > size:
                 conjugators, size = conjugators + [t], m
         if size != n:
             raise ContractViolation(f"Aut's generators close to {size} of {n} members")
         try:
-            conjs = [list(map(index.__getitem__, keys(t))) for t in conjugators]
+            conjs = [_composer(keys(t))(index) for t in conjugators]
         except KeyError:
             raise ContractViolation("the automorphisms enumerated are not closed") from None
         rep = [-1] * n
@@ -579,6 +595,8 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             if rep[i] < 0:
                 for r in _closure(conjs, {i}):
                     rep[r] = i
+        del index, conjs
+        perms = list(zip(*[iter(buf)] * d))
         g._aut_classes = MappingProxyType(dict(zip(perms, map(perms.__getitem__, rep))))
     return g._aut_classes
 

@@ -12,6 +12,7 @@ from quandles.invariants import profile, profile_to_json
 
 GOLDEN_VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
 GOLDEN_AUT_C2_4 = Path(__file__).parent / "data" / "aut_C2xC2xC2xC2.txt"
+GOLDEN_AUT_C3_3 = Path(__file__).parent / "data" / "aut_C3xC3xC3.txt"
 
 
 def test_groups_list(capsys):
@@ -78,6 +79,16 @@ def test_aut_c2_4_matches_the_golden_file(capsys):
     sizes = [int(line.split("size ")[1].split(",")[0]) for line in out.splitlines()[1:]]
     assert sizes == [1, 105, 210, 1260, 1120, 2520, 3360, 2880, 2880,
                      112, 1680, 1344, 1344, 1344]
+
+
+def test_aut_c3_3_matches_the_golden_file(capsys):
+    # the byte kernel at 27 points, with entries of an odd prime field
+    assert main(["aut", "C3xC3xC3"]) == 0
+    out = capsys.readouterr().out
+    assert out == GOLDEN_AUT_C3_3.read_text()
+    # Aut(C3^3) = GL(3, 3): (27 - 1)(27 - 3)(27 - 9) members in q^3 - q = 24
+    # conjugacy classes, a check that does not come from this package
+    assert out.startswith("group C3xC3xC3: |Aut| = 11232, 24 conjugacy classes\n")
 
 
 def test_classrep_reaches_groups_above_order_60(capsys):

@@ -296,6 +296,33 @@ def test_automorphism_capacity_bound():
             enumerate_aut(a5, bound=50)
 
 
+def _cyclic_table(n: int) -> FiniteGroup:
+    return FiniteGroup([[(a + b) % n for b in range(n)] for a in range(n)], check=False)
+
+
+def test_automorphism_classes_reach_the_byte_cap():
+    # Aut(C256) is the 128 units mod 256, abelian: one class per member
+    got = automorphism_classes(_cyclic_table(256), bound=256)
+    assert len(got) == 128 and all(p == rep for p, rep in got.items())
+    assert sorted(p[1] for p in got) == list(range(1, 256, 2))
+
+
+def test_automorphism_classes_refuse_more_than_256_points(monkeypatch):
+    # image arrays are split as byte strings, so order 257 is refused
+    # before any work, whatever the order bound
+    monkeypatch.setattr(groups, "_stabilizer_chain", None)
+    with pytest.raises(CapacityError, match="capped at 256 points, got 257"):
+        automorphism_classes(_cyclic_table(257), bound=300)
+
+
+@pytest.mark.parametrize("name", ["C1", "C2", "D4", "C3xC3xC3"])
+def test_automorphism_class_maps_hold_int_tuples(name):
+    got = automorphism_classes(FiniteGroup(build_named(name).table, check=False))
+    for arrays in (list(got), list(got.values())):
+        assert {type(p) for p in arrays} == {tuple}
+        assert {type(v) for p in arrays for v in p} == {int}
+
+
 def test_automorphism_count_bound(monkeypatch):
     c2_3 = build_named("C2xC2xC2")
     monkeypatch.setattr(groups, "AUT_COUNT_BOUND", 167)
@@ -581,6 +608,26 @@ def test_group_map_validation():
     assert m.inverse().images == m.images
     with pytest.raises(ContractViolation):
         GroupMap(c4, c4, (0, 0, 0, 0), check=False).require_automorphism()
+
+
+def test_group_map_facts_are_computed_once(monkeypatch):
+    # bijectivity and the order are facts of the image array, kept on the map
+    calls, real = [], groups._cycle_type
+    monkeypatch.setattr(groups, "_cycle_type", lambda p: calls.append(p) or real(p))
+    d4 = build_named("D4")
+    m = named_automorphism(d4, "phi:3,1")
+    assert m.map_order() == m.map_order() == 2 and len(calls) == 1
+    assert m.is_bijective and m.is_bijective
+    fresh = GroupMap(d4, d4, m.images, check=False)
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    flat = GroupMap(d4, d4, (0,) * 8, check=False)
+    for _ in range(2):
+        for call in (flat.map_order, flat.require_automorphism):
+            with pytest.raises(ContractViolation, match="map is not bijective"):
+                call()
+        with pytest.raises(ContractViolation, match="cannot invert a non-bijective map"):
+            flat.inverse()
+    assert len(calls) == 1
 
 
 def test_group_map_equality_ignores_check():
