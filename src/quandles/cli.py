@@ -65,8 +65,7 @@ def _cmd_iso(args) -> int:
 def _cmd_classify(args) -> int:
     report = classify_order(args.order, beyond_paper=args.beyond_paper,
                             cache_dir=args.cache)
-    fmt = {"md": "markdown"}.get(args.format, args.format)
-    print(emit_table(report, fmt))
+    print(emit_table(report, args.format))
     expected = closed_form_counts(args.order)
     if expected is not None and report.class_count != expected:
         print(f"MISMATCH: classifier found {report.class_count} classes, "

@@ -20,7 +20,7 @@ from .errors import VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
                      automorphism_classes, center, generated_subgroup,
                      generating_set, groups_isomorphic, is_normal)
-from .quandle import _stored, general_alexander, orbit_of
+from .quandle import _kept, _stored, general_alexander, orbit_of
 
 PROFILE_VERSION = "profile.v1"
 
@@ -45,31 +45,28 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
     so those maps form a group that holds every s_x and has |P| ord(psi)
     members (f(e) gives p, and then psi^k).  It lies in Inn, as s_e = psi,
     L_t = s_x psi^-1, and the t generate the orbit of e, which is P."""
-    records, p_groups = _stored(g, psi)
-    im = psi.images
-    rec = records.get(im, {}).get("P")
-    if rec is not None:
-        return rec
-    q = general_alexander(g, psi)
-    orbit = orbit_of(q, 0)
-    span = generated_subgroup(g, translation_elements(g, psi))
-    if orbit != span.member_set():
-        raise VerificationError(
-            f"P mismatch on {g.name}: orbit {sorted(orbit)} vs "
-            f"generated subgroup {list(span.members)}")
-    members = span.members
-    pos = {m: i for i, m in enumerate(members)}
-    if any(im[m] not in pos for m in members):
-        raise VerificationError(f"P is not invariant under psi on {g.name}")
-    psi_of = _composer(im)
-    if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in set(q.sym)):
-        raise VerificationError(f"a row of Q({g.name}, psi) is not L_t psi with t in P")
-    grp = p_groups.get(members)
-    if grp is None:
-        grp = p_groups[members] = span.as_group()[0]
-    rec = records[im]["P"] = members, GroupMap(
-        grp, grp, tuple(pos[im[m]] for m in members), check=False)
-    return rec
+    def make():
+        im = psi.images
+        q = general_alexander(g, psi)
+        orbit = orbit_of(q, 0)
+        span = generated_subgroup(g, translation_elements(g, psi))
+        if orbit != span.member_set():
+            raise VerificationError(
+                f"P mismatch on {g.name}: orbit {sorted(orbit)} vs "
+                f"generated subgroup {list(span.members)}")
+        members = span.members
+        pos = {m: i for i, m in enumerate(members)}
+        if any(im[m] not in pos for m in members):
+            raise VerificationError(f"P is not invariant under psi on {g.name}")
+        psi_of = _composer(im)
+        if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in set(q.sym)):
+            raise VerificationError(f"a row of Q({g.name}, psi) is not L_t psi with t in P")
+        p_groups = _stored(g, psi)[1]
+        grp = p_groups.get(members)
+        if grp is None:
+            grp = p_groups[members] = span.as_group()[0]
+        return members, GroupMap(grp, grp, tuple(pos[im[m]] for m in members), check=False)
+    return _kept(g, psi, "P", make)
 
 
 def compute_P(g: FiniteGroup, psi: GroupMap) -> Subgroup:

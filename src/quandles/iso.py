@@ -23,7 +23,7 @@ from .groups import (FiniteGroup, GroupMap, _composer, _cycle_type, _json_ints,
                      groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
                          translation, translation_elements)
-from .quandle import Quandle, _stored, general_alexander
+from .quandle import Quandle, _kept, general_alexander
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not-isomorphic"
@@ -118,15 +118,6 @@ def _refine(q: Quandle, keys) -> list[int]:
     return new
 
 
-def _pinned_colors(q: Quandle) -> list[int]:
-    """Q(G, psi)'s stable coloring with 0 individualized, kept in its record."""
-    g, psi = q.provenance
-    rec = _stored(g, psi)[0].get(psi.images, {})  # {}: q made under another store
-    if "colours" not in rec:
-        rec["colours"] = _refine(q, [x == 0 for x in range(q.size)])
-    return rec["colours"]
-
-
 def brute_force_iso(q1: Quandle, q2: Quandle,
                     bound: int = DEFAULT_BRUTE_BOUND) -> IsoVerdict:
     """Complete decision by backtracking point-map search.
@@ -191,7 +182,8 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
 
     if alexander:
         attempt(0, 0)  # it holds: s_0(0) = 0 on both sides
-        c1, c2 = _pinned_colors(q1), _pinned_colors(q2)
+        c1, c2 = (_kept(*q.provenance, "colours", lambda: _refine(q, [x == 0 for x in range(n)]))
+                  for q in (q1, q2))
         if sorted(c1) != sorted(c2):
             return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
 
@@ -230,11 +222,7 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
 
 def cached_profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
     """profile(g, psi), computed once per (table, images) and kept in its record."""
-    records = _stored(g, psi)[0]
-    prof = records.get(psi.images, {}).get("profile")
-    if prof is None:
-        prof = records[psi.images]["profile"] = profile(g, psi)
-    return prof
+    return _kept(g, psi, "profile", lambda: profile(g, psi))
 
 
 def theorem13_iso(g1: FiniteGroup, psi1: GroupMap,

@@ -17,10 +17,10 @@ from .groups import (FiniteGroup, GroupMap, _closure, _composer, _int_rows, _jso
 
 # What is derived once per Q(G, psi) input: group table -> (psi images ->
 # record, P members -> the P group that every input on the table shares).
-# general_alexander makes the record, a dict, when the axioms first pass;
-# invariants._p_record adds "P", iso.cached_profile "profile" and iso's search
-# "colours".  A failed check stores nothing, so it fails again on every call.
-# Keying by table first lets twin groups share records and P groups.
+# general_alexander makes the record, a dict, when the axioms first pass, and
+# _kept is the one way in for every other fact.  A failed check stores
+# nothing, so it fails again on every call.  Keying by table first lets twin
+# groups share records and P groups.
 _STORE: dict[tuple, tuple[dict, dict]] = {}
 # The records of the most recently used inputs also hold their "rows", up to
 # ROW_CELLS table cells in all (four S5 tables): _RECENT maps id(record) to
@@ -40,6 +40,20 @@ def _stored(g: FiniteGroup, psi: GroupMap) -> tuple[dict, dict]:
     if g._store is None or g._store[0] is not _STORE:
         g._store = _STORE, _STORE.setdefault(g.table, ({}, {}))
     return g._store[1]
+
+
+def _kept(g: FiniteGroup, psi: GroupMap, key: str, make):
+    """Q(g, psi)'s fact ``key``, made by ``make()`` on first use and kept in its
+    record; a ``make`` that raises keeps nothing.  ``make`` runs first, as most
+    makes build the record themselves."""
+    records = _stored(g, psi)[0]
+    value = records.get(psi.images, {}).get(key)
+    if value is None:
+        value = make()
+        if psi.images not in records:  # a quandle made under another store
+            general_alexander(g, psi)
+        records[psi.images][key] = value
+    return value
 
 
 @dataclass(frozen=True)

@@ -360,11 +360,8 @@ def claim_structure() -> ClaimResult:
                 if any(g.conj(a, x) not in pm
                        for a in tn.members for x in P.members):
                     bad.append(f"P not normal in TN for {g.name}")
-    # Inn = P x| C_m, reps of order <= 12: inn_structure raises unless its
-    # embedding of P x| C_m is onto Inn, so |Inn| = |P| * m
-    for n in range(1, 13):
-        for spec in groups_of_order(n):
-            g = build(spec)
+            # Inn = P x| C_m on the class representatives: inn_structure raises
+            # unless its embedding of P x| C_m is onto Inn, so |Inn| = |P| * m
             for rep, _ in automorphism_conjugacy_classes(g):
                 r = inn_structure(g, rep)
                 if r.centerless_p and r.psi_p_inner != (r.direct_witness is not None):

@@ -197,6 +197,13 @@ def test_classify(capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 6
 
 
+def test_classify_md_and_markdown_print_the_same_table(capsys):
+    assert main(["classify", "8", "--format", "md"]) == 0
+    md = capsys.readouterr().out
+    assert main(["classify", "8", "--format", "markdown"]) == 0
+    assert capsys.readouterr().out == md and "9 classes" in md
+
+
 def test_classify_order16_needs_flag(capsys):
     assert main(["classify", "16"]) == 2
 

@@ -745,6 +745,28 @@ def test_cached_colorings_give_the_fresh_verdicts(monkeypatch):
     assert sum("colours" in rec for rec in records) > 100
 
 
+def test_colorings_are_kept_in_a_store_swapped_in_after_the_quandles(monkeypatch):
+    # quandles made under one store, searched under an empty one swapped in
+    # after them: the first search keeps each side's pinned coloring in the
+    # new store's records, so the second refines nothing
+    from quandles import quandle
+    g, psi1, q1 = _ga("D4", "phi:1,2")
+    _, psi2, q2 = _ga("D4", "phi:3,2")
+    monkeypatch.setattr(quandle, "_STORE", {})
+    refined, real_refine = [], iso._refine
+
+    def counting_refine(q, keys):
+        refined.append(q)
+        return real_refine(q, keys)
+
+    monkeypatch.setattr(iso, "_refine", counting_refine)
+    first = brute_force_iso(q1, q2)
+    assert first.result == ISOMORPHIC and refined == [q1, q2]
+    assert brute_force_iso(q1, q2) == first and refined == [q1, q2]
+    records = quandle._stored(g, psi1)[0]
+    assert all("colours" in records[psi.images] for psi in (psi1, psi2))
+
+
 def test_forged_provenance_is_refused():
     # a quandle table that is not Q(C3, mul:2) could carry that provenance,
     # and the search, which trusts it, called it not isomorphic to its own
