@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from operator import add
 
 from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, StructuralError, VerificationError
-from .groups import (FiniteGroup, GroupMap, _composer, _cycle_type, _json_ints,
-                     _json_object, all_group_isomorphisms, automorphism_classes,
-                     groups_isomorphic, is_simple)
+from .groups import (AUT_COUNT_BOUND, FiniteGroup, GroupMap, _composer, _cycle_type,
+                     _json_ints, _json_object, all_group_isomorphisms,
+                     automorphism_classes, groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
                          translation, translation_elements)
 from .quandle import Quandle, _kept, general_alexander
@@ -108,13 +109,14 @@ def _refine(q: Quandle, keys) -> list[int]:
     largest color, until a round splits no color.  Ids are shared and a
     signature holds a color of the round before, so colorings refined apart
     compare as joint ones do (McKay and Piperno, 2014)."""
-    ids, cols, c = _COLOR_IDS, list(zip(*q.sym)), None
+    ids, c = _COLOR_IDS, None
+    rows, cols = list(map(_composer, q.sym)), list(map(_composer, zip(*q.sym)))
     new = [ids.setdefault(k, len(ids)) for k in keys]
     while c is None or len(set(new)) != len(set(c)):
         c, w = new, max(new, default=0).bit_length()
-        new = [ids.setdefault((c[x], w, tuple(sorted(
-            [(cy << w | c[r]) << w | c[t] for cy, r, t in zip(c, row, col)]))), len(ids))
-            for x, (row, col) in enumerate(zip(q.sym, cols))]
+        hi, mid = [v << 2 * w for v in c], [v << w for v in c]
+        new = [ids.setdefault((cx, w, tuple(sorted(map(add, map(add, hi, row(mid)), col(c))))),
+                              len(ids)) for cx, row, col in zip(c, rows, cols)]
     return new
 
 
@@ -131,9 +133,10 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     each side's coloring with 0 individualized is read from its record, as
     in McKay (1981).  Every isomorphism reached under the pin preserves the
     refined colors, so pruning by them removes only subtrees without an
-    isomorphism.  Candidate lists come from the unrefined colors, so the
-    variable and value order, and hence the first witness found, are those
-    of the unpruned search."""
+    isomorphism.  Candidates come from the unrefined colors, one list per
+    color, and the refined colors only skip values, so the variable and
+    value order, and hence the first witness found, are those of the
+    unpruned search."""
     if q1.size != q2.size:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE, note="sizes differ")
     n = q1.size
@@ -147,7 +150,7 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     if sorted(c1) != sorted(c2):
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE,
                           note="structural colorings differ")
-    cand = [sorted(y for y in range(n) if c2[y] == c1[x]) for x in range(n)]
+    key, cand = c1, {c: [y for y in range(n) if c2[y] == c] for c in set(c1)}
     s1, s2 = q1.sym, q2.sym
     m = [-1] * n
     minv = [-1] * n
@@ -167,11 +170,10 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
             m[x] = y
             minv[y] = x
             trail.append(x)
-            for z in range(n):
+            for z in trail:
                 w = m[z]
-                if w >= 0:
-                    stack.append((s1[x][z], s2[y][w]))
-                    stack.append((s1[z][x], s2[w][y]))
+                stack.append((s1[x][z], s2[y][w]))
+                stack.append((s1[z][x], s2[w][y]))
         return True
 
     def undo(mark: int) -> None:
@@ -188,11 +190,12 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
             return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
 
     def search() -> tuple[int, ...] | None:
-        best_x, best_cands = -1, None
-        for x in range(n):
-            if m[x] >= 0:
+        best_x, best_cands, seen = -1, None, set()
+        for x in range(n):  # points of one class share their live list
+            if m[x] >= 0 or key[x] in seen:
                 continue
-            live = [y for y in cand[x] if minv[y] < 0]
+            seen.add(key[x])
+            live = [y for y in cand[key[x]] if minv[y] < 0]
             if not live:
                 return None
             if best_cands is None or len(live) < len(best_cands):
@@ -203,7 +206,7 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
             return tuple(m)
         for y in best_cands:
             mark = len(trail)
-            if attempt(best_x, y):
+            if c2[y] == c1[best_x] and attempt(best_x, y):
                 res = search()
                 if res is not None:
                     return res
@@ -253,7 +256,8 @@ def _p_isomorphism_verdict(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     restricted maps and carries the translation set into the primed one;
     the first such h yields the witness, otherwise not-isomorphic.  None is
     listed when the profiles' classes of psi|P and psi'|P' differ, as h
-    would conjugate one map into the other and keep its class."""
+    would conjugate one map into the other and keep its class.  After
+    AUT_COUNT_BOUND h without a match, it raises CapacityError."""
     if (cached_profile(g1, psi1).psi_restricted_class
             != cached_profile(g2, psi2).psi_restricted_class):
         return IsoVerdict(NOT_ISOMORPHIC, method, note=note)
@@ -263,7 +267,9 @@ def _p_isomorphism_verdict(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     pos2 = {m: i for i, m in enumerate(embed2)}
     trans1_local = {pos1[t] for t in translation_elements(g1, psi1)}
     trans2_local = {pos2[t] for t in translation_elements(g2, psi2)}
-    for h in all_group_isomorphisms(pg1, pg2):
+    for count, h in enumerate(all_group_isomorphisms(pg1, pg2)):
+        if count == AUT_COUNT_BOUND:
+            raise CapacityError(f"no match among {count} isomorphisms P -> P'")
         if any(h.images[r1.images[x]] != r2.images[h.images[x]]
                for x in range(pg1.order)):
             continue

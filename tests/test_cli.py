@@ -125,6 +125,21 @@ def test_iso_modulus_mismatch(capsys):
     assert main(["iso", "C10", "mul:3@11", "D5", "phi:3,1@5"]) == 3
 
 
+def test_iso_listing_of_p_isomorphisms_is_bounded(capsys):
+    # companion matrices of x^5+x^2+1 and x^5+x^3+1: both order 31 with one
+    # fixed point, so P is all of C2^5 and the abelian route would list its
+    # 9,999,360 automorphisms; past AUT_COUNT_BOUND it stops with exit 2
+    from time import perf_counter
+    a = "mat:0,0,0,0,1;1,0,0,0,0;0,1,0,0,1;0,0,1,0,0;0,0,0,1,0"
+    b = "mat:0,0,0,0,1;1,0,0,0,0;0,1,0,0,0;0,0,1,0,1;0,0,0,1,0"
+    start = perf_counter()
+    assert main(["iso", "C2xC2xC2xC2xC2", a, "C2xC2xC2xC2xC2", b]) == 2
+    assert perf_counter() - start < 10
+    assert capsys.readouterr().err.startswith("capacity: ")
+    assert main(["iso", "C2xC2xC2xC2xC2", a, "C2xC2xC2xC2xC2", a]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "isomorphic"
+
+
 @pytest.mark.parametrize("group,aut", [
     ("C3xC3", "mat:0,1;1,1@3"), ("C2xC2", "mat:0,1;1,1@2"), ("D5", "phi:3,1@5"),
     ("C10", "mul:3*mul:7@10"), ("D4", "phi:1,2@4*phi:3,0"), ("D4", "phi:1,2@4^2"),

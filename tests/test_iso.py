@@ -680,6 +680,46 @@ def test_pruned_search_matches_the_unpruned_one():
     assert counts[ISOMORPHIC] > 0 and counts[NOT_ISOMORPHIC] > 0
 
 
+def _small_quandles():
+    """Every quandle on 3 and 4 points: rows that fix their own point and
+    pass the axiom check."""
+    from quandles.quandle import Quandle, check_axioms
+    for n in (3, 4):
+        rows = [[p for p in itertools.permutations(range(n)) if p[x] == x] for x in range(n)]
+        for sym in itertools.product(*rows):
+            q = Quandle(n, sym)
+            if not check_axioms(q):
+                yield q
+
+
+def _rotated_swaps():
+    """The 7 rotations of two copies of the 3-point quandle whose middle
+    point swaps the other two, beside a fixed point: the 2-point class of
+    swapping rows is not always the class of the first open point."""
+    from quandles.quandle import Quandle
+    swaps = {1: (0, 2), 4: (3, 5)}
+    rows = [list(range(7)) for _ in range(7)]
+    for x, (a, b) in swaps.items():
+        rows[x][a], rows[x][b] = b, a
+    for r in range(7):
+        perm = [(i + r) % 7 for i in range(7)]
+        yield Quandle(7, tuple(tuple(perm[rows[(x - r) % 7][(y - r) % 7]] for y in range(7))
+                               for x in range(7)))
+
+
+def test_search_over_several_unrefined_classes_matches_the_unpruned_one():
+    # without provenance, each unrefined color has its own candidate list
+    # and only the first open point of a class is scanned at a node; on the
+    # rotations, scanning only the first open point changes the first witness
+    quandles = list(_small_quandles())
+    classes = [len(set(iso._refine(q, map(iso._cycle_type, q.sym)))) for q in quandles]
+    assert len(quandles) == 41 and sum(k >= 2 for k in classes) == 33
+    pairs = [(q1, q2) for q1, q2 in itertools.product(quandles, repeat=2) if q1.size == q2.size]
+    for q1, q2 in pairs + list(itertools.product(_rotated_swaps(), repeat=2)):
+        want = _reference_brute_force_iso(q1, q2, individualize=False)
+        assert brute_force_iso(q1, q2).to_json_dict() == want.to_json_dict(), (q1.sym, q2.sym)
+
+
 def test_brute_force_skips_only_a_uniform_first_refinement():
     # for Q(G, psi) the first refinement is constant on each side, so
     # skipping it and sorting one int per point pair change no verdict,
