@@ -130,13 +130,15 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     inputs iff the cycle types of s_0 differ (a Quandle's provenance is
     proved when it is made).  The image of 0 is then pinned to 0 (an
     isomorphism composed with a left translation fixes the identity), and
-    each side's coloring with 0 individualized is read from its record, as
-    in McKay (1981).  Every isomorphism reached under the pin preserves the
-    refined colors, so pruning by them removes only subtrees without an
-    isomorphism.  Candidates come from the unrefined colors, one list per
-    color, and the refined colors only skip values, so the variable and
-    value order, and hence the first witness found, are those of the
-    unpruned search."""
+    one descent takes the first candidate that extends at each node.  Only
+    if it reaches no leaf is each side's coloring with 0 individualized read
+    from its record, as in McKay (1981), and the search run again from the
+    pin.  Every isomorphism reached under the pin preserves the refined
+    colors, so pruning by them removes only subtrees without an isomorphism,
+    and a leaf of the first descent is the refined search's first leaf.
+    Candidates come from the unrefined colors, one list per color, and the
+    refined colors only skip values, so the variable and value order, and
+    hence the first witness found, are those of the unpruned search."""
     if q1.size != q2.size:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE, note="sizes differ")
     n = q1.size
@@ -170,10 +172,14 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
             m[x] = y
             minv[y] = x
             trail.append(x)
-            for z in trail:
+            for z in trail:  # a pair already mapped to its image is not pushed
                 w = m[z]
-                stack.append((s1[x][z], s2[y][w]))
-                stack.append((s1[z][x], s2[w][y]))
+                u, v = s1[x][z], s2[y][w]
+                if m[u] != v:
+                    stack.append((u, v))
+                u, v = s1[z][x], s2[w][y]
+                if m[u] != v:
+                    stack.append((u, v))
         return True
 
     def undo(mark: int) -> None:
@@ -182,14 +188,7 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
             minv[m[x]] = -1
             m[x] = -1
 
-    if alexander:
-        attempt(0, 0)  # it holds: s_0(0) = 0 on both sides
-        c1, c2 = (_kept(*q.provenance, "colours", lambda: _refine(q, [x == 0 for x in range(n)]))
-                  for q in (q1, q2))
-        if sorted(c1) != sorted(c2):
-            return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
-
-    def search() -> tuple[int, ...] | None:
+    def search(first: bool = False) -> tuple[int, ...] | None:
         best_x, best_cands, seen = -1, None, set()
         for x in range(n):  # points of one class share their live list
             if m[x] >= 0 or key[x] in seen:
@@ -207,13 +206,22 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
         for y in best_cands:
             mark = len(trail)
             if c2[y] == c1[best_x] and attempt(best_x, y):
-                res = search()
-                if res is not None:
+                res = search(first)
+                if res is not None or first:
                     return res
             undo(mark)
         return None
 
-    witness = search()
+    if alexander:
+        attempt(0, 0)  # it holds: s_0(0) = 0 on both sides
+    witness = search(first=alexander)
+    if witness is None and alexander:  # refine once the first descent has failed
+        undo(1)
+        c1, c2 = (_kept(*q.provenance, "colours", lambda: _refine(q, [x == 0 for x in range(n)]))
+                  for q in (q1, q2))
+        if sorted(c1) != sorted(c2):
+            return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
+        witness = search()
     if witness is None:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
     return _checked(q1, q2, IsoVerdict(ISOMORPHIC, METHOD_BRUTE, witness=witness))

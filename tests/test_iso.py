@@ -807,6 +807,70 @@ def test_colorings_are_kept_in_a_store_swapped_in_after_the_quandles(monkeypatch
     assert all("colours" in records[psi.images] for psi in (psi1, psi2))
 
 
+def _counting_refine(monkeypatch):
+    """The inputs that ``iso._refine`` is called on from now on."""
+    refined, real_refine = [], iso._refine
+
+    def counting_refine(q, keys):
+        refined.append(q)
+        return real_refine(q, keys)
+
+    monkeypatch.setattr(iso, "_refine", counting_refine)
+    return refined
+
+
+def test_a_first_descent_that_reaches_a_leaf_refines_nothing(monkeypatch):
+    # the first descent takes the first candidate that extends at each node;
+    # a leaf it reaches is the refined search's first witness, so neither
+    # side's pinned coloring is made or kept
+    from quandles import quandle
+    monkeypatch.setattr(quandle, "_STORE", {})
+    refined = _counting_refine(monkeypatch)
+    g = build_named("S4")
+    tau = automorphism_group(g, bound=128)[-1]
+    for rep, _ in automorphism_conjugacy_classes(g, bound=128):
+        conj = rep.conjugate_by(tau)
+        q1, q2 = general_alexander(g, rep), general_alexander(g, conj)
+        got = brute_force_iso(q1, q2).to_json_dict()
+        assert got["result"] == ISOMORPHIC and refined == [], rep.images
+        records = quandle._stored(g, rep)[0]
+        assert not any("colours" in records[psi.images] for psi in (rep, conj))
+        assert got == _reference_brute_force_iso(q1, q2, individualize=True).to_json_dict()
+
+
+def test_a_first_descent_that_fails_refines_each_side_once(monkeypatch):
+    # D4's phi:1,2 and phi:3,2 need a backtrack: the first descent fails,
+    # each side is refined once, and the refined search from the pin finds
+    # the reference's first witness
+    from quandles import quandle
+    monkeypatch.setattr(quandle, "_STORE", {})
+    refined = _counting_refine(monkeypatch)
+    _, _, q1 = _ga("D4", "phi:1,2")
+    _, _, q2 = _ga("D4", "phi:3,2")
+    got = brute_force_iso(q1, q2)
+    assert got.result == ISOMORPHIC and refined == [q1, q2]
+    want = _reference_brute_force_iso(q1, q2, individualize=True)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_differing_pinned_colorings_give_the_bare_verdict(monkeypatch):
+    # C5's mul:2 and mul:3 share the cycle type of s_0, so the first
+    # descent runs; it fails, and the pinned color multisets then differ
+    from quandles import quandle
+    monkeypatch.setattr(quandle, "_STORE", {})
+    refined = _counting_refine(monkeypatch)
+    g, psi1, q1 = _ga("C5", "mul:2")
+    _, psi2, q2 = _ga("C5", "mul:3")
+    assert iso._cycle_type(q1.sym[0]) == iso._cycle_type(q2.sym[0])
+    got = brute_force_iso(q1, q2)
+    assert got == iso.IsoVerdict(NOT_ISOMORPHIC, iso.METHOD_BRUTE) and refined == [q1, q2]
+    assert got.to_json_dict() == _reference_brute_force_iso(
+        q1, q2, individualize=True).to_json_dict()
+    records = quandle._stored(g, psi1)[0]
+    c1, c2 = (records[psi.images]["colours"] for psi in (psi1, psi2))
+    assert sorted(c1) != sorted(c2)
+
+
 def test_forged_provenance_is_refused():
     # a quandle table that is not Q(C3, mul:2) could carry that provenance,
     # and the search, which trusts it, called it not isomorphic to its own
