@@ -93,8 +93,8 @@ def conjugacy_reps_aut_dn(n: int) -> list[DihedralAut]:
     Valid for n >= 3, where Aut(D_n) is exactly the affine group of C_n;
     the degenerate abelian D_1 and D_2 have extra automorphisms and are
     handled by the generic enumeration instead."""
-    if n == 1:
-        return [DihedralAut(1, 0, 0)]
+    if n < 1:
+        raise ContractViolation("n must be positive")
     reps = []
     for a in range(n):
         if gcd(a, n) != 1:
@@ -141,24 +141,21 @@ def dihedral_iso_decider(x: DihedralAut, y: DihedralAut) -> bool:
 
 def cyclic_to_dihedral(n: int, a: int) -> DihedralAut:
     """The dihedral twin of Q(C_{2n}, a): phi_{a~, g} with a = 2k+1,
-    g = gcd(k, n), a~ = a - floor(a/n) * n."""
+    g = gcd(k, n), a~ = a - floor(a/n) * n, the reduction of a mod n that
+    DihedralAut makes (it also refuses n < 1)."""
     if a % 2 == 0:
         raise ContractViolation("a must be odd")
     if gcd(a, 2 * n) != 1:
         raise ContractViolation(f"a={a} is not a unit mod {2 * n}")
     k = (a - 1) // 2
-    g = gcd(k, n)  # equals n when k == 0
-    atilde = a - (a // n) * n
-    return DihedralAut(n, atilde, g)
+    return DihedralAut(n, a, gcd(k, n))  # g equals n when k == 0
 
 
 def cyclic_iso_decider(n: int, a: int, a2: int) -> bool:
     """Q(C_n, a) and Q(C_n, a2) isomorphic iff gcd(n,1-a) = gcd(n,1-a2) = g
     and a = a2 mod n/g."""
-    if n == 1:
-        return True
-    if gcd(a, n) != 1 or gcd(a2, n) != 1:
-        raise ContractViolation("both multipliers must be units")
+    if n < 1 or gcd(a, n) != 1 or gcd(a2, n) != 1:
+        raise ContractViolation("n must be positive and both multipliers units")
     g1, g2 = gcd(n, 1 - a), gcd(n, 1 - a2)
     if g1 != g2:
         return False

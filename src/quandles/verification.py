@@ -20,7 +20,7 @@ from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
                        dihedral_iso_decider, fix_size_dn, p_subgroups_dn)
 from .classify import (ClassificationReport, _pair_objects, boundary_pair,
                        boundary_report, classify_order, closed_form_counts)
-from .groups import (GroupMap, _perm_inverse, automorphism_classes,
+from .groups import (GroupMap, automorphism_classes,
                      automorphism_conjugacy_classes, automorphism_group, fixed_subgroup,
                      groups_isomorphic, inner_automorphism, is_normal)
 from .invariants import (compute_P, compute_P2, inn_structure,
@@ -76,10 +76,9 @@ def claim_table1() -> ClaimResult:
 
 @_claim("closed-form counts at primes, twice-primes and prime squares")
 def claim_closed_forms() -> ClaimResult:
-    checks = {2: 1, 3: 2, 5: 4, 7: 6, 11: 10, 13: 12,
-              6: 3, 10: 5, 14: 7, 4: 3, 9: 11}
     bad = []
-    for n, want in sorted(checks.items()):
+    for n in (2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14):
+        want = TABLE1_COUNTS[n - 1]
         cf = closed_form_counts(n)
         got = _classify(n).class_count
         if cf != want or got != want:
@@ -116,31 +115,12 @@ def claim_merge_lists() -> ClaimResult:
         for a, b in displayed:
             if label_to_class[a] != label_to_class[b]:
                 problems.append(f"{a} ~ {b} not merged")
-        if not _merge_edges_witnessed(report):
+        maps = _pair_objects(order)[2]
+        if not all(verify_quandle_witness(general_alexander(*maps[i]),
+                                          general_alexander(*maps[j]), w)
+                   for i, j, w in _in_class_witnesses(report)):
             problems.append(f"order {order}: some merge lacks a verified witness")
     return ClaimResult(claim_merge_lists.claim_name, not problems, "; ".join(problems))
-
-
-def _merge_edges_witnessed(report: ClassificationReport) -> bool:
-    _groups, _pairs, maps = _pair_objects(report.order)
-    quandles = [general_alexander(g, psi) for g, psi in maps]
-    adjacency = {i: set() for i in range(len(report.pairs))}
-    for entry in report.verdict_log:
-        v = entry["verdict"]
-        if v["result"] != ISOMORPHIC:
-            continue
-        i, j = entry["left"], entry["right"]
-        if not verify_quandle_witness(quandles[i], quandles[j], v["witness"]):
-            return False
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    for cls in report.classes:
-        seen = [cls[0]]
-        for x in seen:  # seen grows as it is walked
-            seen += [y for y in adjacency[x] if y in cls and y not in seen]
-        if set(seen) != set(cls):
-            return False
-    return True
 
 
 # --- 4: invariant tables ------------------------------------------------------
@@ -221,26 +201,28 @@ def claim_invariant_tables() -> ClaimResult:
 
 # --- 5: dihedral formulas vs enumeration --------------------------------------
 
+def _dihedral_auts(n: int) -> list[DihedralAut]:
+    """Every phi_{a,b} of D_n, units a in increasing order, then b."""
+    return [DihedralAut(n, a, b) for a in range(n) if gcd(a, n) == 1 for b in range(n)]
+
+
 @_claim("dihedral formulas agree with Cayley-table enumeration (n <= 8)")
 def claim_dihedral_formulas() -> ClaimResult:
     bad = []
     for n in range(1, 9):
         g = build(dihedral(n))
-        units = [a for a in range(n) if gcd(a, n) == 1] if n > 1 else [0]
-        auts = [DihedralAut(n, a, b) for a in units for b in range(n)]
-        maps = {x: x.as_group_map(g) for x in auts}
+        maps = {x: x.as_group_map(g) for x in _dihedral_auts(n)}
         for x, psi in maps.items():
             if fix_size_dn(x) != fixed_subgroup(psi).order:
                 bad.append(f"fix n={n},a={x.a},b={x.b}")
             d, g2 = p_subgroups_dn(x)
             P = compute_P(g, psi)
-            want_p = sorted({(d * j) % n for j in range(n // d)}) if n > 1 else [0]
+            want_p = sorted({(d * j) % n for j in range(n // d)})
             if list(P.members) != want_p:
                 bad.append(f"P n={n},a={x.a},b={x.b}")
             P2 = compute_P2(g, psi)
             step = d * g2
-            want_p2 = (sorted({(step * j) % n for j in range(max(1, n // step))})
-                       if n > 1 else [0])
+            want_p2 = sorted({(step * j) % n for j in range(max(1, n // step))})
             if list(P2.members) != want_p2:
                 bad.append(f"P2 n={n},a={x.a},b={x.b}")
         if n >= 3:
@@ -285,16 +267,14 @@ def claim_decider_cross_validation() -> ClaimResult:
     # dihedral and cyclic formula deciders on their own domains
     for n in range(1, 7):
         g = build(dihedral(n))
-        units = [a for a in range(n) if gcd(a, n) == 1] if n > 1 else [0]
-        auts = [DihedralAut(n, a, b) for a in units for b in range(n if n > 1 else 1)]
-        for x, y in itertools.combinations(auts, 2):
+        for x, y in itertools.combinations(_dihedral_auts(n), 2):
             bf = brute_force_iso(general_alexander(g, x.as_group_map(g)),
                                  general_alexander(g, y.as_group_map(g)))
             if dihedral_iso_decider(x, y) != (bf.result == ISOMORPHIC):
                 bad.append(f"dihedral formula n={n} {x} {y}")
     for n in range(1, 13):
         g = build(cyclic(n))
-        units = [a for a in range(n) if gcd(a, n) == 1] if n > 1 else [1]
+        units = [a for a in range(n) if gcd(a, n) == 1]
         for a, b in itertools.combinations(units, 2):
             qa = general_alexander(g, named_automorphism(g, f"mul:{a}"))
             qb = general_alexander(g, named_automorphism(g, f"mul:{b}"))
@@ -320,8 +300,7 @@ def claim_cyclic_realization() -> ClaimResult:
             if gcd(a, 2 * n) != 1:
                 continue
             target = cyclic_to_dihedral(n, a)
-            psi1 = named_automorphism(c2n, f"mul:{a}") if 2 * n > 1 else \
-                named_automorphism(c2n, "id")
+            psi1 = named_automorphism(c2n, f"mul:{a}")
             psi2 = target.as_group_map(dn)
             verdict = decide(c2n, psi1, dn, psi2)
             if verdict.result != ISOMORPHIC or verdict.witness is None:
@@ -397,12 +376,11 @@ def claim_structure() -> ClaimResult:
 def claim_boundary() -> ClaimResult:
     bad = []
     d8 = build(dihedral(8))
-    v = decide(d8, named_automorphism(d8, "phi:1,2"),
-               d8, named_automorphism(d8, "phi:5,2"))
+    psi1, psi2 = (named_automorphism(d8, name) for name in ("phi:1,2", "phi:5,2"))
+    v = decide(d8, psi1, d8, psi2)
     if v.result != NOT_ISOMORPHIC or v.separator != "fix_size":
         bad.append(f"dihedral boundary: {v.result} separator={v.separator}")
-    p1 = cached_profile(d8, named_automorphism(d8, "phi:1,2"))
-    p2 = cached_profile(d8, named_automorphism(d8, "phi:5,2"))
+    p1, p2 = cached_profile(d8, psi1), cached_profile(d8, psi2)
     if (p1.fix_size, p2.fix_size) != (8, 4):
         bad.append(f"fix sizes {(p1.fix_size, p2.fix_size)}")
     br = boundary_report()
@@ -427,19 +405,19 @@ def claim_boundary() -> ClaimResult:
 def _in_class_witnesses(report: ClassificationReport):
     """(i, j, witness Q_i -> Q_j) for every in-class pair i < j.  The log
     holds one isomorphic entry (rep, m) per non-representative member m; the
-    other pairs get the composition w_rj o w_ri^-1."""
-    from_rep = {}
-    for entry in report.verdict_log:
-        v = entry["verdict"]
-        if v["result"] == ISOMORPHIC:
-            from_rep[entry["right"]] = v["witness"]
+    other pairs get the composition w_rj o w_ri^-1.  A (rep, m) witness the
+    log lacks reads as (); it and every composition through it fail
+    verify_quandle_witness, so a bad log fails a claim instead of raising."""
+    logged = {(e["left"], e["right"]): e["verdict"]["witness"]
+              for e in report.verdict_log if e["verdict"]["result"] == ISOMORPHIC}
     for cls in report.classes:
+        from_rep = {m: tuple(logged.get((cls[0], m), ())) for m in cls[1:]}
         for i, j in itertools.combinations(cls, 2):
-            w_rj = from_rep[j]
             if i == cls[0]:
-                yield i, j, tuple(w_rj)
+                yield i, j, from_rep[j]
                 continue
-            yield i, j, tuple(w_rj[x] for x in _perm_inverse(from_rep[i]))
+            back = dict(zip(from_rep[i], from_rep[j]))  # w_ri(x) -> w_rj(x)
+            yield i, j, tuple(back.get(y) for y in range(len(from_rep[j])))
 
 
 @_claim("witness structure checks (i)-(iv) on every produced witness")

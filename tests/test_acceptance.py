@@ -2,8 +2,15 @@
 line, all tolerances exact.  Run with ``pytest -s tests/test_acceptance.py``
 to see the lines; the same checks back the ``verify-paper`` CLI command."""
 
+import copy
 import time
 
+import pytest
+
+from quandles import verification
+from quandles.classify import _pair_objects, classify_order
+from quandles.iso import ISOMORPHIC, verify_quandle_witness
+from quandles.quandle import general_alexander
 from quandles.verification import (claim_boundary, claim_closed_forms,
                                    claim_cyclic_realization,
                                    claim_decider_cross_validation,
@@ -74,3 +81,27 @@ def test_criterion_9_order16_boundary():
 
 def test_criterion_10_witness_structure():
     _report(10, claim_witness_structure())
+
+
+@pytest.mark.parametrize("tamper", ["alter", "drop"])
+def test_log_reading_claims_fail_on_a_bad_order8_report(monkeypatch, tamper):
+    # criteria 3 and 10 read the verdict log; a report whose log has one
+    # isomorphic witness altered, or one isomorphic entry dropped, must make
+    # both claims fail on order 8, not raise
+    report = copy.deepcopy(classify_order(8))
+    k = next(k for k, e in enumerate(report.verdict_log)
+             if e["verdict"]["result"] == ISOMORPHIC)
+    entry = report.verdict_log[k]
+    if tamper == "alter":
+        w = entry["verdict"]["witness"]
+        w[1], w[2] = w[2], w[1]
+        maps = _pair_objects(8)[2]
+        assert not verify_quandle_witness(general_alexander(*maps[entry["left"]]),
+                                          general_alexander(*maps[entry["right"]]), w)
+    else:
+        del report.verdict_log[k]
+    monkeypatch.setattr(verification, "_classify",
+                        lambda order: report if order == 8 else classify_order(order))
+    for claim in (claim_merge_lists, claim_witness_structure):
+        result = claim()
+        assert not result.ok and "order 8" in result.detail, (claim.__name__, result)

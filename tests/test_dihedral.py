@@ -207,3 +207,15 @@ def test_dihedral_aut_from_map_round_trip():
 def test_compose():
     x = DihedralAut(6, 5, 1).compose(DihedralAut(6, 5, 2))
     assert (x.a, x.b) == (1, (5 * 2 + 1) % 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cyclic_to_dihedral(0, 1),
+    lambda: cyclic_iso_decider(0, 1, 1),
+    lambda: cyclic_iso_decider(-3, 1, 1),
+    lambda: conjugacy_reps_aut_dn(0),
+], ids=["cyclic_to_dihedral", "cyclic_iso_decider-0", "cyclic_iso_decider-neg",
+        "conjugacy_reps_aut_dn"])
+def test_formulas_refuse_a_modulus_below_one(call):
+    with pytest.raises(ContractViolation):
+        call()
