@@ -113,15 +113,12 @@ def are_conjugate_dn(x: DihedralAut, y: DihedralAut) -> bool:
 
 def fix_size_dn(x: DihedralAut) -> int:
     """|Fix(phi_{a,b}, D_n)| = 2g when gcd(g, b) = g, else g."""
-    g = x.g if x.n > 1 else 1
-    d = gcd(g, x.b)
-    return 2 * g if d == g else g
+    g = x.g
+    return 2 * g if gcd(g, x.b) == g else g
 
 
 def p_subgroups_dn(x: DihedralAut) -> tuple[int, int]:
     """(d, g2): P = <sigma^d> and P^2 = <sigma^{d g2}> with g2 = gcd(n/d, 1-a)."""
-    if x.n == 1:
-        return (1, 1)
     d = x.d
     g2 = gcd(x.n // d, 1 - x.a)
     return (d, g2)

@@ -42,7 +42,7 @@ class FiniteGroup:
     """A finite group given by its multiplication table (table[a][b] = a*b)."""
 
     __slots__ = ("name", "order", "table", "spec", "_inv", "_elt_orders",
-                 "_abelian", "_center", "_gens", "_aut_classes", "_simple", "_store")
+                 "_abelian", "_center", "_gens", "_aut_classes", "_catalog", "_simple", "_store")
 
     def __init__(self, table, name: str = "G", spec=None, check: bool = True):
         self.table = _int_rows(table, "group table")
@@ -52,6 +52,7 @@ class FiniteGroup:
         self._center = None
         self._gens = None
         self._aut_classes = None
+        self._catalog = None  # (name, isomorphism), kept by invariants._catalog_match
         self._simple = None
         self._store = None  # (store, entry), kept by quandle._stored
         if check:
@@ -149,12 +150,13 @@ class Subgroup:
         if not 0 <= members[0] <= members[-1] < g.order:
             a = members[0] if members[0] < 0 else members[-1]
             raise StructuralError(f"member {a} out of range")
-        row_of = _composer(members)
-        for a in members:
+        # a finite subset is a subgroup iff it is its own span; its generators are kept
+        gens, span = _span(g, members)
+        object.__setattr__(self, "_gens", gens)
+        for a in members if len(span) != len(ms) else ():  # name the first failure
             if g._inv[a] not in ms:
                 raise StructuralError(f"subgroup not closed under inverse at {a}")
-            if not ms.issuperset(row_of(g.table[a])):
-                b = next(b for b in members if g.table[a][b] not in ms)
+            if (b := next((b for b in members if g.table[a][b] not in ms), None)) is not None:
                 raise StructuralError(f"subgroup not closed under product at ({a},{b})")
 
     @property
@@ -266,8 +268,8 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     the finite H that lies in H is H, so G's generators, and G, normalize H."""
     if h.parent is not g:
         raise ContractViolation("subgroup belongs to a different group")
-    ms, hgens = h.member_set(), _span(g, h.members)[0]
-    return all(g.conj(a, x) in ms for a in generating_set(g) for x in hgens)
+    ms = h.member_set()
+    return all(g.conj(a, x) in ms for a in generating_set(g) for x in h._gens)
 
 
 def center(g: FiniteGroup) -> Subgroup:

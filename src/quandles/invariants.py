@@ -14,10 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import cache
+from itertools import compress
+from operator import getitem, itemgetter
 
 from .catalog import build, cyclic_action, groups_of_order, semidirect_table
 from .errors import VerificationError
-from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
+from .groups import (FiniteGroup, GroupMap, Subgroup, _composer,
                      automorphism_classes, center, generated_subgroup,
                      generating_set, groups_isomorphic, is_normal)
 from .quandle import _kept, _stored, general_alexander, orbit_of
@@ -30,9 +32,14 @@ def translation(g: FiniteGroup, psi: GroupMap, x: int) -> int:
     return g.table[x][g._inv[psi.images[x]]]
 
 
+def _translations(g: FiniteGroup, psi: GroupMap):
+    """t_x for x = 0, 1, ...: row x of the table at psi(x)^-1, one C-level map."""
+    return map(getitem, g.table, _composer(psi.images)(g._inv))
+
+
 def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:
     """The set {s_x(e)} = {x psi(x)^-1 : x in G}, with duplicates removed."""
-    return sorted({translation(g, psi, x) for x in range(g.order)})
+    return sorted(set(_translations(g, psi)))
 
 
 def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]:
@@ -89,11 +96,13 @@ def compute_P2(g: FiniteGroup, psi: GroupMap) -> Subgroup:
 def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
     """{x : x H psi(x)^-1 = H}; always a subgroup.  x H psi(x)^-1 is
     x H x^-1 . x psi(x)^-1, so it is H iff x normalizes H (tested on H's
-    generators) and x psi(x)^-1 lies in H."""
+    generators) and x psi(x)^-1 lies in H.  Each test reads a column over G:
+    the translations, and x y x^-1 = (x y) x^-1 for each generator y of H."""
     psi.require_automorphism()
-    hs, hgens = h.member_set(), _span(g, h.members)[0]
-    return Subgroup(g, tuple(x for x in range(g.order) if translation(g, psi, x) in hs
-                             and all(g.conj(x, y) in hs for y in hgens)))
+    t, inside = g.table, h.member_set().__contains__
+    conj = (map(getitem, map(t.__getitem__, map(itemgetter(y), t)), g._inv) for y in h._gens)
+    tests = zip(*(map(inside, col) for col in (_translations(g, psi), *conj)))
+    return Subgroup(g, tuple(compress(range(g.order), map(all, tests))))
 
 
 @dataclass
@@ -156,13 +165,12 @@ def _catalog_groups(order: int):
 
 
 def _catalog_match(grp: FiniteGroup) -> tuple[str | None, GroupMap | None]:
-    """(name, isomorphism grp -> catalog copy) of the first catalog group of
-    grp's order that grp is isomorphic to, or (None, None)."""
-    for name, cand in _catalog_groups(grp.order):
-        h0 = groups_isomorphic(grp, cand)
-        if h0 is not None:
-            return name, h0
-    return None, None
+    """(name, isomorphism grp -> catalog copy) of the first catalog group of grp's
+    order that grp is isomorphic to, or (None, None), found once per group object."""
+    if grp._catalog is None:
+        grp._catalog = next(((name, h0) for name, cand in _catalog_groups(grp.order)
+                             if (h0 := groups_isomorphic(grp, cand)) is not None), (None, None))
+    return grp._catalog
 
 
 def group_descriptor(grp: FiniteGroup) -> tuple:

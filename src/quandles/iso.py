@@ -21,7 +21,7 @@ from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_de
 from .errors import CapacityError, ContractViolation, StructuralError, VerificationError
 from .groups import (AUT_COUNT_BOUND, FiniteGroup, GroupMap, _composer, _cycle_type,
                      _json_ints, _json_object, all_group_isomorphisms,
-                     automorphism_classes, groups_isomorphic, is_simple)
+                     automorphism_classes, generating_set, groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
                          translation, translation_elements)
 from .quandle import Quandle, _kept, general_alexander
@@ -345,7 +345,7 @@ def _coset_fibers(g: FiniteGroup, psi: GroupMap, p_members, psq
     """(the least element of xP for each x, the coset representatives
     grouped by the P^2-coset of their translation)."""
     t = g.table
-    rep = [min(t[x][p] for p in p_members) for x in range(g.order)]
+    rep = list(map(min, map(_composer(p_members), t)))
     fibers: dict[frozenset, list[int]] = {}
     for a in sorted(set(rep)):
         u = translation(g, psi, a)
@@ -377,9 +377,9 @@ def simple_group_decider(g1: FiniteGroup, psi1: GroupMap,
     if theta is None:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                           note="simple groups not isomorphic")
-    target, after_psi1 = psi2.conjugate_by(theta).images, _composer(psi1.images)
-    for tau in automorphism_classes(g1):  # tau psi1 = target tau, a row at a time
-        if after_psi1(tau) == _composer(tau)(target):
+    target, im1, gens = psi2.conjugate_by(theta).images, psi1.images, generating_set(g1)
+    for tau in automorphism_classes(g1):  # tau psi1 = target tau, both automorphisms
+        if all(tau[im1[x]] == target[tau[x]] for x in gens):  # so on generators
             theta_inv = theta.inverse().images
             return _checked(general_alexander(g1, psi1), general_alexander(g2, psi2),
                             IsoVerdict(ISOMORPHIC, METHOD_SIMPLE,

@@ -3,7 +3,9 @@
 The inner group of a quandle as the closure of its point symmetries under
 composition.  The package reads Inn(Q(G, psi)) off P and psi instead and
 closes no permutation group this way, so the closure lives here, next to
-the tests that use it as their oracle.
+the tests that use it as their oracle.  The Aut-conjugacy verdict for
+simple and symmetric groups, with every automorphism compared on every
+point, where the package compares them on the group's generators.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import pkgutil
 
 import quandles
 from quandles.errors import CapacityError, StructuralError
+from quandles.groups import automorphism_classes, groups_isomorphic
+from quandles.iso import ISOMORPHIC, METHOD_SIMPLE, NOT_ISOMORPHIC, IsoVerdict
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
@@ -68,6 +72,23 @@ def inner_group(q, bound: int = INNER_CLOSURE_BOUND) -> PermGroup:
     """Closure of the point symmetries {s_x} under composition; a symmetry
     already in the closure of those before it adds nothing and is skipped."""
     return PermGroup(q.size, sorted(set(q.sym)), bound=bound)
+
+
+def simple_group_verdict(g1, psi1, g2, psi2) -> IsoVerdict:
+    """``iso.simple_group_decider``'s verdict, by a scan of tau in
+    ``automorphism_classes`` order that compares tau psi1 with target tau,
+    target = theta psi2 theta^-1, a whole row at a time; the first tau that
+    matches gives the witness theta^-1 tau."""
+    theta = groups_isomorphic(g2, g1)
+    if theta is None:
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE, note="simple groups not isomorphic")
+    target, theta_inv = psi2.conjugate_by(theta).images, theta.inverse().images
+    for tau in automorphism_classes(g1):
+        if tuple(tau[v] for v in psi1.images) == tuple(target[v] for v in tau):
+            return IsoVerdict(ISOMORPHIC, METHOD_SIMPLE,
+                              witness=tuple(theta_inv[v] for v in tau))
+    return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
+                      note="maps are not conjugate in the automorphism group")
 
 
 def package_definitions(*names: str) -> list[tuple[str, str]]:

@@ -24,6 +24,8 @@ from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
 from quandles.invariants import restrict_to_P
 from quandles.quandle import general_alexander, trivial_quandle
 
+from oracles import simple_group_verdict
+
 
 def _ga(name, aut):
     g = build_named(name)
@@ -205,6 +207,20 @@ def test_folded_simple_decider_matches_the_parent_route():
         want = _parent_simple_verdict(g1, p1, g2, p2).to_json_dict()
         assert simple_group_decider(g1, p1, g2, p2).to_json_dict() == want, (
             g1.name, p1.images, g2.name, p2.images)
+
+
+@pytest.mark.parametrize("name", ["A5", "S5", "S4", "S3", "C7"])
+def test_simple_decider_matches_the_whole_row_scan(name):
+    # every ordered pair of Aut-class representatives, and each
+    # representative against a conjugate by a seeded automorphism
+    g = build_named(name)
+    reps = [rep for rep, _ in automorphism_conjugacy_classes(g, bound=128)]
+    auts, rng = automorphism_group(g, bound=128), random.Random(3)
+    pairs = [(r1, r2) for r1 in reps for r2 in reps]
+    pairs += [(rep, rep.conjugate_by(rng.choice(auts))) for rep in reps]
+    for p1, p2 in pairs:
+        assert simple_group_decider(g, p1, g, p2) == simple_group_verdict(g, p1, g, p2), (
+            p1.images, p2.images)
 
 
 def test_symmetric_decider_matches_the_search_oracle():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import sys
 from functools import cache
 
@@ -366,7 +367,8 @@ def _same_kernel_verdicts(g: FiniteGroup, psi: GroupMap) -> None:
 
 
 @pytest.mark.parametrize("name", [
-    *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)), "A5", "S5", "SL23"])
+    *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
+    "A5", "S5", "SL23", "S4", "S3xS3"])
 def test_row_kernels_match_the_cell_references(name):
     # every Aut-class representative of G, and the map it restricts to on
     # its P group and on that group's P group (P^2), each input once
@@ -378,6 +380,20 @@ def test_row_kernels_match_the_cell_references(name):
             if (grp.table, psi.images) not in seen:
                 seen.add((grp.table, psi.images))
                 _same_kernel_verdicts(grp, psi)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_subgroup_check_matches_the_cell_reference_on_random_sets(name):
+    # seeded member sets holding 0, of every size (most refused), and
+    # the subgroups spanned by random pairs, each as it is, without its
+    # largest member and with a random element added
+    g, rng = build_named(name), random.Random(11)
+    sets = [{0, *rng.sample(range(1, g.order), rng.randrange(g.order))} for _ in range(200)]
+    for _ in range(40):
+        h = generated_subgroup(g, rng.sample(range(g.order), 2)).members
+        sets += [h, h[:-1], (*h, rng.randrange(g.order))]
+    for members in sets:
+        _same_refusal(_cell_subgroup_error(g, members), Subgroup, g, members)
 
 
 def test_row_kernels_on_size_one_inputs():
