@@ -56,11 +56,11 @@ class DihedralAut:
     b: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", self.a % self.n if self.n > 1 else 0)
-        object.__setattr__(self, "b", self.b % self.n if self.n > 1 else 0)
         if self.n < 1:
             raise ContractViolation("n must be positive")
-        if self.n > 1 and gcd(self.a, self.n) != 1:
+        object.__setattr__(self, "a", self.a % self.n)
+        object.__setattr__(self, "b", self.b % self.n)
+        if gcd(self.a, self.n) != 1:
             raise ContractViolation(f"a={self.a} is not a unit mod {self.n}")
 
     @property

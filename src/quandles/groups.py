@@ -169,12 +169,12 @@ class Subgroup:
     def member_set(self) -> frozenset[int]:
         return self._member_set
 
-    def as_group(self, name: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
+    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Reindex onto 0..k-1; returns (group, embedding new-index -> parent-index)."""
         pos = {m: i for i, m in enumerate(self.members)}
         table = [[pos[self.parent.table[a][b]] for b in self.members]
                  for a in self.members]
-        label = name or f"{self.parent.name}|sub{len(self.members)}"
+        label = f"{self.parent.name}|sub{len(self.members)}"
         return FiniteGroup(table, name=label, check=False), self.members
 
 

@@ -19,21 +19,17 @@ from operator import getitem, itemgetter
 
 from .catalog import build, cyclic_action, groups_of_order, semidirect_table
 from .errors import VerificationError
-from .groups import (FiniteGroup, GroupMap, Subgroup, _composer,
-                     automorphism_classes, center, generated_subgroup,
-                     generating_set, groups_isomorphic, is_normal)
+from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
+                     automorphism_classes, center, generating_set,
+                     groups_isomorphic, is_normal)
 from .quandle import _kept, _stored, general_alexander, orbit_of
 
 PROFILE_VERSION = "profile.v1"
 
 
-def translation(g: FiniteGroup, psi: GroupMap, x: int) -> int:
-    """t_x = x psi(x)^-1 = s_x(e), so that s_x = L_{t_x} . psi."""
-    return g.table[x][g._inv[psi.images[x]]]
-
-
 def _translations(g: FiniteGroup, psi: GroupMap):
-    """t_x for x = 0, 1, ...: row x of the table at psi(x)^-1, one C-level map."""
+    """t_x = x psi(x)^-1 = s_x(e) for x = 0, 1, ..., so that s_x = L_{t_x} . psi:
+    row x of the table at psi(x)^-1, one C-level map."""
     return map(getitem, g.table, _composer(psi.images)(g._inv))
 
 
@@ -42,10 +38,11 @@ def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:
     return sorted(set(_translations(g, psi)))
 
 
-def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]:
-    """(P's members, which are also its embedding into G, and psi|_P on the
-    shared P group), built and cross-checked on the first call per
-    (table, images) and kept in the input's record.
+def restrict_to_P(g: FiniteGroup, psi: GroupMap) -> tuple[FiniteGroup, GroupMap, tuple[int, ...]]:
+    """(P as a group, psi|_P on it, P's members, which are also its embedding
+    into G), built and cross-checked on the first call per (table, images)
+    and kept in the input's record; inputs with equal tables and equal P
+    members share the P group, proved and built once.
 
     Q's distinct rows prove Inn(Q) = {L_p psi^k : p in P, k < ord(psi)}: each
     row s_x is checked to be L_t psi with t = s_x(e) in P, and psi(P) = P,
@@ -56,12 +53,12 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
         im = psi.images
         q = general_alexander(g, psi)
         orbit = orbit_of(q, 0)
-        span = generated_subgroup(g, translation_elements(g, psi))
-        if orbit != span.member_set():
+        span = _span(g, _translations(g, psi))[1]
+        if orbit != span:
             raise VerificationError(
                 f"P mismatch on {g.name}: orbit {sorted(orbit)} vs "
-                f"generated subgroup {list(span.members)}")
-        members = span.members
+                f"generated subgroup {sorted(span)}")
+        members = tuple(sorted(span))
         pos = {m: i for i, m in enumerate(members)}
         if any(im[m] not in pos for m in members):
             raise VerificationError(f"P is not invariant under psi on {g.name}")
@@ -71,26 +68,20 @@ def _p_record(g: FiniteGroup, psi: GroupMap) -> tuple[tuple[int, ...], GroupMap]
         p_groups = _stored(g, psi)[1]
         grp = p_groups.get(members)
         if grp is None:
-            grp = p_groups[members] = span.as_group()[0]
-        return members, GroupMap(grp, grp, tuple(pos[im[m]] for m in members), check=False)
+            grp = p_groups[members] = Subgroup(g, members).as_group()[0]
+        return grp, GroupMap(grp, grp, tuple(pos[im[m]] for m in members), check=False), members
     return _kept(g, psi, "P", make)
 
 
 def compute_P(g: FiniteGroup, psi: GroupMap) -> Subgroup:
     """Orbit of e under the inner group; cross-checked against <{x psi(x)^-1}>."""
-    return Subgroup(g, _p_record(g, psi)[0])
-
-
-def restrict_to_P(g: FiniteGroup, psi: GroupMap) -> tuple[FiniteGroup, GroupMap, tuple[int, ...]]:
-    """The subquandle data (P as a group, psi|_P, embedding into G)."""
-    members, restricted = _p_record(g, psi)
-    return restricted.source, restricted, members
+    return Subgroup(g, restrict_to_P(g, psi)[2])
 
 
 def compute_P2(g: FiniteGroup, psi: GroupMap) -> Subgroup:
     """P applied to Q(P, psi|_P), returned as a subgroup of G."""
     grp, restricted, embed = restrict_to_P(g, psi)
-    return Subgroup(g, tuple(embed[i] for i in _p_record(grp, restricted)[0]))
+    return Subgroup(g, tuple(embed[i] for i in restrict_to_P(grp, restricted)[2]))
 
 
 def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
@@ -239,7 +230,7 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
     psi.require_automorphism()
     grp, restricted, embed = restrict_to_P(g, psi)
     # P's members are sorted, so P^2 as a group of P has the table it has in G
-    p2_grp = restrict_to_P(grp, restricted)[0]
+    p2_grp, _, p2_local = restrict_to_P(grp, restricted)
     p2_sub = compute_P2(g, psi)
     fix = [x for x in range(g.order) if psi.images[x] == x]
     p_members = set(embed)
@@ -255,8 +246,8 @@ def profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
         p_fix_size=len(p_members.intersection(fix)),
         tn_size=tn.order,
         p1=is_normal(g, p2_sub),
-        p2={translation(g, psi, x) for x in embed} == p2_sub.member_set(),
-        inn_size=grp.order * m,  # proved by _p_record's row check
+        p2=set(_translations(grp, restricted)) == set(p2_local),  # on P's indices
+        inn_size=grp.order * m,  # proved by restrict_to_P's row check
     )
 
 

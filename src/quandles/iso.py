@@ -22,8 +22,8 @@ from .errors import CapacityError, ContractViolation, StructuralError, Verificat
 from .groups import (AUT_COUNT_BOUND, FiniteGroup, GroupMap, _composer, _cycle_type,
                      _json_ints, _json_object, all_group_isomorphisms,
                      automorphism_classes, generating_set, groups_isomorphic, is_simple)
-from .invariants import (InvariantProfile, compute_P2, profile, restrict_to_P,
-                         translation, translation_elements)
+from .invariants import (InvariantProfile, _translations, compute_P2, profile,
+                         restrict_to_P, translation_elements)
 from .quandle import Quandle, _kept, general_alexander
 
 ISOMORPHIC = "isomorphic"
@@ -299,15 +299,16 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     translations agree on the nose, then glue h on P-parts with the matched
     coset representatives."""
     mul1, inv1, mul2 = g1.table, g1._inv, g2.table
+    t1, t2 = list(_translations(g1, psi1)), list(_translations(g2, psi2))
     h_on_g = {embed1[i]: embed2[h.images[i]] for i in range(len(embed1))}
     psq2 = compute_P2(g2, psi2).members
-    rep1, fibers1 = _coset_fibers(g1, psi1, embed1, compute_P2(g1, psi1).members)
-    _, fibers2 = _coset_fibers(g2, psi2, embed2, psq2)
+    rep1, fibers1 = _coset_fibers(g1, t1, embed1, compute_P2(g1, psi1).members)
+    _, fibers2 = _coset_fibers(g2, t2, embed2, psq2)
 
     k0: dict[int, int] = {}
     matched: set[frozenset] = set()
-    for value, block in sorted(fibers1.items(), key=lambda kv: sorted(kv[0])):
-        u = translation(g1, psi1, block[0])
+    for block in fibers1.values():  # each block is built in increasing order
+        u = t1[block[0]]
         target_value = frozenset(mul2[h_on_g[u]][q] for q in psq2)
         if target_value not in fibers2:
             raise VerificationError("fiber image missing on the primed side")
@@ -315,17 +316,16 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
         if len(block) != len(block2) or target_value in matched:
             raise VerificationError("fiber sizes disagree in the coset matching")
         matched.add(target_value)
-        for a, a2 in zip(sorted(block), sorted(block2)):
-            k0[a] = a2
+        k0.update(zip(block, block2))
     if len(matched) != len(fibers2):
         raise VerificationError("coset matching is not onto")
 
     k: dict[int, int] = {}
     for a, a2 in k0.items():
-        target = h_on_g[translation(g1, psi1, a)]
+        target = h_on_g[t1[a]]
         for p in embed2:
             cand = mul2[a2][p]
-            if translation(g2, psi2, cand) == target:
+            if t2[cand] == target:
                 k[a] = cand
                 break
         else:
@@ -340,16 +340,15 @@ def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
     return tuple(images)
 
 
-def _coset_fibers(g: FiniteGroup, psi: GroupMap, p_members, psq
+def _coset_fibers(g: FiniteGroup, trans, p_members, psq
                   ) -> tuple[list[int], dict[frozenset, list[int]]]:
-    """(the least element of xP for each x, the coset representatives
-    grouped by the P^2-coset of their translation)."""
+    """(the least element of xP for each x, the coset representatives, in
+    increasing order, grouped by the P^2-coset of their translation trans[a])."""
     t = g.table
     rep = list(map(min, map(_composer(p_members), t)))
     fibers: dict[frozenset, list[int]] = {}
     for a in sorted(set(rep)):
-        u = translation(g, psi, a)
-        fibers.setdefault(frozenset(t[u][q] for q in psq), []).append(a)
+        fibers.setdefault(frozenset(t[trans[a]][q] for q in psq), []).append(a)
     return rep, fibers
 
 

@@ -324,9 +324,7 @@ def claim_structure() -> ClaimResult:
                 P = compute_P(g, psi)  # orbit/span comparison runs inside
                 if not is_normal(g, P):
                     bad.append(f"P not normal in {g.name}")
-                grp, restricted, embed = restrict_to_P(g, psi)
-                if {psi.images[m] for m in embed} != set(embed):
-                    bad.append(f"P not invariant in {g.name}")
+                grp, restricted, _ = restrict_to_P(g, psi)  # raises unless psi(P) = P
                 p2_local = compute_P(grp, restricted)
                 if not is_normal(grp, p2_local):
                     bad.append(f"P2 not normal in P for {g.name}")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quandles import invariants, quandle
+from quandles import groups, invariants, quandle
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism, product,
                               semidirect_table, sl23_element_index)
@@ -140,6 +140,39 @@ def test_p_record_matches_the_uncached_computation(empty_store):
             assert restricted.images == ref_restricted.images
             p2 = compute_P2(g, psi)
             assert p2.parent is g and p2.members == ref_p2.members
+
+
+def test_p_is_spanned_once_per_input(monkeypatch, empty_store):
+    # the first restrict_to_P of an input spans its translations once and
+    # proves its P group only when (parent table, members) is new; a
+    # repeated call spans nothing
+    cases = list(_p_record_cases())
+    spans, proofs, proved = [], [], set()
+    real_span, real_post_init = groups._span, Subgroup.__post_init__
+
+    def counting_span(g, elements):
+        spans.append(g.table)
+        return real_span(g, elements)
+
+    def counting_post_init(sub):
+        real_post_init(sub)
+        proofs.append((sub.parent.table, sub.members))
+
+    monkeypatch.setattr(groups, "_span", counting_span)
+    monkeypatch.setattr(invariants, "_span", counting_span)
+    monkeypatch.setattr(Subgroup, "__post_init__", counting_post_init)
+    for g, psi in cases:
+        members = restrict_to_P(g, psi)[2]
+        new = (g.table, members) not in proved
+        assert proofs == [(g.table, members)] * new
+        assert spans == [g.table] * (1 + new)
+        proved.update(proofs)
+        spans.clear()
+        proofs.clear()
+        assert restrict_to_P(g, psi)[2] == members
+        assert spans == proofs == []
+    assert len(proved) < len(cases)  # some inputs share a P group
+    assert package_definitions("translation", "_p_record") == []
 
 
 def test_orbit_span_check_runs_once_per_input(monkeypatch, empty_store):

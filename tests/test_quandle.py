@@ -19,8 +19,8 @@ from quandles.groups import (FiniteGroup, GroupMap, Subgroup, _closure, _compose
                              automorphism_group, generated_subgroup,
                              generating_set, group_from_json, group_to_json,
                              identity_map, is_normal)
-from quandles.invariants import (compute_P, compute_P2, restrict_to_P,
-                                 twisted_normalizer)
+from quandles.invariants import (compute_P, compute_P2, profile, restrict_to_P,
+                                 translation_elements, twisted_normalizer)
 from quandles.iso import verify_quandle_witness
 from quandles.quandle import (Quandle, check_axioms, general_alexander,
                               is_connected, make_quandle, orbit_of,
@@ -354,6 +354,12 @@ def _same_kernel_verdicts(g: FiniteGroup, psi: GroupMap) -> None:
         for images in (swapped_images, (0, 0, *tau[2:])):
             assert verify_quandle_witness(q, q2, images) == _cell_witness(q, q2, images)
         _same_refusal(_cell_hom_error(g, swapped_images), GroupMap, g, g, swapped_images)
+    # the translations t_x = x psi(x)^-1, one cell each, and (P2): the
+    # translations of the points of P make up P^2
+    trans = [t[x][inv[im[x]]] for x in range(n)]
+    assert translation_elements(g, psi) == sorted(set(trans))
+    p2_members = compute_P2(g, psi).member_set()
+    assert profile(g, psi).p2 == ({trans[x] for x in compute_P(g, psi).members} == p2_members)
     # P, P^2 and the cyclic subgroup of each generator of G; each without
     # its largest member, and with the least element outside it
     for h in (compute_P(g, psi), compute_P2(g, psi),
