@@ -18,7 +18,7 @@ from itertools import compress
 from operator import getitem, itemgetter
 
 from .catalog import build, cyclic_action, groups_of_order, semidirect_table
-from .errors import VerificationError
+from .errors import ContractViolation, VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
                      automorphism_classes, center, generating_set,
                      groups_isomorphic, is_normal)
@@ -90,6 +90,8 @@ def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
     generators) and x psi(x)^-1 lies in H.  Each test reads a column over G:
     the translations, and x y x^-1 = (x y) x^-1 for each generator y of H."""
     psi.require_automorphism()
+    if h.parent is not g:
+        raise ContractViolation("subgroup belongs to a different group")
     t, inside = g.table, h.member_set().__contains__
     conj = (map(getitem, map(t.__getitem__, map(itemgetter(y), t)), g._inv) for y in h._gens)
     tests = zip(*(map(inside, col) for col in (_translations(g, psi), *conj)))

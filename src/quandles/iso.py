@@ -22,8 +22,8 @@ from .errors import CapacityError, ContractViolation, StructuralError, Verificat
 from .groups import (AUT_COUNT_BOUND, FiniteGroup, GroupMap, _composer, _cycle_type,
                      _json_ints, _json_object, all_group_isomorphisms,
                      automorphism_classes, generating_set, groups_isomorphic, is_simple)
-from .invariants import (InvariantProfile, _translations, compute_P2, profile,
-                         restrict_to_P, translation_elements)
+from .invariants import (InvariantProfile, _translations, profile, restrict_to_P,
+                         translation_elements)
 from .quandle import Quandle, _kept, general_alexander
 
 ISOMORPHIC = "isomorphic"
@@ -76,11 +76,12 @@ def verdict_from_json(text: str) -> IsoVerdict:
 
 
 def verify_quandle_witness(q1: Quandle, q2: Quandle, images) -> bool:
-    """f is a bijection with f(s_x(y)) = s'_{f(x)}(f(y)) for all x, y,
-    compared a row at a time: f . s_x = s'_{f(x)} . f."""
+    """f is a bijection of indices (not 3.0) with f(s_x(y)) = s'_{f(x)}(f(y))
+    for all x, y, compared a row at a time: f . s_x = s'_{f(x)} . f."""
     images = tuple(images)
     n = q1.size
-    if q2.size != n or len(images) != n or set(images) != set(range(n)):
+    if (q2.size != n or len(images) != n or set(images) != set(range(n))
+            or not all(hasattr(type(v), "__index__") for v in images)):
         return False
     s1, s2, images_of = q1.sym, q2.sym, _composer(images)
     return all(_composer(s1[x])(images) == images_of(s2[images[x]]) for x in range(n))
@@ -291,65 +292,30 @@ def _p_isomorphism_verdict(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
 
 def _thm13_witness(g1: FiniteGroup, psi1: GroupMap, g2: FiniteGroup,
                    psi2: GroupMap, embed1, embed2, h: GroupMap) -> tuple[int, ...]:
-    """Assemble a point map from a compatible h : P -> P'.
-
-    The construction follows the four-step existence proof: compare the
-    translation classes modulo P^2 on both sides, match the fibers of the
-    coset maps, correct each matched representative inside its P'-coset so
-    translations agree on the nose, then glue h on P-parts with the matched
-    coset representatives."""
+    """Assemble a point map from a compatible h : P -> P' by the existence
+    proof's coset matching.  Each coset aP, named by its least element a and
+    taken in increasing order, is matched with the first unmatched a'P' that
+    holds some c with t'(c) = h(t(a)), scanned in increasing a' and in the
+    order of the members of P'; then k(a) = c and f(x) = h(x a^-1) k(a) on aP.
+    As t(ap) = (a t_P(p) a^-1) t(a), (P2) and (P1) make the translations over
+    aP the whole coset t(a)P^2, so a'P' holds h(t(a)) exactly when a' lies in
+    the P'^2-fiber the proof matches a's fiber with, and the order pairs the
+    i-th member of each fiber with the i-th member of its image."""
     mul1, inv1, mul2 = g1.table, g1._inv, g2.table
     t1, t2 = list(_translations(g1, psi1)), list(_translations(g2, psi2))
     h_on_g = {embed1[i]: embed2[h.images[i]] for i in range(len(embed1))}
-    psq2 = compute_P2(g2, psi2).members
-    rep1, fibers1 = _coset_fibers(g1, t1, embed1, compute_P2(g1, psi1).members)
-    _, fibers2 = _coset_fibers(g2, t2, embed2, psq2)
-
-    k0: dict[int, int] = {}
-    matched: set[frozenset] = set()
-    for block in fibers1.values():  # each block is built in increasing order
-        u = t1[block[0]]
-        target_value = frozenset(mul2[h_on_g[u]][q] for q in psq2)
-        if target_value not in fibers2:
-            raise VerificationError("fiber image missing on the primed side")
-        block2 = fibers2[target_value]
-        if len(block) != len(block2) or target_value in matched:
-            raise VerificationError("fiber sizes disagree in the coset matching")
-        matched.add(target_value)
-        k0.update(zip(block, block2))
-    if len(matched) != len(fibers2):
-        raise VerificationError("coset matching is not onto")
-
-    k: dict[int, int] = {}
-    for a, a2 in k0.items():
+    rep1, rep2 = (list(map(min, map(_composer(e), g.table)))
+                  for g, e in ((g1, embed1), (g2, embed2)))
+    unmatched, k = sorted(set(rep2)), {}
+    for a in sorted(set(rep1)):
         target = h_on_g[t1[a]]
-        for p in embed2:
-            cand = mul2[a2][p]
-            if t2[cand] == target:
-                k[a] = cand
-                break
-        else:
-            raise VerificationError(
-                "no coset correction achieves the required translation")
-
-    images = []
-    for x in range(g1.order):
-        a = rep1[x]
-        core = mul1[x][inv1[a]]  # x a^-1 = a (a^-1 x) a^-1
-        images.append(mul2[h_on_g[core]][k[a]])
-    return tuple(images)
-
-
-def _coset_fibers(g: FiniteGroup, trans, p_members, psq
-                  ) -> tuple[list[int], dict[frozenset, list[int]]]:
-    """(the least element of xP for each x, the coset representatives, in
-    increasing order, grouped by the P^2-coset of their translation trans[a])."""
-    t = g.table
-    rep = list(map(min, map(_composer(p_members), t)))
-    fibers: dict[frozenset, list[int]] = {}
-    for a in sorted(set(rep)):
-        fibers.setdefault(frozenset(t[trans[a]][q] for q in psq), []).append(a)
-    return rep, fibers
+        c = next((c for a2 in unmatched for c in map(mul2[a2].__getitem__, embed2)
+                  if t2[c] == target), None)
+        if c is None:
+            raise VerificationError("no unmatched P'-coset holds the required translation")
+        k[a] = c
+        unmatched.remove(rep2[c])
+    return tuple(mul2[h_on_g[mul1[x][inv1[a]]]][k[a]] for x, a in enumerate(rep1))
 
 
 # ---------------------------------------------------------------------------

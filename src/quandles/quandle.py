@@ -199,6 +199,8 @@ def is_connected(q: Quandle) -> bool:
 def subquandle(q: Quandle, members) -> tuple[Quandle, tuple[int, ...]]:
     """Re-indexed quandle on a symmetry-closed subset; returns (quandle, embedding)."""
     mem = tuple(sorted(set(members)))
+    if mem and not 0 <= mem[0] <= mem[-1] < q.size:
+        raise StructuralError(f"member {mem[0] if mem[0] < 0 else mem[-1]} out of range")
     pos = {m: i for i, m in enumerate(mem)}
     for x in mem:
         for y in mem:

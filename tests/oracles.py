@@ -5,7 +5,9 @@ composition.  The package reads Inn(Q(G, psi)) off P and psi instead and
 closes no permutation group this way, so the closure lives here, next to
 the tests that use it as their oracle.  The Aut-conjugacy verdict for
 simple and symmetric groups, with every automorphism compared on every
-point, where the package compares them on the group's generators.
+point, where the package compares them on the group's generators.  The
+theorem 1.3 witness built step by step as the existence proof states it,
+with the P^2-fiber tables the package's one coset matching does without.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import importlib
 import pkgutil
 
 import quandles
-from quandles.errors import CapacityError, StructuralError
-from quandles.groups import automorphism_classes, groups_isomorphic
+from quandles.errors import CapacityError, StructuralError, VerificationError
+from quandles.groups import _composer, automorphism_classes, groups_isomorphic
+from quandles.invariants import _translations, compute_P2
 from quandles.iso import ISOMORPHIC, METHOD_SIMPLE, NOT_ISOMORPHIC, IsoVerdict
 
 INNER_CLOSURE_BOUND = 10 ** 6
@@ -89,6 +92,65 @@ def simple_group_verdict(g1, psi1, g2, psi2) -> IsoVerdict:
                               witness=tuple(theta_inv[v] for v in tau))
     return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                       note="maps are not conjugate in the automorphism group")
+
+
+def fiber_matching_witness(g1, psi1, g2, psi2, embed1, embed2, h) -> tuple[int, ...]:
+    """``iso._thm13_witness``'s point map, by the four-step existence proof:
+    compare the translation classes modulo P^2 on both sides, match the
+    fibers of the coset maps, correct each matched representative inside its
+    P'-coset so translations agree on the nose, then glue h on P-parts with
+    the matched coset representatives."""
+    mul1, inv1, mul2 = g1.table, g1._inv, g2.table
+    t1, t2 = list(_translations(g1, psi1)), list(_translations(g2, psi2))
+    h_on_g = {embed1[i]: embed2[h.images[i]] for i in range(len(embed1))}
+    psq2 = compute_P2(g2, psi2).members
+    rep1, fibers1 = _coset_fibers(g1, t1, embed1, compute_P2(g1, psi1).members)
+    _, fibers2 = _coset_fibers(g2, t2, embed2, psq2)
+
+    k0: dict[int, int] = {}
+    matched: set[frozenset] = set()
+    for block in fibers1.values():  # each block is built in increasing order
+        u = t1[block[0]]
+        target_value = frozenset(mul2[h_on_g[u]][q] for q in psq2)
+        if target_value not in fibers2:
+            raise VerificationError("fiber image missing on the primed side")
+        block2 = fibers2[target_value]
+        if len(block) != len(block2) or target_value in matched:
+            raise VerificationError("fiber sizes disagree in the coset matching")
+        matched.add(target_value)
+        k0.update(zip(block, block2))
+    if len(matched) != len(fibers2):
+        raise VerificationError("coset matching is not onto")
+
+    k: dict[int, int] = {}
+    for a, a2 in k0.items():
+        target = h_on_g[t1[a]]
+        for p in embed2:
+            cand = mul2[a2][p]
+            if t2[cand] == target:
+                k[a] = cand
+                break
+        else:
+            raise VerificationError(
+                "no coset correction achieves the required translation")
+
+    images = []
+    for x in range(g1.order):
+        a = rep1[x]
+        core = mul1[x][inv1[a]]  # x a^-1 = a (a^-1 x) a^-1
+        images.append(mul2[h_on_g[core]][k[a]])
+    return tuple(images)
+
+
+def _coset_fibers(g, trans, p_members, psq) -> tuple[list[int], dict[frozenset, list[int]]]:
+    """(the least element of xP for each x, the coset representatives, in
+    increasing order, grouped by the P^2-coset of their translation trans[a])."""
+    t = g.table
+    rep = list(map(min, map(_composer(p_members), t)))
+    fibers: dict[frozenset, list[int]] = {}
+    for a in sorted(set(rep)):
+        fibers.setdefault(frozenset(t[trans[a]][q] for q in psq), []).append(a)
+    return rep, fibers
 
 
 def package_definitions(*names: str) -> list[tuple[str, str]]:

@@ -298,6 +298,15 @@ def test_twisted_normalizer_basics():
             assert g.conj(a, x) in p.member_set()
 
 
+@pytest.mark.parametrize("name, members", [("C8", (0, 2, 4, 6)), ("C2xC2", (0, 3))])
+def test_twisted_normalizer_refuses_a_subgroup_of_another_group(name, members):
+    # is_normal's rule; the members are read as indices of C4 otherwise
+    c4 = build_named("C4")
+    with pytest.raises(ContractViolation, match="subgroup belongs to a different group"):
+        twisted_normalizer(c4, named_automorphism(c4, "mul:3"),
+                           Subgroup(build_named(name), members))
+
+
 def test_twisted_normalizer_equals_PF_under_preconditions():
     for name, aut in (("D4", "phi:3,1"), ("D6", "phi:5,1"), ("Q8", "psi_3"),
                       ("Dic3", "beta_tau"), ("C4xC2", "psi_sigma")):

@@ -24,7 +24,7 @@ from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
 from quandles.invariants import restrict_to_P
 from quandles.quandle import general_alexander, trivial_quandle
 
-from oracles import simple_group_verdict
+from oracles import fiber_matching_witness, simple_group_verdict
 
 
 def _ga(name, aut):
@@ -38,6 +38,14 @@ def test_self_isomorphism():
     v = brute_force_iso(q, q)
     assert v.result == ISOMORPHIC
     assert verify_quandle_witness(q, q, v.witness)
+
+
+@pytest.mark.parametrize("images", [(0.0, 1.0, 2.0, 3.0), (0, 1, 2, 3.0)])
+def test_witness_check_refuses_entries_that_are_not_indices(images):
+    # 3.0 == 3, so the bijection test alone lets these through
+    _, _, q = _ga("C4", "mul:3")
+    assert verify_quandle_witness(q, q, (0, 1, 2, 3))
+    assert not verify_quandle_witness(q, q, images)
 
 
 def test_brute_force_size_mismatch_and_capacity():
@@ -107,6 +115,36 @@ def test_theorem13_rejects_a_bad_constructed_witness(monkeypatch):
     with pytest.raises(VerificationError):
         theorem13_iso(c10, named_automorphism(c10, "mul:3"),
                       d5, named_automorphism(d5, "phi:3,1"))
+
+
+def _representatives_by_order():
+    """Each order's Aut-class representatives (g, psi): every catalog group of
+    orders 1..16, then D12, Dic6, SL23 and S4 (order 24) and S3xS3 (36)."""
+    groups_by_order = {n: [build(spec) for spec in groups_of_order(n)] for n in range(1, 17)}
+    for name in ("D12", "Dic6", "SL23", "S4", "S3xS3"):
+        g = build_named(name)
+        groups_by_order.setdefault(g.order, []).append(g)
+    return [[(g, r) for g in gs for r, _ in automorphism_conjugacy_classes(g)]
+            for gs in groups_by_order.values()]
+
+
+def test_thm13_witness_is_the_proofs_fiber_matching(monkeypatch):
+    # the one greedy coset matching gives, on every call, the point map of
+    # the proof's construction with its P^2-fiber tables
+    real, compared = iso._thm13_witness, []
+
+    def compared_with_the_reference(*args):
+        got = real(*args)
+        assert got == fiber_matching_witness(*args)
+        compared.append(got)
+        return got
+
+    monkeypatch.setattr(iso, "_thm13_witness", compared_with_the_reference)
+    for reps in _representatives_by_order():
+        for (g1, psi1), (g2, psi2) in itertools.product(reps, repeat=2):
+            run = abelian_decider if g1.is_abelian and g2.is_abelian else theorem13_iso
+            run(g1, psi1, g2, psi2)
+    assert len(compared) == 3658
 
 
 def test_identical_inputs_isomorphic_with_identity():

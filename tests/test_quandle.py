@@ -575,6 +575,15 @@ def test_subquandle():
         subquandle(q, {0, 1})
 
 
+@pytest.mark.parametrize("members, bad", [((0, 9), 9), ((-1, 0), -1)])
+def test_subquandle_refuses_members_out_of_range(members, bad):
+    # before the closure check, which would index the table with them
+    g = build_named("C4")
+    q = general_alexander(g, named_automorphism(g, "mul:3"))
+    with pytest.raises(StructuralError, match=f"member {bad} out of range"):
+        subquandle(q, members)
+
+
 def test_quandle_json_round_trip():
     g = build_named("D4")
     q = general_alexander(g, named_automorphism(g, "phi:3,1"))
