@@ -142,7 +142,8 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        members = _int_rows([self.members], "subgroup members")[0]
+        object.__setattr__(self, "members", tuple(sorted(set(members))))
         g, members, ms = self.parent, self.members, frozenset(self.members)
         object.__setattr__(self, "_member_set", ms)  # not a field: eq and hash ignore it
         if 0 not in ms:
@@ -237,11 +238,12 @@ class GroupMap:
     def map_order(self) -> int:
         """Order of the map under composition (finite since bijective)."""
         self.require_automorphism()
-        return self._order
+        return math.lcm(*self.cycle_type)
 
     @functools.cached_property
-    def _order(self) -> int:
-        return _perm_order(self.images)
+    def cycle_type(self) -> tuple[int, ...]:
+        """The sorted cycle lengths of the images; map_order is their lcm."""
+        return _cycle_type(self.images)
 
 
 def identity_map(g: FiniteGroup) -> GroupMap:
@@ -257,7 +259,7 @@ def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup containing ``gens``: their closure under right
     multiplication (``_span``), which in a finite group is a subgroup."""
-    gens = tuple(gens)
+    gens = _int_rows([gens], "generators")[0]
     for a in gens:
         g._check_index(a)
     return Subgroup(g, tuple(_span(g, gens)[1]))

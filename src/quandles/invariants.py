@@ -128,9 +128,8 @@ def inn_structure(g: FiniteGroup, psi: GroupMap) -> InnStructureReport:
                      name=f"{grp.name}:C{m}", check=False)
     iota = tuple(tuple(map(g.table[p].__getitem__, pw))
                  for pw in cyclic_action(psi.images, m)[1] for p in embed)
-    gens = generating_set(sd)
-    if (any(iota[row[s]] != tuple(map(iota[a].__getitem__, iota[s]))
-            for a, row in enumerate(sd.table) for s in gens)
+    after = [(s, _composer(iota[s])) for s in generating_set(sd)]  # iota(a) . iota(s)
+    if (any(iota[row[s]] != comp(iota[a]) for a, row in enumerate(sd.table) for s, comp in after)
             or len(set(iota)) != len(iota)
             or not set(general_alexander(g, psi).sym) <= set(iota)):
         raise VerificationError(f"P x| C{m} does not embed onto Inn(Q({g.name}, psi))")

@@ -128,18 +128,19 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     For two generalized Alexander quandles the first coloring is skipped:
     each s_x = L_x psi L_x^-1 has psi's cycle type and the left translations
     are automorphisms, so it is constant on each side and separates the
-    inputs iff the cycle types of s_0 differ (a Quandle's provenance is
-    proved when it is made).  The image of 0 is then pinned to 0 (an
-    isomorphism composed with a left translation fixes the identity), and
-    one descent takes the first candidate that extends at each node.  Only
-    if it reaches no leaf is each side's coloring with 0 individualized read
-    from its record, as in McKay (1981), and the search run again from the
-    pin.  Every isomorphism reached under the pin preserves the refined
-    colors, so pruning by them removes only subtrees without an isomorphism,
-    and a leaf of the first descent is the refined search's first leaf.
-    Candidates come from the unrefined colors, one list per color, and the
-    refined colors only skip values, so the variable and value order, and
-    hence the first witness found, are those of the unpruned search."""
+    inputs iff the cycle types of s_0 = psi differ, read once per map (a
+    Quandle's provenance is proved when it is made).  The image of 0 is then
+    pinned to 0 (an isomorphism composed with a left translation fixes the
+    identity), and one descent takes the first candidate that extends at
+    each node.  Only if it reaches no leaf is each side's coloring with 0
+    individualized read from its record, as in McKay (1981), and the search
+    run again from the pin.  Every isomorphism reached under the pin
+    preserves the refined colors, so pruning by them removes only subtrees
+    without an isomorphism, and a leaf of the first descent is the refined
+    search's first leaf.  Candidates come from the unrefined colors, one
+    list per color, and the refined colors only skip values, so the variable
+    and value order, and hence the first witness found, are those of the
+    unpruned search."""
     if q1.size != q2.size:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE, note="sizes differ")
     n = q1.size
@@ -147,7 +148,7 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
         raise CapacityError(f"brute force capped at size {bound}, got {n}")
     alexander = q1.is_general_alexander() and q2.is_general_alexander()
     if alexander:  # side 2's one color differs iff the cycle types do
-        c1, c2 = [0] * n, [int(_cycle_type(q1.sym[0]) != _cycle_type(q2.sym[0]))] * n
+        c1, c2 = [0] * n, [int(q1.provenance[1].cycle_type != q2.provenance[1].cycle_type)] * n
     else:
         c1, c2 = (_refine(q, map(_cycle_type, q.sym)) for q in (q1, q2))
     if sorted(c1) != sorted(c2):

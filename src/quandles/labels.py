@@ -125,12 +125,14 @@ def label_class_images(label: str) -> tuple[str, tuple[int, ...]]:
     return ALL_LABELS[label][0], automorphism_classes(g)[psi.images]
 
 
-def labels_for_pair(order: int, group_name: str,
-                    class_images: tuple[int, ...]) -> list[str]:
-    table = ORDER8_LABELS if order == 8 else ORDER12_LABELS if order == 12 else {}
-    out = []
-    for label in table:
-        gname, rep = label_class_images(label)
-        if gname == group_name and rep == class_images:
-            out.append(label)
-    return out
+@lru_cache(maxsize=None)
+def _label_index(order: int) -> dict[tuple[str, tuple[int, ...]], list[str]]:
+    """label_class_images(label) -> the labels of the order with it, in table order."""
+    index: dict[tuple[str, tuple[int, ...]], list[str]] = {}
+    for label in ORDER8_LABELS if order == 8 else ORDER12_LABELS if order == 12 else ():
+        index.setdefault(label_class_images(label), []).append(label)
+    return index
+
+
+def labels_for_pair(order: int, group_name: str, class_images: tuple[int, ...]) -> list[str]:
+    return list(_label_index(order).get((group_name, class_images), ()))

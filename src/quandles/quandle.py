@@ -198,7 +198,7 @@ def is_connected(q: Quandle) -> bool:
 
 def subquandle(q: Quandle, members) -> tuple[Quandle, tuple[int, ...]]:
     """Re-indexed quandle on a symmetry-closed subset; returns (quandle, embedding)."""
-    mem = tuple(sorted(set(members)))
+    mem = tuple(sorted(set(_int_rows([members], "subquandle members")[0])))
     if mem and not 0 <= mem[0] <= mem[-1] < q.size:
         raise StructuralError(f"member {mem[0] if mem[0] < 0 else mem[-1]} out of range")
     pos = {m: i for i, m in enumerate(mem)}

@@ -20,9 +20,8 @@ from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
                        dihedral_iso_decider, fix_size_dn, p_subgroups_dn)
 from .classify import (ClassificationReport, _pair_objects, boundary_pair,
                        boundary_report, classify_order, closed_form_counts)
-from .groups import (GroupMap, automorphism_classes,
-                     automorphism_conjugacy_classes, automorphism_group, fixed_subgroup,
-                     groups_isomorphic, inner_automorphism, is_normal)
+from .groups import (FiniteGroup, GroupMap, automorphism_classes, automorphism_group,
+                     fixed_subgroup, groups_isomorphic, inner_automorphism, is_normal)
 from .invariants import (compute_P, compute_P2, inn_structure,
                          restrict_to_P, transported_class, twisted_normalizer)
 from .iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED, abelian_decider,
@@ -44,16 +43,23 @@ class ClaimResult:
     detail: str = ""
 
 
-_reports: dict[int, ClassificationReport] | None = None  # set while run_all_claims runs
+_memo: dict | None = None  # set while run_all_claims runs
+
+
+def _once(key, make):
+    """make(), made once per key within a run_all_claims call."""
+    if _memo is None:
+        return make()
+    return _memo[key] if key in _memo else _memo.setdefault(key, make())
 
 
 def _classify(order: int) -> ClassificationReport:
-    """classify_order(order), made once per order within a run_all_claims call."""
-    if _reports is None:
-        return classify_order(order)
-    if order not in _reports:
-        _reports[order] = classify_order(order)
-    return _reports[order]
+    return _once(("report", order), lambda: classify_order(order))
+
+
+def _maps(order: int) -> list[tuple[FiniteGroup, GroupMap]]:
+    """The (group, class representative) of each pair of the order, in pair order."""
+    return _once(("maps", order), lambda: _pair_objects(order)[2])
 
 
 def _claim(name):
@@ -115,7 +121,7 @@ def claim_merge_lists() -> ClaimResult:
         for a, b in displayed:
             if label_to_class[a] != label_to_class[b]:
                 problems.append(f"{a} ~ {b} not merged")
-        maps = _pair_objects(order)[2]
+        maps = _maps(order)
         if not all(verify_quandle_witness(general_alexander(*maps[i]),
                                           general_alexander(*maps[j]), w)
                    for i, j, w in _in_class_witnesses(report)):
@@ -248,8 +254,7 @@ def claim_dihedral_formulas() -> ClaimResult:
 
 @_claim("structural criterion and formula deciders agree with brute force (<= 12)")
 def claim_decider_cross_validation() -> ClaimResult:
-    pairs = (pair for n in range(1, 13)
-             for pair in itertools.combinations(_pair_objects(n)[2], 2))
+    pairs = (pair for n in range(1, 13) for pair in itertools.combinations(_maps(n), 2))
     bad = []
     checked = t13_count = 0
     for (g1, p1), (g2, p2) in pairs:
@@ -264,20 +269,19 @@ def claim_decider_cross_validation() -> ClaimResult:
             ab = abelian_decider(g1, p1, g2, p2)
             if ab.result != bf.result:
                 bad.append(f"abelian vs brute: {g1.name}/{g2.name}")
-    # dihedral and cyclic formula deciders on their own domains
+    # dihedral and cyclic formula deciders on their own domains, one quandle per map
     for n in range(1, 7):
         g = build(dihedral(n))
-        for x, y in itertools.combinations(_dihedral_auts(n), 2):
-            bf = brute_force_iso(general_alexander(g, x.as_group_map(g)),
-                                 general_alexander(g, y.as_group_map(g)))
+        qs = {x: general_alexander(g, x.as_group_map(g)) for x in _dihedral_auts(n)}
+        for (x, qx), (y, qy) in itertools.combinations(qs.items(), 2):
+            bf = brute_force_iso(qx, qy)
             if dihedral_iso_decider(x, y) != (bf.result == ISOMORPHIC):
                 bad.append(f"dihedral formula n={n} {x} {y}")
     for n in range(1, 13):
         g = build(cyclic(n))
-        units = [a for a in range(n) if gcd(a, n) == 1]
-        for a, b in itertools.combinations(units, 2):
-            qa = general_alexander(g, named_automorphism(g, f"mul:{a}"))
-            qb = general_alexander(g, named_automorphism(g, f"mul:{b}"))
+        qs = {a: general_alexander(g, named_automorphism(g, f"mul:{a}"))
+              for a in range(n) if gcd(a, n) == 1}
+        for (a, qa), (b, qb) in itertools.combinations(qs.items(), 2):
             bf = brute_force_iso(qa, qb)
             if cyclic_iso_decider(n, a, b) != (bf.result == ISOMORPHIC):
                 bad.append(f"cyclic formula n={n} {a} {b}")
@@ -337,12 +341,12 @@ def claim_structure() -> ClaimResult:
                 if any(g.conj(a, x) not in pm
                        for a in tn.members for x in P.members):
                     bad.append(f"P not normal in TN for {g.name}")
-            # Inn = P x| C_m on the class representatives: inn_structure raises
-            # unless its embedding of P x| C_m is onto Inn, so |Inn| = |P| * m
-            for rep, _ in automorphism_conjugacy_classes(g):
-                r = inn_structure(g, rep)
-                if r.centerless_p and r.psi_p_inner != (r.direct_witness is not None):
-                    bad.append(f"dichotomy fails on {g.name} {rep.images}")
+        # Inn = P x| C_m on the class representatives: inn_structure raises
+        # unless its embedding of P x| C_m is onto Inn, so |Inn| = |P| * m
+        for g, rep in _maps(n):
+            r = inn_structure(g, rep)
+            if r.centerless_p and r.psi_p_inner != (r.direct_witness is not None):
+                bad.append(f"dichotomy fails on {g.name} {rep.images}")
     # the inner branch with nontrivial centerless P: S4 conjugation by a 3-cycle
     s4 = build_named("S4")
     three_cycle = next(i for i in range(s4.order)
@@ -424,7 +428,7 @@ def claim_witness_structure() -> ClaimResult:
     total = 0
     for order in range(1, 16):
         report = _classify(order)
-        _groups, _pairs, maps = _pair_objects(order)
+        maps = _maps(order)
         for i, j, witness in _in_class_witnesses(report):
             g1, psi1 = maps[i]
             g2, psi2 = maps[j]
@@ -468,9 +472,9 @@ ALL_CLAIMS = (
 
 
 def run_all_claims() -> list[ClaimResult]:
-    global _reports
-    _reports = {}
+    global _memo
+    _memo = {}
     try:
         return [fn() for fn in ALL_CLAIMS]
     finally:
-        _reports = None
+        _memo = None

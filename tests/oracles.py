@@ -8,6 +8,8 @@ simple and symmetric groups, with every automorphism compared on every
 point, where the package compares them on the group's generators.  The
 theorem 1.3 witness built step by step as the existence proof states it,
 with the P^2-fiber tables the package's one coset matching does without.
+The reference labels of a pair found by resolving every label of its order,
+where the package reads them from an index built once per order.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from quandles.errors import CapacityError, StructuralError, VerificationError
 from quandles.groups import _composer, automorphism_classes, groups_isomorphic
 from quandles.invariants import _translations, compute_P2
 from quandles.iso import ISOMORPHIC, METHOD_SIMPLE, NOT_ISOMORPHIC, IsoVerdict
+from quandles.labels import ORDER8_LABELS, ORDER12_LABELS, label_class_images
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
@@ -159,3 +162,11 @@ def package_definitions(*names: str) -> list[tuple[str, str]]:
     modules = [quandles, *(importlib.import_module(f"quandles.{info.name}")
                            for info in pkgutil.iter_modules(quandles.__path__))]
     return [(m.__name__, n) for m in modules for n in names if hasattr(m, n)]
+
+
+def label_scan(order: int, group_name: str, class_images: tuple[int, ...]) -> list[str]:
+    """The labels of the order whose construction lands in the group's class
+    with this canonical representative, in table order, every label resolved."""
+    table = ORDER8_LABELS if order == 8 else ORDER12_LABELS if order == 12 else {}
+    return [label for label in table
+            if label_class_images(label) == (group_name, class_images)]

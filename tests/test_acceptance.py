@@ -105,3 +105,25 @@ def test_log_reading_claims_fail_on_a_bad_order8_report(monkeypatch, tamper):
     for claim in (claim_merge_lists, claim_witness_structure):
         result = claim()
         assert not result.ok and "order 8" in result.detail, (claim.__name__, result)
+
+
+def test_the_run_memo_is_invisible():
+    # a claim run alone makes what it reads; within run_all_claims the claims
+    # share one memo, which is unset afterwards
+    together = verification.run_all_claims()
+    assert verification._memo is None
+    assert [claim() for claim in verification.ALL_CLAIMS] == together
+    assert verification._maps(3) is not verification._maps(3)
+
+
+def test_the_run_memo_is_unset_when_a_claim_raises(monkeypatch):
+    kept = []
+
+    def failing():
+        kept.append(verification._maps(3) is verification._maps(3))
+        raise RuntimeError("claim failed")
+
+    monkeypatch.setattr(verification, "ALL_CLAIMS", (failing,))
+    with pytest.raises(RuntimeError, match="claim failed"):
+        verification.run_all_claims()
+    assert kept == [True] and verification._memo is None

@@ -11,13 +11,15 @@ from quandles.classify import (ENGINE_VERSION, _classify_pairs, _pair_objects, _
                                boundary_pair, boundary_report, classify_group,
                                classify_order, closed_form_counts, emit_table)
 from quandles.errors import CapacityError
-from quandles.groups import GroupMap
+from quandles.groups import GroupMap, automorphism_conjugacy_classes
 from quandles.invariants import profile
 from quandles.iso import (ISOMORPHIC, METHOD_BRUTE, METHOD_THM13, NOT_ISOMORPHIC,
                           UNDECIDED, brute_force_iso, theorem13_iso,
                           verify_quandle_witness)
-from quandles.labels import label_class_images
+from quandles.labels import ALL_LABELS, label_class_images, labels_for_pair
 from quandles.quandle import general_alexander
+
+from oracles import label_scan
 
 GOLDEN_TABLES = Path(__file__).parent / "data" / "tables.md"
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 3, 7: 6, 8: 9,
@@ -493,3 +495,20 @@ def test_boundary_verdict_stable_under_relabelling():
         bare2 = Quandle(q2.size, sym)
         v = brute_force_iso(bare1, bare2)
         assert v.result == expected
+
+
+def test_labels_for_pair_is_the_label_scan():
+    # the per-order index gives the labels a scan of the order's table gives,
+    # in table order, as a new list on every call
+    found = 0
+    for n in range(1, 17):
+        for spec in groups_of_order(n):
+            g = build(spec)
+            for rep, _ in automorphism_conjugacy_classes(g):
+                want = label_scan(n, g.name, rep.images)
+                got = labels_for_pair(n, g.name, rep.images)
+                assert got == want, (g.name, rep.images)
+                got.append("Q0_0")
+                assert labels_for_pair(n, g.name, rep.images) == want
+                found += len(want)
+    assert found == len(ALL_LABELS)

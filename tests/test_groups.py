@@ -806,3 +806,28 @@ def test_relabelled_group_has_the_same_aut_and_quandles(data):
     assert v.result == ISOMORPHIC
     assert verify_quandle_witness(general_alexander(g, psi),
                                   general_alexander(h, psi_h), v.witness)
+
+
+@pytest.mark.parametrize("members", [(0, 1.5), (0, 2.0), (0, "2")])
+def test_subgroup_refuses_members_that_are_not_integers(members):
+    # read through operator.index, as table entries are: a float is not
+    # taken for its value, and a string is not sorted among the integers
+    with pytest.raises(StructuralError, match="not an integer"):
+        Subgroup(build_named("C4"), members)
+
+
+def test_generated_subgroup_refuses_generators_that_are_not_integers():
+    # 1.0 passes the range check; it must not reach the span
+    with pytest.raises(StructuralError, match="not an integer"):
+        generated_subgroup(build_named("C4"), (1.0,))
+
+
+def test_automorphism_classes_take_no_cycle_type(monkeypatch):
+    # map_order is the lcm of the map's cycle type, so this refuses every
+    # map order as well as every cycle type
+    def refused(*_):
+        raise AssertionError("automorphism_classes needs no cycle type")
+
+    monkeypatch.setattr(groups, "_cycle_type", refused)
+    got = automorphism_classes(FiniteGroup(build_named("C2xC2xC2xC2").table))
+    assert len(got) == 20160 and len(set(got.values())) == 14

@@ -510,3 +510,15 @@ def test_profile_equal_within_isomorphism_classes():
         for cls in report.classes:
             profs = {report.profiles[i] for i in cls}
             assert len(profs) == 1
+
+
+def test_inn_embedding_check_fails_on_the_direct_product(monkeypatch):
+    # with its action ignored, semidirect_table builds P x C_m, which does not
+    # embed in Inn(Q(D4, psi)) as P x| C_m does: the row check must say so
+    real = invariants.semidirect_table
+    monkeypatch.setattr(invariants, "semidirect_table", lambda base, top, action: real(
+        base, top, [tuple(range(base.order))] * len(action)))
+    g = build_named("D4")
+    psi = GroupMap(g, g, (0, 3, 2, 1, 5, 4, 7, 6))
+    with pytest.raises(VerificationError, match="does not embed"):
+        inn_structure(g, psi)

@@ -14,6 +14,7 @@ from quandles.catalog import (build, build_named, cyclic, dihedral,
 from quandles.classify import classify_order
 from quandles.errors import ContractViolation, StructuralError
 from quandles.groups import (FiniteGroup, GroupMap, Subgroup, _closure, _composer,
+                             _cycle_type, _perm_order,
                              automorphism_classes,
                              automorphism_conjugacy_classes,
                              automorphism_group, generated_subgroup,
@@ -880,3 +881,24 @@ def test_evicted_rows_are_rebuilt_without_a_second_axiom_check(monkeypatch):
     assert again == first and again.sym is not first.sym
     assert len(checked) == 1 + cells // a5.order ** 2
     assert general_alexander(d4, psi).sym is again.sym
+
+
+@pytest.mark.parametrize("members", [(0, 1.5), (0, 2.0)])
+def test_subquandle_refuses_members_that_are_not_integers(members):
+    g = build_named("C4")
+    q = general_alexander(g, named_automorphism(g, "mul:3"))
+    with pytest.raises(StructuralError, match="not an integer"):
+        subquandle(q, members)
+
+
+def test_s0_is_psi_whose_cycle_type_the_map_keeps():
+    # s_0(y) = 0 psi(0^-1 y) = psi(y): the point-map search reads s_0's cycle
+    # type from the map, and the map's order from that cycle type
+    for n in range(1, 9):
+        for spec in groups_of_order(n):
+            g = build(spec)
+            for psi in automorphism_group(g):
+                q = general_alexander(g, psi)
+                assert q.sym[0] == psi.images and q.provenance[1] is psi
+                assert psi.cycle_type == _cycle_type(psi.images)
+                assert psi.map_order() == _perm_order(psi.images)
