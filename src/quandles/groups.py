@@ -12,8 +12,8 @@ import json
 import math
 import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .errors import CapacityError, ContractViolation, StructuralError
 
@@ -537,7 +537,45 @@ def _schreier_sims(degree: int):
     return extend
 
 
-def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> MappingProxyType:
+class _ClassMap(Mapping):
+    """automorphism_classes' map: its byte string, key index and each index's
+    class minimum, from one pass over the orbits of the index arrays ``conjs``,
+    and (representative, size) by class minimum, which is the class's first
+    member.  A lookup checks the whole slice at its key's index, or KeyError."""
+
+    def __init__(self, g: FiniteGroup, buf: bytes, index: dict, conjs: list):
+        d, rep = g.order, [-1] * len(index)
+        for i in range(len(rep)):
+            if rep[i] < 0:
+                rep[i], orbit = i, [i]
+                for q in orbit:  # orbit grows as it is walked
+                    for c in conjs:
+                        if rep[r := c[q]] < 0:
+                            rep[r] = i
+                            orbit.append(r)
+        self._buf, self._d, self._gens, self._index, self._rep = buf, d, g._gens, index, rep
+        self._classes = {r: (GroupMap(g, g, tuple(buf[r * d:(r + 1) * d]), check=False), k)
+                         for r, k in Counter(rep).items()}
+
+    def __getitem__(self, images):
+        d = self._d
+        try:  # bytes() refuses a non-int and an entry outside 0..255
+            p = bytes(images) if isinstance(images, tuple) else b""
+            key = bytes(map(p.__getitem__, self._gens)).ljust(8, b"\0")
+            if self._buf[(i := self._index[memoryview(key).cast("Q")[0]]) * d:(i + 1) * d] == p:
+                return self._classes[self._rep[i]][0].images
+        except (TypeError, ValueError, IndexError, KeyError):
+            pass
+        raise KeyError(images)
+
+    def __iter__(self):
+        return zip(*[iter(self._buf)] * self._d)
+
+    def __len__(self) -> int:
+        return len(self._rep)
+
+
+def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapping:
     """Read-only map from each automorphism's image array, in sorted order,
     to the lexicographically minimal member of its Aut(g)-conjugacy class.
 
@@ -559,7 +597,7 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     through), and must end at |Aut(g)|.  Conjugation by t acts on the indices
     as the keys of t p t^-1, the column slices at t^-1(g_j) translated
     through t; its orbits are the classes, an orbit's least index its least
-    image array.  Only then are the image arrays read off as int tuples."""
+    image array, as ``_ClassMap`` labels them; it reads its keys off the bytes."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
@@ -574,10 +612,9 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             us = b"".join(map(bytes, level))
             buf = b"".join([us.translate(buf[i:i + d] + rest) for i in range(0, len(buf), d)])
             buf = b"".join(sorted([buf[i:i + d] for i in range(0, len(buf), d)]))
-        gens = generating_set(g)
         def keys(t):  # the key of t p t^-1 for every p; C1 has one key, 0
             packed, inv, table = bytearray(8 * n), _perm_inverse(t), bytes(t) + rest
-            for j, x in enumerate(gens):
+            for j, x in enumerate(generating_set(g)):
                 packed[j::8] = buf[inv[x]::d].translate(table)
             return memoryview(packed).cast("Q").tolist()
         index = dict(zip(keys(range(d)), range(n)))
@@ -594,24 +631,14 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             conjs = [_composer(keys(t))(index) for t in conjugators]
         except KeyError:
             raise ContractViolation("the automorphisms enumerated are not closed") from None
-        rep = [-1] * n
-        for i in range(n):
-            if rep[i] < 0:
-                for r in _closure(conjs, {i}):
-                    rep[r] = i
-        del index, conjs
-        perms = list(zip(*[iter(buf)] * d))
-        g._aut_classes = MappingProxyType(dict(zip(perms, map(perms.__getitem__, rep))))
+        g._aut_classes = _ClassMap(g, buf, index, conjs)
     return g._aut_classes
 
 
-def automorphism_conjugacy_classes(
-        g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND
-) -> list[tuple[GroupMap, int]]:
-    """Conjugacy classes of Aut(g): (lexicographically minimal representative, size)."""
-    sizes = Counter(automorphism_classes(g, bound).values())
-    return [(GroupMap(g, g, rep, check=False), size)
-            for rep, size in sorted(sizes.items())]
+def automorphism_conjugacy_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND
+                                   ) -> list[tuple[GroupMap, int]]:
+    """Conjugacy classes of Aut(g): (least representative, size), the kept maps in a new list."""
+    return list(automorphism_classes(g, bound)._classes.values())
 
 
 def fixed_subgroup(psi: GroupMap) -> Subgroup:

@@ -20,8 +20,9 @@ from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
                        dihedral_iso_decider, fix_size_dn, p_subgroups_dn)
 from .classify import (ClassificationReport, _pair_objects, boundary_pair,
                        boundary_report, classify_order, closed_form_counts)
-from .groups import (FiniteGroup, GroupMap, automorphism_classes, automorphism_group,
-                     fixed_subgroup, groups_isomorphic, inner_automorphism, is_normal)
+from .groups import (FiniteGroup, GroupMap, automorphism_classes,
+                     automorphism_conjugacy_classes, automorphism_group, fixed_subgroup,
+                     groups_isomorphic, inner_automorphism, is_normal)
 from .invariants import (compute_P, compute_P2, inn_structure,
                          restrict_to_P, transported_class, twisted_normalizer)
 from .iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED, abelian_decider,
@@ -232,19 +233,16 @@ def claim_dihedral_formulas() -> ClaimResult:
             if list(P2.members) != want_p2:
                 bad.append(f"P2 n={n},a={x.a},b={x.b}")
         if n >= 3:
-            class_of = automorphism_classes(g)
-            classes = set(class_of.values())
+            class_of = {x: automorphism_classes(g)[psi.images] for x, psi in maps.items()}
+            classes = {rep.images for rep, _ in automorphism_conjugacy_classes(g)}
             for x, y in itertools.combinations(maps, 2):
-                formula = are_conjugate_dn(x, y)
-                brute = class_of[maps[x].images] == class_of[maps[y].images]
-                if formula != brute:
+                if are_conjugate_dn(x, y) != (class_of[x] == class_of[y]):
                     bad.append(f"conj n={n} {x} {y}")
             reps = conjugacy_reps_aut_dn(n)
             rep_imgs = {maps[r].images for r in reps}
             if len(reps) != len(classes) or len(rep_imgs) != len(classes):
                 bad.append(f"reps n={n}")
-            hit = {class_of[im] for im in rep_imgs}
-            if hit != classes:
+            if {class_of[r] for r in reps} != classes:
                 bad.append(f"rep coverage n={n}")
     return ClaimResult(claim_dihedral_formulas.claim_name, not bad,
                        "; ".join(bad[:5]))
@@ -385,7 +383,7 @@ def claim_boundary() -> ClaimResult:
     p1, p2 = cached_profile(d8, psi1), cached_profile(d8, psi2)
     if (p1.fix_size, p2.fix_size) != (8, 4):
         bad.append(f"fix sizes {(p1.fix_size, p2.fix_size)}")
-    br = boundary_report()
+    br = _once("boundary report", boundary_report)
     if not br["verdicts"]:
         bad.append("no order-3 class on the twist side")
     for entry in br["verdicts"]:
@@ -441,8 +439,8 @@ def claim_witness_structure() -> ClaimResult:
             total += 1
             if not rep.ok:
                 bad.append(f"order {order} pair {i}/{j}: {rep.clauses}")
-    g1, psi1, g2, _ = boundary_pair()
-    for entry in boundary_report()["verdicts"]:
+    g1, psi1, g2, _ = _once("boundary pair", boundary_pair)
+    for entry in _once("boundary report", boundary_report)["verdicts"]:
         if entry["verdict"]["result"] != ISOMORPHIC:
             continue
         psi2 = GroupMap(g2, g2, tuple(entry["right_class_images"]), check=False)

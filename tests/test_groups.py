@@ -539,20 +539,73 @@ def _per_point_orbit_classes(conjs, n: int) -> list[int]:
 
 @pytest.mark.parametrize("name", _SIFT_GROUPS)
 def test_class_orbits_match_the_per_point_walk(monkeypatch, name):
-    # the conjugators automorphism_classes hands to groups._closure, walked
+    # the conjugators automorphism_classes hands to groups._ClassMap, walked
     # again by the reference
-    walked, real = [], groups._closure
+    walked, real = [], groups._ClassMap.__init__
 
-    def recording(maps, points):
+    def recording(self, g, buf, index, maps):
         walked.append(maps)
-        return real(maps, points)
+        real(self, g, buf, index, maps)
 
-    monkeypatch.setattr(groups, "_closure", recording)
+    monkeypatch.setattr(groups._ClassMap, "__init__", recording)
     got = automorphism_classes(FiniteGroup(build_named(name).table, name=name, check=False))
     perms = list(got)
     assert walked and all(maps is walked[0] for maps in walked)
     rep = _per_point_orbit_classes(walked[0], len(perms))
     assert list(got.items()) == [(p, perms[r]) for p, r in zip(perms, rep)]
+
+
+@pytest.mark.parametrize("name", [
+    *(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
+    "A5", "S5", *(f"{name}-relabelled" for name in _SHUFFLE_SEEDS)])
+def test_class_map_lookups_match_the_tuple_reference(name):
+    # every key looked up on its own, not only as the map iterates its items
+    g = _named_or_shuffled(name)
+    got = automorphism_classes(FiniteGroup(g.table, check=False), bound=128)
+    want = _classes_on_tuples(g)
+    assert len(got) == len(want) and list(got) == list(want)
+    assert all(got[p] == rep for p, rep in want.items())
+
+
+@pytest.mark.parametrize("name", ["C1", "C5", "D4", "C2xC2xC2xC2"])
+def test_class_map_refuses_what_is_not_one_of_its_keys(name):
+    # C1 has no generators and C5 one, so the key of C1 is always 0
+    got = automorphism_classes(FiniteGroup(build_named(name).table, check=False))
+    first, d = next(iter(got)), len(next(iter(got)))
+    swapped = (*first[:-2], first[-1], first[-2]) if d > 2 else None
+    refused = [
+        (*first, 0), first[:-1], (d,) * d, (*first[:-1], 256), (*first[:-1], -1),
+        tuple(map(float, first)), tuple(map(str, first)), list(first), bytes(first),
+        *([swapped] if swapped and swapped not in list(got) else []), None, 0]
+    for key in refused:
+        with pytest.raises(KeyError):
+            got[key]
+        assert key not in got and got.get(key, "absent") == "absent"
+    assert first in got and got[first] == first  # the identity is its own class
+    with pytest.raises(TypeError):
+        got[first] = first
+
+
+def test_conjugacy_classes_read_sizes_without_iterating_the_map(monkeypatch):
+    def refused(_):
+        raise AssertionError("the class sizes need no walk over the map")
+
+    monkeypatch.setattr(groups._ClassMap, "__iter__", refused)
+    classes = automorphism_conjugacy_classes(FiniteGroup(build_named("C2xC2xC2xC2").table))
+    golden = (Path(__file__).parent / "data" / "aut_C2xC2xC2xC2.txt").read_text()
+    want = [(json.loads(line.split("rep images ")[1]), int(line.split("size ")[1].split(",")[0]))
+            for line in golden.splitlines()[1:]]
+    assert [(list(rep.images), size) for rep, size in classes] == want and len(want) == 14
+
+
+def test_conjugacy_classes_hand_out_the_same_maps_in_new_lists():
+    g = FiniteGroup(build_named("D4").table)
+    first = automorphism_conjugacy_classes(g)
+    kept = list(first)
+    first.pop()
+    second = automorphism_conjugacy_classes(g)
+    assert second == kept and second is not first
+    assert all(a is b for (a, _), (b, _) in zip(kept, second))
 
 
 def test_over_capacity_aut_is_refused_before_it_is_built(monkeypatch):
