@@ -22,7 +22,7 @@ from .errors import ContractViolation, VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
                      automorphism_classes, center, generating_set,
                      groups_isomorphic, is_normal)
-from .quandle import _kept, _stored, general_alexander, orbit_of
+from .quandle import _kept, _stored, general_alexander, orbit_of, row_index
 
 PROFILE_VERSION = "profile.v1"
 
@@ -63,7 +63,7 @@ def restrict_to_P(g: FiniteGroup, psi: GroupMap) -> tuple[FiniteGroup, GroupMap,
         if any(im[m] not in pos for m in members):
             raise VerificationError(f"P is not invariant under psi on {g.name}")
         psi_of = _composer(im)
-        if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in set(q.sym)):
+        if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in row_index(q)[0]):
             raise VerificationError(f"a row of Q({g.name}, psi) is not L_t psi with t in P")
         p_groups = _stored(g, psi)[1]
         grp = p_groups.get(members)
@@ -131,7 +131,7 @@ def inn_structure(g: FiniteGroup, psi: GroupMap) -> InnStructureReport:
     after = [(s, _composer(iota[s])) for s in generating_set(sd)]  # iota(a) . iota(s)
     if (any(iota[row[s]] != comp(iota[a]) for a, row in enumerate(sd.table) for s, comp in after)
             or len(set(iota)) != len(iota)
-            or not set(general_alexander(g, psi).sym) <= set(iota)):
+            or not set(iota).issuperset(row_index(general_alexander(g, psi))[0])):
         raise VerificationError(f"P x| C{m} does not embed onto Inn(Q({g.name}, psi))")
 
     centerless = center(grp).order == 1

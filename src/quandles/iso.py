@@ -24,7 +24,7 @@ from .groups import (AUT_COUNT_BOUND, FiniteGroup, GroupMap, _composer, _cycle_t
                      automorphism_classes, generating_set, groups_isomorphic, is_simple)
 from .invariants import (InvariantProfile, _translations, profile, restrict_to_P,
                          translation_elements)
-from .quandle import Quandle, _kept, general_alexander
+from .quandle import Quandle, _kept, general_alexander, row_index
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not-isomorphic"
@@ -76,15 +76,15 @@ def verdict_from_json(text: str) -> IsoVerdict:
 
 
 def verify_quandle_witness(q1: Quandle, q2: Quandle, images) -> bool:
-    """f is a bijection of indices (not 3.0) with f(s_x(y)) = s'_{f(x)}(f(y))
-    for all x, y, compared a row at a time: f . s_x = s'_{f(x)} . f."""
+    """f is a bijection of indices (not 3.0) with f(s_x(y)) = s'_{f(x)}(f(y)) for all x, y:
+    f . s_x = s'_{f(x)} . f, once per (x's row, f(x)'s row): per distinct row for a witness."""
     images = tuple(images)
     n = q1.size
     if (q2.size != n or len(images) != n or set(images) != set(range(n))
             or not all(hasattr(type(v), "__index__") for v in images)):
         return False
-    s1, s2, images_of = q1.sym, q2.sym, _composer(images)
-    return all(_composer(s1[x])(images) == images_of(s2[images[x]]) for x in range(n))
+    (d1, r1), (d2, r2), images_of = row_index(q1), row_index(q2), _composer(images)
+    return all(_composer(d1[a])(images) == images_of(d2[b]) for a, b in set(zip(r1, images_of(r2))))
 
 
 def _checked(q1: Quandle, q2: Quandle, verdict: IsoVerdict) -> IsoVerdict:
@@ -343,15 +343,17 @@ def simple_group_decider(g1: FiniteGroup, psi1: GroupMap,
     if theta is None:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                           note="simple groups not isomorphic")
-    target, im1, gens = psi2.conjugate_by(theta).images, psi1.images, generating_set(g1)
-    for tau in automorphism_classes(g1):  # tau psi1 = target tau, both automorphisms
-        if all(tau[im1[x]] == target[tau[x]] for x in gens):  # so on generators
-            theta_inv = theta.inverse().images
-            return _checked(general_alexander(g1, psi1), general_alexander(g2, psi2),
-                            IsoVerdict(ISOMORPHIC, METHOD_SIMPLE,
-                                       witness=tuple(theta_inv[v] for v in tau)))
-    return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
-                      note="maps are not conjugate in the automorphism group")
+    target, im1, d = psi2.conjugate_by(theta).images, psi1.images, g1.order
+    # tau psi1 = target tau iff at 0 and the generators: columns of the class map's bytes
+    buf, points = automorphism_classes(g1)._buf, (0, *generating_set(g1))
+    cols = zip(zip(*(buf[im1[x]::d] for x in points)),
+               zip(*(buf[x::d].translate(bytes(target).ljust(256, b"\0")) for x in points)))
+    tau = next((buf[i * d:(i + 1) * d] for i, (a, b) in enumerate(cols) if a == b), None)
+    if tau is None:
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
+                          note="maps are not conjugate in the automorphism group")
+    return _checked(general_alexander(g1, psi1), general_alexander(g2, psi2), IsoVerdict(
+        ISOMORPHIC, METHOD_SIMPLE, witness=tuple(map(theta.inverse().images.__getitem__, tau))))
 
 
 def abelian_decider(g1: FiniteGroup, psi1: GroupMap,

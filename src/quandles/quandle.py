@@ -22,9 +22,9 @@ from .groups import (FiniteGroup, GroupMap, _closure, _composer, _int_rows, _jso
 # nothing, so it fails again on every call.  Keying by table first lets twin
 # groups share records and P groups.
 _STORE: dict[tuple, tuple[dict, dict]] = {}
-# The records of the most recently used inputs also hold their "rows", up to
-# ROW_CELLS table cells in all (four S5 tables): _RECENT maps id(record) to
-# the record, least recent first, and eviction drops only "rows".
+# The records of the most recently used inputs also hold their "rows" and the
+# rows' row_index, "index", up to ROW_CELLS table cells in all (four S5 tables):
+# _RECENT maps id(record) to the record, least recent first; eviction drops both.
 ROW_CELLS = 1 << 16
 _RECENT: dict[int, dict] = {}
 _row_cells = 0
@@ -71,10 +71,10 @@ class Quandle:
             raise StructuralError("provenance does not reproduce the table")
 
     @classmethod
-    def _trusted(cls, sym, provenance) -> Quandle:
-        """A Quandle on rows built as n tuples of n ints: no conversion or check."""
+    def _trusted(cls, sym, provenance, index=None) -> Quandle:
+        """A Quandle on n tuples of n ints, with None or their row_index: no check."""
         q = object.__new__(cls)
-        q.__dict__.update(size=len(sym), sym=sym, provenance=provenance)
+        q.__dict__.update(size=len(sym), sym=sym, provenance=provenance, _index=index)
         return q
 
     def is_general_alexander(self) -> bool:
@@ -83,6 +83,16 @@ class Quandle:
     def __repr__(self) -> str:
         tag = "" if self.provenance is None else f", Q({self.provenance[0].name},psi)"
         return f"Quandle(size={self.size}{tag})"
+
+
+def row_index(q: Quandle) -> tuple[tuple, list[int]]:
+    """(q's distinct rows, first seen first; each point's position of its row
+    among them), made once per object from its own rows, kept on it, not as a field."""
+    if q.__dict__.get("_index") is None:
+        ids: dict[tuple, int] = {}
+        rid = [ids.setdefault(r, len(ids)) for r in q.sym]
+        q.__dict__["_index"] = tuple(ids), rid
+    return q.__dict__["_index"]
 
 
 def check_axioms(q: Quandle) -> list[tuple]:
@@ -99,14 +109,13 @@ def check_axioms(q: Quandle) -> list[tuple]:
     and (Q3) holds at y.  If the check fails at some x in S, every point is
     checked, so the violations listed are those of the full scan."""
     n, sym, full = q.size, q.sym, frozenset(range(q.size))
-    ids: dict[tuple, int] = {}
-    rid = [ids.setdefault(r, len(ids)) for r in sym]
-    broken = [frozenset(r) != full for r in ids]
+    distinct, rid = row_index(q)
+    broken = [frozenset(r) != full for r in distinct]
     bad: list[tuple] = [("Q1", x) for x in range(n) if sym[x][x] != x]
     bad += [("Q2", x) for x in range(n) if broken[rid[x]]]
     # (Q3) at x: s_x r and r s_x once per distinct row r (after[i] composes
     # with distinct[i]), and each y compares the pair of s_y and s_{s_x(y)}
-    distinct, after = list(ids), list(map(_composer, ids))
+    after = list(map(_composer, distinct))
     if bad or all(after[a](sym[x]) == after[rid[x]](distinct[b])
                   for x in _generating_points(sym, rid)
                   for a, b in set(zip(rid, after[rid[x]](rid)))):
@@ -153,7 +162,7 @@ def _checked(q: Quandle) -> Quandle:
 def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
     """Q(G, psi) with s_x(y) = x psi(x^-1 y); its axioms are checked once
     per (table, images), which then gets its record in the store.  A recent
-    input's rows are reused, under the caller's own (g, psi)."""
+    input's rows and their row index are reused, under the caller's own (g, psi)."""
     global _row_cells
     records = _stored(g, psi)[0]
     rec = records.get(psi.images)
@@ -162,15 +171,19 @@ def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
         t, inv, im = g.table, g._inv, psi.images
         psi_of = _composer(im)  # row x psi(v) over v, read at v = x^-1 y
         sym = tuple(_composer(t[inv[x]])(psi_of(t[x])) for x in range(g.order))
+        q = Quandle._trusted(sym, (g, psi))
         if rec is None:
-            _checked(Quandle._trusted(sym, (g, psi)))
+            _checked(q)
             rec = records[im] = {}
-        rec["rows"] = sym
+        rec["rows"], rec["index"] = sym, row_index(q)
         _row_cells += g.order ** 2
+    q = Quandle._trusted(sym, (g, psi), rec["index"])
     _RECENT[id(rec)] = _RECENT.pop(id(rec), rec)
-    while _row_cells > ROW_CELLS:
-        _row_cells -= len(_RECENT.pop(next(iter(_RECENT))).pop("rows")) ** 2
-    return Quandle._trusted(sym, (g, psi))
+    while _row_cells > ROW_CELLS:  # which may drop rec's own rows and index
+        old = _RECENT.pop(next(iter(_RECENT)))
+        del old["index"]
+        _row_cells -= len(old.pop("rows")) ** 2
+    return q
 
 
 def trivial_quandle(n: int) -> Quandle:
@@ -179,7 +192,7 @@ def trivial_quandle(n: int) -> Quandle:
 
 def quandle_order(q: Quandle) -> int:
     """ord(s_x), constant over x for homogeneous quandles."""
-    orders = set(map(_perm_order, q.sym))
+    orders = set(map(_perm_order, row_index(q)[0]))
     if len(orders) != 1:
         raise ContractViolation(
             f"point symmetries have non-constant orders {sorted(orders)}; "
@@ -188,7 +201,7 @@ def quandle_order(q: Quandle) -> int:
 
 
 def orbit_of(q: Quandle, start: int) -> frozenset[int]:
-    return frozenset(_closure(set(q.sym), {start}))
+    return frozenset(_closure(row_index(q)[0], {start}))
 
 
 def is_connected(q: Quandle) -> bool:

@@ -9,7 +9,9 @@ point, where the package compares them on the group's generators.  The
 theorem 1.3 witness built step by step as the existence proof states it,
 with the P^2-fiber tables the package's one coset matching does without.
 The reference labels of a pair found by resolving every label of its order,
-where the package reads them from an index built once per order.
+where the package reads them from an index built once per order.  The
+witness check with one row composition per point on each side, where the
+package composes once per distinct row.
 """
 
 from __future__ import annotations
@@ -95,6 +97,18 @@ def simple_group_verdict(g1, psi1, g2, psi2) -> IsoVerdict:
                               witness=tuple(theta_inv[v] for v in tau))
     return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                       note="maps are not conjugate in the automorphism group")
+
+
+def point_witness(q1, q2, images) -> bool:
+    """``iso.verify_quandle_witness``'s predicate, f . s_x = s'_{f(x)} . f
+    compared at every point x, with both sides composed anew at each x."""
+    images = tuple(images)
+    n = q1.size
+    if (q2.size != n or len(images) != n or set(images) != set(range(n))
+            or not all(hasattr(type(v), "__index__") for v in images)):
+        return False
+    s1, s2, images_of = q1.sym, q2.sym, _composer(images)
+    return all(_composer(s1[x])(images) == images_of(s2[images[x]]) for x in range(n))
 
 
 def fiber_matching_witness(g1, psi1, g2, psi2, embed1, embed2, h) -> tuple[int, ...]:

@@ -19,8 +19,8 @@ from quandles.invariants import (InvariantProfile, compute_P, compute_P2,
                                  profile_to_json, restrict_to_P,
                                  transported_class, translation_elements,
                                  twisted_normalizer)
-from quandles.iso import cached_profile
-from quandles.quandle import Quandle, general_alexander, orbit_of
+from quandles.iso import cached_profile, verify_quandle_witness
+from quandles.quandle import Quandle, general_alexander, orbit_of, row_index
 from quandles.verification import claim_structure
 
 from oracles import inner_group, package_definitions
@@ -255,6 +255,23 @@ def test_failed_row_proof_fails_every_call(monkeypatch, empty_store):
         assert p_groups == {} and all("P" not in rec for rec in records.values())
     monkeypatch.setattr(invariants, "general_alexander", real)
     assert compute_P(d4, psi).members == (0, 1, 2, 3)
+
+
+def test_changed_rows_get_their_own_row_index(empty_store):
+    # the changed copy keeps the record's provenance but indexes its own
+    # rows, so the witness check sees the swap; the record's index stays
+    d4 = build_named("D4")
+    psi = named_automorphism(d4, "phi:3,1")
+    q, identity = general_alexander(d4, psi), tuple(range(d4.order))
+    sym = [list(row) for row in q.sym]
+    sym[1][4], sym[1][5] = sym[1][5], sym[1][4]
+    changed = Quandle._trusted(tuple(map(tuple, sym)), q.provenance)
+    assert verify_quandle_witness(q, q, identity)
+    assert not verify_quandle_witness(changed, q, identity)
+    assert not verify_quandle_witness(q, changed, identity)
+    assert row_index(changed)[0] == tuple(dict.fromkeys(changed.sym))
+    assert row_index(general_alexander(d4, psi)) is row_index(q)
+    assert row_index(q)[0] == tuple(dict.fromkeys(q.sym))
 
 
 def test_equal_tables_share_the_p_group_but_not_the_parent():

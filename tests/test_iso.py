@@ -12,7 +12,7 @@ from quandles import groups, iso
 from quandles.classify import _pair_objects, classify_order
 from quandles.errors import (CapacityError, ContractViolation, StructuralError,
                              VerificationError)
-from quandles.groups import (FiniteGroup, GroupMap, automorphism_classes,
+from quandles.groups import (FiniteGroup, GroupMap, _composer, automorphism_classes,
                              automorphism_conjugacy_classes, automorphism_group,
                              group_from_json, group_to_json, groups_isomorphic,
                              identity_map, is_simple)
@@ -22,9 +22,9 @@ from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
                           normalize_witness, simple_group_decider, theorem13_iso,
                           verdict_from_json, verify_quandle_witness)
 from quandles.invariants import restrict_to_P
-from quandles.quandle import general_alexander, trivial_quandle
+from quandles.quandle import Quandle, general_alexander, trivial_quandle
 
-from oracles import fiber_matching_witness, simple_group_verdict
+from oracles import fiber_matching_witness, point_witness, simple_group_verdict
 
 
 def _ga(name, aut):
@@ -490,6 +490,50 @@ def test_verdict_json_round_trip():
 def test_verdict_json_is_checked(text):
     with pytest.raises(StructuralError):
         verdict_from_json(text)
+
+
+def test_witness_check_matches_the_per_point_reference():
+    # every witness logged for orders 1..12, and tau from Q(G, rep) to
+    # Q(G, tau rep tau^-1) for one tau per non-identity class of each large
+    # group; then non-witnesses on points x whose rows repeat an earlier
+    # row: the witness with the images of two such points swapped, and q2
+    # with the row at f(x) replaced by another class's row, which a check
+    # that compared only the first point of each row of q1 would accept
+    cases = []
+    for order in range(1, 13):
+        _groups, _pairs, maps = _pair_objects(order)
+        for entry in classify_order(order).verdict_log:
+            if entry["verdict"]["result"] == ISOMORPHIC:
+                cases.append((general_alexander(*maps[entry["left"]]),
+                              general_alexander(*maps[entry["right"]]),
+                              tuple(entry["verdict"]["witness"])))
+    for name in ("A5", "S5", "SL23", "S3xS3", "S4"):
+        g = build_named(name)
+        auts = automorphism_group(g, bound=128)
+        for rep, _ in automorphism_conjugacy_classes(g, bound=128)[1:]:
+            tau = next(t for t in reversed(auts) if rep.conjugate_by(t) != rep)
+            cases.append((general_alexander(g, rep),
+                          general_alexander(g, rep.conjugate_by(tau)), tau.images))
+    swaps = traps = 0
+    for q1, q2, f in cases:
+        assert verify_quandle_witness(q1, q2, f) and point_witness(q1, q2, f)
+        first: dict = {}
+        repeats = [x for x, row in enumerate(q1.sym) if first.setdefault(row, x) != x]
+        for x, y in itertools.islice(itertools.combinations(repeats, 2), 3):
+            images = list(f)
+            images[x], images[y] = images[y], images[x]
+            assert verify_quandle_witness(q1, q2, images) == point_witness(q1, q2, images)
+            swaps += 1
+        for x in repeats[:3] if len(first) > 1 else ():  # not on a trivial quandle
+            z = next(z for z in first.values() if q1.sym[z] != q1.sym[x])
+            rows = list(q2.sym)
+            rows[f[x]] = q2.sym[f[z]]
+            bad = Quandle._trusted(tuple(rows), None)
+            assert all(_composer(q1.sym[p])(f) == _composer(f)(bad.sym[f[p]])
+                       for p in first.values())
+            assert not verify_quandle_witness(q1, bad, f) and not point_witness(q1, bad, f)
+            traps += 1
+    assert (len(cases), swaps, traps) == (71, 211, 176)
 
 
 def test_symmetric_group_classes_match_quandle_classes():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -26,7 +27,7 @@ from quandles.iso import verify_quandle_witness
 from quandles.quandle import (Quandle, check_axioms, general_alexander,
                               is_connected, make_quandle, orbit_of,
                               quandle_from_json, quandle_order,
-                              quandle_to_json, subquandle, trivial_quandle)
+                              quandle_to_json, row_index, subquandle, trivial_quandle)
 
 from oracles import PermGroup, inner_group
 
@@ -881,6 +882,39 @@ def test_evicted_rows_are_rebuilt_without_a_second_axiom_check(monkeypatch):
     assert again == first and again.sym is not first.sym
     assert len(checked) == 1 + cells // a5.order ** 2
     assert general_alexander(d4, psi).sym is again.sym
+
+
+@pytest.mark.usefixtures("empty_store")
+def test_eviction_drops_the_row_index_with_the_rows():
+    d4 = build_named("D4")
+    psi = named_automorphism(d4, "phi:3,1")
+    first = general_alexander(d4, psi)
+    rec = quandle._STORE[d4.table][0][psi.images]
+    assert rec["rows"] is first.sym and rec["index"] is row_index(first)
+    a5 = build_named("A5")
+    for other in automorphism_group(a5, bound=60):
+        if "rows" not in rec:
+            break
+        general_alexander(a5, other)
+    assert "rows" not in rec and "index" not in rec
+    for records, _ in quandle._STORE.values():
+        for r in records.values():
+            assert ("rows" in r) == ("index" in r) == (id(r) in quandle._RECENT)
+    again = general_alexander(d4, psi)
+    assert rec["rows"] is again.sym and rec["index"] is row_index(again)
+    assert row_index(again) is not row_index(first) and row_index(again) == row_index(first)
+
+
+def test_row_index_is_not_a_field():
+    d4 = build_named("D4")
+    q = general_alexander(d4, named_automorphism(d4, "phi:3,1"))
+    other = Quandle(q.size, q.sym, q.provenance)
+    assert q.__dict__["_index"] is not None and "_index" not in other.__dict__
+    before = (other == q, hash(other) == hash(q), repr(other))
+    assert row_index(other) == row_index(q) and "_index" in other.__dict__
+    assert (other == q, hash(other) == hash(q), repr(other)) == before == (
+        True, True, "Quandle(size=8, Q(D4,psi))")
+    assert [f.name for f in dataclasses.fields(Quandle)] == ["size", "sym", "provenance"]
 
 
 @pytest.mark.parametrize("members", [(0, 1.5), (0, 2.0)])
