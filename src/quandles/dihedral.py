@@ -81,8 +81,9 @@ class DihedralAut:
             raise ContractViolation("moduli differ")
 
     def as_group_map(self, grp: FiniteGroup | None = None) -> GroupMap:
-        g = grp if grp is not None else build(dihedral(self.n))
-        return dihedral_phi(g, self.a, self.b)
+        if grp is not None and grp.spec != dihedral(self.n):
+            raise ContractViolation(f"phi_{{a,b}} of D{self.n} is not a map of this group")
+        return dihedral_phi(grp if grp is not None else build(dihedral(self.n)), self.a, self.b)
 
 
 def conjugacy_reps_aut_dn(n: int) -> list[DihedralAut]:

@@ -213,11 +213,13 @@ class GroupMap:
     def is_bijective(self) -> bool:
         return len(set(self.images)) == self.source.order == self.target.order
 
-    def require_automorphism(self) -> None:
+    def require_automorphism(self, g: FiniteGroup | None = None) -> None:
         if self.source is not self.target and self.source.table != self.target.table:
             raise ContractViolation("map is not an endomorphism")
         if not self.is_bijective:
             raise ContractViolation("map is not bijective")
+        if g is not None and self.source is not g and self.source.table != g.table:
+            raise ContractViolation("automorphism does not belong to this group")
 
     def inverse(self) -> GroupMap:
         if not self.is_bijective:

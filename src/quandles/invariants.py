@@ -89,7 +89,7 @@ def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
     x H x^-1 . x psi(x)^-1, so it is H iff x normalizes H (tested on H's
     generators) and x psi(x)^-1 lies in H.  Each test reads a column over G:
     the translations, and x y x^-1 = (x y) x^-1 for each generator y of H."""
-    psi.require_automorphism()
+    psi.require_automorphism(g)
     if h.parent is not g:
         raise ContractViolation("subgroup belongs to a different group")
     t, inside = g.table, h.member_set().__contains__

@@ -34,9 +34,7 @@ def _stored(g: FiniteGroup, psi: GroupMap) -> tuple[dict, dict]:
     """The store's (records, P groups) for G's table, once psi is known to be
     an automorphism of G, so a stored record never answers for another map.
     G keeps the entry with its store, so the table is hashed once per store."""
-    psi.require_automorphism()
-    if psi.source is not g and psi.source.table != g.table:
-        raise ContractViolation("automorphism does not belong to this group")
+    psi.require_automorphism(g)
     if g._store is None or g._store[0] is not _STORE:
         g._store = _STORE, _STORE.setdefault(g.table, ({}, {}))
     return g._store[1]

@@ -138,6 +138,13 @@ def test_iso_listing_of_p_isomorphisms_is_bounded(capsys):
     assert capsys.readouterr().err.startswith("capacity: ")
     assert main(["iso", "C2xC2xC2xC2xC2", a, "C2xC2xC2xC2xC2", a]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == "isomorphic"
+    # A against S*A*S, S the coordinate reversal (its own inverse), is an
+    # isomorphic pair that the listing also gives up on at the bound
+    s = "mat:0,0,0,0,1;0,0,0,1,0;0,0,1,0,0;0,1,0,0,0;1,0,0,0,0"
+    start = perf_counter()
+    assert main(["iso", "C2xC2xC2xC2xC2", a, "C2xC2xC2xC2xC2", f"{s}*{a}*{s}"]) == 2
+    assert perf_counter() - start < 10
+    assert capsys.readouterr().err.startswith("capacity: no match among 100000 isomorphisms")
 
 
 @pytest.mark.parametrize("group,aut", [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles.catalog import build, dihedral, named_automorphism
+from quandles.catalog import build, build_named, dihedral, named_automorphism
 from quandles.dihedral import (DihedralAut, are_conjugate_dn,
                                conjugacy_reps_aut_dn, cyclic_iso_decider,
                                cyclic_to_dihedral, dihedral_aut_from_map,
@@ -202,6 +202,15 @@ def test_dihedral_aut_from_map_round_trip():
     # degenerate sizes route to the generic machinery
     g2 = build(dihedral(2))
     assert dihedral_aut_from_map(g2, named_automorphism(g2, "id")) is None
+
+
+@pytest.mark.parametrize("n, a, name", [(4, 3, "D5"), (5, 1, "D4"), (6, 5, "D3")])
+def test_as_group_map_refuses_a_group_other_than_its_own_dn(n, a, name):
+    # phi_{a,b} reads n off the group it is given, so D5 gave D5's phi_{3,1}
+    with pytest.raises(ContractViolation, match=f"of D{n} is not a map of this group"):
+        DihedralAut(n, a, 1).as_group_map(build_named(name))
+    assert DihedralAut(n, a, 1).as_group_map() == named_automorphism(
+        build(dihedral(n)), f"phi:{a},1")
 
 
 def test_compose():

@@ -324,6 +324,29 @@ def test_twisted_normalizer_refuses_a_subgroup_of_another_group(name, members):
                            Subgroup(build_named(name), members))
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_twisted_normalizer_refuses_an_automorphism_of_another_group(n):
+    # psi runs over the automorphisms of the other catalog groups of order n
+    # that are not automorphisms of G, and H over G's cyclic subgroups; such a
+    # psi used to give a subgroup, or a closure error that named the wrong fault
+    gs = [build(spec) for spec in groups_of_order(n)]
+    for g in gs:
+        own = {a.images for a in automorphism_group(g)}
+        cyclic = {h.members: h for h in (generated_subgroup(g, [x]) for x in range(n))}
+        for psi in (a for other in gs for a in automorphism_group(other)):
+            if psi.images in own:
+                continue
+            for h in cyclic.values():
+                with pytest.raises(ContractViolation,
+                                   match="automorphism does not belong to this group"):
+                    twisted_normalizer(g, psi, h)
+    # a twin of G, with G's table, takes G's automorphisms and gets G's answer
+    c4 = build_named("C4")
+    twin, psi = FiniteGroup(c4.table, check=False), named_automorphism(c4, "mul:3")
+    assert (twisted_normalizer(twin, psi, Subgroup(twin, (0, 2))).members
+            == twisted_normalizer(c4, psi, Subgroup(c4, (0, 2))).members)
+
+
 def test_twisted_normalizer_equals_PF_under_preconditions():
     for name, aut in (("D4", "phi:3,1"), ("D6", "phi:5,1"), ("Q8", "psi_3"),
                       ("Dic3", "beta_tau"), ("C4xC2", "psi_sigma")):

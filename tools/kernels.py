@@ -1,0 +1,172 @@
+"""Raw times of the paper's kernels as markdown rows: ``PYTHONPATH=src python tools/kernels.py``
+from the repository root. Each function of REPORTS is one report, whose docstring says what it
+times and why. They are reports, not gates; an exception in any, here or in a child, exits 1."""
+import functools
+import gc
+import subprocess
+import sys
+import timeit
+import tracemalloc
+from itertools import product
+from pathlib import Path
+from time import perf_counter
+
+from quandles import (FiniteGroup, Quandle, Subgroup, automorphism_conjugacy_classes,
+                      automorphism_group, build, build_named, check_axioms, classify_order,
+                      compute_P, compute_P2, general_alexander, groups_of_order, iso, quandle,
+                      theorem13_iso, twisted_normalizer, verification, verify_quandle_witness)
+from quandles.groups import automorphism_classes
+from quandles.invariants import restrict_to_P
+
+def row(text: str) -> None:
+    print(text, end="  \n", flush=True)  # two trailing spaces end a markdown line
+
+def best_of_7(label: str, kernel, inputs) -> None:
+    """Print the least of seven single runs of kernel(*args) for each args of inputs(). As in
+    ``python -m timeit -n 1 -r 7``, inputs() runs untimed before each run; gc is off in runs."""
+    timer = timeit.Timer("for args in made: kernel(*args)", "made = inputs()", globals=locals())
+    row(f"{label}: best of 7, {min(timer.repeat(7, 1)) * 1e3:.2f} ms")
+
+def three_fresh_interpreters(body):
+    """The report that runs body in each of three fresh interpreters, one at a time, with this
+    one's executable, so that each run fills the package's caches anew."""
+    code = (f"import sys; sys.path[0] = {str(Path(__file__).resolve().parent)!r}; "
+            f"import kernels; kernels.{body.__name__}.__wrapped__()")
+    @functools.wraps(body)
+    def report():
+        for _ in range(3):
+            subprocess.run([sys.executable, "-c", code], check=True)
+    return report
+
+def timed(fn, log: list):
+    """fn, logging (fn, args, seconds) for each call."""
+    def run(*args, **kwargs):
+        start = perf_counter()
+        result = fn(*args, **kwargs)
+        log.append((fn, args, perf_counter() - start))
+        return result
+    return run
+
+def automorphism_split_times():
+    """automorphism_classes on fresh copies of C2^4, whose Aut, GL(4, 2) with 20,160 members, is
+    the largest the catalog splits; of all 42 groups of order <= 16; and of C3^3, whose Aut is
+    GL(3, 3) on 27 points. The copies are made before each run, so each run splits new groups."""
+    for label, groups in (
+            ("automorphism_classes(C2xC2xC2xC2), fresh copy", [build_named("C2xC2xC2xC2")]),
+            ("automorphism_classes over the 42 groups of order <= 16, fresh copies",
+             [build(s) for n in range(1, 17) for s in groups_of_order(n)]),
+            ("automorphism_classes(C3xC3xC3), fresh copy", [build_named("C3xC3xC3")])):
+        best_of_7(label, automorphism_classes,
+                  lambda groups=groups: [(FiniteGroup(g.table, check=False),) for g in groups])
+
+def automorphism_split_memory():
+    """What the class map of a fresh copy of C2^4 and of C3^3 keeps after automorphism_classes
+    returns, and the peak while it runs, both by tracemalloc, in MiB. A full collection first
+    empties the interpreter's free lists, whose objects tracemalloc would not see allocated."""
+    for name in ("C2xC2xC2xC2", "C3xC3xC3"):
+        g = FiniteGroup(build_named(name).table, check=False)
+        gc.collect()
+        tracemalloc.start()
+        automorphism_classes(g)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        row(f"automorphism_classes({name}), fresh copy: kept {kept / 2**20:.2f} MiB,"
+            f" peak {peak / 2**20:.2f} MiB")
+
+def s5_classes():
+    g = build_named("S5")
+    return [(g, r) for r, _ in automorphism_conjugacy_classes(g)]
+
+def axiom_check_time():
+    """check_axioms over Q(S5, psi) for the seven Aut-class representatives psi, each quandle made
+    without provenance from rows built in setup, so that only the check is timed."""
+    best_of_7("check_axioms over the seven Q(S5, psi) class representatives", check_axioms,
+              lambda: [(Quandle._trusted(general_alexander(g, r).sym, None),)
+                       for g, r in s5_classes()])
+
+def normalizer_and_subgroup_times():
+    """twisted_normalizer on P and on P^2, and Subgroup made from their members, over Q(S5, psi)
+    for the seven Aut-class representatives psi, with P and P^2 made in setup, so that only the
+    normalizers or the closure checks are timed."""
+    def p_and_p2():
+        return [(g, r, h) for g, r in s5_classes() for h in (compute_P(g, r), compute_P2(g, r))]
+    best_of_7("twisted_normalizer on P and P^2 over the seven Q(S5, psi) class representatives",
+              twisted_normalizer, p_and_p2)
+    best_of_7("Subgroup from the members of P and P^2 over the seven Q(S5, psi) class"
+              " representatives", Subgroup, lambda: [(g, h.members) for g, _, h in p_and_p2()])
+
+def p_record_time():
+    """restrict_to_P over Q(S5, psi) for the seven Aut-class representatives psi, each run on a
+    fresh store made in setup, so that every P record is built from scratch: the input's record and
+    axiom check, the translations' span, the orbit/span check, the row proof and the P group."""
+    def on_a_fresh_store():
+        reps, quandle._STORE = s5_classes(), {}
+        return reps
+    best_of_7("restrict_to_P over the seven Q(S5, psi) class representatives, fresh store",
+              restrict_to_P, on_a_fresh_store)
+
+def witness_check_time():
+    """verify_quandle_witness from Q(G, rep) to Q(G, tau rep tau^-1) with witness tau, for each
+    non-identity Aut-class representative rep of A5, S5, SL23, S3xS3 and S4 and one tau that moves
+    it, with the quandles built in setup, as decide's are, so that only the checks are timed."""
+    def conjugate_pairs():
+        ins = [(g, r, next(t for t in reversed(automorphism_group(g, bound=128))
+                           if r.conjugate_by(t) != r))
+               for g in map(build_named, ("A5", "S5", "SL23", "S3xS3", "S4"))
+               for r, _ in automorphism_conjugacy_classes(g, bound=128)[1:]]
+        return [(general_alexander(g, r), general_alexander(g, r.conjugate_by(t)), t.images)
+                for g, r, t in ins]
+    best_of_7("verify_quandle_witness over the conjugate pairs of A5, S5, SL23, S3xS3 and S4",
+              verify_quandle_witness, conjugate_pairs)
+
+@three_fresh_interpreters
+def decider_cross_validation_time():
+    """claim_decider_cross_validation, which runs the point-map search and the structural routes on
+    every same-order pair up to order 12, in three fresh interpreters."""
+    log = []
+    timed(verification.claim_decider_cross_validation, log)()
+    row(f"claim_decider_cross_validation, fresh interpreter: {log[0][2]:.3f} s")
+
+@three_fresh_interpreters
+def claim_times():
+    """The time of each of the ten claims of verification.ALL_CLAIMS during one run_all_claims(),
+    whose claims share each order's report and pair maps, in three fresh interpreters."""
+    log = []
+    verification.ALL_CLAIMS = tuple(timed(claim, log) for claim in verification.ALL_CLAIMS)
+    verification.run_all_claims()
+    row("run_all_claims, fresh interpreter: "
+        + ", ".join(f"{claim.__name__} {seconds:.3f} s" for claim, _, seconds in log))
+
+@three_fresh_interpreters
+def order16_search_time():
+    """brute_force_iso over the pairs that classify_order(16, beyond_paper=True) searches, timed
+    inside the classification (the pinned colorings it makes included, and counted) and then once
+    more on the same pairs with each input's coloring kept, in three fresh interpreters."""
+    search, searches, refines = iso.brute_force_iso, [], []
+    iso.brute_force_iso, iso._refine = timed(search, searches), timed(iso._refine, refines)
+    classify_order(16, beyond_paper=True)
+    colorings, start = len(refines), perf_counter()
+    for _, args, _ in searches:
+        search(*args[:2])
+    row(f"brute_force_iso over the {len(searches)} pairs of classify 16, fresh interpreter: "
+        f"{sum(seconds for *_, seconds in searches):.3f} s in the classification"
+        f" ({colorings} pinned colorings made), {perf_counter() - start:.3f} s again")
+
+def theorem13_time():
+    """theorem13_iso over the 3,231 ordered pairs of order-16 Aut-class representatives that it
+    calls isomorphic, listed in setup, so that the Iso(P, P') listing and the witness are timed."""
+    def isomorphic_pairs():
+        reps = [(g, r) for g in map(build, groups_of_order(16))
+                for r, _ in automorphism_conjugacy_classes(g)]
+        return [(*a, *b) for a, b in product(reps, repeat=2)
+                if theorem13_iso(*a, *b).result == iso.ISOMORPHIC]
+    best_of_7("theorem13_iso over the isomorphic pairs of order-16 class representatives",
+              theorem13_iso, isomorphic_pairs)
+
+REPORTS = (automorphism_split_times, automorphism_split_memory, axiom_check_time,
+           normalizer_and_subgroup_times, p_record_time, witness_check_time,
+           decider_cross_validation_time, claim_times, order16_search_time, theorem13_time)
+
+if __name__ == "__main__":
+    for report in REPORTS:
+        report()
