@@ -343,18 +343,6 @@ def _closure(maps, points) -> set[int]:
     return points
 
 
-def _transversal(gens, orbit: dict) -> dict:
-    """``orbit``, {point c: u_c}, closed under ``gens``: s takes c to s(c) with
-    u_{s(c)} = s u_c, so from {b: identity} u_c carries b to c (a Schreier
-    vector's transversal; Seress, Permutation Group Algorithms, 2003, ch. 4)."""
-    for c in (points := list(orbit)):  # points grows as it is walked
-        for s in gens:
-            if (d := s[c]) not in orbit:
-                orbit[d] = tuple(map(s.__getitem__, orbit[c]))
-                points.append(d)
-    return orbit
-
-
 def _levels(src: FiniteGroup, dst: FiniteGroup) -> list:
     """Level i of the chain <g_0> < <g_0, g_1> < ... of ``generating_set(src)``:
     the candidate images of g_i in dst (its element order), the level's new
@@ -423,9 +411,15 @@ def _stabilizer_chain(g: FiniteGroup) -> list[list[tuple[int, ...]]]:
     for i in reversed(range(len(levels))):
         orbit = {gens[i]: tuple(range(g.order))}
         for y in levels[i][0]:
-            if y not in orbit and (s := next(_iso_images(g, g, levels, gens[:i] + (y,)), None)):
-                strong.append(s)
-                _transversal(strong, orbit)
+            if y not in orbit and (h := next(_iso_images(g, g, levels, gens[:i] + (y,)), None)):
+                strong.append(h)
+                # u_{s(c)} = s u_c carries g_i to s(c) (a Schreier vector's transversal;
+                # Seress, Permutation Group Algorithms, 2003, ch. 4)
+                for c in (points := list(orbit)):  # points grows as it is walked
+                    for s in strong:
+                        if (d := s[c]) not in orbit:
+                            orbit[d] = tuple(map(s.__getitem__, orbit[c]))
+                            points.append(d)
         chain.append(list(orbit.values()))
     return chain[::-1]
 
@@ -492,51 +486,22 @@ def _perm_order(p: tuple[int, ...]) -> int:
     return math.lcm(*_cycle_type(p))
 
 
-def _schreier_sims(degree: int):
-    """extend(p), which adds p to the generators of a group on range(degree)
-    and returns its order, by the deterministic Schreier-Sims algorithm
-    (Seress, Permutation Group Algorithms, 2003, ch. 4).  Level i holds base
-    point b_i, the strong generators fixing b_0..b_{i-1} and, per point c of
-    b_i's orbit under them, some u_c with u_c(b_i) = c and its inverse.  A p
-    in the group sifts to the identity through the levels.  Otherwise what
-    is left of it at level j, where its sift stops, joins the strong
-    generators (with a new base point if it fixes them all), and from level
-    j up every Schreier generator u_{s(c)}^-1 s u_c must sift to the
-    identity through the levels below; one that does not joins in the same
-    way.  The order is the product of the orbit sizes."""
-    ident = tuple(range(degree))
-    strong, base, levels = [], [], []
-
-    def level(i):
-        gens = [s for s in strong if all(s[b] == b for b in base[:i])]
-        orbit = _transversal(gens, {base[i]: ident})
-        return gens, {c: (u, _perm_inverse(u)) for c, u in orbit.items()}
-
-    def sift(p, i):
-        while i < len(base) and (u := levels[i][1].get(p[base[i]])):
-            p, i = tuple(map(u[1].__getitem__, p)), i + 1
-        return p, i
-
-    def add(h, i, j):
-        """h, sifted down to level j, joins the strong generators; levels i..j are rebuilt."""
-        strong.append(h)
-        if j == len(base):
-            base.append(next(x for x in ident if h[x] != x))
-        levels[i:j + 1] = [level(k) for k in range(i, j + 1)]
-        return j
-
-    def extend(p):
-        h, j = sift(p, 0)
-        i = -1 if h == ident else add(h, 0, j)
-        while i >= 0:
-            gens, orbit = levels[i]
-            # s u_c sifted from level i itself: its first step is the Schreier generator
-            h, j = next((hj for u, _ in orbit.values() for s in gens
-                         if (hj := sift(tuple(map(s.__getitem__, u)), i))[0] != ident), (ident, i))
-            i = i - 1 if h == ident else add(h, i + 1, j)
-        return math.prod(len(orbit) for _, orbit in levels)
-
-    return extend
+def _walk_generators(n: int, right) -> list[int]:
+    """Generators of a group on the indices range(n), 0 its identity, with
+    p . t_i = right(i)[p]: while the walk from 0 under the arrays of those
+    kept so far leaves an index unreached, the largest such joins them.
+    right(i)[0] = i, so each one joined is reached: the walk ends at all n."""
+    kept, rights, walk, reached = [], [], [0], bytearray(n)
+    reached[0] = 1
+    while len(walk) < n:
+        kept.append(i := reached.rindex(0))
+        rights.append(right(i))
+        for p in walk:  # walk grows as it is walked
+            for r in rights:
+                if not reached[q := r[p]]:
+                    reached[q] = 1
+                    walk.append(q)
+    return kept
 
 
 class _ClassMap(Mapping):
@@ -592,14 +557,13 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     differ at g_i, so one sort of the level's d-byte slices keeps the
     prefixes' order.  The key of p, its images of the g_j a byte each in 8
     bytes read as an int (|gens| <= log2 |g| <= 8), must be distinct and looks
-    up its index.  A scan from the largest index down keeps an automorphism
-    as a conjugator only if it enlarges the group the conjugators generate,
-    whose order one Schreier-Sims chain on g's points proves
-    (``_schreier_sims``, which a candidate already in that group only sifts
-    through), and must end at |Aut(g)|.  Conjugation by t acts on the indices
-    as the keys of t p t^-1, the column slices at t^-1(g_j) translated
-    through t; its orbits are the classes, an orbit's least index its least
-    image array, as ``_ClassMap`` labels them; it reads its keys off the bytes."""
+    up its index.  The conjugators t are ``_walk_generators`` of the indices
+    under p -> p . t, whose keys are the column slices at t(g_j): the
+    products hold the identity, are closed under each step and are all
+    reached, so they are the group the conjugators generate.  Conjugation
+    by t acts on the indices as the keys of t p t^-1, the column slices at
+    t^-1(g_j) translated through t; its orbits are the classes, an orbit's
+    least index its least image array, as ``_ClassMap`` labels them."""
     if g.order > bound:
         raise CapacityError(
             f"automorphism enumeration capped at order {bound}, got {g.order}")
@@ -614,23 +578,22 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             us = b"".join(map(bytes, level))
             buf = b"".join([us.translate(buf[i:i + d] + rest) for i in range(0, len(buf), d)])
             buf = b"".join(sorted([buf[i:i + d] for i in range(0, len(buf), d)]))
-        def keys(t):  # the key of t p t^-1 for every p; C1 has one key, 0
-            packed, inv, table = bytearray(8 * n), _perm_inverse(t), bytes(t) + rest
-            for j, x in enumerate(generating_set(g)):
-                packed[j::8] = buf[inv[x]::d].translate(table)
+
+        def keys(cols, table=None):  # per p, its images at cols through table; C1's key is 0
+            packed = bytearray(8 * n)
+            for j, c in enumerate(cols):
+                packed[j::8] = buf[c::d].translate(table)
             return memoryview(packed).cast("Q").tolist()
-        index = dict(zip(keys(range(d)), range(n)))
+
+        gens = generating_set(g)
+        index = dict(zip(keys(gens), range(n)))
         if len(index) != n:
             raise ContractViolation(f"the chain's {n} products have {len(index)} distinct keys")
-        conjugators, size, extend = [], 1, _schreier_sims(d)
-        scan = (tuple(buf[i:i + d]) for i in range(len(buf) - d, -1, -d))
-        while size < n and (t := next(scan, None)):
-            if (m := extend(t)) > size:
-                conjugators, size = conjugators + [t], m
-        if size != n:
-            raise ContractViolation(f"Aut's generators close to {size} of {n} members")
-        try:
-            conjs = [_composer(keys(t))(index) for t in conjugators]
+        try:  # the index arrays of p -> p . t, then of p -> t p t^-1
+            kept = _walk_generators(
+                n, lambda i: _composer(keys(buf[i * d + x] for x in gens))(index))
+            conjs = [_composer(keys((t.index(x) for x in gens), t + rest))(index)
+                     for t in (buf[i * d:(i + 1) * d] for i in kept)]
         except KeyError:
             raise ContractViolation("the automorphisms enumerated are not closed") from None
         g._aut_classes = _ClassMap(g, buf, index, conjs)

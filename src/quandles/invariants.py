@@ -35,6 +35,7 @@ def _translations(g: FiniteGroup, psi: GroupMap):
 
 def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:
     """The set {s_x(e)} = {x psi(x)^-1 : x in G}, with duplicates removed."""
+    psi.require_automorphism(g)
     return sorted(set(_translations(g, psi)))
 
 
@@ -184,6 +185,7 @@ def transported_class(grp: FiniteGroup, auto: GroupMap) -> tuple:
     resulting Aut-conjugacy class does not depend on the choice.  For groups
     outside the catalog the id degrades to (order of the map, fixed count).
     """
+    auto.require_automorphism(grp)
     name, h0 = _catalog_match(grp)
     if name is None:
         fixed = sum(1 for x in range(grp.order) if auto.images[x] == x)

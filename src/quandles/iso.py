@@ -339,19 +339,18 @@ def simple_group_decider(g1: FiniteGroup, psi1: GroupMap,
     if not (_aut_conjugacy_decides(g1) and _aut_conjugacy_decides(g2)):
         raise ContractViolation(
             f"{g1.name} or {g2.name} is neither simple nor S_n with n <= 5")
+    psi1.require_automorphism(g1)
+    psi2.require_automorphism(g2)
     theta = groups_isomorphic(g2, g1)
     if theta is None:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                           note="simple groups not isomorphic")
-    target, im1, d = psi2.conjugate_by(theta).images, psi1.images, g1.order
-    # tau psi1 = target tau iff at 0 and the generators: columns of the class map's bytes
-    buf, points = automorphism_classes(g1)._buf, (0, *generating_set(g1))
-    cols = zip(zip(*(buf[im1[x]::d] for x in points)),
-               zip(*(buf[x::d].translate(bytes(target).ljust(256, b"\0")) for x in points)))
-    tau = next((buf[i * d:(i + 1) * d] for i, (a, b) in enumerate(cols) if a == b), None)
-    if tau is None:
+    target, im1, classes = psi2.conjugate_by(theta).images, psi1.images, automorphism_classes(g1)
+    if classes[im1] != classes[target]:
         return IsoVerdict(NOT_ISOMORPHIC, METHOD_SIMPLE,
                           note="maps are not conjugate in the automorphism group")
+    # tau psi1 = target tau iff the two agree on the generators
+    tau = next(t for t in classes if all(t[im1[x]] == target[t[x]] for x in generating_set(g1)))
     return _checked(general_alexander(g1, psi1), general_alexander(g2, psi2), IsoVerdict(
         ISOMORPHIC, METHOD_SIMPLE, witness=tuple(map(theta.inverse().images.__getitem__, tau))))
 

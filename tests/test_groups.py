@@ -20,7 +20,7 @@ from quandles.groups import (FiniteGroup, GroupMap, Subgroup, all_group_isomorph
 from quandles.iso import ISOMORPHIC, decide, verify_quandle_witness
 from quandles.quandle import general_alexander
 
-from oracles import greedy_closure, inner_group, package_definitions
+from oracles import package_definitions
 
 
 def test_identity_and_latin_square_enforced():
@@ -444,28 +444,9 @@ def test_automorphism_classes_prove_the_generators_close(monkeypatch, edit):
         return chain
 
     monkeypatch.setattr(groups, "_stabilizer_chain", edited)
-    match = "not closed|close to" if edit == "drop the last" else "distinct keys"
+    match = "not closed" if edit == "drop the last" else "distinct keys"
     with pytest.raises(ContractViolation, match=match):
         automorphism_classes(FiniteGroup(build_named("D4").table))
-
-
-def test_automorphism_classes_refuse_conjugators_that_do_not_generate(monkeypatch):
-    # a Schreier-Sims that never grows past two conjugators leaves the scan
-    # short of Aut(Q8), which needs three
-    real = groups._schreier_sims
-
-    def capped(degree):
-        extend, orders = real(degree), [1]
-
-        def extend_twice(p):
-            if len(orders) < 3 and (m := extend(p)) > orders[-1]:
-                orders.append(m)
-            return orders[-1]
-        return extend_twice
-
-    monkeypatch.setattr(groups, "_schreier_sims", capped)
-    with pytest.raises(ContractViolation, match="close to"):
-        automorphism_classes(FiniteGroup(build_named("Q8").table))
 
 
 def test_automorphism_classes_take_no_orders_and_no_closure(monkeypatch):
@@ -478,31 +459,28 @@ def test_automorphism_classes_take_no_orders_and_no_closure(monkeypatch):
     assert len(got) == 20160 and len(set(got.values())) == 14  # GL(4, 2) = A8
 
 
-_SIFT_GROUPS = [*(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
-                "A5", "S5", "SL23"]
+# every catalog group of order <= 16, A5, S5 and SL23
+_SPLIT_GROUPS = [*(spec.name() for n in range(1, 17) for spec in groups_of_order(n)),
+                 "A5", "S5", "SL23"]
 
 
-@pytest.mark.parametrize("name", _SIFT_GROUPS)
-def test_schreier_sims_order_is_the_closure_size(name):
-    # one chain extended by seeded random members of Aut(G), each order
-    # checked, and by a member of the group so far, which must sift through;
-    # then the point symmetries of each class-representative quandle, which
-    # generate its inner group
-    import random
+@pytest.mark.parametrize("name", _SPLIT_GROUPS)
+def test_walk_generators_keep_what_the_kept_ones_do_not_generate(name):
+    # G on its own indices, p . t = table[p][t]: a scan from the largest index
+    # down keeps t only outside the subgroup the kept ones generate, and the
+    # kept ones generate G
     g = build_named(name)
-    auts, rng = list(automorphism_classes(g)), random.Random(name)
-    gens, extend = rng.sample(auts, min(3, len(auts))), groups._schreier_sims(g.order)
-    for k in range(1, len(gens) + 1):
-        closure = greedy_closure(g.order, gens[:k], len(auts))
-        assert extend(gens[k - 1]) == len(closure) == extend(max(closure))
-    for rep, _ in automorphism_conjugacy_classes(g):
-        q = general_alexander(g, rep)
-        extend = groups._schreier_sims(q.size)
-        assert [extend(s) for s in q.sym][-1] == inner_group(q).order
+    kept = groups._walk_generators(g.order, lambda t: [row[t] for row in g.table])
+    want, have = [], {0}
+    for t in range(g.order - 1, 0, -1):
+        if t not in have:
+            want.append(t)
+            have = set(generated_subgroup(g, want).members)
+    assert kept == want and len(have) == g.order
 
 
 GOLDEN_AUT_CLASSES = Path(__file__).parent / "data" / "aut_classes.txt"
-_PINNED_CLASS_MAPS = [*_SIFT_GROUPS, "C2xC2xC2xC2-relabelled", "C3xC3xC3"]
+_PINNED_CLASS_MAPS = [*_SPLIT_GROUPS, "C2xC2xC2xC2-relabelled", "C3xC3xC3"]
 
 
 def _class_map_digest(name: str) -> str:
@@ -537,7 +515,7 @@ def _per_point_orbit_classes(conjs, n: int) -> list[int]:
     return rep
 
 
-@pytest.mark.parametrize("name", _SIFT_GROUPS)
+@pytest.mark.parametrize("name", _SPLIT_GROUPS)
 def test_class_orbits_match_the_per_point_walk(monkeypatch, name):
     # the conjugators automorphism_classes hands to groups._ClassMap, walked
     # again by the reference

@@ -347,6 +347,18 @@ def test_twisted_normalizer_refuses_an_automorphism_of_another_group(n):
             == twisted_normalizer(c4, psi, Subgroup(c4, (0, 2))).members)
 
 
+
+@pytest.mark.parametrize("entry", [translation_elements, transported_class])
+def test_translations_and_transported_class_refuse_an_automorphism_of_another_group(entry):
+    # (0, 2, 3, 1) is an automorphism of C2xC2, not of C4: translation_elements
+    # used to return [0, 2, 3] for it, and transported_class a bare KeyError
+    c4, v = build_named("C4"), build_named("C2xC2")
+    with pytest.raises(ContractViolation, match="automorphism does not belong to this group"):
+        entry(c4, GroupMap(v, v, (0, 2, 3, 1)))
+    # a twin of C4, with C4's table, takes C4's automorphisms and gets C4's answer
+    twin, psi = FiniteGroup(c4.table, check=False), named_automorphism(c4, "mul:3")
+    assert entry(twin, psi) == entry(c4, psi)
+
 def test_twisted_normalizer_equals_PF_under_preconditions():
     for name, aut in (("D4", "phi:3,1"), ("D6", "phi:5,1"), ("Q8", "psi_3"),
                       ("Dic3", "beta_tau"), ("C4xC2", "psi_sigma")):

@@ -168,6 +168,12 @@ def test_simple_group_decider():
     with pytest.raises(ContractViolation):
         simple_group_decider(build(cyclic(4)), identity_map(build(cyclic(4))),
                              build(cyclic(4)), identity_map(build(cyclic(4))))
+    # an automorphism of C6 on either side of S3 is refused, not decided
+    s3, c6 = build_named("S3"), build_named("C6")
+    foreign = named_automorphism(c6, "mul:5")
+    for psi1, psi2 in ((foreign, identity_map(s3)), (identity_map(s3), foreign)):
+        with pytest.raises(ContractViolation, match="automorphism does not belong to this group"):
+            simple_group_decider(s3, psi1, s3, psi2)
 
 
 def _parent_simple_group_decider(g, psi1, psi2):

@@ -49,13 +49,16 @@ def timed(fn, log: list):
 
 def automorphism_split_times():
     """automorphism_classes on fresh copies of C2^4, whose Aut, GL(4, 2) with 20,160 members, is
-    the largest the catalog splits; of all 42 groups of order <= 16; and of C3^3, whose Aut is
-    GL(3, 3) on 27 points. The copies are made before each run, so each run splits new groups."""
+    the largest the catalog splits; of all 42 groups of order <= 16; of C3^3, whose Aut is
+    GL(3, 3) on 27 points; and of A5, S5, SL23, S3xS3 and S4, which no workload splits in its
+    timed section. The copies are made before each run, so each run splits new groups."""
     for label, groups in (
             ("automorphism_classes(C2xC2xC2xC2), fresh copy", [build_named("C2xC2xC2xC2")]),
             ("automorphism_classes over the 42 groups of order <= 16, fresh copies",
              [build(s) for n in range(1, 17) for s in groups_of_order(n)]),
-            ("automorphism_classes(C3xC3xC3), fresh copy", [build_named("C3xC3xC3")])):
+            ("automorphism_classes(C3xC3xC3), fresh copy", [build_named("C3xC3xC3")]),
+            ("automorphism_classes over A5, S5, SL23, S3xS3 and S4, fresh copies",
+             list(map(build_named, ("A5", "S5", "SL23", "S3xS3", "S4"))))):
         best_of_7(label, automorphism_classes,
                   lambda groups=groups: [(FiniteGroup(g.table, check=False),) for g in groups])
 
