@@ -22,15 +22,9 @@ from .errors import ContractViolation, VerificationError
 from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
                      automorphism_classes, center, generating_set,
                      groups_isomorphic, is_normal)
-from .quandle import _kept, _stored, general_alexander, orbit_of, row_index
+from .quandle import _kept, _stored, _translations, general_alexander, orbit_of, row_index
 
 PROFILE_VERSION = "profile.v1"
-
-
-def _translations(g: FiniteGroup, psi: GroupMap):
-    """t_x = x psi(x)^-1 = s_x(e) for x = 0, 1, ..., so that s_x = L_{t_x} . psi:
-    row x of the table at psi(x)^-1, one C-level map."""
-    return map(getitem, g.table, _composer(psi.images)(g._inv))
 
 
 def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:

@@ -19,12 +19,11 @@ from operator import add
 from .catalog import build, symmetric
 from .dihedral import cyclic_iso_decider, dihedral_aut_from_map, dihedral_iso_decider
 from .errors import CapacityError, ContractViolation, StructuralError, VerificationError
-from .groups import (AUT_COUNT_BOUND, FiniteGroup, GroupMap, _composer, _cycle_type,
+from .groups import (AUT_COUNT_BOUND, FiniteGroup, GroupMap, _composer, _cycle_type, _int_rows,
                      _json_ints, _json_object, all_group_isomorphisms,
                      automorphism_classes, generating_set, groups_isomorphic, is_simple)
-from .invariants import (InvariantProfile, _translations, profile, restrict_to_P,
-                         translation_elements)
-from .quandle import Quandle, _kept, general_alexander, row_index
+from .invariants import InvariantProfile, profile, restrict_to_P, translation_elements
+from .quandle import Quandle, _kept, _translations, general_alexander, row_index
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not-isomorphic"
@@ -491,6 +490,8 @@ def normalize_witness(q2: Quandle, images) -> tuple[int, ...]:
     a quandle automorphism."""
     if q2.provenance is None:
         raise ContractViolation("normalization needs a generalized Alexander target")
+    if sorted(images := _int_rows([images], "witness images")[0]) != list(range(q2.size)):
+        raise ContractViolation("witness images are not a permutation of the target's points")
     g2, _ = q2.provenance
     shift = g2._inv[images[0]]
     return tuple(g2.table[shift][v] for v in images)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import CapacityError, ContractViolation, StructuralError
 from .groups import (FiniteGroup, GroupMap, _closure, _composer, _int_rows, _json_int,
-                     _json_ints, _json_object, _json_rows, _perm_order)
+                     _json_ints, _json_object, _json_rows, _perm_order, generating_set)
 
 # What is derived once per Q(G, psi) input: group table -> (psi images ->
 # record, P members -> the P group that every input on the table shares).
@@ -157,19 +158,33 @@ def _checked(q: Quandle) -> Quandle:
     return q
 
 
+def _translations(g: FiniteGroup, psi: GroupMap):
+    """t_x = x psi(x)^-1 = s_x(e) for x = 0, 1, ..., so that s_x = L_{t_x} . psi:
+    row x of the table at psi(x)^-1, one C-level map."""
+    return map(getitem, g.table, _composer(psi.images)(g._inv))
+
+
 def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
     """Q(G, psi) with s_x(y) = x psi(x^-1 y); its axioms are checked once
     per (table, images), which then gets its record in the store.  A recent
-    input's rows and their row index are reused, under the caller's own (g, psi)."""
+    input's rows and their row index are reused, under the caller's own (g, psi).
+    A psi multiplicative at G's generators is a homomorphism, with one row L_t psi
+    per distinct translation t; an unchecked map that is not gets the definition's."""
     global _row_cells
     records = _stored(g, psi)[0]
     rec = records.get(psi.images)
     sym = rec.get("rows") if rec else None
     if sym is None:
-        t, inv, im = g.table, g._inv, psi.images
-        psi_of = _composer(im)  # row x psi(v) over v, read at v = x^-1 y
-        sym = tuple(_composer(t[inv[x]])(psi_of(t[x])) for x in range(g.order))
-        q = Quandle._trusted(sym, (g, psi))
+        t, im, index, ids = g.table, psi.images, None, {}
+        psi_of = _composer(im)  # row . psi: (row[psi(v)] over v)
+        # psi(s b) = psi(s) psi(b) for all b at each generator s, which generate G as a monoid
+        if all(_composer(t[s])(im) == psi_of(t[im[s]]) for s in generating_set(g)):
+            rid = [ids.setdefault(u, len(ids)) for u in _translations(g, psi)]
+            index = tuple(psi_of(t[u]) for u in ids), rid
+            sym = tuple(map(index[0].__getitem__, rid))
+        else:  # the definition: row x psi(v) over v, read at v = x^-1 y
+            sym = tuple(_composer(t[g._inv[x]])(psi_of(t[x])) for x in range(g.order))
+        q = Quandle._trusted(sym, (g, psi), index)
         if rec is None:
             _checked(q)
             rec = records[im] = {}
@@ -199,12 +214,14 @@ def quandle_order(q: Quandle) -> int:
 
 
 def orbit_of(q: Quandle, start: int) -> frozenset[int]:
+    if not 0 <= (start := _int_rows([[start]], "orbit start")[0][0]) < q.size:
+        raise StructuralError(f"orbit start {start} out of range")
     return frozenset(_closure(row_index(q)[0], {start}))
 
 
 def is_connected(q: Quandle) -> bool:
     """True iff the inner group acts transitively (orbits partition Q)."""
-    return len(orbit_of(q, 0)) == q.size
+    return len(_closure(row_index(q)[0], {0})) == q.size
 
 
 def subquandle(q: Quandle, members) -> tuple[Quandle, tuple[int, ...]]:

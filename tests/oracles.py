@@ -11,7 +11,9 @@ with the P^2-fiber tables the package's one coset matching does without.
 The reference labels of a pair found by resolving every label of its order,
 where the package reads them from an index built once per order.  The
 witness check with one row composition per point on each side, where the
-package composes once per distinct row.
+package composes once per distinct row.  The table of Q(G, psi) by its
+definition, one cell at a time, where the package builds one row per
+distinct translation once psi is proved a homomorphism.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import pkgutil
 import quandles
 from quandles.errors import CapacityError, StructuralError, VerificationError
 from quandles.groups import _composer, automorphism_classes, groups_isomorphic
-from quandles.invariants import _translations, compute_P2
+from quandles.invariants import compute_P2
 from quandles.iso import ISOMORPHIC, METHOD_SIMPLE, NOT_ISOMORPHIC, IsoVerdict
 from quandles.labels import ORDER8_LABELS, ORDER12_LABELS, label_class_images
+from quandles.quandle import _translations
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
@@ -109,6 +112,13 @@ def point_witness(q1, q2, images) -> bool:
         return False
     s1, s2, images_of = q1.sym, q2.sym, _composer(images)
     return all(_composer(s1[x])(images) == images_of(s2[images[x]]) for x in range(n))
+
+
+def definition_table(g, psi) -> tuple[tuple[int, ...], ...]:
+    """Q(G, psi)'s table by its definition, s_x(y) = x psi(x^-1 y), at every
+    x and y; for any map psi, a homomorphism or not."""
+    t, inv, im = g.table, g._inv, psi.images
+    return tuple(tuple(t[x][im[t[inv[x]][y]]] for y in range(g.order)) for x in range(g.order))
 
 
 def fiber_matching_witness(g1, psi1, g2, psi2, embed1, embed2, h) -> tuple[int, ...]:

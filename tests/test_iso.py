@@ -463,6 +463,15 @@ def test_theorem39_requires_normalized_witness():
         check_theorem39_properties(tuple(range(10)), g1, p1, g2, p2)
 
 
+@pytest.mark.parametrize("images, error", [((3, 1), ContractViolation),
+                                           ((3,) * 8, ContractViolation),
+                                           ((0, 1.0, 2, 3, 4, 5, 6, 7), StructuralError)])
+def test_normalize_witness_refuses_images_that_are_not_a_permutation(images, error):
+    _, _, q = _ga("D4", "phi:3,1")
+    with pytest.raises(error, match="not a permutation|not an integer"):
+        normalize_witness(q, images)
+
+
 def test_theorem39_identity_witness():
     g, psi, _ = _ga("Q8", "psi_4")
     report = check_theorem39_properties(tuple(range(8)), g, psi, g, psi)

@@ -29,7 +29,7 @@ from quandles.quandle import (Quandle, check_axioms, general_alexander,
                               quandle_from_json, quandle_order,
                               quandle_to_json, row_index, subquandle, trivial_quandle)
 
-from oracles import PermGroup, inner_group
+from oracles import PermGroup, definition_table, inner_group
 
 # a valid quandle whose point symmetries have non-constant orders:
 # s_0 is a 4-cycle on the other points, everything else is trivial
@@ -551,6 +551,14 @@ def test_is_connected():
     assert not is_connected(general_alexander(g, named_automorphism(g, "psi_sigma")))
 
 
+@pytest.mark.parametrize("start", [-1, 99, 1.0])
+def test_orbit_of_refuses_a_start_that_is_not_a_point(start):
+    d4 = build_named("D4")
+    q = general_alexander(d4, named_automorphism(d4, "phi:3,1"))
+    with pytest.raises(StructuralError, match="orbit start"):
+        orbit_of(q, start)
+
+
 def test_connected_iff_orbit_is_everything():
     for order in range(1, 13):
         for spec in groups_of_order(order):
@@ -936,3 +944,71 @@ def test_s0_is_psi_whose_cycle_type_the_map_keeps():
                 assert q.sym[0] == psi.images and q.provenance[1] is psi
                 assert psi.cycle_type == _cycle_type(psi.images)
                 assert psi.map_order() == _perm_order(psi.images)
+
+
+def _record_translation_builds(monkeypatch) -> list[tuple]:
+    """Record, from here on, the (table, images) of every input whose rows
+    general_alexander builds from its translations, not by the definition."""
+    built, real = [], quandle._translations
+
+    def recording(g, psi):
+        built.append((g.table, psi.images))
+        return real(g, psi)
+
+    monkeypatch.setattr(quandle, "_translations", recording)
+    return built
+
+
+def _definition_inputs():
+    """Every Aut-class representative of the 42 groups of order <= 16, every
+    automorphism of those of order <= 12, and the class representatives of
+    A5, S5, SL23, S3xS3 and S4."""
+    for n in range(1, 17):
+        for g in map(build, groups_of_order(n)):
+            yield from ((g, rep) for rep, _ in automorphism_conjugacy_classes(g))
+            yield from ((g, psi) for psi in automorphism_group(g) if n <= 12)
+    for g in map(build_named, ("A5", "S5", "SL23", "S3xS3", "S4")):
+        yield from ((g, rep) for rep, _ in automorphism_conjugacy_classes(g))
+
+
+@pytest.mark.usefixtures("empty_store")
+def test_built_tables_and_row_indexes_match_the_definition(monkeypatch):
+    built, inputs = _record_translation_builds(monkeypatch), set()
+    d4 = build_named("D4")
+    twin = FiniteGroup(d4.table, name="D4-twin")  # built first, so it builds the rows
+    twins = [(twin, GroupMap(twin, twin, psi.images)) for psi in automorphism_group(d4)]
+    for g, psi in [*twins, *_definition_inputs()]:
+        q = general_alexander(g, psi)
+        assert q.sym == definition_table(g, psi) and q.provenance == (g, psi)
+        assert row_index(q) == row_index(Quandle._trusted(q.sym, None))
+        inputs.add((g.table, psi.images))
+    assert set(built) == inputs and len(inputs) > 600
+
+
+@pytest.mark.usefixtures("empty_store")
+@pytest.mark.parametrize("name, images, multiplicative_at_generators, is_quandle", [
+    ("S3", (0, 1, 2, 4, 3, 5), (False, False), True),  # not a homomorphism, yet a quandle
+    ("S3", (0, 1, 2, 5, 4, 3), (True, False), False),
+    ("D4", (0, 2, 1, 3, 4, 5, 6, 7), (False, False), False),
+])
+def test_a_map_that_fails_the_generator_test_gets_the_definitions_table(
+        monkeypatch, name, images, multiplicative_at_generators, is_quandle):
+    built = _record_translation_builds(monkeypatch)
+    g = build_named(name)
+    psi = GroupMap(g, g, images, check=False)
+    t = g.table
+    assert multiplicative_at_generators == tuple(
+        all(images[t[s][b]] == t[images[s]][images[b]] for b in range(g.order))
+        for s in generating_set(g))
+    want = definition_table(g, psi)
+    violations = check_axioms(Quandle._trusted(want, None))
+    assert is_quandle == (violations == [])
+    if violations:
+        with pytest.raises(StructuralError) as refused:
+            general_alexander(g, psi)
+        assert str(refused.value) == f"not a quandle: {violations[:3]}"
+    else:
+        q = general_alexander(g, psi)
+        assert q.sym == want and check_axioms(q) == []
+        assert row_index(q) == row_index(Quandle._trusted(want, None))
+    assert built == []

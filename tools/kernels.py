@@ -98,6 +98,16 @@ def normalizer_and_subgroup_times():
     best_of_7("Subgroup from the members of P and P^2 over the seven Q(S5, psi) class"
               " representatives", Subgroup, lambda: [(g, h.members) for g, _, h in p_and_p2()])
 
+def construction_time():
+    """general_alexander over the Aut-class representatives of A5, S5, SL23, S3xS3 and S4, each run
+    on a fresh store made in setup, so that every input's table is built and its axioms checked."""
+    def on_a_fresh_store():
+        quandle._STORE = {}
+        return [(g, r) for g in map(build_named, ("A5", "S5", "SL23", "S3xS3", "S4"))
+                for r, _ in automorphism_conjugacy_classes(g)]
+    best_of_7("general_alexander over the class representatives of A5, S5, SL23, S3xS3 and S4,"
+              " fresh store", general_alexander, on_a_fresh_store)
+
 def p_record_time():
     """restrict_to_P over Q(S5, psi) for the seven Aut-class representatives psi, each run on a
     fresh store made in setup, so that every P record is built from scratch: the input's record and
@@ -167,7 +177,7 @@ def theorem13_time():
               theorem13_iso, isomorphic_pairs)
 
 REPORTS = (automorphism_split_times, automorphism_split_memory, axiom_check_time,
-           normalizer_and_subgroup_times, p_record_time, witness_check_time,
+           construction_time, normalizer_and_subgroup_times, p_record_time, witness_check_time,
            decider_cross_validation_time, claim_times, order16_search_time, theorem13_time)
 
 if __name__ == "__main__":
