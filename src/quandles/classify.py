@@ -12,6 +12,7 @@ isomorphism invariant.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -119,14 +120,15 @@ def classify_order(order: int, beyond_paper: bool = False,
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR) or None
     if cache_dir:
-        cached = _load_cache(order, beyond_paper, cache_dir)
-        if cached is not None:
-            return cached
         _make_cache_dir(cache_dir)  # fail at once, not after classifying
     groups, pairs, maps = _pair_objects(order)
-    report = _classify_pairs(order, beyond_paper, [g.name for g in groups],
-                             pairs, maps)
-    if cache_dir:
+    names = [g.name for g in groups]
+    log = _cached_log(order, beyond_paper, pairs, cache_dir) if cache_dir else None
+    lent = _lent_witnesses(log)
+    report = _classify_pairs(order, beyond_paper, names, pairs, maps, lent)
+    if cache_dir and report.verdict_log != log:
+        if lent:  # the file lends nothing, as its log is not the loop's
+            report = _classify_pairs(order, beyond_paper, names, pairs, maps)
         _store_cache(report, cache_dir)
     return report
 
@@ -138,18 +140,26 @@ def classify_group(g: FiniteGroup) -> ClassificationReport:
 
 
 def _entry(maps: list[tuple[FiniteGroup, GroupMap]], left: int, right: int,
-           verdict: IsoVerdict | None = None) -> dict:
-    """The verdict-log entry of pairs ``left`` and ``right``: ``verdict``, or
-    by default what ``decide`` gives."""
-    verdict = verdict or decide(*maps[left], *maps[right])
+           lent: dict) -> dict:
+    """The verdict-log entry of pairs ``left`` and ``right``: isomorphic by
+    their lent witness if it verifies, with the method ``decide`` would
+    report and no note, else what ``decide`` gives."""
+    witness = lent.get((left, right))
+    if witness is not None and verify_quandle_witness(
+            general_alexander(*maps[left]), general_alexander(*maps[right]), witness):
+        verdict = IsoVerdict(ISOMORPHIC, isomorphic_method(*maps[left], *maps[right]),
+                             witness=witness)
+    else:
+        verdict = decide(*maps[left], *maps[right])
     return {"left": left, "right": right, "verdict": verdict.to_json_dict()}
 
 
 def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
                     pairs: list[PairEntry], maps: list[tuple[FiniteGroup, GroupMap]],
-                    entry_of=_entry) -> ClassificationReport | None:
+                    lent: dict | None = None) -> ClassificationReport:
     """Decide each pair against the representatives of its profile bucket,
-    taking each log entry from ``entry_of(maps, rep, i)``; None if it gives None."""
+    trying the witness ``lent`` maps (representative, pair) to first."""
+    lent = lent or {}
     profiles = [cached_profile(g, psi) for g, psi in maps]
     verdict_log: list[dict] = []
     # pairs are visited in index order, so each class is sorted and its
@@ -158,9 +168,7 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
     for i, prof in enumerate(profiles):
         bucket = buckets.setdefault(prof, [])
         for cls in bucket:
-            entry = entry_of(maps, cls[0], i)
-            if entry is None:
-                return None
+            entry = _entry(maps, cls[0], i, lent)
             verdict_log.append(entry)
             if entry["verdict"]["result"] == ISOMORPHIC:
                 cls.append(i)
@@ -182,30 +190,6 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
         group_names=group_names, pairs=pairs, profiles=profiles,
         classes=classes, verdict_log=verdict_log, notes=notes,
         complete=undecided == 0)
-
-
-def _replayer(log: list[dict]):
-    """An ``entry_of`` that gives ``log``'s next entry once it is proved again
-    for the pairs the loop decides: an isomorphic entry must carry a verified
-    witness, the method ``isomorphic_method`` gives and no note, and any other
-    entry is decided again and must come out the same."""
-    entries = iter(log)
-
-    def replay(maps, left: int, right: int) -> dict | None:
-        entry = next(entries, None)
-        if entry is None:
-            return None
-        verdict = None
-        if entry["verdict"]["result"] == ISOMORPHIC:
-            witness = tuple(entry["verdict"].get("witness", ()))
-            verdict = IsoVerdict(ISOMORPHIC, isomorphic_method(*maps[left], *maps[right]),
-                                 witness=witness)
-            if not verify_quandle_witness(general_alexander(*maps[left]),
-                                          general_alexander(*maps[right]), witness):
-                return None
-        return entry if entry == _entry(maps, left, right, verdict) else None
-
-    return replay
 
 
 def closed_form_counts(n: int) -> int | None:
@@ -368,40 +352,32 @@ def _store_cache(report: ClassificationReport, cache_dir: str) -> None:
         raise
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
-
-
-def _well_formed_log(log) -> bool:
-    """Every verdict-log entry has the JSON types the writer gives it."""
-    return isinstance(log, list) and all(
-        isinstance(e, dict) and type(e.get("left")) is int
-        and type(e.get("right")) is int and isinstance(e.get("verdict"), dict)
-        and isinstance(e["verdict"].get("result"), str)
-        and _is_int_list(e["verdict"].get("witness", [])) for e in log)
-
-
-def _load_cache(order: int, beyond_paper: bool,
-                cache_dir: str) -> ClassificationReport | None:
-    """The cached report once the classification loop has replayed the
-    file's whole verdict log, each entry its own next one (see
-    ``_replayer``).  None rejects the file."""
-    path = _cache_path(order, beyond_paper, cache_dir)
-    if not os.path.exists(path):
-        return None
+def _cached_log(order: int, beyond_paper: bool, pairs: list[PairEntry],
+                cache_dir: str):
+    """The verdict log of the order's cache file, of any shape; None when
+    there is no file, it is not UTF-8 JSON, or it is not an object naming
+    this engine version, this order and exactly these pairs."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(_cache_path(order, beyond_paper, cache_dir), encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    if (not isinstance(data, dict) or data.get("engine_version") != ENGINE_VERSION
-            or data.get("order") != order
-            or not _well_formed_log(data.get("verdict_log"))):
-        return None
-    groups, pairs, maps = _pair_objects(order)
-    if data.get("pairs") != [p.to_json_dict() for p in pairs]:
-        return None
-    log = data["verdict_log"]
-    report = _classify_pairs(order, beyond_paper, [g.name for g in groups], pairs,
-                             maps, _replayer(log))
-    return report if report and len(report.verdict_log) == len(log) else None
+    if (isinstance(data, dict) and data.get("engine_version") == ENGINE_VERSION
+            and data.get("order") == order
+            and data.get("pairs") == [p.to_json_dict() for p in pairs]):
+        return data.get("verdict_log")
+    return None
+
+
+def _lent_witnesses(log) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The witnesses of ``log``'s isomorphic entries, keyed by (left, right);
+    an entry that raises TypeError or KeyError while it is read is skipped."""
+    lent = {}
+    for entry in log if isinstance(log, list) else ():
+        try:
+            if entry["verdict"]["result"] == ISOMORPHIC:
+                lent[entry["left"], entry["right"]] = tuple(
+                    map(operator.index, entry["verdict"]["witness"]))
+        except (TypeError, KeyError):
+            pass
+    return lent

@@ -169,26 +169,25 @@ def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
     per (table, images), which then gets its record in the store.  A recent
     input's rows and their row index are reused, under the caller's own (g, psi).
     A psi multiplicative at G's generators is a homomorphism, with one row L_t psi
-    per distinct translation t; an unchecked map that is not gets the definition's."""
+    per distinct translation t; an unchecked map that is not is refused."""
     global _row_cells
     records = _stored(g, psi)[0]
     rec = records.get(psi.images)
     sym = rec.get("rows") if rec else None
     if sym is None:
-        t, im, index, ids = g.table, psi.images, None, {}
+        t, im, ids = g.table, psi.images, {}
         psi_of = _composer(im)  # row . psi: (row[psi(v)] over v)
         # psi(s b) = psi(s) psi(b) for all b at each generator s, which generate G as a monoid
-        if all(_composer(t[s])(im) == psi_of(t[im[s]]) for s in generating_set(g)):
-            rid = [ids.setdefault(u, len(ids)) for u in _translations(g, psi)]
-            index = tuple(psi_of(t[u]) for u in ids), rid
-            sym = tuple(map(index[0].__getitem__, rid))
-        else:  # the definition: row x psi(v) over v, read at v = x^-1 y
-            sym = tuple(_composer(t[g._inv[x]])(psi_of(t[x])) for x in range(g.order))
+        if not all(_composer(t[s])(im) == psi_of(t[im[s]]) for s in generating_set(g)):
+            raise ContractViolation("map is not a homomorphism")
+        rid = [ids.setdefault(u, len(ids)) for u in _translations(g, psi)]
+        index = tuple(psi_of(t[u]) for u in ids), rid
+        sym = tuple(map(index[0].__getitem__, rid))
         q = Quandle._trusted(sym, (g, psi), index)
         if rec is None:
             _checked(q)
             rec = records[im] = {}
-        rec["rows"], rec["index"] = sym, row_index(q)
+        rec["rows"], rec["index"] = sym, index
         _row_cells += g.order ** 2
     q = Quandle._trusted(sym, (g, psi), rec["index"])
     _RECENT[id(rec)] = _RECENT.pop(id(rec), rec)

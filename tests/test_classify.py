@@ -7,7 +7,7 @@ import pytest
 from quandles import iso
 from quandles.catalog import build, build_named, groups_of_order, named_automorphism
 from quandles import classify
-from quandles.classify import (ENGINE_VERSION, _classify_pairs, _pair_objects, _replayer,
+from quandles.classify import (ENGINE_VERSION, _classify_pairs, _lent_witnesses, _pair_objects,
                                boundary_pair, boundary_report, classify_group,
                                classify_order, closed_form_counts, emit_table)
 from quandles.errors import CapacityError
@@ -167,8 +167,8 @@ def test_order16_representatives_cross_checked(order16_report):
 def test_partition_needs_a_separating_decide(monkeypatch):
     # no classification up to order 16 logs a non-isomorphic decide (its
     # classes all differ in profile), so the rule is shown on the order-8
-    # pairs made to share one profile: the log replays, and without any one
-    # of its not-isomorphic entries it is rejected
+    # pairs made to share one profile: the log's witnesses reproduce it, and
+    # a log without any one of its not-isomorphic entries is not reproduced
     groups, pairs, maps = _pair_objects(8)
     names = [g.name for g in groups]
     shared = classify.cached_profile(*maps[0])
@@ -176,13 +176,14 @@ def test_partition_needs_a_separating_decide(monkeypatch):
     report = _classify_pairs(8, False, names, pairs, maps)
     assert sorted(report.classes) == sorted(classify_order(8).classes)
     log = report.verdict_log
-    replayed = _classify_pairs(8, False, names, pairs, maps, _replayer(log))
-    assert replayed.to_json() == report.to_json()
+    reloaded = _classify_pairs(8, False, names, pairs, maps, _lent_witnesses(log))
+    assert reloaded.to_json() == report.to_json()
     separating = [k for k, e in enumerate(log) if e["verdict"]["result"] == NOT_ISOMORPHIC]
     assert len(separating) == 63
     for k in separating:
         dropped = log[:k] + log[k + 1:]
-        assert _classify_pairs(8, False, names, pairs, maps, _replayer(dropped)) is None
+        lent = _lent_witnesses(dropped)
+        assert _classify_pairs(8, False, names, pairs, maps, lent).verdict_log != dropped
 
 
 def test_merge_witnesses_verify():
@@ -295,7 +296,8 @@ def test_incomplete_report_is_flagged_and_bannered(monkeypatch):
     monkeypatch.setattr(iso, "DEFAULT_BRUTE_BOUND", 4)
     report = _classify_pairs(16, True, [g1.name, g2.name], pairs, maps)
     assert not report.complete and report.class_count == 2
-    assert _classify_pairs(16, True, [g1.name, g2.name], pairs, maps, _replayer([])) is None
+    lent = _lent_witnesses([])
+    assert _classify_pairs(16, True, [g1.name, g2.name], pairs, maps, lent).verdict_log != []
     assert any("incomplete" in n for n in report.notes)
     assert "INCOMPLETE" in emit_table(report, "markdown")
     assert emit_table(report, "csv").startswith("# INCOMPLETE")
@@ -392,6 +394,59 @@ def test_cache_partition_is_proved_again(tmp_path, tamper):
     assert again.to_json() == first.to_json()
     if tamper in ("entries-reordered", "entry-appended"):
         assert path.read_text() == first.to_json()
+
+
+def test_a_reproduced_log_is_not_written(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    first = classify_order(8, cache_dir=cache)
+    path = next(tmp_path.iterdir())
+    inode = path.stat().st_ino
+    stored = []
+    monkeypatch.setattr(classify, "_store_cache", lambda *args: stored.append(args))
+    assert classify_order(8, cache_dir=cache).to_json() == first.to_json()
+    assert stored == [] and path.stat().st_ino == inode
+    assert path.read_text() == first.to_json()
+
+
+def test_a_log_that_is_not_reproduced_lends_nothing(tmp_path):
+    # a logged witness composed with a left translation of the target group
+    # still verifies (every left translation is a quandle automorphism, as
+    # normalize_witness uses); with an entry appended the log is not the
+    # loop's, so the reload must not carry that witness
+    cache = str(tmp_path)
+    fresh = classify_order(8)
+    classify_order(8, cache_dir=cache)
+    path = next(tmp_path.iterdir())
+    data = json.loads(path.read_text())
+    maps = _pair_objects(8)[2]
+    entry = next(e for e in data["verdict_log"] if e["verdict"]["result"] == ISOMORPHIC)
+    g2 = maps[entry["right"]][0]
+    shifted = [g2.table[1][v] for v in entry["verdict"]["witness"]]
+    assert shifted != entry["verdict"]["witness"]
+    assert verify_quandle_witness(general_alexander(*maps[entry["left"]]),
+                                  general_alexander(*maps[entry["right"]]), shifted)
+    entry["verdict"]["witness"] = shifted
+    data["verdict_log"].append(_not_isomorphic_entry(fresh))
+    path.write_text(json.dumps(data))
+    assert classify_order(8, cache_dir=cache).to_json() == fresh.to_json()
+    assert path.read_text() == fresh.to_json()
+
+
+@pytest.mark.parametrize("tamper", ["witness-5", "witness-ab", "witness-null", "left-a-list"])
+def test_malformed_lent_witnesses_are_decided_again(tmp_path, tamper):
+    cache = str(tmp_path)
+    first = classify_order(8, cache_dir=cache)
+    path = next(tmp_path.iterdir())
+    data = json.loads(path.read_text())
+    entry = next(e for e in data["verdict_log"] if e["verdict"]["result"] == ISOMORPHIC)
+    if tamper == "left-a-list":
+        entry["left"] = [entry["left"]]
+    else:
+        entry["verdict"]["witness"] = {"witness-5": 5, "witness-ab": "ab",
+                                       "witness-null": None}[tamper]
+    path.write_text(json.dumps(data))
+    assert classify_order(8, cache_dir=cache).to_json() == first.to_json()
+    assert path.read_text() == first.to_json()
 
 
 def _not_isomorphic_entry(report):

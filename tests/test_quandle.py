@@ -761,13 +761,21 @@ def test_reload_with_provenance_checks_no_axioms(monkeypatch):
 
 @pytest.mark.usefixtures("empty_store")
 def test_failed_axiom_check_is_not_remembered(monkeypatch):
-    checked, _ = _record_axiom_checks(monkeypatch)
+    # every automorphism passes the check, so a failing one is patched in
+    checked = []
+
+    def failing_check(q):
+        checked.append(q)
+        return [("Q1", 0)]
+
+    monkeypatch.setattr(quandle, "check_axioms", failing_check)
     d4 = build_named("D4")
-    swap = GroupMap(d4, d4, (0, 2, 1, 3, 4, 5, 6, 7), check=False)
+    psi = named_automorphism(d4, "phi:3,1")
     for _ in range(2):
-        with pytest.raises(StructuralError):
-            general_alexander(d4, swap)
+        with pytest.raises(StructuralError, match="not a quandle"):
+            general_alexander(d4, psi)
     assert len(checked) == 2
+    assert psi.images not in quandle._STORE[d4.table][0]
 
 
 @pytest.mark.usefixtures("empty_store")
@@ -991,8 +999,10 @@ def test_built_tables_and_row_indexes_match_the_definition(monkeypatch):
     ("S3", (0, 1, 2, 5, 4, 3), (True, False), False),
     ("D4", (0, 2, 1, 3, 4, 5, 6, 7), (False, False), False),
 ])
-def test_a_map_that_fails_the_generator_test_gets_the_definitions_table(
+def test_a_map_that_fails_the_generator_test_is_refused(
         monkeypatch, name, images, multiplicative_at_generators, is_quandle):
+    # an unchecked map that is not a homomorphism is the caller's error, even
+    # where the definition's table would be a quandle, and leaves no record
     built = _record_translation_builds(monkeypatch)
     g = build_named(name)
     psi = GroupMap(g, g, images, check=False)
@@ -1000,15 +1010,9 @@ def test_a_map_that_fails_the_generator_test_gets_the_definitions_table(
     assert multiplicative_at_generators == tuple(
         all(images[t[s][b]] == t[images[s]][images[b]] for b in range(g.order))
         for s in generating_set(g))
-    want = definition_table(g, psi)
-    violations = check_axioms(Quandle._trusted(want, None))
-    assert is_quandle == (violations == [])
-    if violations:
-        with pytest.raises(StructuralError) as refused:
-            general_alexander(g, psi)
-        assert str(refused.value) == f"not a quandle: {violations[:3]}"
-    else:
-        q = general_alexander(g, psi)
-        assert q.sym == want and check_axioms(q) == []
-        assert row_index(q) == row_index(Quandle._trusted(want, None))
+    assert is_quandle == (check_axioms(Quandle._trusted(definition_table(g, psi), None)) == [])
+    for call in (general_alexander, profile, lambda g, psi: iso.decide(g, psi, g, psi)):
+        with pytest.raises(ContractViolation, match="^map is not a homomorphism$"):
+            call(g, psi)
+    assert images not in quandle._STORE.get(g.table, ({}, {}))[0]
     assert built == []

@@ -3,8 +3,10 @@ from the repository root. Each function of REPORTS is one report, whose docstrin
 times and why. They are reports, not gates; an exception in any, here or in a child, exits 1."""
 import functools
 import gc
+import json
 import subprocess
 import sys
+import tempfile
 import timeit
 import tracemalloc
 from itertools import product
@@ -176,9 +178,34 @@ def theorem13_time():
     best_of_7("theorem13_iso over the isomorphic pairs of order-16 class representatives",
               theorem13_iso, isomorphic_pairs)
 
+@three_fresh_interpreters
+def cache_reload_time():
+    """classify_order over orders 1..16 from a temporary cache that the same interpreter filled,
+    untimed, just before; then again after one isomorphic witness of the order-16 file is broken,
+    so that the file is rejected and order 16 classified twice: the reject path, which no workload
+    times. In three fresh interpreters."""
+    def reload(cache: str) -> float:
+        start = perf_counter()
+        for n in range(1, 17):
+            classify_order(n, beyond_paper=n == 16, cache_dir=cache)
+        return perf_counter() - start
+    with tempfile.TemporaryDirectory() as cache:
+        reload(cache)
+        kept = reload(cache)
+        path = next(Path(cache).glob("*order16-*"))
+        data = json.loads(path.read_text())
+        witness = next(e["verdict"]["witness"] for e in data["verdict_log"]
+                       if e["verdict"]["result"] == iso.ISOMORPHIC)
+        witness[0] = witness[1]  # no longer a bijection
+        path.write_text(json.dumps(data))
+        rejected = reload(cache)
+    row(f"classify_order over orders 1..16 from a filled cache, fresh interpreter: {kept:.3f} s,"
+        f" {rejected:.3f} s with one order-16 witness broken")
+
 REPORTS = (automorphism_split_times, automorphism_split_memory, axiom_check_time,
            construction_time, normalizer_and_subgroup_times, p_record_time, witness_check_time,
-           decider_cross_validation_time, claim_times, order16_search_time, theorem13_time)
+           decider_cross_validation_time, claim_times, order16_search_time, theorem13_time,
+           cache_reload_time)
 
 if __name__ == "__main__":
     for report in REPORTS:
