@@ -233,8 +233,18 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
 # ---------------------------------------------------------------------------
 
 def cached_profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
-    """profile(g, psi), computed once per (table, images) and kept in its record."""
-    return _kept(g, psi, "profile", lambda: profile(g, psi))
+    """profile(g, psi), computed once per Aut(G)-class: tau in Aut(G) maps Q(G, psi) onto
+    Q(G, tau psi tau^-1), P, P^2, Fix and the twisted normalizer onto theirs, and psi|P to a
+    conjugate, so every field is a class invariant and psi's record keeps its class's least
+    member's profile.  Past the class map's bounds, or off it (not a homomorphism), psi's own."""
+    def make():
+        try:
+            rep = automorphism_classes(g)[psi.images]
+        except (CapacityError, KeyError):
+            rep = psi.images
+        return (profile(g, psi) if rep == psi.images
+                else cached_profile(g, GroupMap(g, g, rep, check=False)))
+    return _kept(g, psi, "profile", make)
 
 
 def theorem13_iso(g1: FiniteGroup, psi1: GroupMap,

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from quandles import groups, invariants, quandle
+from quandles import groups, invariants, iso, quandle
 from quandles.catalog import (build, build_named, cyclic, dihedral,
                               groups_of_order, named_automorphism, product,
                               semidirect_table, sl23_element_index)
 from quandles.errors import ContractViolation, VerificationError
-from quandles.groups import (FiniteGroup, GroupMap, Subgroup,
+from quandles.groups import (FiniteGroup, GroupMap, Subgroup, automorphism_classes,
                              automorphism_conjugacy_classes,
                              automorphism_group, fixed_subgroup,
                              generated_subgroup, group_from_json,
@@ -562,6 +562,39 @@ def test_profile_equal_within_isomorphism_classes():
         for cls in report.classes:
             profs = {report.profiles[i] for i in cls}
             assert len(profs) == 1
+
+
+# every catalog group of order 1..12, then S4, SL23 and S3xS3
+CLASS_SWEEP = [*(spec.name() for n in range(1, 13) for spec in groups_of_order(n)),
+               "S4", "SL23", "S3xS3"]
+
+
+@pytest.mark.parametrize("name", CLASS_SWEEP)
+def test_profile_is_a_class_function(empty_store, name):
+    # tau in Aut(G) is an isomorphism Q(G, psi) -> Q(G, tau psi tau^-1), so
+    # every field is the same on an Aut(G)-class: cached_profile keeps each
+    # map's class's least member's profile
+    g = build_named(name)
+    classes = automorphism_classes(g)
+    for psi in automorphism_group(g):
+        prof = profile(g, psi)
+        assert prof == profile(g, GroupMap(g, g, classes[psi.images])), psi.images
+        assert cached_profile(g, psi) == prof
+
+
+@pytest.mark.parametrize("name", ["S4", "SL23", "S3xS3"])
+def test_decide_profiles_one_map_per_class(monkeypatch, empty_store, name):
+    # each class representative against a conjugate that differs from it
+    # where one does: only the representatives are profiled
+    g = build_named(name)
+    profiled, real = [], iso.profile
+    monkeypatch.setattr(iso, "profile", lambda g, psi: profiled.append(psi.images) or real(g, psi))
+    reps = [rep for rep, _ in automorphism_conjugacy_classes(g)]
+    for rep in reps:
+        conjugate = next((c for c in map(rep.conjugate_by, automorphism_group(g))
+                          if c != rep), rep)
+        assert iso.decide(g, rep, g, conjugate).result == "isomorphic"
+    assert profiled == [rep.images for rep in reps]
 
 
 def test_inn_embedding_check_fails_on_the_direct_product(monkeypatch):

@@ -387,6 +387,23 @@ def test_conjugate_automorphisms_give_isomorphic_quandles():
                     assert v.result == ISOMORPHIC, (g.name, psi.images)
 
 
+# A and B, companion matrices of x^5+x^2+1 and x^5+x^3+1, and one map of C3^4
+@pytest.mark.parametrize("name, aut", [
+    ("C2xC2xC2xC2xC2", "mat:0,0,0,0,1;1,0,0,0,0;0,1,0,0,1;0,0,1,0,0;0,0,0,1,0"),
+    ("C2xC2xC2xC2xC2", "mat:0,0,0,0,1;1,0,0,0,0;0,1,0,0,0;0,0,1,0,1;0,0,0,1,0"),
+    ("C3xC3xC3xC3", "mat:0,0,0,1;1,0,0,0;0,1,0,0;0,0,1,1@3"),
+])
+def test_a_map_past_the_class_maps_bounds_is_profiled_itself(monkeypatch, empty_store, name, aut):
+    g = build_named(name)
+    psi = named_automorphism(g, aut)
+    with pytest.raises(CapacityError):
+        automorphism_classes(g)
+    profiled, real = [], iso.profile
+    monkeypatch.setattr(iso, "profile", lambda g, psi: profiled.append(psi.images) or real(g, psi))
+    assert cached_profile(g, psi) == real(g, psi)
+    assert profiled == [psi.images]
+
+
 def test_decide_methods_recorded():
     d4 = build_named("D4")
     v = decide(d4, named_automorphism(d4, "phi:1,2"),

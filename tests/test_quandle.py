@@ -1011,7 +1011,10 @@ def test_a_map_that_fails_the_generator_test_is_refused(
         all(images[t[s][b]] == t[images[s]][images[b]] for b in range(g.order))
         for s in generating_set(g))
     assert is_quandle == (check_axioms(Quandle._trusted(definition_table(g, psi), None)) == [])
-    for call in (general_alexander, profile, lambda g, psi: iso.decide(g, psi, g, psi)):
+    with pytest.raises(KeyError):  # cached_profile's class lookup, caught there
+        automorphism_classes(g)[images]
+    for call in (general_alexander, profile, iso.cached_profile,
+                 lambda g, psi: iso.decide(g, psi, g, psi)):
         with pytest.raises(ContractViolation, match="^map is not a homomorphism$"):
             call(g, psi)
     assert images not in quandle._STORE.get(g.table, ({}, {}))[0]

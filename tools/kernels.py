@@ -120,6 +120,19 @@ def p_record_time():
     best_of_7("restrict_to_P over the seven Q(S5, psi) class representatives, fresh store",
               restrict_to_P, on_a_fresh_store)
 
+def conjugate_profile_time():
+    """cached_profile over every automorphism of S4, SL23 and S3xS3, each run on a fresh store made
+    in setup, with their class maps built untimed, as the large-groups workload builds them: one
+    profile per Aut(G)-class is computed, for its least member, which comes first in the sorted
+    list, and every other member reads its class's."""
+    def on_a_fresh_store():
+        ins = [(g, psi) for g in map(build_named, ("S4", "SL23", "S3xS3"))
+               for psi in automorphism_group(g)]
+        quandle._STORE = {}
+        return ins
+    best_of_7("cached_profile over every automorphism of S4, SL23 and S3xS3, fresh store",
+              iso.cached_profile, on_a_fresh_store)
+
 def witness_check_time():
     """verify_quandle_witness from Q(G, rep) to Q(G, tau rep tau^-1) with witness tau, for each
     non-identity Aut-class representative rep of A5, S5, SL23, S3xS3 and S4 and one tau that moves
@@ -203,9 +216,9 @@ def cache_reload_time():
         f" {rejected:.3f} s with one order-16 witness broken")
 
 REPORTS = (automorphism_split_times, automorphism_split_memory, axiom_check_time,
-           construction_time, normalizer_and_subgroup_times, p_record_time, witness_check_time,
-           decider_cross_validation_time, claim_times, order16_search_time, theorem13_time,
-           cache_reload_time)
+           construction_time, normalizer_and_subgroup_times, p_record_time,
+           conjugate_profile_time, witness_check_time, decider_cross_validation_time,
+           claim_times, order16_search_time, theorem13_time, cache_reload_time)
 
 if __name__ == "__main__":
     for report in REPORTS:
