@@ -51,8 +51,8 @@ class FiniteGroup:
         self.spec = spec
         self._center = None
         self._gens = None
-        self._aut_classes = None
-        self._catalog = None  # (name, isomorphism), kept by invariants._catalog_match
+        self._aut_classes = None  # the class map, or the message that refused it
+        self._catalog = None  # (name, isomorphism, inverse composer), by invariants._catalog_match
         self._simple = None
         self._store = None  # (store, entry), kept by quandle._stored
         if check:
@@ -160,6 +160,13 @@ class Subgroup:
             if (b := next((b for b in members if g.table[a][b] not in ms), None)) is not None:
                 raise StructuralError(f"subgroup not closed under product at ({a},{b})")
 
+    @classmethod
+    def _spanned(cls, parent: FiniteGroup, members, gens) -> Subgroup:
+        """A ``_span``'s closure, from its sorted members and kept generators: no check."""
+        (sub := object.__new__(cls)).__dict__.update(
+            parent=parent, members=members, _member_set=frozenset(members), _gens=gens)
+        return sub
+
     @property
     def order(self) -> int:
         return len(self.members)
@@ -171,12 +178,12 @@ class Subgroup:
         return self._member_set
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """Reindex onto 0..k-1; returns (group, embedding new-index -> parent-index)."""
-        pos = {m: i for i, m in enumerate(self.members)}
-        table = [[pos[self.parent.table[a][b]] for b in self.members]
-                 for a in self.members]
-        label = f"{self.parent.name}|sub{len(self.members)}"
-        return FiniteGroup(table, name=label, check=False), self.members
+        """Reindex onto 0..k-1, one row composition per member (row a is pos . L_a
+        at the members); returns (group, embedding new-index -> parent-index)."""
+        g, members, pick = self.parent, self.members, _composer(self.members)
+        pos = {m: i for i, m in enumerate(members)}
+        table = [_composer(pick(g.table[a]))(pos) for a in members]
+        return FiniteGroup(table, name=f"{g.name}|sub{len(members)}", check=False), members
 
 
 @dataclass(frozen=True)
@@ -264,7 +271,8 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     gens = _int_rows([gens], "generators")[0]
     for a in gens:
         g._check_index(a)
-    return Subgroup(g, tuple(_span(g, gens)[1]))
+    gens, span = _span(g, gens)
+    return Subgroup._spanned(g, tuple(sorted(span)), gens)
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
@@ -547,8 +555,8 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
     to the lexicographically minimal member of its Aut(g)-conjugacy class.
 
     Orders above ``bound`` or BYTE_POINTS raise CapacityError on every call.
-    Aut(g) is built once per group object: past AUT_COUNT_BOUND automorphisms
-    (the product of ``_stabilizer_chain(g)``'s level sizes) CapacityError,
+    Aut(g) is built, or refused, once per group object: past AUT_COUNT_BOUND
+    automorphisms (the product of ``_stabilizer_chain(g)``'s level sizes) CapacityError,
     else every product of one automorphism per level, walked from level 0,
     as one byte string of image arrays end to end: p . u is
     ``u.translate(p + rest)``, one translate per prefix over the level's
@@ -569,10 +577,13 @@ def automorphism_classes(g: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> Mapp
             f"automorphism enumeration capped at order {bound}, got {g.order}")
     if (d := g.order) > BYTE_POINTS:
         raise CapacityError(f"byte-string automorphisms capped at {BYTE_POINTS} points, got {d}")
+    if isinstance(g._aut_classes, str):  # an earlier call's refusal
+        raise CapacityError(g._aut_classes)
     if g._aut_classes is None:
         chain = _stabilizer_chain(g)
         if (n := math.prod(map(len, chain))) > AUT_COUNT_BOUND:
-            raise CapacityError(f"{n} automorphisms, more than {AUT_COUNT_BOUND} to enumerate")
+            g._aut_classes = f"{n} automorphisms, more than {AUT_COUNT_BOUND} to enumerate"
+            raise CapacityError(g._aut_classes)
         rest, buf = bytes(range(d, BYTE_POINTS)), bytes(range(d))
         for level in chain:
             us = b"".join(map(bytes, level))

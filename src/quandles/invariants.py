@@ -19,7 +19,7 @@ from operator import getitem, itemgetter
 
 from .catalog import build, cyclic_action, groups_of_order, semidirect_table
 from .errors import ContractViolation, VerificationError
-from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _span,
+from .groups import (FiniteGroup, GroupMap, Subgroup, _composer, _perm_inverse, _span,
                      automorphism_classes, center, generating_set,
                      groups_isomorphic, is_normal)
 from .quandle import _kept, _stored, _translations, general_alexander, orbit_of, row_index
@@ -36,19 +36,23 @@ def translation_elements(g: FiniteGroup, psi: GroupMap) -> list[int]:
 def restrict_to_P(g: FiniteGroup, psi: GroupMap) -> tuple[FiniteGroup, GroupMap, tuple[int, ...]]:
     """(P as a group, psi|_P on it, P's members, which are also its embedding
     into G), built and cross-checked on the first call per (table, images)
-    and kept in the input's record; inputs with equal tables and equal P
-    members share the P group, proved and built once.
+    and kept in the input's record with its span's generators; inputs with
+    equal tables and equal P members share the P group, built once.
 
     Q's distinct rows prove Inn(Q) = {L_p psi^k : p in P, k < ord(psi)}: each
     row s_x is checked to be L_t psi with t = s_x(e) in P, and psi(P) = P,
     so those maps form a group that holds every s_x and has |P| ord(psi)
     members (f(e) gives p, and then psi^k).  It lies in Inn, as s_e = psi,
     L_t = s_x psi^-1, and the t generate the orbit of e, which is P."""
+    return _p_facts(g, psi)[:3]
+
+
+def _p_facts(g: FiniteGroup, psi: GroupMap):  # restrict_to_P's values, then P's generators in G
     def make():
         im = psi.images
         q = general_alexander(g, psi)
         orbit = orbit_of(q, 0)
-        span = _span(g, _translations(g, psi))[1]
+        gens, span = _span(g, _translations(g, psi))
         if orbit != span:
             raise VerificationError(
                 f"P mismatch on {g.name}: orbit {sorted(orbit)} vs "
@@ -60,23 +64,22 @@ def restrict_to_P(g: FiniteGroup, psi: GroupMap) -> tuple[FiniteGroup, GroupMap,
         psi_of = _composer(im)
         if any(row[0] not in pos or row != psi_of(g.table[row[0]]) for row in row_index(q)[0]):
             raise VerificationError(f"a row of Q({g.name}, psi) is not L_t psi with t in P")
-        p_groups = _stored(g, psi)[1]
-        grp = p_groups.get(members)
-        if grp is None:
-            grp = p_groups[members] = Subgroup(g, members).as_group()[0]
-        return grp, GroupMap(grp, grp, tuple(pos[im[m]] for m in members), check=False), members
+        p_groups, pick = _stored(g, psi)[1], _composer(members)
+        if (grp := p_groups.get(members)) is None:
+            grp = p_groups[members] = Subgroup._spanned(g, members, gens).as_group()[0]
+        return grp, GroupMap(grp, grp, _composer(pick(im))(pos), check=False), members, gens
     return _kept(g, psi, "P", make)
 
 
 def compute_P(g: FiniteGroup, psi: GroupMap) -> Subgroup:
     """Orbit of e under the inner group; cross-checked against <{x psi(x)^-1}>."""
-    return Subgroup(g, restrict_to_P(g, psi)[2])
+    return Subgroup._spanned(g, *_p_facts(g, psi)[2:])
 
 
 def compute_P2(g: FiniteGroup, psi: GroupMap) -> Subgroup:
     """P applied to Q(P, psi|_P), returned as a subgroup of G."""
-    grp, restricted, embed = restrict_to_P(g, psi)
-    return Subgroup(g, tuple(embed[i] for i in restrict_to_P(grp, restricted)[2]))
+    grp, restricted, embed, _ = _p_facts(g, psi)  # embed keeps P^2's members sorted in G
+    return Subgroup._spanned(g, *(_composer(ids)(embed) for ids in _p_facts(grp, restricted)[2:]))
 
 
 def twisted_normalizer(g: FiniteGroup, psi: GroupMap, h: Subgroup) -> Subgroup:
@@ -151,12 +154,13 @@ def _catalog_groups(order: int):
     return tuple((spec.name(), build(spec)) for spec in groups_of_order(order))
 
 
-def _catalog_match(grp: FiniteGroup) -> tuple[str | None, GroupMap | None]:
-    """(name, isomorphism grp -> catalog copy) of the first catalog group of grp's
-    order that grp is isomorphic to, or (None, None), found once per group object."""
+def _catalog_match(grp: FiniteGroup) -> tuple:
+    """(name, isomorphism h0: grp -> catalog copy, composer of h0^-1) of the first catalog
+    group of grp's order that grp is isomorphic to, or Nones, found once per group object."""
     if grp._catalog is None:
-        grp._catalog = next(((name, h0) for name, cand in _catalog_groups(grp.order)
-                             if (h0 := groups_isomorphic(grp, cand)) is not None), (None, None))
+        grp._catalog = next(((name, h0, _composer(_perm_inverse(h0.images)))
+                             for name, cand in _catalog_groups(grp.order)
+                             if (h0 := groups_isomorphic(grp, cand)) is not None), (None,) * 3)
     return grp._catalog
 
 
@@ -175,16 +179,16 @@ def descriptor_display(desc: tuple) -> str:
 def transported_class(grp: FiniteGroup, auto: GroupMap) -> tuple:
     """Conjugacy class id of ``auto`` in Aut(grp), stated on the catalog copy.
 
-    The map is transported along any isomorphism grp -> catalog copy; the
-    resulting Aut-conjugacy class does not depend on the choice.  For groups
-    outside the catalog the id degrades to (order of the map, fixed count).
+    The map is transported as h0 . auto . h0^-1 along any isomorphism h0:
+    grp -> catalog copy, whose choice does not change the class.  Outside the
+    catalog the id degrades to (order of the map, fixed count).
     """
     auto.require_automorphism(grp)
-    name, h0 = _catalog_match(grp)
+    name, h0, inv = _catalog_match(grp)  # inv: a -> a . h0^-1
     if name is None:
         fixed = sum(1 for x in range(grp.order) if auto.images[x] == x)
         return ("fallback", auto.map_order(), fixed)
-    return ("class", name, automorphism_classes(h0.target)[auto.conjugate_by(h0).images])
+    return ("class", name, automorphism_classes(h0.target)[_composer(inv(auto.images))(h0.images)])
 
 
 # ---------------------------------------------------------------------------

@@ -252,12 +252,13 @@ def claim_dihedral_formulas() -> ClaimResult:
 
 @_claim("structural criterion and formula deciders agree with brute force (<= 12)")
 def claim_decider_cross_validation() -> ClaimResult:
-    pairs = (pair for n in range(1, 13) for pair in itertools.combinations(_maps(n), 2))
+    pairs = (pair for n in range(1, 13) for pair in itertools.combinations(
+        [(g, psi, general_alexander(g, psi)) for g, psi in _maps(n)], 2))
     bad = []
     checked = t13_count = 0
-    for (g1, p1), (g2, p2) in pairs:
+    for (g1, p1, q1), (g2, p2, q2) in pairs:
         checked += 1
-        bf = brute_force_iso(general_alexander(g1, p1), general_alexander(g2, p2))
+        bf = brute_force_iso(q1, q2)
         t13 = theorem13_iso(g1, p1, g2, p2)
         if t13.result != UNDECIDED:
             t13_count += 1
@@ -331,9 +332,8 @@ def claim_structure() -> ClaimResult:
                 pf = {g.table[p][f] for p in P.members for f in fix}
                 if not pf <= tn.member_set():
                     bad.append(f"PF not inside TN for {g.name}")
-                pm = P.member_set()
-                if any(g.conj(a, x) not in pm
-                       for a in tn.members for x in P.members):
+                pm = P.member_set()  # TN's generators normalize P, as in is_normal
+                if any(g.conj(a, x) not in pm for a in tn._gens for x in P._gens):
                     bad.append(f"P not normal in TN for {g.name}")
         # Inn = P x| C_m on the class representatives: inn_structure raises
         # unless its embedding of P x| C_m is onto Inn, so |Inn| = |P| * m

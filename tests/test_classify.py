@@ -17,7 +17,7 @@ from quandles.iso import (ISOMORPHIC, METHOD_BRUTE, METHOD_THM13, NOT_ISOMORPHIC
                           UNDECIDED, brute_force_iso, theorem13_iso,
                           verify_quandle_witness)
 from quandles.labels import ALL_LABELS, label_class_images, labels_for_pair
-from quandles.quandle import general_alexander
+from quandles.quandle import general_alexander, is_connected
 
 from oracles import label_scan
 
@@ -39,6 +39,22 @@ def test_closed_form_counts():
     assert closed_form_counts(14) == 7
     for n in (1, 8, 12, 15, 16):
         assert closed_form_counts(n) is None
+
+
+# connected quandles of prime order p: the p - 2 affine ones Z_p with t != 0, 1
+# (Etingof, Soloviev and Guralnick 2001); of order p^2: 2p^2 - 3p - 1 (Graña 2004)
+CONNECTED_COUNTS = {**{p: p - 2 for p in (2, 3, 5, 7, 11, 13)},
+                    **{p * p: 2 * p * p - 3 * p - 1 for p in (2, 3)}}
+
+
+def test_counts_match_the_published_closed_forms():
+    for n in range(1, 17):
+        if (want := closed_form_counts(n)) is not None:
+            assert classify_order(n, beyond_paper=n == 16).class_count == want
+    for n, want in CONNECTED_COUNTS.items():
+        maps = _pair_objects(n)[2]
+        reps = [general_alexander(*maps[cls[0]]) for cls in classify_order(n).classes]
+        assert sum(map(is_connected, reps)) == want
 
 
 def test_order16_requires_flag():

@@ -332,6 +332,20 @@ def test_automorphism_count_bound(monkeypatch):
     assert len(automorphism_group(FiniteGroup(c2_3.table), bound=8)) == 168
 
 
+def test_a_refusal_is_kept_on_the_group_object(monkeypatch):
+    # past AUT_COUNT_BOUND the chain is built once per group object: a second
+    # call raises the same error without it, after the order check
+    real, chains = groups._stabilizer_chain, []
+    monkeypatch.setattr(groups, "_stabilizer_chain", lambda g: chains.append(g) or real(g))
+    g = FiniteGroup(build_named("C2xC2xC2xC2xC2").table, check=False)
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="^9999360 automorphisms, more than 100000 "):
+            automorphism_classes(g)
+    assert chains == [g]
+    with pytest.raises(CapacityError, match="capped at order 16, got 32"):
+        automorphism_classes(g, bound=16)
+
+
 def test_conjugacy_classes_partition_and_closure():
     for name in ("D4", "Q8", "C2xC2xC2", "A4", "C15"):
         g = build_named(name)

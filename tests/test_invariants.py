@@ -144,10 +144,10 @@ def test_p_record_matches_the_uncached_computation(empty_store):
 
 def test_p_is_spanned_once_per_input(monkeypatch, empty_store):
     # the first restrict_to_P of an input spans its translations once and
-    # proves its P group only when (parent table, members) is new; a
-    # repeated call spans nothing
+    # proves no Subgroup; compute_P and compute_P2 read the spans kept in the
+    # records of the input and of psi|P, so on warm records nothing is spanned
     cases = list(_p_record_cases())
-    spans, proofs, proved = [], [], set()
+    spans, proofs, p_groups = [], [], set()
     real_span, real_post_init = groups._span, Subgroup.__post_init__
 
     def counting_span(g, elements):
@@ -162,17 +162,33 @@ def test_p_is_spanned_once_per_input(monkeypatch, empty_store):
     monkeypatch.setattr(invariants, "_span", counting_span)
     monkeypatch.setattr(Subgroup, "__post_init__", counting_post_init)
     for g, psi in cases:
-        members = restrict_to_P(g, psi)[2]
-        new = (g.table, members) not in proved
-        assert proofs == [(g.table, members)] * new
-        assert spans == [g.table] * (1 + new)
-        proved.update(proofs)
+        grp, _, members = restrict_to_P(g, psi)
+        assert spans == [g.table] and proofs == []
+        p_groups.add(id(grp))
+        p2 = compute_P2(g, psi).members  # spans psi|P's translations, and P's generating set
         spans.clear()
-        proofs.clear()
         assert restrict_to_P(g, psi)[2] == members
+        assert compute_P(g, psi).members == members and compute_P2(g, psi).members == p2
         assert spans == proofs == []
-    assert len(proved) < len(cases)  # some inputs share a P group
+    assert len(p_groups) < len(cases)  # some inputs share a P group
     assert package_definitions("translation", "_p_record") == []
+
+
+def test_spanned_subgroups_equal_their_proofs(empty_store):
+    # compute_P, compute_P2 and generated_subgroup make their Subgroup from one
+    # span, unchecked: each equals the Subgroup that proves its members, and
+    # keeps the span's own generators, which span exactly those members
+    for g, psi in _p_record_cases():
+        grp, restricted, embed = restrict_to_P(g, psi)
+        t = list(quandle._translations(g, psi))
+        made = ((compute_P(g, psi), t),
+                (compute_P2(g, psi), [embed[u] for u in quandle._translations(grp, restricted)]),
+                (generated_subgroup(g, t[::-1]), t[::-1]))
+        for sub, spanned in made:
+            proof = Subgroup(g, sub.members)
+            assert (sub, hash(sub), sub.member_set()) == (proof, hash(proof), proof.member_set())
+            assert sub._gens == groups._span(g, spanned)[0]
+            assert groups._span(g, sub._gens)[1] == set(sub.members)
 
 
 def test_orbit_span_check_runs_once_per_input(monkeypatch, empty_store):

@@ -343,8 +343,8 @@ def test_abelian_decider_stops_at_the_first_intertwining_h(monkeypatch):
     # about 1.0e7 elements; h = id intertwines psi with itself and comes first
     real = groups._iso_images
 
-    def capped(src, dst):
-        for count, images in enumerate(real(src, dst)):
+    def capped(src, dst, *search):  # the stabilizer chain's searches pass levels and fixed
+        for count, images in enumerate(real(src, dst, *search)):
             assert count < 1000, "Aut(P) enumerated past the first match"
             yield images
 

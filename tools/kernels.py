@@ -100,6 +100,19 @@ def normalizer_and_subgroup_times():
     best_of_7("Subgroup from the members of P and P^2 over the seven Q(S5, psi) class"
               " representatives", Subgroup, lambda: [(g, h.members) for g, _, h in p_and_p2()])
 
+def kept_span_time():
+    """compute_P and compute_P2 over Q(S5, psi) for the seven Aut-class representatives psi, with
+    the P records of psi and of psi|P made in setup, so that only the Subgroups made from the
+    records' kept spans are timed: no span and no closure proof runs."""
+    def with_records():
+        reps = s5_classes()
+        for g, r in reps:
+            compute_P2(g, r)
+        return reps
+    for fn in (compute_P, compute_P2):
+        best_of_7(f"{fn.__name__} over the seven Q(S5, psi) class representatives, records kept",
+                  fn, with_records)
+
 def construction_time():
     """general_alexander over the Aut-class representatives of A5, S5, SL23, S3xS3 and S4, each run
     on a fresh store made in setup, so that every input's table is built and its axioms checked."""
@@ -216,7 +229,7 @@ def cache_reload_time():
         f" {rejected:.3f} s with one order-16 witness broken")
 
 REPORTS = (automorphism_split_times, automorphism_split_memory, axiom_check_time,
-           construction_time, normalizer_and_subgroup_times, p_record_time,
+           construction_time, normalizer_and_subgroup_times, p_record_time, kept_span_time,
            conjugate_profile_time, witness_check_time, decider_cross_validation_time,
            claim_times, order16_search_time, theorem13_time, cache_reload_time)
 
