@@ -165,8 +165,6 @@ def dihedral_aut_from_map(g: FiniteGroup, psi: GroupMap) -> DihedralAut | None:
 
     Returns None when the map does not follow the affine pattern (possible
     only for the degenerate n <= 2, which route to brute force)."""
-    if g.spec is None or g.spec.kind != "dihedral":
-        return None
     n = g.spec.params[0]
     if n <= 2:
         return None

@@ -9,6 +9,7 @@ pytest acceptance module drives exactly these claims.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -64,33 +65,39 @@ def _maps(order: int) -> list[tuple[FiniteGroup, GroupMap]]:
 
 
 def _claim(name):
-    def wrap(fn):
-        fn.claim_name = name
-        return fn
+    """The claim whose body returns (failures, summary): it passes with the summary as its
+    detail when the list of failures is empty, and otherwise fails with the first five."""
+    def wrap(body):
+        @functools.wraps(body)
+        def claim() -> ClaimResult:
+            failures, summary = body()
+            return ClaimResult(name, not failures,
+                               "; ".join(failures[:5]) if failures else summary)
+        claim.claim_name = name
+        return claim
     return wrap
 
 
 # --- 1: classification counts ------------------------------------------------
 
 @_claim("table-1 counts for orders 1..15")
-def claim_table1() -> ClaimResult:
+def claim_table1():
     got = tuple(_classify(n).class_count for n in range(1, 16))
-    ok = got == TABLE1_COUNTS
-    return ClaimResult(claim_table1.claim_name, ok, f"counts {got}")
+    return [] if got == TABLE1_COUNTS else [f"counts {got}"], f"counts {got}"
 
 
 # --- 2: closed forms ----------------------------------------------------------
 
 @_claim("closed-form counts at primes, twice-primes and prime squares")
-def claim_closed_forms() -> ClaimResult:
+def claim_closed_forms():
     bad = []
     for n in (2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14):
         want = TABLE1_COUNTS[n - 1]
         cf = closed_form_counts(n)
         got = _classify(n).class_count
         if cf != want or got != want:
-            bad.append((n, cf, got, want))
-    return ClaimResult(claim_closed_forms.claim_name, not bad, f"mismatches {bad}")
+            bad.append(f"n={n}: closed form {cf}, classified {got}, table 1 {want}")
+    return bad, "mismatches []"
 
 
 # --- 3: merge lists -----------------------------------------------------------
@@ -105,7 +112,7 @@ def _label_partition(report: ClassificationReport) -> set[frozenset[str]]:
 
 
 @_claim("order-8 and order-12 merge lists (exact partitions, verified witnesses)")
-def claim_merge_lists() -> ClaimResult:
+def claim_merge_lists():
     problems = []
     for order, expected, displayed in (
             (8, EXPECTED_ORDER8_PARTITION, DISPLAYED_MERGES_ORDER8),
@@ -127,7 +134,7 @@ def claim_merge_lists() -> ClaimResult:
                                           general_alexander(*maps[j]), w)
                    for i, j, w in _in_class_witnesses(report)):
             problems.append(f"order {order}: some merge lacks a verified witness")
-    return ClaimResult(claim_merge_lists.claim_name, not problems, "; ".join(problems))
+    return problems, ""
 
 
 # --- 4: invariant tables ------------------------------------------------------
@@ -183,7 +190,7 @@ INVARIANT_TABLE_ROWS: dict[str, tuple] = {
 
 
 @_claim("per-group invariant tables (ord, fix, P type, restricted class, flags)")
-def claim_invariant_tables() -> ClaimResult:
+def claim_invariant_tables():
     bad = []
     for label, (ordpsi, fix, pname, psip, p1, p2) in sorted(INVARIANT_TABLE_ROWS.items()):
         g, psi = resolve_label(label)
@@ -203,7 +210,7 @@ def claim_invariant_tables() -> ClaimResult:
             bad.append(f"{label}: precondition-1 flag {prof.p1}")
         if p2 is not None and prof.p2 != p2:
             bad.append(f"{label}: precondition-2 flag {prof.p2}")
-    return ClaimResult(claim_invariant_tables.claim_name, not bad, "; ".join(bad))
+    return bad, ""
 
 
 # --- 5: dihedral formulas vs enumeration --------------------------------------
@@ -214,7 +221,7 @@ def _dihedral_auts(n: int) -> list[DihedralAut]:
 
 
 @_claim("dihedral formulas agree with Cayley-table enumeration (n <= 8)")
-def claim_dihedral_formulas() -> ClaimResult:
+def claim_dihedral_formulas():
     bad = []
     for n in range(1, 9):
         g = build(dihedral(n))
@@ -244,14 +251,13 @@ def claim_dihedral_formulas() -> ClaimResult:
                 bad.append(f"reps n={n}")
             if {class_of[r] for r in reps} != classes:
                 bad.append(f"rep coverage n={n}")
-    return ClaimResult(claim_dihedral_formulas.claim_name, not bad,
-                       "; ".join(bad[:5]))
+    return bad, ""
 
 
 # --- 6: decider cross-validation ----------------------------------------------
 
 @_claim("structural criterion and formula deciders agree with brute force (<= 12)")
-def claim_decider_cross_validation() -> ClaimResult:
+def claim_decider_cross_validation():
     pairs = (pair for n in range(1, 13) for pair in itertools.combinations(
         [(g, psi, general_alexander(g, psi)) for g, psi in _maps(n)], 2))
     bad = []
@@ -280,18 +286,15 @@ def claim_decider_cross_validation() -> ClaimResult:
             bf = brute_force_iso(qx, qy)
             if dihedral_iso_decider(x, y) != (bf.result == ISOMORPHIC):
                 bad.append(f"dihedral formula n={n} {x} {y}")
-    detail = f"{checked} same-order pairs, {t13_count} decided structurally"
-    if bad:
-        detail += "; " + "; ".join(bad[:5])
-    return ClaimResult(claim_decider_cross_validation.claim_name, not bad, detail)
+    return bad, f"{checked} same-order pairs, {t13_count} decided structurally"
 
 
 # --- 7: realization of cyclic quandles inside dihedral groups ------------------
 
 @_claim("every linear cyclic quandle of order 2n realizes dihedrally (n <= 8)")
-def claim_cyclic_realization() -> ClaimResult:
+def claim_cyclic_realization():
     bad = []
-    witnesses = []
+    verified = 0
     for n in range(1, 9):
         c2n = build(cyclic(2 * n))
         dn = build(dihedral(n))
@@ -305,16 +308,14 @@ def claim_cyclic_realization() -> ClaimResult:
             if verdict.result != ISOMORPHIC or verdict.witness is None:
                 bad.append(f"n={n}, a={a}")
             else:
-                witnesses.append((c2n, psi1, dn, psi2, verdict.witness))
-    return ClaimResult(claim_cyclic_realization.claim_name, not bad,
-                       f"{len(witnesses)} witnesses verified" +
-                       ("; " + "; ".join(bad[:5]) if bad else ""))
+                verified += 1
+    return bad, f"{verified} witnesses verified"
 
 
 # --- 8: structural theorems ----------------------------------------------------
 
 @_claim("normality, orbit/span equality, inner-group structure, dichotomy")
-def claim_structure() -> ClaimResult:
+def claim_structure():
     bad = []
     for n in range(1, 13):
         for spec in groups_of_order(n):
@@ -363,13 +364,13 @@ def claim_structure() -> ClaimResult:
         bad.append("counterexample preconditions fail")
     if groups_isomorphic(r.semidirect, build_named("Q8xC2")) is not None:
         bad.append("counterexample: Inn is a direct product after all")
-    return ClaimResult(claim_structure.claim_name, not bad, "; ".join(bad[:5]))
+    return bad, ""
 
 
 # --- 9: order-16 boundary -------------------------------------------------------
 
 @_claim("order-16 boundary: the dihedral pair separates; the open pair is decided")
-def claim_boundary() -> ClaimResult:
+def claim_boundary():
     bad = []
     d8 = build(dihedral(8))
     psi1, psi2 = (named_automorphism(d8, name) for name in ("phi:1,2", "phi:5,2"))
@@ -390,10 +391,7 @@ def claim_boundary() -> ClaimResult:
             bad.append("boundary verdict undecided")
         if res == ISOMORPHIC and "witness" not in entry["verdict"]:
             bad.append("boundary verdict lacks witness")
-    detail = "; ".join(f"open pair: {e['verdict']['result']}" for e in br["verdicts"])
-    if bad:
-        detail = "; ".join(bad)
-    return ClaimResult(claim_boundary.claim_name, not bad, detail)
+    return bad, "; ".join(f"open pair: {e['verdict']['result']}" for e in br["verdicts"])
 
 
 # --- 10: witness structure -------------------------------------------------------
@@ -417,7 +415,7 @@ def _in_class_witnesses(report: ClassificationReport):
 
 
 @_claim("witness structure checks (i)-(iv) on every produced witness")
-def claim_witness_structure() -> ClaimResult:
+def claim_witness_structure():
     bad = []
     total = 0
     for order in range(1, 16):
@@ -446,9 +444,7 @@ def claim_witness_structure() -> ClaimResult:
         total += 1
         if not rep.ok:
             bad.append("boundary witness fails the structure checks")
-    return ClaimResult(claim_witness_structure.claim_name, not bad,
-                       f"{total} witnesses checked" +
-                       ("; " + "; ".join(bad[:3]) if bad else ""))
+    return bad, f"{total} witnesses checked"
 
 
 ALL_CLAIMS = (

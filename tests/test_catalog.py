@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from quandles import catalog
-from quandles.catalog import (GroupSpec, _build_uncached, _spec_order, alternating,
-                              build, build_named, cyclic, dicyclic, dihedral,
-                              groups_of_order, named_automorphism, product,
+from quandles.catalog import (GroupSpec, _build_uncached, _map_from_formula, _spec_order,
+                              alternating, build, build_named, cyclic, dicyclic, dihedral,
+                              factor_lift, groups_of_order, named_automorphism,
+                              perm_conjugation, product, sl23_element_index,
                               spec_from_name, symmetric)
 from quandles.errors import (CapacityError, ContractViolation, NameLookupError,
                              StructuralError)
@@ -93,6 +94,39 @@ def test_build_errors_keep_their_type_and_message(call, exc, message):
     with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is exc
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: sl23_element_index(((0, 0), (0, 0))), StructuralError,
+     "(0, 0, 0, 0) is not in SL(2,3)"),
+    (lambda: _map_from_formula(build_named("C4"), lambda x: (x + 1) % 4), ContractViolation,
+     "formula is not a homomorphism: homomorphism must send identity to identity"),
+    (lambda: named_automorphism(build_named("C4"), "phi:1,0"), ContractViolation,
+     "phi_{a,b} maps are defined on dihedral groups only"),
+    (lambda: named_automorphism(build_named("D4"), "mul:1"), ContractViolation,
+     "mul maps are defined on cyclic groups only"),
+    (lambda: named_automorphism(build_named("C4"), "mul:2"), ContractViolation,
+     "a=2 is not a unit mod 4"),
+    (lambda: named_automorphism(build_named("C2xC2"), "mat:1,0;0"), ContractViolation,
+     "matrix is not square"),
+    (lambda: named_automorphism(build_named("C3"), "mat:1,0;0,1"), ContractViolation,
+     "group order 3 is not 2^2"),
+    (lambda: factor_lift(build_named("C2xC2"), "middle", identity_map(build_named("C2"))),
+     NameLookupError, "middle"),
+    (lambda: named_automorphism(build_named("S3"), "conj_perm:(1 9)"), StructuralError,
+     "cycle entry out of range in '(1 9)'"),
+    (lambda: perm_conjugation(build_named("S3"), (0, 1)), ContractViolation,
+     "permutation degree mismatch"),
+    (lambda: named_automorphism(build_named("C2xC2"), "images:[0,0,0,0]"), ContractViolation,
+     "image array is not bijective"),
+    (lambda: named_automorphism(build_named("C4"), "classrep:99"), NameLookupError,
+     "classrep index 99 out of range"),
+], ids=["sl23-singular", "formula-not-a-homomorphism", "phi-on-C4", "mul-on-D4",
+        "mul-not-a-unit", "mat-not-square", "mat-on-C3", "factor-lift-side", "cycle-range",
+        "perm-degree", "images-not-bijective", "classrep-range"])
+def test_automorphism_inputs_are_checked(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_over_capacity_spec_is_refused_before_building(monkeypatch):

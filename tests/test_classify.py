@@ -10,7 +10,7 @@ from quandles import classify
 from quandles.classify import (ENGINE_VERSION, _classify_pairs, _lent_witnesses, _pair_objects,
                                boundary_pair, boundary_report, classify_group,
                                classify_order, closed_form_counts, emit_table)
-from quandles.errors import CapacityError
+from quandles.errors import CapacityError, ContractViolation
 from quandles.groups import GroupMap, automorphism_conjugacy_classes
 from quandles.invariants import profile
 from quandles.iso import (ISOMORPHIC, METHOD_BRUTE, METHOD_THM13, NOT_ISOMORPHIC,
@@ -300,6 +300,13 @@ def test_classify_group():
     assert classify_group(c1).class_count == 1
 
 
+def test_a_group_outside_the_catalog_is_shown_by_its_order():
+    # no catalog group matches P = C17, nor psi|P's class: the table shows
+    # P's order and abelian flag, and the order of psi|P
+    table = emit_table(classify_group(build_named("C17")))
+    assert "| 2 | 2 | 1 | ?ord17ab | ord2 | T | T | C17#15 |  |" in table.splitlines()
+
+
 def test_incomplete_report_is_flagged_and_bannered(monkeypatch):
     # the boundary pair shares every invariant and has no formula route, so
     # starving the search of capacity must yield a flagged partial report
@@ -331,6 +338,25 @@ def test_cache_round_trip(tmp_path):
     assert not any(f.name.endswith(".tmp") for f in files)
     second = classify_order(6, cache_dir=cache)
     assert second.to_json() == first.to_json()
+
+
+def test_a_cache_file_that_cannot_be_made_names_the_directory(tmp_path, monkeypatch):
+    def refuse(**kwargs):
+        raise PermissionError("stand-in")
+
+    monkeypatch.setattr(classify.tempfile, "mkstemp", refuse)
+    with pytest.raises(ContractViolation, match=f"unusable cache directory {str(tmp_path)!r}"):
+        classify_order(6, cache_dir=str(tmp_path))
+
+
+def test_a_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError("stand-in")
+
+    monkeypatch.setattr(classify.os, "replace", refuse)
+    with pytest.raises(PermissionError, match="stand-in"):
+        classify_order(6, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_rejects_tampered_witness(tmp_path):

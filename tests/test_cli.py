@@ -1,12 +1,15 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from quandles import classify
+from quandles import classify, cli
 from quandles.catalog import build_named, named_automorphism
 from quandles.cli import main
+from quandles.errors import VerificationError
 from quandles.groups import automorphism_conjugacy_classes
 from quandles.invariants import profile, profile_to_json
 
@@ -228,6 +231,36 @@ def test_classify_md_and_markdown_print_the_same_table(capsys):
 
 def test_classify_order16_needs_flag(capsys):
     assert main(["classify", "16"]) == 2
+
+
+def test_classify_16_beyond_paper_prints_the_boundary_report(capsys):
+    assert main(["classify", "16", "--beyond-paper"]) == 0
+    table, boundary = capsys.readouterr().out.split(
+        "boundary pair (beyond the classified range):\n")
+    assert "order 16" in table
+    assert json.loads(boundary) == classify.boundary_report()
+
+
+def test_a_count_off_its_closed_form_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "closed_form_counts", lambda n: 99)
+    assert main(["classify", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "MISMATCH: classifier found 4 classes, closed form predicts 99\n")
+
+
+def test_a_verification_failure_exits_1(monkeypatch, capsys):
+    def disagree(*args, **kwargs):
+        raise VerificationError("deciders disagree: stand-in")
+
+    monkeypatch.setattr(cli, "decide", disagree)
+    assert main(["iso", "D4", "phi:1,2", "D4", "phi:3,2"]) == 1
+    assert capsys.readouterr().err == "verification failure: deciders disagree: stand-in\n"
+
+
+def test_the_module_runs_as_a_script():
+    run = subprocess.run([sys.executable, "-m", "quandles.cli", "groups", "list", "1"],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "C1\torder 1\tabelian\n", "")
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -12,7 +12,7 @@ from quandles.dihedral import (DihedralAut, are_conjugate_dn,
                                p_subgroups_dn, solve_congruence,
                                unit_multiplier_to_gcd)
 from quandles.errors import ContractViolation
-from quandles.groups import fixed_subgroup
+from quandles.groups import GroupMap, fixed_subgroup
 from quandles.invariants import compute_P, compute_P2
 
 
@@ -165,6 +165,8 @@ def test_cyclic_to_dihedral_examples():
     assert (t.a, t.b) == (1, 0)  # b = g = n collapses to 0
     with pytest.raises(ContractViolation):
         cyclic_to_dihedral(4, 2)
+    with pytest.raises(ContractViolation, match="^a=3 is not a unit mod 6$"):
+        cyclic_to_dihedral(3, 3)
 
 
 def test_cyclic_twin_profiles_match_up_to_n10():
@@ -204,6 +206,16 @@ def test_dihedral_aut_from_map_round_trip():
     assert dihedral_aut_from_map(g2, named_automorphism(g2, "id")) is None
 
 
+def test_dihedral_aut_from_map_refuses_a_map_off_the_affine_pattern():
+    d4 = build(dihedral(4))  # index e*4 + i is tau^e sigma^i
+    # the endomorphism sigma -> tau, tau -> tau maps the rotation to a reflection
+    onto_tau = GroupMap(d4, d4, tuple(4 * ((x // 4 + x % 4) % 2) for x in range(8)))
+    assert dihedral_aut_from_map(d4, onto_tau) is None
+    # agrees with phi_{1,0} at sigma and tau, not at sigma^2 and sigma^3
+    swapped = GroupMap(d4, d4, (0, 1, 3, 2, 4, 5, 6, 7), check=False)
+    assert dihedral_aut_from_map(d4, swapped) is None
+
+
 @pytest.mark.parametrize("n, a, name", [(4, 3, "D5"), (5, 1, "D4"), (6, 5, "D3")])
 def test_as_group_map_refuses_a_group_other_than_its_own_dn(n, a, name):
     # phi_{a,b} reads n off the group it is given, so D5 gave D5's phi_{3,1}
@@ -223,8 +235,10 @@ def test_compose():
     lambda: cyclic_iso_decider(0, 1, 1),
     lambda: cyclic_iso_decider(-3, 1, 1),
     lambda: conjugacy_reps_aut_dn(0),
+    lambda: solve_congruence(1, 1, 0),
+    lambda: unit_multiplier_to_gcd(1, 0, 1),
 ], ids=["cyclic_to_dihedral", "cyclic_iso_decider-0", "cyclic_iso_decider-neg",
-        "conjugacy_reps_aut_dn"])
+        "conjugacy_reps_aut_dn", "solve_congruence", "unit_multiplier_to_gcd"])
 def test_formulas_refuse_a_modulus_below_one(call):
     with pytest.raises(ContractViolation):
         call()

@@ -122,6 +122,30 @@ def test_is_normal():
     assert not is_normal(s3, generated_subgroup(s3, {refl}))
 
 
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: FiniteGroup([]), StructuralError, "empty table"),
+    (lambda: FiniteGroup([[0, 1], [1, 1]], check=False), StructuralError,
+     "an element has no inverse"),
+    (lambda: GroupMap(build_named("C2"), build_named("C2"), (0,)), StructuralError,
+     "image array length mismatch"),
+    (lambda: GroupMap(build_named("C2"), build_named("C4"), (0, 2)).require_automorphism(),
+     ContractViolation, "map is not an endomorphism"),
+    (lambda: identity_map(build_named("C2")).compose(identity_map(build_named("C3"))),
+     ContractViolation, "composition shape mismatch"),
+    (lambda: group_from_json(json.dumps({"name": "C2", "order": 3, "table": [[0, 1], [1, 0]]})),
+     StructuralError, "declared order does not match table size"),
+], ids=["empty", "no-inverse", "image-length", "not-an-endomorphism", "compose-shape",
+        "declared-order"])
+def test_group_inputs_are_checked(call, exc, message):
+    with pytest.raises(exc, match=f"^{message}$"):
+        call()
+
+
+def test_a_map_called_on_an_index_gives_its_image():
+    c4 = build_named("C4")
+    assert [named_automorphism(c4, "mul:3")(x) for x in range(4)] == [0, 3, 2, 1]
+
+
 def test_center():
     c6 = build(cyclic(6))
     assert center(c6).order == 6

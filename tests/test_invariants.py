@@ -230,6 +230,16 @@ def test_failed_orbit_span_check_fails_every_call(monkeypatch, empty_store):
     assert compute_P(d4, psi).members == (0, 1, 2, 3)
 
 
+def test_a_p_that_psi_moves_is_refused(monkeypatch, empty_store):
+    # orbit and span agree on {e, tau}, which phi_{1,1} maps onto {e, tau sigma}
+    d4 = build(dihedral(4))
+    psi = named_automorphism(d4, "phi:1,1")
+    monkeypatch.setattr(invariants, "_span", lambda g, elements: ((4,), {0, 4}))
+    monkeypatch.setattr(invariants, "orbit_of", lambda q, start: frozenset({0, 4}))
+    with pytest.raises(VerificationError, match="^P is not invariant under psi on D4$"):
+        restrict_to_P(d4, psi)
+
+
 @pytest.mark.parametrize("name", ["D4", "A4", "S3xS3"])
 def test_row_proof_reads_every_distinct_row(monkeypatch, empty_store, name):
     # one copy of one row, at each point in turn, with two entries away

@@ -634,7 +634,8 @@ def _c2_payload(**fields) -> str:
     {"size": "x"}, {"size": None},
     {"provenance": {"group": "C0", "automorphism": [0, 1]}},
     {"provenance": {"group": "Dic1", "automorphism": [0, 1]}},
-    {"provenance": {"group": "C200", "automorphism": [0, 1]}}])
+    {"provenance": {"group": "C200", "automorphism": [0, 1]}},
+    {"automorphism": [0, 0]}])
 def test_quandle_from_json_rejects_malformed_fields(fields):
     with pytest.raises(StructuralError):
         quandle_from_json(_c2_payload(**fields))

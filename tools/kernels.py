@@ -3,12 +3,15 @@ from the repository root. Each function of REPORTS is one report, whose docstrin
 times and why. They are reports, not gates; an exception in any, here or in a child, exits 1."""
 import functools
 import gc
+import inspect
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import timeit
 import tracemalloc
+import types
 from itertools import product
 from pathlib import Path
 from time import perf_counter
@@ -228,10 +231,80 @@ def cache_reload_time():
     row(f"classify_order over orders 1..16 from a filled cache, fresh interpreter: {kept:.3f} s,"
         f" {rejected:.3f} s with one order-16 witness broken")
 
+def line_tracer(root: str, hits: set):
+    """A sys.settrace function that adds (file, line) to hits for each line run in a file whose
+    path starts with root, and for each call its first line; it leaves other frames untraced."""
+    def local(frame, event, arg):
+        hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def enter(frame, event, arg):
+        return local(frame, event, arg) if frame.f_code.co_filename.startswith(root) else None
+    return enter
+
+def executable_lines(path: Path) -> set[int]:
+    """The lines of the source file at path that hold bytecode, in any function, class or
+    comprehension of it."""
+    codes, lines = [compile(path.read_text(), str(path), "exec")], set()
+    while codes:
+        code = codes.pop()
+        lines.update(line for *_, line in code.co_lines() if line)
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return lines
+
+SITECUSTOMIZE = """import atexit, json, sys, tempfile
+{tracer}
+hits = set()
+sys.settrace(line_tracer({root!r}, hits))
+
+@atexit.register
+def write_hits():
+    sys.settrace(None)
+    with tempfile.NamedTemporaryFile("w", dir={out!r}, suffix=".hits", delete=False) as f:
+        json.dump(sorted(hits), f)
+"""
+
+def never_run_lines():
+    """The lines of src/quandles that one tier-1 run, at hypothesis seed 0, never executes: each
+    module's never-run and executable counts, the total, then each line. A sitecustomize.py on a
+    temporary PYTHONPATH installs line_tracer in pytest's interpreter and in every Python child a
+    test starts, and each writes its hits at exit. Tracing makes tier-1 about 5x slower, so a test
+    with a time bound may fail: pytest's summary line is printed, and failed tests do not fail
+    the report. It takes minutes."""
+    repo = Path(__file__).resolve().parents[1]
+    package = repo / "src" / "quandles"
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "sitecustomize.py").write_text(SITECUSTOMIZE.format(
+            tracer=inspect.getsource(line_tracer), root=str(package), out=tmp))
+        path = [tmp, str(repo / "src"), os.environ.get("PYTHONPATH")]
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0"], cwd=repo, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        if run.returncode not in (0, 1):  # 1: some tests failed; any other code: none ran
+            raise RuntimeError(f"traced tier-1 exited {run.returncode}:\n{run.stdout}{run.stderr}")
+        hits = {tuple(hit) for f in Path(tmp).glob("*.hits") for hit in json.loads(f.read_text())}
+    row(f"traced tier-1: {run.stdout.strip().splitlines()[-1]}")
+    for line in run.stdout.splitlines():
+        if line.startswith(("FAILED", "ERROR")):
+            row(f"traced tier-1: {line}")
+    modules = [(path, executable_lines(path)) for path in sorted(package.glob("*.py"))]
+    missed = [(path, len(lines), sorted(lines - {n for f, n in hits if f == str(path)}))
+              for path, lines in modules]
+    for path, count, lines in missed:
+        row(f"{path.name}: {len(lines)} of {count} lines never run")
+    row(f"src/quandles: {sum(len(lines) for *_, lines in missed)} of"
+        f" {sum(count for _, count, _ in missed)} lines never run")
+    for path, _, lines in missed:
+        text = path.read_text().splitlines()
+        for n in lines:
+            row(f"`{path.name}:{n}`: `{text[n - 1].strip()}`")
+
 REPORTS = (automorphism_split_times, automorphism_split_memory, axiom_check_time,
            construction_time, normalizer_and_subgroup_times, p_record_time, kept_span_time,
            conjugate_profile_time, witness_check_time, decider_cross_validation_time,
-           claim_times, order16_search_time, theorem13_time, cache_reload_time)
+           claim_times, order16_search_time, theorem13_time, cache_reload_time,
+           never_run_lines)
 
 if __name__ == "__main__":
     for report in REPORTS:
