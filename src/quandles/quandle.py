@@ -18,17 +18,12 @@ from .groups import (FiniteGroup, GroupMap, _closure, _composer, _int_rows, _jso
 
 # What is derived once per Q(G, psi) input: group table -> (psi images ->
 # record, P members -> the P group that every input on the table shares).
-# general_alexander makes the record, a dict, when the axioms first pass, and
-# _kept is the one way in for every other fact.  A failed check stores
-# nothing, so it fails again on every call.  Keying by table first lets twin
-# groups share records and P groups.
+# _record is the one place a record is made, a dict that holds the input's
+# "rows" and their row_index, "index", for the life of the store; _kept is the
+# one way in for every other fact.  A failed check stores nothing, so it fails
+# again on every call.  Keying by table first lets twin groups share records
+# and P groups.
 _STORE: dict[tuple, tuple[dict, dict]] = {}
-# The records of the most recently used inputs also hold their "rows" and the
-# rows' row_index, "index", up to ROW_CELLS table cells in all (four S5 tables):
-# _RECENT maps id(record) to the record, least recent first; eviction drops both.
-ROW_CELLS = 1 << 16
-_RECENT: dict[int, dict] = {}
-_row_cells = 0
 
 
 def _stored(g: FiniteGroup, psi: GroupMap) -> tuple[dict, dict]:
@@ -42,16 +37,11 @@ def _stored(g: FiniteGroup, psi: GroupMap) -> tuple[dict, dict]:
 
 
 def _kept(g: FiniteGroup, psi: GroupMap, key: str, make):
-    """Q(g, psi)'s fact ``key``, made by ``make()`` on first use and kept in its
-    record; a ``make`` that raises keeps nothing.  ``make`` runs first, as most
-    makes build the record themselves."""
-    records = _stored(g, psi)[0]
-    value = records.get(psi.images, {}).get(key)
-    if value is None:
-        value = make()
-        if psi.images not in records:  # a quandle made under another store
-            general_alexander(g, psi)
-        records[psi.images][key] = value
+    """Q(g, psi)'s fact ``key``, made by ``make()`` on first use and kept in the
+    record that _record makes; a ``make`` that raises keeps nothing."""
+    rec = _record(g, psi)
+    if (value := rec.get(key)) is None:
+        value = rec[key] = make()
     return value
 
 
@@ -164,17 +154,13 @@ def _translations(g: FiniteGroup, psi: GroupMap):
     return map(getitem, g.table, _composer(psi.images)(g._inv))
 
 
-def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
-    """Q(G, psi) with s_x(y) = x psi(x^-1 y); its axioms are checked once
-    per (table, images), which then gets its record in the store.  A recent
-    input's rows and their row index are reused, under the caller's own (g, psi).
-    A psi multiplicative at G's generators is a homomorphism, with one row L_t psi
-    per distinct translation t; an unchecked map that is not is refused."""
-    global _row_cells
+def _record(g: FiniteGroup, psi: GroupMap) -> dict:
+    """Q(G, psi)'s record, made on the first call for its (table, images): a psi
+    multiplicative at G's generators is a homomorphism, with one row L_t psi per
+    distinct translation t (an unchecked map that is not is refused), and the
+    rows are stored once their axioms pass."""
     records = _stored(g, psi)[0]
-    rec = records.get(psi.images)
-    sym = rec.get("rows") if rec else None
-    if sym is None:
+    if (rec := records.get(psi.images)) is None:
         t, im, ids = g.table, psi.images, {}
         psi_of = _composer(im)  # row . psi: (row[psi(v)] over v)
         # psi(s b) = psi(s) psi(b) for all b at each generator s, which generate G as a monoid
@@ -183,19 +169,16 @@ def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
         rid = [ids.setdefault(u, len(ids)) for u in _translations(g, psi)]
         index = tuple(psi_of(t[u]) for u in ids), rid
         sym = tuple(map(index[0].__getitem__, rid))
-        q = Quandle._trusted(sym, (g, psi), index)
-        if rec is None:
-            _checked(q)
-            rec = records[im] = {}
-        rec["rows"], rec["index"] = sym, index
-        _row_cells += g.order ** 2
-    q = Quandle._trusted(sym, (g, psi), rec["index"])
-    _RECENT[id(rec)] = _RECENT.pop(id(rec), rec)
-    while _row_cells > ROW_CELLS:  # which may drop rec's own rows and index
-        old = _RECENT.pop(next(iter(_RECENT)))
-        del old["index"]
-        _row_cells -= len(old.pop("rows")) ** 2
-    return q
+        _checked(Quandle._trusted(sym, (g, psi), index))
+        rec = records[im] = {"rows": sym, "index": index}
+    return rec
+
+
+def general_alexander(g: FiniteGroup, psi: GroupMap) -> Quandle:
+    """Q(G, psi) with s_x(y) = x psi(x^-1 y): its record's rows and row index,
+    under the caller's own (g, psi)."""
+    rec = _record(g, psi)
+    return Quandle._trusted(rec["rows"], (g, psi), rec["index"])
 
 
 def trivial_quandle(n: int) -> Quandle:

@@ -866,7 +866,7 @@ def test_quandle_converts_and_checks_rows_from_outside():
 
 
 @pytest.mark.usefixtures("empty_store")
-def test_recent_rows_are_kept_under_each_callers_group():
+def test_rows_are_kept_under_each_callers_group():
     d4 = build_named("D4")
     psi = named_automorphism(d4, "phi:3,1")
     q = general_alexander(d4, psi)
@@ -880,46 +880,53 @@ def test_recent_rows_are_kept_under_each_callers_group():
 
 
 @pytest.mark.usefixtures("empty_store")
-def test_evicted_rows_are_rebuilt_without_a_second_axiom_check(monkeypatch):
+def test_rows_are_kept_for_the_life_of_the_store(monkeypatch):
+    # the class representatives of five groups of order 24..120 hold over
+    # 2^17 table cells; a second pass over them and D4's input reuses every
+    # record's rows, with no row built and no axiom checked again
     checked, _ = _record_axiom_checks(monkeypatch)
+    built = _record_translation_builds(monkeypatch)
     d4 = build_named("D4")
-    psi = named_automorphism(d4, "phi:3,1")
-    first = general_alexander(d4, psi)
-    a5, cells = build_named("A5"), 0
-    for other in automorphism_group(a5, bound=60):
-        if cells > quandle.ROW_CELLS:
-            break
-        general_alexander(a5, other)
-        cells += a5.order ** 2
-    assert cells > quandle.ROW_CELLS and len(checked) == 1 + cells // a5.order ** 2
-    kept = list(quandle._RECENT.values())
-    assert quandle._row_cells == sum(len(rec["rows"]) ** 2 for rec in kept)
-    assert quandle._row_cells <= quandle.ROW_CELLS
-    again = general_alexander(d4, psi)
-    assert again == first and again.sym is not first.sym
-    assert len(checked) == 1 + cells // a5.order ** 2
-    assert general_alexander(d4, psi).sym is again.sym
+    inputs = [(d4, named_automorphism(d4, "phi:3,1"))]
+    inputs += [(g, rep) for g in map(build_named, ("A5", "S5", "SL23", "S3xS3", "S4"))
+               for rep, _ in automorphism_conjugacy_classes(g)]
+    first = [general_alexander(g, psi).sym for g, psi in inputs]
+    assert len(inputs) == 34 and sum(len(sym) ** 2 for sym in first) > 1 << 17
+    for (g, psi), sym in zip(inputs, first):
+        assert general_alexander(g, psi).sym is sym, (g.name, psi.images)
+    keys = {(g.table, psi.images) for g, psi in inputs}
+    assert len(checked) == len(keys) == len(inputs)
+    assert {(q.provenance[0].table, q.provenance[1].images) for q in checked} == keys
+    assert len(built) == len(inputs) and set(built) == keys
 
 
-@pytest.mark.usefixtures("empty_store")
-def test_eviction_drops_the_row_index_with_the_rows():
+@pytest.mark.parametrize("fact", ["P", "profile", "colours"])
+def test_facts_make_each_record_once_in_a_store_swapped_in_after_the_quandles(
+        monkeypatch, fact):
+    # quandles made under one store, their facts asked under an empty one
+    # swapped in after them: the first ask makes each input's record, with
+    # one axiom check, and every ask gives what a fresh store gives
+    def facts(q1, q2):
+        if fact == "colours":  # D4's phi:1,2 and phi:3,2 refine each side once
+            return iso.brute_force_iso(q1, q2).to_json_dict()
+        if fact == "profile":
+            return [iso.cached_profile(*q.provenance) for q in (q1, q2)]
+        return [(grp.table, phi.images, members)
+                for grp, phi, members in (restrict_to_P(*q.provenance) for q in (q1, q2))]
+
     d4 = build_named("D4")
-    psi = named_automorphism(d4, "phi:3,1")
-    first = general_alexander(d4, psi)
-    rec = quandle._STORE[d4.table][0][psi.images]
-    assert rec["rows"] is first.sym and rec["index"] is row_index(first)
-    a5 = build_named("A5")
-    for other in automorphism_group(a5, bound=60):
-        if "rows" not in rec:
-            break
-        general_alexander(a5, other)
-    assert "rows" not in rec and "index" not in rec
-    for records, _ in quandle._STORE.values():
-        for r in records.values():
-            assert ("rows" in r) == ("index" in r) == (id(r) in quandle._RECENT)
-    again = general_alexander(d4, psi)
-    assert rec["rows"] is again.sym and rec["index"] is row_index(again)
-    assert row_index(again) is not row_index(first) and row_index(again) == row_index(first)
+    psis = [named_automorphism(d4, name) for name in ("phi:1,2", "phi:3,2")]
+    monkeypatch.setattr(quandle, "_STORE", {})
+    fresh = facts(*(general_alexander(d4, psi) for psi in psis))
+    monkeypatch.setattr(quandle, "_STORE", {})
+    q1, q2 = (general_alexander(d4, psi) for psi in psis)
+    monkeypatch.setattr(quandle, "_STORE", {})
+    checked, _ = _record_axiom_checks(monkeypatch)
+    assert facts(q1, q2) == fresh and facts(q1, q2) == fresh
+    keys = [(q.provenance[0].table, q.provenance[1].images) for q in checked]
+    assert len(keys) == len(set(keys)) and {(d4.table, psi.images) for psi in psis} <= set(keys)
+    records = quandle._stored(d4, psis[0])[0]
+    assert all({"rows", "index", fact} <= records[psi.images].keys() for psi in psis)
 
 
 def test_row_index_is_not_a_field():

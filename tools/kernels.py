@@ -117,14 +117,30 @@ def kept_span_time():
                   fn, with_records)
 
 def construction_time():
-    """general_alexander over the Aut-class representatives of A5, S5, SL23, S3xS3 and S4, each run
-    on a fresh store made in setup, so that every input's table is built and its axioms checked."""
+    """general_alexander over the Aut-class representatives of A5, S5, SL23, S3xS3 and S4: each run
+    on a fresh store made in setup, so that every input's table is built and its axioms checked;
+    then each run on the store that a first run filled, whose records keep every input's rows; and
+    what such a store's records hold, by tracemalloc as automorphism_split_memory reads it."""
     def on_a_fresh_store():
         quandle._STORE = {}
         return [(g, r) for g in map(build_named, ("A5", "S5", "SL23", "S3xS3", "S4"))
                 for r, _ in automorphism_conjugacy_classes(g)]
     best_of_7("general_alexander over the class representatives of A5, S5, SL23, S3xS3 and S4,"
               " fresh store", general_alexander, on_a_fresh_store)
+    reps = on_a_fresh_store()
+    for args in reps:
+        general_alexander(*args)
+    best_of_7("general_alexander over the same class representatives, on the store a first run"
+              " filled", general_alexander, lambda: reps)
+    quandle._STORE = {}
+    gc.collect()
+    tracemalloc.start()
+    for args in reps:
+        general_alexander(*args)
+    kept = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    row(f"the store's records after general_alexander over the same class representatives:"
+        f" {kept / 2**20:.2f} MiB")
 
 def p_record_time():
     """restrict_to_P over Q(S5, psi) for the seven Aut-class representatives psi, each run on a
