@@ -142,11 +142,9 @@ def classify_group(g: FiniteGroup) -> ClassificationReport:
 def _entry(maps: list[tuple[FiniteGroup, GroupMap]], left: int, right: int,
            lent: dict) -> dict:
     """The verdict-log entry of pairs ``left`` and ``right``: isomorphic by
-    their lent witness if it verifies, with the method ``decide`` would
-    report and no note, else what ``decide`` gives."""
-    witness = lent.get((left, right))
-    if witness is not None and verify_quandle_witness(
-            general_alexander(*maps[left]), general_alexander(*maps[right]), witness):
+    their witness in ``lent``, which _classify_pairs has verified, with the
+    method ``decide`` would report and no note, else what ``decide`` gives."""
+    if (witness := lent.get((left, right))) is not None:
         verdict = IsoVerdict(ISOMORPHIC, isomorphic_method(*maps[left], *maps[right]),
                              witness=witness)
     else:
@@ -158,9 +156,17 @@ def _classify_pairs(order: int, beyond_paper: bool, group_names: list[str],
                     pairs: list[PairEntry], maps: list[tuple[FiniteGroup, GroupMap]],
                     lent: dict | None = None) -> ClassificationReport:
     """Decide each pair against the representatives of its profile bucket,
-    trying the witness ``lent`` maps (representative, pair) to first."""
-    lent = lent or {}
-    profiles = [cached_profile(g, psi) for g, psi in maps]
+    trying the witness ``lent`` maps (representative, pair) to first.  Each
+    lent witness is verified once, here, and kept only if it does and its
+    keys are ints with 0 <= left < right < len(maps); a pair that a kept
+    witness maps onto takes its left pair's profile, made first as left is
+    less, as every profile field is a quandle isomorphism invariant."""
+    lent = {(a, b): w for (a, b), w in (lent or {}).items()
+            if isinstance(a, int) and isinstance(b, int) and 0 <= a < b < len(maps)
+            and verify_quandle_witness(general_alexander(*maps[a]),
+                                       general_alexander(*maps[b]), w)}
+    sources = {b: maps[a] for a, b in lent}
+    profiles = [cached_profile(g, psi, sources.get(i)) for i, (g, psi) in enumerate(maps)]
     verdict_log: list[dict] = []
     # pairs are visited in index order, so each class is sorted and its
     # representative is its first member

@@ -148,28 +148,32 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
     minv = [-1] * n
     trail: list[int] = []
 
+    def bind(x: int, y: int) -> bool:  # x maps to y, unless x is mapped, y taken or colors differ
+        if (cur := m[x]) >= 0 or minv[y] >= 0 or c1[x] != c2[y]:
+            return cur == y
+        m[x], minv[y] = y, x
+        trail.append(x)
+        return True
+
     def attempt(a: int, b: int) -> bool:
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            cur = m[x]
-            if cur >= 0:
-                if cur != y:
-                    return False
-                continue
-            if minv[y] >= 0 or c1[x] != c2[y]:
-                return False
-            m[x] = y
-            minv[y] = x
-            trail.append(x)
-            for z in trail:  # a pair already mapped to its image is not pushed
+        # each forced pair is mapped as it is found, and each newly mapped point is then
+        # checked against itself and every point mapped before it
+        i = len(trail)
+        if not bind(a, b):
+            return False
+        while i < len(trail):
+            x = trail[i]
+            y = m[x]
+            row1, row2 = s1[x], s2[y]
+            for z in trail[:i + 1]:
                 w = m[z]
-                u, v = s1[x][z], s2[y][w]
-                if m[u] != v:
-                    stack.append((u, v))
+                u, v = row1[z], row2[w]
+                if m[u] != v and not bind(u, v):
+                    return False
                 u, v = s1[z][x], s2[w][y]
-                if m[u] != v:
-                    stack.append((u, v))
+                if m[u] != v and not bind(u, v):
+                    return False
+            i += 1
         return True
 
     def undo(mark: int) -> None:
@@ -222,12 +226,15 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
 # the structural criterion and its constructive witness
 # ---------------------------------------------------------------------------
 
-def cached_profile(g: FiniteGroup, psi: GroupMap) -> InvariantProfile:
+def cached_profile(g: FiniteGroup, psi: GroupMap, source=None) -> InvariantProfile:
     """profile(g, psi), computed once per Aut(G)-class: tau in Aut(G) maps Q(G, psi) onto
     Q(G, tau psi tau^-1), P, P^2, Fix and the twisted normalizer onto theirs, and psi|P to a
     conjugate, so every field is a class invariant and psi's record keeps its class's least
-    member's profile.  Past the class map's bounds, or off it (not a homomorphism), psi's own."""
+    member's profile, or the profile of the pair ``source`` that a verified isomorphism maps
+    from.  Past the class map's bounds, or off it (not a homomorphism), psi's own."""
     def make():
+        if source is not None:
+            return cached_profile(*source)
         try:
             rep = automorphism_classes(g)[psi.images]
         except (CapacityError, KeyError):

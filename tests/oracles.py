@@ -13,7 +13,9 @@ where the package reads them from an index built once per order.  The
 witness check with one row composition per point on each side, where the
 package composes once per distinct row.  The table of Q(G, psi) by its
 definition, one cell at a time, where the package builds one row per
-distinct translation once psi is proved a homomorphism.
+distinct translation once psi is proved a homomorphism.  The point-map
+search whose closure pops forced pairs from a stack and maps each when it
+is popped, where the package maps a forced pair as soon as it is found.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import pkgutil
 
 import quandles
 from quandles.errors import CapacityError, StructuralError, VerificationError
-from quandles.groups import _composer, automorphism_classes, groups_isomorphic
+from quandles.groups import _composer, _cycle_type, automorphism_classes, groups_isomorphic
 from quandles.invariants import compute_P2
-from quandles.iso import ISOMORPHIC, METHOD_SIMPLE, NOT_ISOMORPHIC, IsoVerdict
+from quandles.iso import (DEFAULT_BRUTE_BOUND, ISOMORPHIC, METHOD_BRUTE, METHOD_SIMPLE,
+                          NOT_ISOMORPHIC, IsoVerdict, _checked, _refine)
 from quandles.labels import ORDER8_LABELS, ORDER12_LABELS, label_class_images
-from quandles.quandle import _translations
+from quandles.quandle import _kept, _translations
 
 INNER_CLOSURE_BOUND = 10 ** 6
 
@@ -194,3 +197,90 @@ def label_scan(order: int, group_name: str, class_images: tuple[int, ...]) -> li
     table = ORDER8_LABELS if order == 8 else ORDER12_LABELS if order == 12 else {}
     return [label for label in table
             if label_class_images(label) == (group_name, class_images)]
+
+
+def stack_closure_iso(q1, q2, bound: int = DEFAULT_BRUTE_BOUND) -> IsoVerdict:
+    """iso.brute_force_iso with its closure as a stack of forced pairs: a
+    pair is pushed when it is found, unless its point already has that
+    image, and mapped, or refused, when it is popped."""
+    if q1.size != q2.size:
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE, note="sizes differ")
+    n = q1.size
+    if n > bound:
+        raise CapacityError(f"brute force capped at size {bound}, got {n}")
+    alexander = q1.is_general_alexander() and q2.is_general_alexander()
+    if alexander:
+        c1, c2 = [0] * n, [int(q1.provenance[1].cycle_type != q2.provenance[1].cycle_type)] * n
+    else:
+        c1, c2 = (_refine(q, map(_cycle_type, q.sym)) for q in (q1, q2))
+    if sorted(c1) != sorted(c2):
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE, note="structural colorings differ")
+    key, cand = c1, {c: [y for y in range(n) if c2[y] == c] for c in set(c1)}
+    s1, s2 = q1.sym, q2.sym
+    m, minv, trail = [-1] * n, [-1] * n, []
+
+    def attempt(a, b):
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            cur = m[x]
+            if cur >= 0:
+                if cur != y:
+                    return False
+                continue
+            if minv[y] >= 0 or c1[x] != c2[y]:
+                return False
+            m[x] = y
+            minv[y] = x
+            trail.append(x)
+            for z in trail:
+                w = m[z]
+                u, v = s1[x][z], s2[y][w]
+                if m[u] != v:
+                    stack.append((u, v))
+                u, v = s1[z][x], s2[w][y]
+                if m[u] != v:
+                    stack.append((u, v))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            x = trail.pop()
+            minv[m[x]] = -1
+            m[x] = -1
+
+    def search(first=False):
+        best_x, best_cands, seen = -1, None, set()
+        for x in range(n):
+            if m[x] >= 0 or key[x] in seen:
+                continue
+            seen.add(key[x])
+            live = [y for y in cand[key[x]] if minv[y] < 0]
+            if best_cands is None or len(live) < len(best_cands):
+                best_x, best_cands = x, live
+                if len(live) == 1:
+                    break
+        if best_cands is None:
+            return tuple(m)
+        for y in best_cands:
+            mark = len(trail)
+            if c2[y] == c1[best_x] and attempt(best_x, y):
+                res = search(first)
+                if res is not None or first:
+                    return res
+            undo(mark)
+        return None
+
+    if alexander:
+        attempt(0, 0)
+    witness = search(first=alexander)
+    if witness is None and alexander:
+        undo(1)
+        c1, c2 = (_kept(*q.provenance, "colours", lambda: _refine(q, [x == 0 for x in range(n)]))
+                  for q in (q1, q2))
+        if sorted(c1) != sorted(c2):
+            return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
+        witness = search()
+    if witness is None:
+        return IsoVerdict(NOT_ISOMORPHIC, METHOD_BRUTE)
+    return _checked(q1, q2, IsoVerdict(ISOMORPHIC, METHOD_BRUTE, witness=witness))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quandles import iso
+from quandles import iso, quandle
 from quandles.catalog import build, build_named, groups_of_order, named_automorphism
 from quandles import classify
 from quandles.classify import (ENGINE_VERSION, _classify_pairs, _lent_witnesses, _pair_objects,
@@ -188,7 +188,7 @@ def test_partition_needs_a_separating_decide(monkeypatch):
     groups, pairs, maps = _pair_objects(8)
     names = [g.name for g in groups]
     shared = classify.cached_profile(*maps[0])
-    monkeypatch.setattr(classify, "cached_profile", lambda g, psi: shared)
+    monkeypatch.setattr(classify, "cached_profile", lambda g, psi, source=None: shared)
     report = _classify_pairs(8, False, names, pairs, maps)
     assert sorted(report.classes) == sorted(classify_order(8).classes)
     log = report.verdict_log
@@ -512,6 +512,60 @@ def test_cache_rejects_a_correct_verdict_the_loop_does_not_log(tmp_path):
     again = classify_order(8, cache_dir=cache)
     assert again.to_json() == first.to_json()
     assert json.loads(path.read_text())["verdict_log"] == first.verdict_log
+
+
+def _counted_profiles(monkeypatch) -> list:
+    """The (group, map) of each invariants.profile call cached_profile makes
+    from here on."""
+    calls, real = [], iso.profile
+    monkeypatch.setattr(iso, "profile", lambda g, psi: calls.append((g, psi)) or real(g, psi))
+    return calls
+
+
+def test_a_reload_profiles_one_pair_per_class(tmp_path, monkeypatch, empty_store):
+    # each member's lent witness verifies, so it takes its representative's
+    # profile: a reload on an empty store profiles the representatives only
+    cache = str(tmp_path)
+    fresh = {n: classify_order(n, beyond_paper=n == 16, cache_dir=cache) for n in (8, 12, 16)}
+    monkeypatch.setattr(quandle, "_STORE", {})
+    for n, report in fresh.items():
+        calls = _counted_profiles(monkeypatch)
+        again = classify_order(n, beyond_paper=n == 16, cache_dir=cache)
+        assert len(calls) == report.class_count == {8: 9, 12: 11, 16: 29}[n]
+        assert again.to_json() == report.to_json()
+
+
+def test_a_lent_witness_that_does_not_verify_is_profiled_on_its_own(
+        tmp_path, monkeypatch, empty_store):
+    cache = str(tmp_path)
+    first = classify_order(8, cache_dir=cache)
+    path = next(tmp_path.iterdir())
+    data = json.loads(path.read_text())
+    entry = next(e for e in data["verdict_log"] if e["verdict"]["result"] == ISOMORPHIC)
+    entry["verdict"]["witness"][0] = entry["verdict"]["witness"][1]  # not a bijection
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(quandle, "_STORE", {})
+    calls = _counted_profiles(monkeypatch)
+    assert classify_order(8, cache_dir=cache).to_json() == first.to_json()
+    maps, profiled = _pair_objects(8)[2], [cls[0] for cls in first.classes] + [entry["right"]]
+    assert calls == [maps[i] for i in sorted(profiled)] and len(calls) == 9 + 1
+
+
+def test_every_member_takes_its_own_profile(tmp_path, monkeypatch, empty_store):
+    # the reload no longer profiles a member, so its profile, taken from its
+    # representative by a verified isomorphism, is compared here with the
+    # one profile() computes for it on a fresh store
+    cache, taken = str(tmp_path), {}
+    for n in range(1, 17):
+        classify_order(n, beyond_paper=n == 16, cache_dir=cache)
+    monkeypatch.setattr(quandle, "_STORE", {})
+    for n in range(1, 17):
+        report = classify_order(n, beyond_paper=n == 16, cache_dir=cache)
+        maps = _pair_objects(n)[2]
+        taken.update({maps[i]: report.profiles[i] for cls in report.classes for i in cls[1:]})
+    monkeypatch.setattr(quandle, "_STORE", {})
+    assert len(taken) == 189
+    assert all(profile(g, psi) == prof for (g, psi), prof in taken.items())
 
 
 def test_aut_enumerated_once_per_group(monkeypatch, empty_store):

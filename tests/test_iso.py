@@ -24,7 +24,7 @@ from quandles.iso import (ISOMORPHIC, NOT_ISOMORPHIC, UNDECIDED,
 from quandles.invariants import restrict_to_P
 from quandles.quandle import Quandle, general_alexander, trivial_quandle
 
-from oracles import fiber_matching_witness, point_witness, simple_group_verdict
+from oracles import fiber_matching_witness, point_witness, simple_group_verdict, stack_closure_iso
 
 
 def _ga(name, aut):
@@ -1262,3 +1262,19 @@ def test_formula_disagreement_still_aborts(monkeypatch):
         NOT_ISOMORPHIC, iso.METHOD_THM13))
     with pytest.raises(VerificationError, match="deciders disagree"):
         decide(g, psi1, g, psi2)
+
+
+def test_closure_maps_each_forced_pair_as_found_with_the_stack_closures_verdicts():
+    # mapping a forced pair when it is found, not when it is popped, reaches
+    # the same closure or the same clash, so every verdict, note and first
+    # witness is the stack closure's; without provenance, the unpinned path
+    counts = {}
+    for order in range(1, 13):
+        quandles = [general_alexander(*pair) for pair in _pair_objects(order)[2]]
+        inputs = [quandles] + ([[Quandle(q.size, q.sym) for q in quandles]] if order <= 8 else [])
+        for qs in inputs:
+            for q1, q2 in itertools.product(qs, repeat=2):
+                got = brute_force_iso(q1, q2).to_json_dict()
+                assert got == stack_closure_iso(q1, q2).to_json_dict(), (q1, q2)
+                counts[got["result"]] = counts.get(got["result"], 0) + 1
+    assert counts[ISOMORPHIC] > 0 and counts[NOT_ISOMORPHIC] > 0

@@ -226,14 +226,18 @@ def theorem13_time():
 @three_fresh_interpreters
 def cache_reload_time():
     """classify_order over orders 1..16 from a temporary cache that the same interpreter filled,
-    untimed, just before; then again after one isomorphic witness of the order-16 file is broken,
-    so that the file is rejected and order 16 classified twice: the reject path, which no workload
-    times. In three fresh interpreters."""
-    def reload(cache: str) -> float:
-        start = perf_counter()
+    untimed, just before, with the reload on a fresh store, as a new process starts; then again
+    after one isomorphic witness of the order-16 file is broken, so that the file is rejected and
+    order 16 classified twice: the reject path, which no workload times. Each reload's
+    invariants.profile calls are counted. In three fresh interpreters."""
+    calls, profile = [], iso.profile
+    iso.profile = lambda *args: calls.append(args) or profile(*args)
+    def reload(cache: str) -> tuple[float, int]:
+        calls.clear()
+        quandle._STORE, start = {}, perf_counter()
         for n in range(1, 17):
             classify_order(n, beyond_paper=n == 16, cache_dir=cache)
-        return perf_counter() - start
+        return perf_counter() - start, len(calls)
     with tempfile.TemporaryDirectory() as cache:
         reload(cache)
         kept = reload(cache)
@@ -244,8 +248,9 @@ def cache_reload_time():
         witness[0] = witness[1]  # no longer a bijection
         path.write_text(json.dumps(data))
         rejected = reload(cache)
-    row(f"classify_order over orders 1..16 from a filled cache, fresh interpreter: {kept:.3f} s,"
-        f" {rejected:.3f} s with one order-16 witness broken")
+    row("classify_order over orders 1..16 from a filled cache, fresh interpreter and store:"
+        " {:.3f} s, {} profile calls; {:.3f} s, {} profile calls with one order-16 witness"
+        " broken".format(*kept, *rejected))
 
 def line_tracer(root: str, hits: set):
     """A sys.settrace function that adds (file, line) to hits for each line run in a file whose
