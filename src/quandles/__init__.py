@@ -13,8 +13,7 @@ from .classify import (ClassificationReport, boundary_report, classify_group,
                        classify_order, closed_form_counts, emit_table)
 from .dihedral import (DihedralAut, are_conjugate_dn, conjugacy_reps_aut_dn,
                        cyclic_iso_decider, cyclic_to_dihedral,
-                       dihedral_iso_decider, fix_size_dn, p_subgroups_dn,
-                       solve_congruence, unit_multiplier_to_gcd)
+                       dihedral_iso_decider, fix_size_dn, p_subgroups_dn)
 from .errors import (CapacityError, ContractViolation, NameLookupError,
                      StructuralError, VerificationError)
 from .groups import (FiniteGroup, GroupMap, Subgroup, automorphism_conjugacy_classes,

@@ -3,7 +3,7 @@
 Aut(D_n) is the affine group of C_n: phi_{a,b}(tau^e sigma^i) =
 tau^e sigma^{a i + e b} with a a unit mod n.  Conjugacy, fixed-point counts,
 P and P^2, and the isomorphism deciders for Q(D_n, a, b) and Q(C_n, a)
-all reduce to gcd arithmetic; the congruence helpers live here too.
+all reduce to gcd arithmetic.
 """
 
 from __future__ import annotations
@@ -12,39 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .catalog import dihedral, build, dihedral_phi
-from .errors import ContractViolation, VerificationError
+from .errors import ContractViolation
 from .groups import FiniteGroup, GroupMap
-
-
-def solve_congruence(c: int, d: int, n: int) -> tuple[int, int, int] | None:
-    """Solutions of c z = d (mod n): (z0, step, count) or None if unsolvable.
-
-    The full solution set is {z0 + step * i : i = 0..count-1} with
-    step = n / gcd(n, c) and count = gcd(n, c).
-    """
-    if n < 1:
-        raise ContractViolation("modulus must be positive")
-    c, d = c % n, d % n
-    g = gcd(n, c)  # equals n when c == 0
-    if d % g != 0:
-        return None
-    if c == 0:
-        return (0, 1, n)
-    ng = n // g
-    z0 = ((d // g) * pow(c // g, -1, ng)) % ng
-    return (z0, ng, g)
-
-
-def unit_multiplier_to_gcd(c: int, m: int, n: int) -> int:
-    """Some p with gcd(n, p) = 1 and p*c = gcd(m, c) (mod m), by bounded scan."""
-    if m < 1 or n < 1:
-        raise ContractViolation("moduli must be positive")
-    target = gcd(m, c % m) % m
-    for p in range(1, n * m + 2):
-        if gcd(n, p) == 1 and (p * c) % m == target:
-            return p
-    raise VerificationError(
-        f"no unit multiplier found for c={c}, m={m}, n={n} within bound")
 
 
 @dataclass(frozen=True)
@@ -70,11 +39,6 @@ class DihedralAut:
     @property
     def d(self) -> int:
         return gcd(self.n, 1 - self.a, self.b)
-
-    def compose(self, other: DihedralAut) -> DihedralAut:
-        """self after other: phi_{a,b} . phi_{a',b'} = phi_{a a', a b' + b}."""
-        self._same_modulus(other)
-        return DihedralAut(self.n, self.a * other.a, self.a * other.b + self.b)
 
     def _same_modulus(self, other: DihedralAut) -> None:
         if self.n != other.n:

@@ -514,8 +514,8 @@ class _ClassMap(Mapping):
     """automorphism_classes' map: its byte string, key index and each index's
     class minimum, from one pass over the orbits of the index arrays ``conjs``,
     and (representative, size) by class minimum, which is the class's first
-    member.  A lookup returns a representative's own images from their bytes,
-    else checks the whole slice at its key's index, or KeyError."""
+    member.  A lookup checks the whole slice at its key's index, or raises
+    KeyError."""
 
     def __init__(self, g: FiniteGroup, buf: bytes, index: dict, conjs: list):
         d, rep = g.order, [-1] * len(index)
@@ -530,14 +530,11 @@ class _ClassMap(Mapping):
         self._buf, self._d, self._gens, self._index, self._rep = buf, d, g._gens, index, rep
         self._classes = {r: (GroupMap(g, g, tuple(buf[r * d:(r + 1) * d]), check=False), k)
                          for r, k in Counter(rep).items()}
-        self._least = {bytes(m.images): m.images for m, _ in self._classes.values()}
 
     def __getitem__(self, images):
         d = self._d
         try:  # bytes() refuses a non-int and an entry outside 0..255
             p = bytes(images) if isinstance(images, tuple) else b""
-            if (least := self._least.get(p)) is not None:
-                return least
             key = bytes(map(p.__getitem__, self._gens)).ljust(8, b"\0")
             if self._buf[(i := self._index[memoryview(key).cast("Q")[0]]) * d:(i + 1) * d] == p:
                 return self._classes[self._rep[i]][0].images

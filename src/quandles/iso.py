@@ -156,11 +156,11 @@ def brute_force_iso(q1: Quandle, q2: Quandle,
         return True
 
     def attempt(a: int, b: int) -> bool:
-        # each forced pair is mapped as it is found, and each newly mapped point is then
-        # checked against itself and every point mapped before it
+        # map each forced pair as found, then check each new point against those before it and
+        # itself (s_x(x) = x on a quandle, but Quandle(...) does not check (Q1)).  bind(a, b)
+        # holds: search gives an unmapped x and a live y of its color, the pin an empty map
         i = len(trail)
-        if not bind(a, b):
-            return False
+        bind(a, b)
         while i < len(trail):
             x = trail[i]
             y = m[x]

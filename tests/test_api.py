@@ -19,8 +19,8 @@ PUBLIC_API = [
     "is_normal", "is_simple", "iso", "labels", "named_automorphism",
     "normalize_witness", "p_subgroups_dn", "profile", "profile_to_json", "quandle",
     "quandle_from_json", "quandle_order", "quandle_to_json", "simple_group_decider",
-    "solve_congruence", "spec_from_name", "subquandle", "theorem13_iso",
-    "trivial_quandle", "twisted_normalizer", "unit_multiplier_to_gcd",
+    "spec_from_name", "subquandle", "theorem13_iso",
+    "trivial_quandle", "twisted_normalizer",
     "verify_quandle_witness",
 ]
 

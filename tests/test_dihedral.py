@@ -1,60 +1,16 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quandles.catalog import build, build_named, dihedral, named_automorphism
 from quandles.dihedral import (DihedralAut, are_conjugate_dn,
                                conjugacy_reps_aut_dn, cyclic_iso_decider,
                                cyclic_to_dihedral, dihedral_aut_from_map,
                                dihedral_iso_decider, fix_size_dn,
-                               p_subgroups_dn, solve_congruence,
-                               unit_multiplier_to_gcd)
+                               p_subgroups_dn)
 from quandles.errors import ContractViolation
 from quandles.groups import GroupMap, fixed_subgroup
 from quandles.invariants import compute_P, compute_P2
-
-
-def congruence_solutions(c: int, d: int, n: int) -> list[int]:
-    """Every z in 0..n-1 with c z = d (mod n), from solve_congruence's
-    (z0, step, count), in increasing order."""
-    sol = solve_congruence(c, d, n)
-    if sol is None:
-        return []
-    z0, step, count = sol
-    return sorted((z0 + step * i) % n for i in range(count))
-
-
-def test_solve_congruence_examples():
-    assert solve_congruence(4, 2, 6) == (2, 3, 2)
-    assert congruence_solutions(4, 2, 6) == [2, 5]
-    assert solve_congruence(2, 1, 4) is None
-    for n in (3, 7, 12):
-        for d in range(n):
-            z0, step, count = solve_congruence(1, d, n)
-            assert (z0, count) == (d, 1)
-
-
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 40))
-def test_solve_congruence_matches_scan(c, d, n):
-    want = sorted(z for z in range(n) if (c * z - d) % n == 0)
-    assert congruence_solutions(c, d, n) == want
-
-
-@given(st.integers(0, 60), st.integers(1, 30), st.integers(1, 30))
-@settings(max_examples=200)
-def test_unit_multiplier_contract(c, m, n):
-    p = unit_multiplier_to_gcd(c, m, n)
-    assert gcd(n, p) == 1
-    assert (p * c) % m == gcd(m, c % m) % m
-
-
-def test_unit_multiplier_examples():
-    p = unit_multiplier_to_gcd(4, 6, 6)
-    assert gcd(6, p) == 1 and (4 * p) % 6 == 2
-    assert unit_multiplier_to_gcd(1, 5, 7) == 1
-    assert unit_multiplier_to_gcd(6, 12, 5) * 6 % 12 == 6
 
 
 def test_dihedral_aut_validation():
@@ -225,20 +181,13 @@ def test_as_group_map_refuses_a_group_other_than_its_own_dn(n, a, name):
         build(dihedral(n)), f"phi:{a},1")
 
 
-def test_compose():
-    x = DihedralAut(6, 5, 1).compose(DihedralAut(6, 5, 2))
-    assert (x.a, x.b) == (1, (5 * 2 + 1) % 6)
-
-
 @pytest.mark.parametrize("call", [
     lambda: cyclic_to_dihedral(0, 1),
     lambda: cyclic_iso_decider(0, 1, 1),
     lambda: cyclic_iso_decider(-3, 1, 1),
     lambda: conjugacy_reps_aut_dn(0),
-    lambda: solve_congruence(1, 1, 0),
-    lambda: unit_multiplier_to_gcd(1, 0, 1),
 ], ids=["cyclic_to_dihedral", "cyclic_iso_decider-0", "cyclic_iso_decider-neg",
-        "conjugacy_reps_aut_dn", "solve_congruence", "unit_multiplier_to_gcd"])
+        "conjugacy_reps_aut_dn"])
 def test_formulas_refuse_a_modulus_below_one(call):
     with pytest.raises(ContractViolation):
         call()
