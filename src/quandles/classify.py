@@ -17,7 +17,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .catalog import build, groups_of_order
+from .catalog import build, build_named, groups_of_order, named_automorphism
 from .errors import CapacityError, ContractViolation
 from .groups import FiniteGroup, GroupMap, automorphism_conjugacy_classes
 from .invariants import InvariantProfile, descriptor_display
@@ -45,9 +45,8 @@ class PairEntry:
         return f"{self.group_name}#{self.class_index}"
 
     def to_json_dict(self) -> dict:
-        return {"group_index": self.group_index, "group_name": self.group_name,
-                "class_index": self.class_index, "images": list(self.images),
-                "ref_labels": list(self.ref_labels)}
+        return {**{f: getattr(self, f) for f in self.__dataclass_fields__},
+                "images": list(self.images), "ref_labels": list(self.ref_labels)}
 
 
 @dataclass
@@ -68,19 +67,11 @@ class ClassificationReport:
         return len(self.classes)
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "engine_version": self.engine_version,
-            "beyond_paper": self.beyond_paper,
-            "group_names": list(self.group_names),
-            "pairs": [p.to_json_dict() for p in self.pairs],
-            "profiles": [p.to_json_dict() for p in self.profiles],
-            "classes": [list(c) for c in self.classes],
-            "verdict_log": self.verdict_log,
-            "notes": list(self.notes),
-            "class_count": self.class_count,
-            "complete": self.complete,
-        }
+        """Every field as it is, but ``pairs`` and ``profiles`` as their records' JSON."""
+        return {**{f: getattr(self, f) for f in self.__dataclass_fields__},
+                "pairs": [p.to_json_dict() for p in self.pairs],
+                "profiles": [p.to_json_dict() for p in self.profiles],
+                "class_count": self.class_count}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
@@ -292,7 +283,6 @@ def boundary_pair():
     """The two order-16 constructions whose comparison needs the search:
     C2 x Q8 with the order-3 map lifted from the quaternion factor, and the
     twist group SD16 with an order-3 automorphism."""
-    from .catalog import build_named, named_automorphism
     g1 = build_named("C2xQ8")
     psi1 = named_automorphism(g1, "right:psi_4")
     g2 = build_named("SD16")

@@ -42,14 +42,13 @@ class FiniteGroup:
     """A finite group given by its multiplication table (table[a][b] = a*b)."""
 
     __slots__ = ("name", "order", "table", "spec", "_inv", "_elt_orders",
-                 "_abelian", "_center", "_gens", "_aut_classes", "_catalog", "_simple", "_store")
+                 "_abelian", "_gens", "_aut_classes", "_catalog", "_simple", "_store")
 
     def __init__(self, table, name: str = "G", spec=None, check: bool = True):
         self.table = _int_rows(table, "group table")
         self.order = len(self.table)
         self.name = name
         self.spec = spec
-        self._center = None
         self._gens = None
         self._aut_classes = None  # the class map, or the message that refused it
         self._catalog = None  # (name, isomorphism, inverse composer), by invariants._catalog_match
@@ -93,15 +92,6 @@ class FiniteGroup:
     def _check_index(self, a: int) -> None:
         if not 0 <= a < self.order:
             raise StructuralError(f"element index {a} out of range for {self.name}")
-
-    def mul(self, a: int, b: int) -> int:
-        self._check_index(a)
-        self._check_index(b)
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        self._check_index(a)
-        return self._inv[a]
 
     def conj(self, a: int, x: int) -> int:
         """a * x * a^-1."""
@@ -212,9 +202,6 @@ class GroupMap:
                     b = next(b for b in range(len(row)) if im[row[b]] != t[im[a]][im[b]])
                     raise StructuralError(f"not a homomorphism at ({a},{b})")
 
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
     # the fixed facts are cached in the instance dict, not fields: eq, hash and repr ignore them
     @functools.cached_property
     def is_bijective(self) -> bool:
@@ -285,10 +272,9 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    if g._center is None:  # z is central iff its row of the table equals its column
-        g._center = Subgroup(g, tuple(z for z, (row, col) in enumerate(
-            zip(g.table, zip(*g.table))) if row == col))
-    return g._center
+    """Built on each call: z is central iff its row of the table equals its column."""
+    return Subgroup(g, tuple(z for z, (row, col) in enumerate(
+        zip(g.table, zip(*g.table))) if row == col))
 
 
 def is_simple(g: FiniteGroup) -> bool:

@@ -50,14 +50,9 @@ class IsoVerdict:
     note: str | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"result": self.result, "method": self.method}
-        if self.witness is not None:
-            out["witness"] = list(self.witness)
-        if self.separator is not None:
-            out["separator"] = self.separator
-        if self.note is not None:
-            out["note"] = self.note
-        return out
+        """Each field that is set, the witness as a list."""
+        return {f: list(v) if f == "witness" else v for f in self.__dataclass_fields__
+                if (v := getattr(self, f)) is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -73,7 +73,6 @@ def _claim(name):
             failures, summary = body()
             return ClaimResult(name, not failures,
                                "; ".join(failures[:5]) if failures else summary)
-        claim.claim_name = name
         return claim
     return wrap
 

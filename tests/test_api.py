@@ -27,3 +27,40 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(quandles.__all__) == PUBLIC_API
+
+
+# the operator protocols a class can offer besides its public names
+PROTOCOLS = ("__call__", "__contains__", "__getitem__", "__iter__", "__len__")
+
+# what each exported class offers: its public attributes, methods and
+# dataclass fields, and the protocols it implements
+CLASS_SURFACE = {
+    "ClassificationReport": [
+        "beyond_paper", "class_count", "classes", "complete", "engine_version",
+        "group_names", "notes", "order", "pairs", "profiles", "to_json", "to_json_dict",
+        "verdict_log"],
+    "DihedralAut": ["a", "as_group_map", "b", "d", "g", "n"],
+    "FiniteGroup": [
+        "conj", "element_order", "element_order_multiset", "is_abelian", "name", "order",
+        "spec", "table"],
+    "GroupMap": [
+        "check", "compose", "conjugate_by", "cycle_type", "images", "inverse",
+        "is_bijective", "map_order", "require_automorphism", "source", "target"],
+    "GroupSpec": ["kind", "name", "params"],
+    "InvariantProfile": [
+        "FIELDS", "fix_size", "group_order", "inn_size", "p1", "p2", "p2_iso_type",
+        "p_fix_size", "p_iso_type", "psi_order", "psi_restricted_class",
+        "separator_against", "tn_size", "to_json_dict"],
+    "IsoVerdict": [
+        "method", "note", "result", "separator", "to_json", "to_json_dict", "witness"],
+    "Quandle": ["is_general_alexander", "provenance", "size", "sym"],
+    "Subgroup": ["__contains__", "as_group", "member_set", "members", "order", "parent"],
+}
+
+
+def test_exported_classes_offer_exactly_their_pinned_names():
+    for name, want in CLASS_SURFACE.items():
+        cls = getattr(quandles, name)
+        names = {*dir(cls), *getattr(cls, "__dataclass_fields__", ())}
+        got = sorted(n for n in names if not n.startswith("_") or n in PROTOCOLS)
+        assert got == want, name

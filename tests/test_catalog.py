@@ -161,8 +161,8 @@ def test_dicyclic_presentation():
     assert bsq == 3  # b^2 = a^3
     assert all(dic3.table[bsq][x] == dic3.table[x][bsq] for x in range(12))
     # b^-1 a b = a^-1
-    binv = dic3.inv(b)
-    assert dic3.table[dic3.table[binv][1]][b] == dic3.inv(1)
+    binv = dic3._inv[b]
+    assert dic3.table[dic3.table[binv][1]][b] == dic3._inv[1]
 
 
 def test_product_structure():

@@ -61,7 +61,7 @@ def test_compute_P2_abelian_is_double_difference_image():
     for name, aut in (("C9", "mul:4"), ("C4xC2", "psi_sigma"), ("C15", "mul:2")):
         g = build_named(name)
         psi = named_automorphism(g, aut)
-        rho = [g.table[x][g.inv(psi.images[x])] for x in range(g.order)]
+        rho = [g.table[x][g._inv[psi.images[x]]] for x in range(g.order)]
         p2 = compute_P2(g, psi)
         assert set(rho[rho[x]] for x in range(g.order)) == p2.member_set()
 
